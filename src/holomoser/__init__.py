@@ -1,6 +1,6 @@
 """Numerical certification of Moser isotopies on holomorphic coadjoint orbits."""
 
-from .algebra import CartanData, MatrixLieAlgebra, build_algebra, cartan_data
+from .algebra import MatrixLieAlgebra, build_algebra
 from .pipeline import (
     ChamberError,
     DeltaError,
@@ -11,13 +11,11 @@ from .pipeline import (
 from .report import Scenario, load_scenario, render_report, scenario_from_config
 
 __all__ = [
-    "CartanData",
     "ChamberError",
     "DeltaError",
     "MatrixLieAlgebra",
     "Scenario",
     "build_algebra",
-    "cartan_data",
     "inspect_model",
     "load_scenario",
     "render_report",

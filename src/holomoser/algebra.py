@@ -12,8 +12,6 @@ is skew for X in k and symmetric for Z in p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -24,22 +22,6 @@ def _vec(mats):
     mats = np.asarray(mats)
     flat = mats.reshape(mats.shape[:-2] + (-1,))
     return np.concatenate([flat.real, flat.imag], axis=-1)
-
-
-@dataclass
-class CartanData:
-    """Index bookkeeping for the eigenspace split g = k (+) p of theta."""
-
-    dim_k: int
-    dim_p: int
-
-    @property
-    def k_indices(self):
-        return np.arange(self.dim_k)
-
-    @property
-    def p_indices(self):
-        return np.arange(self.dim_k, self.dim_k + self.dim_p)
 
 
 class MatrixLieAlgebra:
@@ -249,10 +231,6 @@ class MatrixLieAlgebra:
         j[:n, n:] = np.eye(n)
         j[n:, :n] = -np.eye(n)
         return j
-
-
-def cartan_data(alg):
-    return CartanData(dim_k=alg.dim_k, dim_p=alg.dim_p)
 
 
 # -- construction -------------------------------------------------------------

@@ -12,8 +12,10 @@ Three subcommands mirror the pipeline module:
   the report itself is printed.
 
 ``--seed/--steps/--delta-mult/--samples/--eps`` override the corresponding
-config entries.  Exit status: 0 verdict pass, 1 verdict fail, 2 refused or
-invalid input.
+config entries.  Exit status: 0 verdict pass, 1 verdict fail or a run that
+stopped on a numerical failure (RuntimeError: chamber sampling exhausted, a
+degenerate form along a flow, a flow past its fiber ceiling; the message
+goes to stderr), 2 refused or invalid input.
 """
 
 from __future__ import annotations
@@ -115,6 +117,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except RuntimeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,8 +6,7 @@ in p; all forms are returned as matrices against this basis, so the tangent
 coordinate layout is always (complement slots, fiber slots).
 
 The five forms:
-  * pullback       Gamma^* of the KKS form of G.lambda (split formula, with
-                   the unsplit single-bracket formula kept as an oracle),
+  * pullback       Gamma^* of the KKS form of G.lambda (split formula),
   * product        Omega_{K.lambda} (+) Omega_p,  Omega_p(A,B) = B_theta(A,[z0,B]),
   * delta          Omega_{K.lambda} (+) delta * (Gamma_0^* KKS of G.lambda_0),
   * segment        t * delta + (1-t) * pullback,
@@ -18,26 +17,18 @@ X_M(x) = d/dt|_0 exp(tX).x; the two textbook displays that disagree with this
 convention (the flat display, off by a factor 2, and the product display's
 fiber sign) are measured at run time by measure_convention_constants.
 
-Batched evaluators carry a leading lane axis B (independent points) and a
-node axis S of fiber scalings s, reusing one eigendecomposition of ad(Z) per
-lane for all scaled points (k, sZ); this is what makes the homotopy-primitive
-quadrature affordable inside flow integration.
+OrbitGeometry's evaluators take the eigendecomposition of ad(Z) and the
+Ad(k^{-1}) matrices of a batch of points and accept any leading batch shape;
+the homotopy primitive in moser.py adds its quadrature-node axis that way,
+reusing one eigendecomposition per point for all scaled points (k, sZ).
+The form_* and moment_* functions evaluate them at points (ks, zs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .operators import (
-    CoadjointVector,
-    f_cosh,
-    f_minus,
-    f_plus,
-    f_plus_prime,
-    f_psi,
-)
+from .operators import f_cosh, f_minus, f_plus, f_plus_prime
 from .roots import in_holomorphic_chamber, pairing_matrix, stabilizer_algebra
 
 
@@ -74,7 +65,7 @@ class OrbitGeometry:
         prod[self.dim_c :, self.dim_c :] = self.ad_z0[alg.dim_k :, alg.dim_k :]
         self.product_matrix = prod
 
-    # -- batched building blocks (lanes b, scale nodes s) ----------------------
+    # -- batched building blocks (any leading batch shape) ----------------------
 
     def pad_fiber(self, zp):
         zp = np.atleast_2d(np.asarray(zp, dtype=float))
@@ -96,87 +87,61 @@ class OrbitGeometry:
 
     def klam(self, kap):
         """Coadjoint coordinates of k lambda from the kappa matrices."""
-        return np.einsum("bnm,n->bm", kap, self.lam)
+        return np.einsum("...nm,n->...m", kap, self.lam)
 
-    def _spectral(self, eig, scales, fn):
+    def _spectral(self, eig, fn):
         w, u = eig
-        nu = w[:, None, :] * np.asarray(scales, dtype=float)[None, :, None]
-        return np.einsum("bij,bsj,bkj->bsik", u, fn(nu), u)
+        return _reassemble(u, fn(w))
 
-    def pullback_blocks(self, eig, kap, scales, split_formula=True):
-        """Form matrices of Gamma^* Omega at (k, s Z) for each node s.
-
-        Returns (B, S, T, T).  split_formula=False evaluates the unsplit
-        single-bracket expression through Psi_Z, the independent oracle.
-        """
+    def pullback_blocks(self, eig, kap):
+        """Form matrices (..., T, T) of Gamma^* Omega at the points (k, Z)."""
         alg = self.alg
-        b = kap.shape[0]
-        s_nodes = len(np.atleast_1d(scales))
         kl = self.klam(kap)
-        m_kl = np.einsum("nmk,bk->bnm", alg.structure, kl)
-        if split_formula:
-            psim = self._spectral(eig, scales, f_minus)[..., :, alg.dim_k :]
-            psip = self._spectral(eig, scales, f_plus)[..., :, alg.dim_k :]
-            w_p = np.einsum("bnm,bsmj->bsnj", kap, psim)
-        else:
-            psi = self._spectral(eig, scales, f_psi)[..., :, alg.dim_k :]
-            w_p = np.einsum("bnm,bsmj->bsnj", kap, psi)
-        w_c = np.broadcast_to(self.complement, (b, s_nodes) + self.complement.shape)
+        m_kl = np.einsum("nmk,...k->...nm", alg.structure, kl)
+        psim = self._spectral(eig, f_minus)[..., :, alg.dim_k :]
+        psip = self._spectral(eig, f_plus)[..., :, alg.dim_k :]
+        w_p = np.einsum("...nm,...mj->...nj", kap, psim)
+        w_c = np.broadcast_to(self.complement, w_p.shape[:-1] + (self.dim_c,))
         w_full = np.concatenate([w_c, w_p], axis=-1)
-        out = np.einsum("bsni,nm,bsmj->bsij", w_full, self.m_lam, w_full)
-        if split_formula:
-            out[..., self.dim_c :, self.dim_c :] += np.einsum(
-                "bsnu,bnm,bsmv->bsuv", psip, m_kl, psip
-            )
+        out = np.einsum("...ni,nm,...mj->...ij", w_full, self.m_lam, w_full)
+        out[..., self.dim_c :, self.dim_c :] += np.einsum(
+            "...nu,...nm,...mv->...uv", psip, m_kl, psip
+        )
         return out
 
-    def delta_blocks(self, eig, scales, delta):
-        """Omega^delta at (k, sZ): base block plus delta-scaled flat pullback."""
-        alg = self.alg
-        psip = self._spectral(eig, scales, f_plus)[..., :, alg.dim_k :]
-        pp = delta * np.einsum("bsnu,nm,bsmv->bsuv", psip, self.m_lam0, psip)
+    def delta_blocks(self, eig, delta):
+        """Omega^delta at (k, Z): base block plus delta-scaled flat pullback."""
+        psip = self._spectral(eig, f_plus)[..., :, self.alg.dim_k :]
+        pp = delta * np.einsum("...nu,nm,...mv->...uv", psip, self.m_lam0, psip)
         return self._assemble(pp)
 
-    def hermitian_blocks(self, eig, scales, t):
-        """The scaled family Omega_t: fiber block (Gamma_0^* Omega)|_{t s Z}."""
-        alg = self.alg
-        eff = t * np.asarray(scales, dtype=float)
-        psip = self._spectral(eig, eff, f_plus)[..., :, alg.dim_k :]
-        pp = np.einsum("bsnu,nm,bsmv->bsuv", psip, self.m_lam0, psip)
-        return self._assemble(pp)
+    def hermitian_blocks(self, eig, t):
+        """The scaled family Omega_t: fiber block (Gamma_0^* Omega)|_{tZ}."""
+        w, u = eig
+        return self.delta_blocks((t * w, u), 1.0)
 
-    def hermitian_dt_blocks(self, eig, scales, t):
+    def hermitian_dt_blocks(self, eig, t):
         """d/dt of hermitian_blocks: commuting path, so a scalar derivative."""
         alg = self.alg
         w, u = eig
-        nu = w[:, None, :] * np.asarray(scales, dtype=float)[None, :, None]
-        psip = np.einsum("bij,bsj,bkj->bsik", u, f_plus(t * nu), u)[..., :, alg.dim_k :]
-        dpsi = np.einsum("bij,bsj,bkj->bsik", u, nu * f_plus_prime(t * nu), u)[
-            ..., :, alg.dim_k :
-        ]
-        cross = np.einsum("bsnu,nm,bsmv->bsuv", dpsi, self.m_lam0, psip)
+        psip = _reassemble(u, f_plus(t * w))[..., :, alg.dim_k :]
+        dpsi = _reassemble(u, w * f_plus_prime(t * w))[..., :, alg.dim_k :]
+        cross = np.einsum("...nu,nm,...mv->...uv", dpsi, self.m_lam0, psip)
         pp = cross - np.swapaxes(cross, -1, -2)
         out = self._assemble(pp)
         out[..., : self.dim_c, : self.dim_c] = 0.0
         return out
 
-    def product_blocks(self, b, s_nodes):
-        return np.broadcast_to(
-            self.product_matrix, (b, s_nodes) + self.product_matrix.shape
-        ).copy()
-
     def _assemble(self, fiber_block):
-        b, s_nodes = fiber_block.shape[:2]
-        out = np.zeros((b, s_nodes, self.dim_t, self.dim_t))
+        out = np.zeros(fiber_block.shape[:-2] + (self.dim_t, self.dim_t))
         out[..., : self.dim_c, : self.dim_c] = self.base_block
         out[..., self.dim_c :, self.dim_c :] = fiber_block
         return out
 
-    # -- batched moment maps (no node axis; evaluated at the points) -----------
+    # -- batched moment maps (B, N) ---------------------------------------------
 
     def _apply(self, eig, fn, xi):
-        w, u = eig
-        return np.einsum("bij,bj,bkj->bik", u, fn(w), u) @ xi
+        return self._spectral(eig, fn) @ xi
 
     def _restrict_k(self, xi):
         out = np.array(xi)
@@ -185,9 +150,7 @@ class OrbitGeometry:
 
     def moment_pullback(self, eig, kl):
         """Gamma^* of the orbit moment map: (e^Z.(k lambda)) restricted to k*."""
-        moved = np.einsum(
-            "bij,bj,bkj->bik", eig[1], np.exp(-eig[0]), eig[1]
-        ) @ kl[..., None]
+        moved = self._apply(eig, lambda nu: np.exp(-nu), kl[..., None])
         return self._restrict_k(moved[..., 0])
 
     def moment_delta(self, eig, kl, delta):
@@ -202,8 +165,7 @@ class OrbitGeometry:
 
     def moment_flat(self, eig):
         """The flat display lambda_0 o ad(Z)^2; twice the true moment of Omega_p."""
-        w, u = eig
-        out = np.einsum("bij,bj,bkj->bik", u, w * w, u) @ self.lam0[:, None]
+        out = self._apply(eig, lambda nu: nu * nu, self.lam0[:, None])
         return self._restrict_k(out[..., 0])
 
     def moment_product(self, eig, kl):
@@ -219,7 +181,7 @@ class OrbitGeometry:
             vals = 0.5 * w * w
         else:
             vals = 2.0 * np.sinh(0.5 * t * w) ** 2 / (t * t)
-        out = np.einsum("bij,bj,bkj->bik", u, vals, u) @ self.lam0[:, None]
+        out = _reassemble(u, vals) @ self.lam0[:, None]
         return self._restrict_k(kl + out[..., 0])
 
     # -- tangent utilities ------------------------------------------------------
@@ -237,129 +199,64 @@ class OrbitGeometry:
         return np.concatenate([base, fiber], axis=-1)
 
 
-# -- single-point object layer ---------------------------------------------------
+def _reassemble(u, vals):
+    """u diag(vals) u^T over any leading batch shape: a function of ad(Z)."""
+    return np.einsum("...ij,...j,...kj->...ik", u, vals, u)
 
 
-@dataclass
-class OrbitPoint:
-    """A point (k lambda, Z) of the trivialized orbit."""
-
-    geometry: OrbitGeometry
-    k: np.ndarray  # (ambient, ambient) in K
-    z: np.ndarray  # (dim_p,) fiber coordinates
-
-    def __post_init__(self):
-        self.k = np.asarray(self.k, dtype=complex)
-        self.z = np.asarray(self.z, dtype=float)
-        alg = self.geometry.alg
-        res = float(alg.group_residual(self.k))
-        if res > 1e-8:
-            raise ValueError(f"base element is off the group (residual {res:.2e})")
-        if self.z.shape != (alg.dim_p,):
-            raise ValueError("fiber vector must have p-coordinates")
-
-    def batched(self):
-        eig = self.geometry.fiber_eig(self.z[None])
-        kap = self.geometry.kappa(self.k[None])
-        return eig, kap
+# -- forms and moments at points (ks, zs): (B, T, T) and (B, N) arrays -------------
 
 
-@dataclass
-class OrbitTangent:
-    """Tangent coordinates ([k,X], A): complement part x, fiber part a."""
-
-    x: np.ndarray
-    a: np.ndarray
-
-    def stacked(self):
-        return np.concatenate([np.asarray(self.x, float), np.asarray(self.a, float)])
+def form_pullback(geometry, ks, zs):
+    return geometry.pullback_blocks(geometry.fiber_eig(zs), geometry.kappa(ks))
 
 
-@dataclass
-class SkewForm:
-    matrix: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        assert np.abs(self.matrix + self.matrix.T).max() < 1e-9, self.label
-
-    def __call__(self, u, v):
-        u = u.stacked() if isinstance(u, OrbitTangent) else np.asarray(u, float)
-        v = v.stacked() if isinstance(v, OrbitTangent) else np.asarray(v, float)
-        return float(u @ self.matrix @ v)
+def form_product(geometry, ks, zs):
+    shape = (len(zs),) + geometry.product_matrix.shape
+    return np.broadcast_to(geometry.product_matrix, shape).copy()
 
 
-def form_pullback(point, split_formula=True):
-    eig, kap = point.batched()
-    mat = point.geometry.pullback_blocks(eig, kap, [1.0], split_formula)[0, 0]
-    return SkewForm(mat, "pullback")
+def form_delta(geometry, ks, zs, delta):
+    return geometry.delta_blocks(geometry.fiber_eig(zs), delta)
 
 
-def form_product(point):
-    return SkewForm(point.geometry.product_matrix.copy(), "product")
+def form_segment(geometry, ks, zs, t, delta):
+    eig = geometry.fiber_eig(zs)
+    pull = geometry.pullback_blocks(eig, geometry.kappa(ks))
+    dl = geometry.delta_blocks(eig, delta)
+    return t * dl + (1.0 - t) * pull
 
 
-def form_delta(point, delta):
-    eig, _ = point.batched()
-    return SkewForm(point.geometry.delta_blocks(eig, [1.0], delta)[0, 0], "delta")
+def form_hermitian(geometry, ks, zs, t):
+    return geometry.hermitian_blocks(geometry.fiber_eig(zs), t)
 
 
-def form_segment(point, t, delta):
-    eig, kap = point.batched()
-    geo = point.geometry
-    pull = geo.pullback_blocks(eig, kap, [1.0])[0, 0]
-    dl = geo.delta_blocks(eig, [1.0], delta)[0, 0]
-    return SkewForm(t * dl + (1.0 - t) * pull, f"segment(t={t})")
+def _eig_klam(geometry, ks, zs):
+    return geometry.fiber_eig(zs), geometry.klam(geometry.kappa(ks))
 
 
-def form_hermitian(point, t):
-    eig, _ = point.batched()
-    return SkewForm(
-        point.geometry.hermitian_blocks(eig, [1.0], t)[0, 0], f"hermitian(t={t})"
-    )
+def moment_pullback(geometry, ks, zs):
+    return geometry.moment_pullback(*_eig_klam(geometry, ks, zs))
 
 
-def _as_vector(geometry, coords):
-    return CoadjointVector(np.asarray(coords, dtype=float))
+def moment_delta(geometry, ks, zs, delta):
+    return geometry.moment_delta(*_eig_klam(geometry, ks, zs), delta)
 
 
-def moment_pullback(point):
-    eig, kap = point.batched()
-    geo = point.geometry
-    return _as_vector(geo, geo.moment_pullback(eig, geo.klam(kap))[0])
+def moment_segment(geometry, ks, zs, t, delta):
+    return geometry.moment_segment(*_eig_klam(geometry, ks, zs), t, delta)
 
 
-def moment_delta(point, delta):
-    eig, kap = point.batched()
-    geo = point.geometry
-    return _as_vector(geo, geo.moment_delta(eig, geo.klam(kap), delta)[0])
+def moment_flat(geometry, zs):
+    return geometry.moment_flat(geometry.fiber_eig(zs))
 
 
-def moment_segment(point, t, delta):
-    eig, kap = point.batched()
-    geo = point.geometry
-    return _as_vector(geo, geo.moment_segment(eig, geo.klam(kap), t, delta)[0])
+def moment_product(geometry, ks, zs):
+    return geometry.moment_product(*_eig_klam(geometry, ks, zs))
 
 
-def moment_flat(geometry, z):
-    eig = geometry.fiber_eig(np.asarray(z, float)[None])
-    return _as_vector(geometry, geometry.moment_flat(eig)[0])
-
-
-def moment_product(point):
-    eig, kap = point.batched()
-    geo = point.geometry
-    return _as_vector(geo, geo.moment_product(eig, geo.klam(kap))[0])
-
-
-def moment_hermitian(point, t):
-    eig, kap = point.batched()
-    geo = point.geometry
-    return _as_vector(geo, geo.moment_hermitian(eig, geo.klam(kap), t)[0])
-
-
-def nondegeneracy_margin(form):
-    return float(np.linalg.svd(form.matrix, compute_uv=False).min())
+def moment_hermitian(geometry, ks, zs, t):
+    return geometry.moment_hermitian(*_eig_klam(geometry, ks, zs), t)
 
 
 def bracket_positivity_slack(datum, w1, w2, zp):

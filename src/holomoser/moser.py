@@ -24,14 +24,15 @@ section behaviour, properness constants of the moment families).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from .forms import OrbitGeometry
 from .roots import ChamberWeight, chamber_constants
 
-_UNIT_SCALE = np.array([1.0])
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_NODES = 0.5 * (_GL_X + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_W
@@ -57,34 +58,27 @@ _TRI_W = np.array(
 )
 
 
+@dataclass(frozen=True)
 class FormFamily:
     """A t in [0,1] family of closed 2-forms with moments, batched evaluators.
 
-    omega / domega_dt map (eig, kap, scales, t) to (B, S, T, T) matrices at
-    the points (k_b, s Z_b); moment maps (eig, kap, t) to (B, N) coadjoint
-    coordinates.
+    omega / domega_dt map (eig, kap, t) to (..., T, T) form matrices at the
+    points whose fiber eigendecompositions and Ad(k^{-1}) matrices are given;
+    moment maps (eig, kap, t) to (B, N) coadjoint coordinates, and
+    pairing_direction t to the unit vector the properness fit pairs with.
     """
 
-    def __init__(self, name, geometry, omega, domega_dt, moment,
-                 pairing_direction=None):
-        self.name = name
-        self.geometry = geometry
-        self._omega = omega
-        self._domega = domega_dt
-        self._moment = moment
-        if pairing_direction is None:
-            z0 = geometry.z0
-            pairing_direction = lambda t: z0 / np.linalg.norm(z0)
-        self.pairing_direction = pairing_direction
+    name: str
+    geometry: OrbitGeometry
+    omega: Callable
+    domega_dt: Callable
+    moment: Callable
+    pairing_direction: Callable
 
-    def omega(self, eig, kap, scales, t):
-        return self._omega(eig, kap, scales, t)
 
-    def domega_dt(self, eig, kap, scales, t):
-        return self._domega(eig, kap, scales, t)
-
-    def moment(self, eig, kap, t):
-        return self._moment(eig, kap, t)
+def _z0_direction(geometry):
+    z0 = geometry.z0
+    return lambda t: z0 / np.linalg.norm(z0)
 
 
 def hermitian_stage(geometry):
@@ -92,43 +86,43 @@ def hermitian_stage(geometry):
     return FormFamily(
         "hermitian",
         geometry,
-        lambda eig, kap, s, t: geometry.hermitian_blocks(eig, s, t),
-        lambda eig, kap, s, t: geometry.hermitian_dt_blocks(eig, s, t),
+        lambda eig, kap, t: geometry.hermitian_blocks(eig, t),
+        lambda eig, kap, t: geometry.hermitian_dt_blocks(eig, t),
         lambda eig, kap, t: geometry.moment_hermitian(eig, geometry.klam(kap), t),
+        _z0_direction(geometry),
     )
 
 
 def scaling_stage(geometry, delta):
     """Delta coefficient 1 to delta along s(t) = 1 + t (delta - 1)."""
 
-    def domega(eig, kap, s, t):
-        out = geometry.delta_blocks(eig, s, delta - 1.0)
+    def domega(eig, kap, t):
+        out = geometry.delta_blocks(eig, delta - 1.0)
         out[..., : geometry.dim_c, : geometry.dim_c] = 0.0
         return out
 
     return FormFamily(
         "scaling",
         geometry,
-        lambda eig, kap, s, t: geometry.delta_blocks(eig, s, 1.0 + t * (delta - 1.0)),
+        lambda eig, kap, t: geometry.delta_blocks(eig, 1.0 + t * (delta - 1.0)),
         domega,
         lambda eig, kap, t: geometry.moment_delta(
             eig, geometry.klam(kap), 1.0 + t * (delta - 1.0)
         ),
+        _z0_direction(geometry),
     )
 
 
 def segment_stage(geometry, delta):
     """Delta form to the orbit pullback: the segment family from its delta end."""
 
-    def omega(eig, kap, s, t):
-        pull = geometry.pullback_blocks(eig, kap, s)
-        dl = geometry.delta_blocks(eig, s, delta)
+    def omega(eig, kap, t):
+        pull = geometry.pullback_blocks(eig, kap)
+        dl = geometry.delta_blocks(eig, delta)
         return (1.0 - t) * dl + t * pull
 
-    def domega(eig, kap, s, t):
-        return geometry.pullback_blocks(eig, kap, s) - geometry.delta_blocks(
-            eig, s, delta
-        )
+    def domega(eig, kap, t):
+        return geometry.pullback_blocks(eig, kap) - geometry.delta_blocks(eig, delta)
 
     def direction(t):
         coords = segment_weight_coords(geometry, delta, 1.0 - t)
@@ -142,32 +136,13 @@ def segment_stage(geometry, delta):
         lambda eig, kap, t: geometry.moment_segment(
             eig, geometry.klam(kap), 1.0 - t, delta
         ),
-        pairing_direction=direction,
+        direction,
     )
 
 
 def segment_weight_coords(geometry, delta, u):
     """Full coordinates of the interpolated weight u delta lambda_0 + (1-u) lambda."""
     return u * delta * geometry.lam0 + (1.0 - u) * geometry.lam
-
-
-def constant_stage(geometry):
-    """The product form at every t; its Moser flow is the identity."""
-
-    def zero(eig, kap, s, t):
-        b = eig[0].shape[0]
-        s_nodes = len(np.atleast_1d(s))
-        return np.zeros((b, s_nodes, geometry.dim_t, geometry.dim_t))
-
-    return FormFamily(
-        "constant",
-        geometry,
-        lambda eig, kap, s, t: geometry.product_blocks(
-            eig[0].shape[0], len(np.atleast_1d(s))
-        ),
-        zero,
-        lambda eig, kap, t: geometry.moment_product(eig, geometry.klam(kap)),
-    )
 
 
 @dataclass
@@ -184,10 +159,15 @@ def homotopy_primitive(family, eig, kap, zp, t):
 
     mu|_(k,Z)(u) = int_0^1 sigma|_(k,sZ)((0, Z), (u_base, s u_fiber)) ds,
     valid because each sigma is closed and has no base-base component along
-    the zero section.  Returns covector components (B, T).
+    the zero section.  This is the only code that knows the Gauss-Legendre
+    nodes: the scaled points (k, sZ) form an extra batch axis of sigma,
+    sharing each lane's eigendecomposition of ad(Z).  Returns covector
+    components (B, T).
     """
     geo = family.geometry
-    sigma = family.domega_dt(eig, kap, _GL_NODES, t)  # (B, S, T, T)
+    nu, u = eig
+    nodes = (nu[:, None, :] * _GL_NODES[None, :, None], u[:, None])
+    sigma = family.domega_dt(nodes, kap[:, None], t)  # (B, S, T, T)
     w = np.zeros((zp.shape[0], geo.dim_t))
     w[:, geo.dim_c :] = zp
     contracted = np.einsum("bsij,bi->bsj", sigma, w)
@@ -195,67 +175,12 @@ def homotopy_primitive(family, eig, kap, zp, t):
     return np.einsum("s,bsj->bj", _GL_WEIGHTS, contracted)
 
 
-def gauge_potential(family, ks, zs, t):
-    """Line integral of mu_t along the fiber ray; vanishes for these primitives.
-
-    The radial primitive pairs the scaling vector with itself inside a skew
-    form, so the gauge normalization int_0^1 mu|_(k,sZ)((0, Z)) ds is zero
-    and no df correction is ever subtracted.  Returned per lane as (B,).
-    """
-    geo = family.geometry
-    eig = geo.fiber_eig(zs)
-    kap = geo.kappa(ks)
-    w, u = eig
-    out = np.zeros(zs.shape[0])
-    for s_o, w_o in zip(_GL_NODES, _GL_WEIGHTS):
-        mu = homotopy_primitive(family, (s_o * w, u), kap, s_o * zs, t)
-        out += w_o * np.einsum("bj,bj->b", mu[:, geo.dim_c :], zs)
-    return out
-
-
-def gauge_fix(geometry, mu_eval, eps=1e-6):
-    """Normalize a family of 1-forms by subtracting the radial potential.
-
-    mu_eval(ks, zs, t) -> (B, T) frame components.  Returns (potential,
-    corrected): potential evaluates f_t(k, Z) = 2 int_0^1 mu_t|(k,sZ)((0,sZ)) ds
-    by quadrature and corrected returns mu_t - df_t with df_t from central
-    differences.  The correction kills the fiber contraction of the family
-    at the zero section; for the radial homotopy primitives the potential
-    already vanishes identically and the correction is a no-op.
-    """
-    c = geometry.dim_c
-    c_k = geometry.complement[: geometry.alg.dim_k]
-
-    def potential(ks, zs, t):
-        out = np.zeros(zs.shape[0])
-        for s_o, w_o in zip(_GL_NODES, _GL_WEIGHTS):
-            mu = mu_eval(ks, s_o * zs, t)
-            out += w_o * 2.0 * s_o * np.einsum("bj,bj->b", mu[:, c:], zs)
-        return out
-
-    def corrected(ks, zs, t):
-        mu = np.array(mu_eval(ks, zs, t))
-        for i in range(geometry.dim_t):
-            if i < c:
-                hi = potential(ks @ geometry.alg.group_exp(eps * c_k[:, i]), zs, t)
-                lo = potential(ks @ geometry.alg.group_exp(-eps * c_k[:, i]), zs, t)
-            else:
-                dz = np.zeros(zs.shape[1])
-                dz[i - c] = eps
-                hi = potential(ks, zs + dz, t)
-                lo = potential(ks, zs - dz, t)
-            mu[:, i] -= (hi - lo) / (2 * eps)
-        return mu
-
-    return potential, corrected
-
-
 def moser_field(family, ks, zs, t):
     """Moser field xi_t with iota(xi) omega_t = -mu_t; (B, T) tangent coords."""
     geo = family.geometry
     eig = geo.fiber_eig(zs)
     kap = geo.kappa(ks)
-    omega = family.omega(eig, kap, _UNIT_SCALE, t)[:, 0]
+    omega = family.omega(eig, kap, t)
     margin = float(np.linalg.svd(omega, compute_uv=False)[..., -1].min())
     if margin < 1e-10:
         raise RuntimeError(
@@ -277,7 +202,6 @@ class FlowTrace:
     max_group_residual: float
     reprojections: int
     fiber_sup: np.ndarray  # per-lane max ||Z|| along the flow
-    path: list | None = None  # per-step (k, z) snapshots when recorded
 
 
 @dataclass
@@ -303,15 +227,13 @@ def _dexpinv(alg, u, y):
 
 
 def integrate_flow(family, k0, z0, steps, t0=0.0, t1=1.0, z_ceiling=None,
-                   project_tol=1e-12, record_path=False):
+                   project_tol=1e-12):
     """Flow the Moser field of the family from t0 to t1 (RKMK order four).
 
     k0: (B, a, a) group elements (one matrix is promoted to a batch), z0:
     (B, dim_p).  The group chart is k exp(u) with the truncated dexpinv;
     drift off K beyond project_tol triggers a polar reprojection.  A fiber
     norm ceiling (default ten times the initial bound) aborts escaping flows.
-    record_path keeps per-step (k, z) snapshots (including both endpoints)
-    on the trace.
     """
     geo = family.geometry
     alg = geo.alg
@@ -329,7 +251,6 @@ def integrate_flow(family, k0, z0, steps, t0=0.0, t1=1.0, z_ceiling=None,
     min_margin = np.inf
     max_res = 0.0
     reproj = 0
-    path = [(ks.copy(), zs.copy())] if record_path else None
 
     def eval_field(k_arg, z_arg, t_arg):
         nonlocal min_margin
@@ -364,9 +285,7 @@ def integrate_flow(family, k0, z0, steps, t0=0.0, t1=1.0, z_ceiling=None,
         if res > project_tol:
             ks = alg.group_project(ks)
             reproj += 1
-        if record_path:
-            path.append((ks.copy(), zs.copy()))
-    trace = FlowTrace(steps, float(min_margin), max_res, reproj, fiber_sup, path)
+    trace = FlowTrace(steps, float(min_margin), max_res, reproj, fiber_sup)
     return FlowResult(ks, zs, trace)
 
 
@@ -483,11 +402,7 @@ def primitive_exactness_residual(family, geometry, k0, z0, t, rng, h=1e-2):
 
     quad_pts = _TRI_BARY @ np.stack(corners)
     sigma = _chart_form_matrices(
-        geometry,
-        lambda eig, kap: family.domega_dt(eig, kap, _UNIT_SCALE, t)[:, 0],
-        k0,
-        z0,
-        quad_pts,
+        geometry, lambda eig, kap: family.domega_dt(eig, kap, t), k0, z0, quad_pts
     )
     flux = 0.5 * float(_TRI_W @ np.einsum("i,qij,j->q", u, sigma, v))
     return abs(circulation - flux) / max(abs(flux), h * h)
@@ -559,14 +474,14 @@ def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
 
     eig0 = geometry.fiber_eig(zs[:b0])
     kap0 = geometry.kappa(ks[:b0])
-    omega_start = stages[0].family.omega(eig0, kap0, _UNIT_SCALE, 0.0)[:, 0]
+    omega_start = stages[0].family.omega(eig0, kap0, 0.0)
     moment_start = stages[0].family.moment(eig0, kap0, 0.0)
 
     flowed_k, flowed_z, traces = flow_stages(stages, ks, zs)
 
     eig1 = geometry.fiber_eig(flowed_z[:b0])
     kap1 = geometry.kappa(flowed_k[:b0])
-    omega_end = stages[-1].family.omega(eig1, kap1, _UNIT_SCALE, 1.0)[:, 0]
+    omega_end = stages[-1].family.omega(eig1, kap1, 1.0)
     moment_end = stages[-1].family.moment(eig1, kap1, 1.0)
 
     per_sample = np.zeros(b0)
@@ -723,7 +638,7 @@ def analytic_properness_bound(geometry, stage_name, delta, t_grid=_PROPERNESS_GR
     same t-grid the fit uses.
     """
     z0_norm = float(np.linalg.norm(geometry.z0))
-    if stage_name in ("hermitian", "constant"):
+    if stage_name == "hermitian":
         return 1.0 / (2.0 * z0_norm)
     if stage_name == "scaling":
         return min(1.0, delta) / (2.0 * z0_norm)
@@ -771,7 +686,7 @@ def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
         fam = stage.family
         for t in (0.0, 0.5, 1.0):
             def omega_at(eig, kap, _t=t, _f=fam):
-                return _f.omega(eig, kap, _UNIT_SCALE, _t)[:, 0]
+                return _f.omega(eig, kap, _t)
 
             for _ in range(closedness_points):
                 k0 = alg.group_exp(rng.standard_normal(alg.dim_k))
@@ -799,12 +714,11 @@ def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
                 if c == 0:
                     continue
                 cross = max(cross, float(np.abs(block[:c, c:]).max()))
-                sigma0 = fam.domega_dt(eig_zero, kap0, _UNIT_SCALE, t)[0, 0]
+                sigma0 = fam.domega_dt(eig_zero, kap0, t)[0]
                 i_star_dt = max(i_star_dt, float(np.abs(sigma0[:c, :c]).max()))
                 gap01 = (
-                    fam.omega(eig_zero, kap0, _UNIT_SCALE, 1.0)
-                    - fam.omega(eig_zero, kap0, _UNIT_SCALE, 0.0)
-                )[0, 0]
+                    fam.omega(eig_zero, kap0, 1.0) - fam.omega(eig_zero, kap0, 0.0)
+                )[0]
                 i_star_endpoints = max(
                     i_star_endpoints, float(np.abs(gap01[:c, :c]).max())
                 )

@@ -1,34 +1,18 @@
-"""Fiber operators built from ad(Z) for Z in p, and the orbit chart Gamma.
+"""Scalar spectral functions of ad(Z) for Z in p.
 
 For Z in p the operator ad(Z) is symmetric in the orthonormal coordinates, so
 every analytic function of it is evaluated spectrally: eigendecompose once,
-apply the scalar function to the eigenvalues, reconstruct.  The operators:
+apply the scalar function to the eigenvalues, reconstruct.  The functions:
 
-    Psi_Z      integral of e^{-s ad Z} over s in [0,1]:  (1 - e^{ -nu})/nu
-    Psi_Z^+    even part:                                 sinh(nu)/nu
-    Psi_Z^-    minus the odd part:                        -(cosh(nu)-1)/nu
-    chi_Z      Psi_Z^- o (Psi_Z^+)^{-1}:                  -tanh(nu/2)
-
-Gamma(k lambda, Z) = e^Z . (k lambda) is the fiberwise exponential chart of
-the orbit, with tangent map
-
-    dGamma(k lambda, Z)([k,X], A) = [e^Z k, X + Ad(k^{-1}) Psi_Z(A)].
+    Psi_Z^+    sinh(nu)/nu                 even part of int_0^1 e^{-s ad Z} ds
+    Psi_Z^-    -(cosh(nu)-1)/nu            minus its odd part
+    chi_Z      Psi_Z^- o (Psi_Z^+)^{-1}:   -tanh(nu/2)
+    cosh       cosh(nu)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-# -- scalar spectral functions -------------------------------------------------
-
-
-def f_psi(nu):
-    nu = np.asarray(nu, dtype=float)
-    safe = np.where(nu == 0.0, 1.0, nu)
-    return np.where(nu == 0.0, 1.0, -np.expm1(-safe) / safe)
 
 
 def f_plus(nu):
@@ -62,142 +46,19 @@ def f_plus_prime(nu):
     return np.where(small, series, direct)
 
 
-def spectral_apply(eigvals, eigvecs, fn):
-    """Reassemble fn(S) for symmetric S = eigvecs diag(eigvals) eigvecs^T."""
-    vals = fn(eigvals)
-    return np.einsum("...ij,...j,...kj->...ik", eigvecs, vals, eigvecs)
-
-
-# -- the operator bundle at a fixed Z -------------------------------------------
-
-
-@dataclass
-class OperatorAtZ:
-    """Spectral data of ad(Z) and the four derived operators at one Z."""
-
-    z: np.ndarray  # full algebra coordinates, p-part only
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
-
-    def _mk(self, fn):
-        return spectral_apply(self.eigvals, self.eigvecs, fn)
-
-    @property
-    def psi(self):
-        return self._mk(f_psi)
-
-    @property
-    def psi_plus(self):
-        return self._mk(f_plus)
-
-    @property
-    def psi_minus(self):
-        return self._mk(f_minus)
-
-    @property
-    def chi(self):
-        return self._mk(f_chi)
-
-    @property
-    def cosh_ad(self):
-        return self._mk(f_cosh)
-
-    @property
-    def exp_minus_ad(self):
-        return self._mk(lambda nu: np.exp(-nu))
-
-
-def _fiber_coords(alg, z):
-    """Accept (dim_p,) fiber coordinates or full (N,) coordinates."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] == alg.dim_p:
-        full = np.zeros(z.shape[:-1] + (alg.dim,))
-        full[..., alg.dim_k :] = z
-        return full
-    if z.shape[-1] != alg.dim:
-        raise ValueError("fiber vector has neither dim_p nor full dimension")
-    if np.abs(z[..., : alg.dim_k]).max(initial=0.0) > 1e-12:
-        raise ValueError("fiber vector has components along k")
-    return z
-
-
-def psi_operators(alg, z):
-    """OperatorAtZ for a fiber vector z (p-coordinates or padded)."""
-    full = _fiber_coords(alg, z)
-    s = alg.ad(full)
-    assert np.abs(s - s.T).max() < 1e-10, "ad(Z) not symmetric; Z not in p?"
-    w, v = np.linalg.eigh(s)
-    return OperatorAtZ(z=full, eigvals=w, eigvecs=v)
-
-
 def chi_spectrum_check(alg, z):
     """Compare spec(chi_Z) with {(e^nu - 1)/(e^nu + 1)} as multisets.
 
-    Returns (multiset deviation, max |eigenvalue of chi|).  The per-vector
-    spectral rule gives -tanh(nu/2); written as the multiset {tanh(nu/2)}
-    it is the same set because spec(ad Z) is symmetric about zero.
+    z holds the p-coordinates of Z.  Returns (multiset deviation, max
+    |eigenvalue of chi|).  The per-vector spectral rule gives -tanh(nu/2);
+    written as the multiset {tanh(nu/2)} it is the same set because
+    spec(ad Z) is symmetric about zero.
     """
-    op = psi_operators(alg, z)
-    chi_eigs = np.sort(np.linalg.eigvalsh(op.chi))
-    predicted = np.sort(np.expm1(op.eigvals) / (np.exp(op.eigvals) + 1.0))
+    full = np.zeros(alg.dim)
+    full[alg.dim_k :] = z
+    w, v = np.linalg.eigh(alg.ad(full))
+    chi = np.einsum("...ij,...j,...kj->...ik", v, f_chi(w), v)
+    chi_eigs = np.sort(np.linalg.eigvalsh(chi))
+    predicted = np.sort(np.expm1(w) / (np.exp(w) + 1.0))
     dev = float(np.abs(chi_eigs - predicted).max())
     return dev, float(np.abs(chi_eigs).max())
-
-
-# -- coadjoint vectors and the chart Gamma --------------------------------------
-
-
-@dataclass
-class CoadjointVector:
-    """An element of g* in coordinates dual to the orthonormal basis."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-
-    def pair(self, x):
-        return float(np.dot(self.coords, np.asarray(x, dtype=float)))
-
-    def dual_norm(self):
-        return float(np.linalg.norm(self.coords))
-
-    def restrict_k(self, alg):
-        out = self.coords.copy()
-        out[alg.dim_k :] = 0.0
-        return CoadjointVector(out)
-
-
-def _check_group(alg, k, tol=1e-10):
-    res = float(alg.group_residual(k))
-    if res > tol:
-        raise ValueError(f"k is not in the compact group K (residual {res:.2e})")
-
-
-def gamma_map(alg, weight, k, z):
-    """Coadjoint vector of the orbit point Gamma(k lambda, Z) = e^Z.(k lambda)."""
-    _check_group(alg, k)
-    op = psi_operators(alg, z)
-    xi = alg.coadjoint_group_matrix(k) @ weight.full(alg)
-    return CoadjointVector(op.exp_minus_ad @ xi)
-
-
-def gamma_push_matrix(alg, k, op):
-    """Coordinate matrix of the coadjoint action of e^Z k on g*."""
-    return op.exp_minus_ad @ alg.coadjoint_group_matrix(k)
-
-
-def d_gamma(alg, weight, k, z, x_dir, a_dir):
-    """Tangent of Gamma at ([k,X], A), as a coadjoint coordinate vector.
-
-    x_dir is a k-coordinate vector (the [k,X] leg), a_dir a fiber vector.
-    """
-    _check_group(alg, k)
-    op = psi_operators(alg, z)
-    a_full = _fiber_coords(alg, a_dir)
-    x_full = np.zeros(alg.dim)
-    x_full[: alg.dim_k] = np.asarray(x_dir, dtype=float)[: alg.dim_k]
-    ad_kinv = alg.adjoint_group_matrix(alg.group_inverse(k))
-    w = x_full + ad_kinv @ (op.psi @ a_full)
-    v = -alg.ad(w).T @ weight.full(alg)
-    return CoadjointVector(gamma_push_matrix(alg, k, op) @ v)

@@ -29,7 +29,6 @@ import numpy as np
 from .algebra import build_algebra
 from .forms import (
     OrbitGeometry,
-    OrbitPoint,
     bracket_positivity_slack,
     form_delta,
     form_hermitian,
@@ -219,17 +218,17 @@ def _lemma_block(scenario, alg, datum, weight):
         chi_eig = max(chi_eig, eig)
 
     geo_flat = OrbitGeometry(alg, datum, datum.lambda0)
-    eye = np.eye(alg.ambient, dtype=complex)
+    eye = np.eye(alg.ambient, dtype=complex)[None]
     growth_slack = np.inf
     flat_res = 0.0
     for _ in range(n):
         zp = rng_growth.uniform(0.05, 3.0) * _unit_fiber(alg.dim_p, rng_growth)
-        phi = moment_hermitian(OrbitPoint(geo_flat, eye, zp), 1.0).coords
+        phi = moment_hermitian(geo_flat, eye, zp[None], 1.0)[0]
         growth_slack = min(
             growth_slack,
             float((phi - geo_flat.lam0) @ geo_flat.z0 - 0.5 * zp @ zp),
         )
-        val = moment_flat(geo_flat, zp).coords @ geo_flat.z0
+        val = moment_flat(geo_flat, zp[None])[0] @ geo_flat.z0
         flat_res = max(flat_res, abs(val - zp @ zp) / max(1.0, zp @ zp))
 
     bracket_slack = np.inf
@@ -260,21 +259,18 @@ def _lemma_block(scenario, alg, datum, weight):
     ]
     gens = [rng_ident.standard_normal(alg.dim_k) for _ in range(5)]
 
-    def pair(form_fn, mom_fn):
+    def pair(form_fn, mom_fn, *args):
         return (
-            lambda k, z: form_fn(OrbitPoint(geo, k, z)).matrix,
-            lambda k, z: mom_fn(OrbitPoint(geo, k, z)).coords,
+            lambda k, z: form_fn(geo, k[None], z[None], *args)[0],
+            lambda k, z: mom_fn(geo, k[None], z[None], *args)[0],
         )
 
     cases = {
         "pullback": pair(form_pullback, moment_pullback),
         "product": pair(form_product, moment_product),
-        "delta": pair(lambda p_: form_delta(p_, delta),
-                      lambda p_: moment_delta(p_, delta)),
-        "segment": pair(lambda p_: form_segment(p_, 0.4, delta),
-                        lambda p_: moment_segment(p_, 0.4, delta)),
-        "hermitian": pair(lambda p_: form_hermitian(p_, 0.7),
-                          lambda p_: moment_hermitian(p_, 0.7)),
+        "delta": pair(form_delta, moment_delta, delta),
+        "segment": pair(form_segment, moment_segment, 0.4, delta),
+        "hermitian": pair(form_hermitian, moment_hermitian, 0.7),
     }
     identity_res = {
         name: moment_identity_residual(geo, f_at, m_at, pts, gens, eps=1e-5)
@@ -349,7 +345,6 @@ def _segment_witness(geometry, delta, rng, points=200, t_count=21):
     Also certifies affinity in t: the form at interior times must equal the
     straight-line combination of its endpoint evaluations.
     """
-    scale = np.array([1.0])
     family = segment_stage(geometry, delta)
     ks = geometry.alg.group_exp(
         rng.standard_normal((points, geometry.alg.dim_k))
@@ -358,13 +353,13 @@ def _segment_witness(geometry, delta, rng, points=200, t_count=21):
     zs *= (rng.uniform(0.1, 1.5, points) / np.linalg.norm(zs, axis=1))[:, None]
     eig = geometry.fiber_eig(zs)
     kap = geometry.kappa(ks)
-    end0 = family.omega(eig, kap, scale, 0.0)
-    end1 = family.omega(eig, kap, scale, 1.0)
+    end0 = family.omega(eig, kap, 0.0)
+    end1 = family.omega(eig, kap, 1.0)
     min_margin = np.inf
     affinity = 0.0
     for t in np.linspace(0.0, 1.0, t_count):
-        omega = family.omega(eig, kap, scale, t)
-        svals = np.linalg.svd(omega[:, 0], compute_uv=False)
+        omega = family.omega(eig, kap, t)
+        svals = np.linalg.svd(omega, compute_uv=False)
         min_margin = min(min_margin, float(svals[..., -1].min()))
         affinity = max(
             affinity, float(np.abs(omega - ((1 - t) * end0 + t * end1)).max())

@@ -93,6 +93,11 @@ class Scenario:
             raise ValueError("sample counts must be positive")
         if not self.eps > 0.0:
             raise ValueError("finite-difference eps must be positive")
+        if not self.radius > 0.1:
+            raise ValueError(
+                f"radius must exceed 0.1 (got {self.radius}); sample points "
+                "have fiber norms drawn from [0.1, radius]"
+            )
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")

@@ -1,0 +1,208 @@
+"""Independent reference implementations the tests compare holomoser against.
+
+None of this runs in the certification pipeline:
+
+- the operator bundle Psi_Z, Psi_Z^{+-}, chi_Z, cosh, e^{-ad Z} at one Z;
+- the orbit chart Gamma(k lambda, Z) = e^Z.(k lambda) and its tangent map
+
+      dGamma(k lambda, Z)([k,X], A) = [e^Z k, X + Ad(k^{-1}) Psi_Z(A)];
+
+- the unsplit single-bracket formula for the pullback form;
+- gauge fixing of a family of 1-forms by its radial potential;
+- the constant family, whose Moser flow is the identity.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from holomoser.moser import _GL_NODES, _GL_WEIGHTS, FormFamily, _z0_direction
+from holomoser.operators import f_chi, f_cosh, f_minus, f_plus
+
+
+def f_psi(nu):
+    nu = np.asarray(nu, dtype=float)
+    safe = np.where(nu == 0.0, 1.0, nu)
+    return np.where(nu == 0.0, 1.0, -np.expm1(-safe) / safe)
+
+
+def spectral_apply(eigvals, eigvecs, fn):
+    """Reassemble fn(S) for symmetric S = eigvecs diag(eigvals) eigvecs^T."""
+    vals = fn(eigvals)
+    return np.einsum("...ij,...j,...kj->...ik", eigvecs, vals, eigvecs)
+
+
+# -- the operator bundle at a fixed Z -------------------------------------------
+
+
+@dataclass
+class OperatorAtZ:
+    """Spectral data of ad(Z) and the four derived operators at one Z."""
+
+    z: np.ndarray  # full algebra coordinates, p-part only
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+
+    def _mk(self, fn):
+        return spectral_apply(self.eigvals, self.eigvecs, fn)
+
+    @property
+    def psi(self):
+        return self._mk(f_psi)
+
+    @property
+    def psi_plus(self):
+        return self._mk(f_plus)
+
+    @property
+    def psi_minus(self):
+        return self._mk(f_minus)
+
+    @property
+    def chi(self):
+        return self._mk(f_chi)
+
+    @property
+    def cosh_ad(self):
+        return self._mk(f_cosh)
+
+    @property
+    def exp_minus_ad(self):
+        return self._mk(lambda nu: np.exp(-nu))
+
+
+def _fiber_coords(alg, z):
+    """Accept (dim_p,) fiber coordinates or full (N,) coordinates."""
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1] == alg.dim_p:
+        full = np.zeros(z.shape[:-1] + (alg.dim,))
+        full[..., alg.dim_k :] = z
+        return full
+    if z.shape[-1] != alg.dim:
+        raise ValueError("fiber vector has neither dim_p nor full dimension")
+    if np.abs(z[..., : alg.dim_k]).max(initial=0.0) > 1e-12:
+        raise ValueError("fiber vector has components along k")
+    return z
+
+
+def psi_operators(alg, z):
+    """OperatorAtZ for a fiber vector z (p-coordinates or padded)."""
+    full = _fiber_coords(alg, z)
+    s = alg.ad(full)
+    assert np.abs(s - s.T).max() < 1e-10, "ad(Z) not symmetric; Z not in p?"
+    w, v = np.linalg.eigh(s)
+    return OperatorAtZ(z=full, eigvals=w, eigvecs=v)
+
+
+# -- the chart Gamma ---------------------------------------------------------------
+
+
+def _check_group(alg, k, tol=1e-10):
+    res = float(alg.group_residual(k))
+    if res > tol:
+        raise ValueError(f"k is not in the compact group K (residual {res:.2e})")
+
+
+def gamma_map(alg, weight, k, z):
+    """Coadjoint coordinates of the orbit point Gamma(k lambda, Z) = e^Z.(k lambda)."""
+    _check_group(alg, k)
+    op = psi_operators(alg, z)
+    xi = alg.coadjoint_group_matrix(k) @ weight.full(alg)
+    return op.exp_minus_ad @ xi
+
+
+def gamma_push_matrix(alg, k, op):
+    """Coordinate matrix of the coadjoint action of e^Z k on g*."""
+    return op.exp_minus_ad @ alg.coadjoint_group_matrix(k)
+
+
+def d_gamma(alg, weight, k, z, x_dir, a_dir):
+    """Tangent of Gamma at ([k,X], A), as a coadjoint coordinate vector.
+
+    x_dir is a k-coordinate vector (the [k,X] leg), a_dir a fiber vector.
+    """
+    _check_group(alg, k)
+    op = psi_operators(alg, z)
+    a_full = _fiber_coords(alg, a_dir)
+    x_full = np.zeros(alg.dim)
+    x_full[: alg.dim_k] = np.asarray(x_dir, dtype=float)[: alg.dim_k]
+    ad_kinv = alg.adjoint_group_matrix(alg.group_inverse(k))
+    w = x_full + ad_kinv @ (op.psi @ a_full)
+    v = -alg.ad(w).T @ weight.full(alg)
+    return gamma_push_matrix(alg, k, op) @ v
+
+
+# -- forms and flows ---------------------------------------------------------------
+
+
+def unsplit_pullback_blocks(geometry, eig, kap):
+    """Gamma^* Omega through the single-bracket expression with Psi_Z.
+
+    The independent oracle for OrbitGeometry.pullback_blocks, which splits
+    Psi_Z into its even and odd parts.
+    """
+    alg = geometry.alg
+    psi = spectral_apply(*eig, f_psi)[..., :, alg.dim_k :]
+    w_p = np.einsum("...nm,...mj->...nj", kap, psi)
+    w_c = np.broadcast_to(geometry.complement, w_p.shape[:-1] + (geometry.dim_c,))
+    w_full = np.concatenate([w_c, w_p], axis=-1)
+    return np.einsum("...ni,nm,...mj->...ij", w_full, geometry.m_lam, w_full)
+
+
+def gauge_fix(geometry, mu_eval, eps=1e-6):
+    """Normalize a family of 1-forms by subtracting the radial potential.
+
+    mu_eval(ks, zs, t) -> (B, T) frame components.  Returns (potential,
+    corrected): potential evaluates f_t(k, Z) = 2 int_0^1 mu_t|(k,sZ)((0,sZ)) ds
+    by quadrature and corrected returns mu_t - df_t with df_t from central
+    differences.  The correction kills the fiber contraction of the family
+    at the zero section; for the radial homotopy primitives the potential
+    already vanishes identically and the correction is a no-op.
+    """
+    c = geometry.dim_c
+    c_k = geometry.complement[: geometry.alg.dim_k]
+
+    def potential(ks, zs, t):
+        out = np.zeros(zs.shape[0])
+        for s_o, w_o in zip(_GL_NODES, _GL_WEIGHTS):
+            mu = mu_eval(ks, s_o * zs, t)
+            out += w_o * 2.0 * s_o * np.einsum("bj,bj->b", mu[:, c:], zs)
+        return out
+
+    def corrected(ks, zs, t):
+        mu = np.array(mu_eval(ks, zs, t))
+        for i in range(geometry.dim_t):
+            if i < c:
+                hi = potential(ks @ geometry.alg.group_exp(eps * c_k[:, i]), zs, t)
+                lo = potential(ks @ geometry.alg.group_exp(-eps * c_k[:, i]), zs, t)
+            else:
+                dz = np.zeros(zs.shape[1])
+                dz[i - c] = eps
+                hi = potential(ks, zs + dz, t)
+                lo = potential(ks, zs - dz, t)
+            mu[:, i] -= (hi - lo) / (2 * eps)
+        return mu
+
+    return potential, corrected
+
+
+def constant_stage(geometry):
+    """The product form at every t; its Moser flow is the identity."""
+    shape = (geometry.dim_t, geometry.dim_t)
+
+    def product(eig, kap, t):
+        return np.broadcast_to(geometry.product_matrix, eig[0].shape[:-1] + shape).copy()
+
+    def zero(eig, kap, t):
+        return np.zeros(eig[0].shape[:-1] + shape)
+
+    return FormFamily(
+        "constant",
+        geometry,
+        product,
+        zero,
+        lambda eig, kap, t: geometry.moment_product(eig, geometry.klam(kap)),
+        _z0_direction(geometry),
+    )

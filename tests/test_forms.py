@@ -4,8 +4,6 @@ import pytest
 from holomoser import build_algebra
 from holomoser.forms import (
     OrbitGeometry,
-    OrbitPoint,
-    OrbitTangent,
     form_delta,
     form_hermitian,
     form_product,
@@ -20,9 +18,10 @@ from holomoser.forms import (
     moment_product,
     moment_pullback,
     moment_segment,
-    nondegeneracy_margin,
 )
-from holomoser.roots import ChamberWeight, compute_root_datum, weight_from_matrix
+from holomoser.roots import compute_root_datum, pairing_matrix, weight_from_matrix
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +46,13 @@ def su11():
 
 
 def rand_point(geo, rng, radius=1.5):
+    """One point as a batch of size one: (ks, zs) of shapes (1, a, a), (1, p)."""
     k = geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k))
-    return OrbitPoint(geo, k, radius * rng.standard_normal(geo.dim_p))
+    return k[None], radius * rng.standard_normal(geo.dim_p)[None]
+
+
+def margin(form):
+    return float(np.linalg.svd(form, compute_uv=False).min())
 
 
 def test_geometry_rejects_weights_outside_chamber(su21):
@@ -56,14 +60,6 @@ def test_geometry_rejects_weights_outside_chamber(su21):
     bad = weight_from_matrix(alg, 1j * np.diag([-0.6, -0.1, 0.7]))
     with pytest.raises(ValueError, match="chamber"):
         OrbitGeometry(alg, datum, bad)
-
-
-def test_point_validation(su21):
-    _, _, geo = su21
-    with pytest.raises(ValueError, match="group"):
-        OrbitPoint(geo, 1.7 * np.eye(3), np.zeros(geo.dim_p))
-    with pytest.raises(ValueError, match="p-coordinates"):
-        OrbitPoint(geo, np.eye(3, dtype=complex), np.zeros(geo.dim_p + 1))
 
 
 def test_tangent_basis_full_rank(su21):
@@ -85,30 +81,51 @@ def test_split_and_unsplit_formulas_agree(su21):
     _, _, geo = su21
     rng = np.random.default_rng(1)
     for _ in range(100):
-        pt = rand_point(geo, rng, radius=rng.uniform(0.1, 2.5))
-        a = form_pullback(pt, split_formula=True).matrix
-        b = form_pullback(pt, split_formula=False).matrix
+        ks, zs = rand_point(geo, rng, radius=rng.uniform(0.1, 2.5))
+        a = form_pullback(geo, ks, zs)
+        b = oracles.unsplit_pullback_blocks(geo, geo.fiber_eig(zs), geo.kappa(ks))
         assert np.abs(a - b).max() < 1e-10
+
+
+def test_pullback_matches_orbit_chart(su21):
+    # the KKS form <xi, [x_i, x_j]> at xi = Gamma(k lambda, Z), with x_i solving
+    # dGamma(u_i) = <xi, [., x_i]> for the tangent basis u_i
+    alg, _, geo = su21
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        ks, zs = rand_point(geo, rng, radius=rng.uniform(0.1, 2.5))
+        k, z = ks[0], zs[0]
+        xi = oracles.gamma_map(alg, geo.weight, k, z)
+        basis = [(geo.complement[: alg.dim_k, i], np.zeros(geo.dim_p))
+                 for i in range(geo.dim_c)]
+        basis += [(np.zeros(alg.dim_k), e) for e in np.eye(geo.dim_p)]
+        vs = np.stack(
+            [oracles.d_gamma(alg, geo.weight, k, z, x, a) for x, a in basis], axis=1
+        )
+        m_xi = pairing_matrix(alg, xi)
+        xs = np.linalg.lstsq(m_xi, vs, rcond=None)[0]
+        assert np.abs(m_xi @ xs - vs).max() < 1e-12
+        assert np.abs(xs.T @ m_xi @ xs - form_pullback(geo, ks, zs)[0]).max() < 1e-12
 
 
 def test_pullback_zero_fiber_reduction(su21):
     alg, _, geo = su21
     rng = np.random.default_rng(2)
     k = alg.group_exp(rng.standard_normal(alg.dim_k))
-    pt = OrbitPoint(geo, k, np.zeros(geo.dim_p))
     kl = geo.klam(geo.kappa(k[None]))[0]
     fiber = np.einsum("nmk,k->nm", alg.structure, kl)[alg.dim_k :, alg.dim_k :]
     expect = np.zeros((geo.dim_t, geo.dim_t))
     expect[: geo.dim_c, : geo.dim_c] = geo.base_block
     expect[geo.dim_c :, geo.dim_c :] = fiber
-    assert np.abs(form_pullback(pt).matrix - expect).max() < 1e-12
+    got = form_pullback(geo, k[None], np.zeros((1, geo.dim_p)))[0]
+    assert np.abs(got - expect).max() < 1e-12
 
 
 def test_pullback_nondegenerate_on_samples(su21):
     _, _, geo = su21
     rng = np.random.default_rng(3)
     margins = [
-        nondegeneracy_margin(form_pullback(rand_point(geo, rng, rng.uniform(0.05, 2.0))))
+        margin(form_pullback(geo, *rand_point(geo, rng, rng.uniform(0.05, 2.0)))[0])
         for _ in range(500)
     ]
     assert min(margins) > 1e-6
@@ -118,8 +135,8 @@ def test_product_form_and_flat_margin(su11, su21):
     # su(1,1) at lambda_0: the fiber block of the product form is ad(z0)|_p,
     # an isometry, so the nondegeneracy margin is exactly 1
     _, _, geo11 = su11
-    pt = OrbitPoint(geo11, np.eye(2, dtype=complex), np.array([0.3, -0.8]))
-    assert abs(nondegeneracy_margin(form_product(pt)) - 1.0) < 1e-12
+    form = form_product(geo11, np.eye(2, dtype=complex)[None], np.array([[0.3, -0.8]]))
+    assert abs(margin(form[0]) - 1.0) < 1e-12
     # form matrix squares to -id on the fiber block
     _, _, geo = su21
     blk = geo.product_matrix[geo.dim_c :, geo.dim_c :]
@@ -134,8 +151,8 @@ def test_gauge_invariance_of_margin(su21):
     k = alg.group_exp(rng.standard_normal(alg.dim_k))
     zp = rng.standard_normal(geo.dim_p)
     h = alg.group_exp(geo.split.kernel @ rng.standard_normal(geo.split.kernel.shape[1]))
-    m1 = nondegeneracy_margin(form_pullback(OrbitPoint(geo, k, zp)))
-    m2 = nondegeneracy_margin(form_pullback(OrbitPoint(geo, k @ h, zp)))
+    m1 = margin(form_pullback(geo, k[None], zp[None])[0])
+    m2 = margin(form_pullback(geo, (k @ h)[None], zp[None])[0])
     assert abs(m1 - m2) < 1e-10
 
 
@@ -143,16 +160,18 @@ def test_forms_are_K_invariant(su21):
     # transported tangents keep their coordinates in the moving frame
     alg, _, geo = su21
     rng = np.random.default_rng(5)
-    pt = rand_point(geo, rng)
+    ks, zs = rand_point(geo, rng)
     kp = alg.group_exp(rng.standard_normal(alg.dim_k))
-    moved = OrbitPoint(geo, kp @ pt.k, (alg.adjoint_group_matrix(kp) @ geo.pad_fiber(pt.z)[0])[alg.dim_k :])
+    moved_z = (alg.adjoint_group_matrix(kp) @ geo.pad_fiber(zs)[0])[alg.dim_k :]
     adk = alg.adjoint_group_matrix(kp)[alg.dim_k :, alg.dim_k :]
-    u = OrbitTangent(rng.standard_normal(geo.dim_c), rng.standard_normal(geo.dim_p))
-    v = OrbitTangent(rng.standard_normal(geo.dim_c), rng.standard_normal(geo.dim_p))
-    u_m = OrbitTangent(u.x, adk @ u.a)
-    v_m = OrbitTangent(v.x, adk @ v.a)
+    u_x, u_a = rng.standard_normal(geo.dim_c), rng.standard_normal(geo.dim_p)
+    v_x, v_a = rng.standard_normal(geo.dim_c), rng.standard_normal(geo.dim_p)
+    u, v = np.concatenate([u_x, u_a]), np.concatenate([v_x, v_a])
+    u_m, v_m = np.concatenate([u_x, adk @ u_a]), np.concatenate([v_x, adk @ v_a])
     for fn in (form_pullback, form_product):
-        assert abs(fn(pt)(u, v) - fn(moved)(u_m, v_m)) < 1e-10
+        here = u @ fn(geo, ks, zs)[0] @ v
+        there = u_m @ fn(geo, kp @ ks, moved_z[None])[0] @ v_m
+        assert abs(here - there) < 1e-10
 
 
 def test_segment_family_is_affine_and_matches_endpoints(su21):
@@ -160,10 +179,10 @@ def test_segment_family_is_affine_and_matches_endpoints(su21):
     rng = np.random.default_rng(6)
     pt = rand_point(geo, rng)
     delta = 1.5
-    pull = form_pullback(pt).matrix
-    dl = form_delta(pt, delta).matrix
+    pull = form_pullback(geo, *pt)
+    dl = form_delta(geo, *pt, delta)
     for t in (0.0, 0.25, 1.0):
-        seg = form_segment(pt, t, delta).matrix
+        seg = form_segment(geo, *pt, t, delta)
         assert np.abs(seg - (t * dl + (1 - t) * pull)).max() == 0.0
 
 
@@ -171,22 +190,22 @@ def test_hermitian_family_endpoints(su21):
     _, _, geo = su21
     rng = np.random.default_rng(7)
     pt = rand_point(geo, rng)
-    assert np.abs(form_hermitian(pt, 0.0).matrix - geo.product_matrix).max() < 1e-12
-    assert np.abs(form_hermitian(pt, 1.0).matrix - form_delta(pt, 1.0).matrix).max() < 1e-12
+    assert np.abs(form_hermitian(geo, *pt, 0.0) - geo.product_matrix).max() < 1e-12
+    assert np.abs(form_hermitian(geo, *pt, 1.0) - form_delta(geo, *pt, 1.0)).max() < 1e-12
 
 
 def test_moment_values_at_zero_fiber(su21):
     alg, datum, geo = su21
     delta = 1.5
-    pt = OrbitPoint(geo, np.eye(3, dtype=complex), np.zeros(geo.dim_p))
+    pt = (np.eye(3, dtype=complex)[None], np.zeros((1, geo.dim_p)))
     lam = geo.lam
     lam0 = geo.lam0
-    assert np.abs(moment_pullback(pt).coords - lam).max() < 1e-12
+    assert np.abs(moment_pullback(geo, *pt) - lam).max() < 1e-12
     # segment endpoints: phi_0 = lambda, phi_1 = lambda + delta lambda_0
-    assert np.abs(moment_segment(pt, 0.0, delta).coords - lam).max() < 1e-12
-    assert np.abs(moment_segment(pt, 1.0, delta).coords - (lam + delta * lam0)).max() < 1e-12
-    assert np.abs(moment_segment(pt, 0.3, delta).coords - (lam + 0.3 * delta * lam0)).max() < 1e-12
-    assert np.abs(moment_product(pt).coords - lam).max() < 1e-12
+    assert np.abs(moment_segment(geo, *pt, 0.0, delta) - lam).max() < 1e-12
+    assert np.abs(moment_segment(geo, *pt, 1.0, delta) - (lam + delta * lam0)).max() < 1e-12
+    assert np.abs(moment_segment(geo, *pt, 0.3, delta) - (lam + 0.3 * delta * lam0)).max() < 1e-12
+    assert np.abs(moment_product(geo, *pt) - lam).max() < 1e-12
 
 
 def test_moment_identities_all_pairs(su21):
@@ -199,18 +218,18 @@ def test_moment_identities_all_pairs(su21):
     ]
     gens = [rng.standard_normal(geo.alg.dim_k) for _ in range(5)]
 
-    def pair(form_fn, mom_fn):
+    def pair(form_fn, mom_fn, *args):
         return (
-            lambda k, z: form_fn(OrbitPoint(geo, k, z)).matrix,
-            lambda k, z: mom_fn(OrbitPoint(geo, k, z)).coords,
+            lambda k, z: form_fn(geo, k[None], z[None], *args)[0],
+            lambda k, z: mom_fn(geo, k[None], z[None], *args)[0],
         )
 
     cases = [
         pair(form_pullback, moment_pullback),
         pair(form_product, moment_product),
-        pair(lambda p: form_delta(p, delta), lambda p: moment_delta(p, delta)),
-        pair(lambda p: form_segment(p, 0.4, delta), lambda p: moment_segment(p, 0.4, delta)),
-        pair(lambda p: form_hermitian(p, 0.7), lambda p: moment_hermitian(p, 0.7)),
+        pair(form_delta, moment_delta, delta),
+        pair(form_segment, moment_segment, 0.4, delta),
+        pair(form_hermitian, moment_hermitian, 0.7),
     ]
     for form_at, mom_at in cases:
         res = moment_identity_residual(geo, form_at, mom_at, pts, gens, eps=1e-5)
@@ -224,8 +243,8 @@ def test_flat_moment_identity_with_factor_two(su21_flat):
     gens = [rng.standard_normal(geo.alg.dim_k) for _ in range(5)]
     res = moment_identity_residual(
         geo,
-        lambda k, z: form_product(OrbitPoint(geo, k, z)).matrix,
-        lambda k, z: moment_flat(geo, z).coords,
+        lambda k, z: form_product(geo, k[None], z[None])[0],
+        lambda k, z: moment_flat(geo, z[None])[0],
         pts,
         gens,
         eps=1e-5,
@@ -245,10 +264,10 @@ def test_pullback_growth_inequality(su21_flat):
     # <Phi_{Gamma_0 Omega}(Z) - lambda_0, z0> >= ||Z||^2/2 with slack >= -1e-10
     geo = su21_flat
     rng = np.random.default_rng(11)
-    eye = np.eye(3, dtype=complex)
+    eye = np.eye(3, dtype=complex)[None]
     for _ in range(200):
         zp = rng.uniform(0.05, 3.0) * _unit_fiber(geo, rng)
-        phi = moment_hermitian(OrbitPoint(geo, eye, zp), 1.0).coords
+        phi = moment_hermitian(geo, eye, zp[None], 1.0)[0]
         slack = (phi - geo.lam0) @ geo.z0 - 0.5 * zp @ zp
         assert slack >= -1e-10
 
@@ -259,7 +278,7 @@ def test_flat_moment_exact_quadratic_pairing(su21_flat):
     rng = np.random.default_rng(12)
     for _ in range(200):
         zp = rng.uniform(0.05, 3.0) * _unit_fiber(geo, rng)
-        val = moment_flat(geo, zp).coords @ geo.z0
+        val = moment_flat(geo, zp[None])[0] @ geo.z0
         assert abs(val - zp @ zp) < 1e-10 * max(1.0, zp @ zp)
 
 
@@ -267,26 +286,25 @@ def test_hermitian_moment_continuity_and_endpoints(su21):
     _, _, geo = su21
     rng = np.random.default_rng(13)
     pt = rand_point(geo, rng)
-    small = moment_hermitian(pt, 1e-9).coords
-    zero = moment_hermitian(pt, 0.0).coords
+    small = moment_hermitian(geo, *pt, 1e-9)
+    zero = moment_hermitian(geo, *pt, 0.0)
     assert np.abs(small - zero).max() < 1e-9
-    assert np.abs(zero - moment_product(pt).coords).max() < 1e-12
+    assert np.abs(zero - moment_product(geo, *pt)).max() < 1e-12
     # same form as the delta family at t=1, moments differ by the constant
     # lambda_0 (integration constants anchor hermitian at the product moment)
-    gap = moment_delta(pt, 1.0).coords - moment_hermitian(pt, 1.0).coords
+    gap = moment_delta(geo, *pt, 1.0) - moment_hermitian(geo, *pt, 1.0)
     assert np.abs(gap - geo.lam0).max() < 1e-12
 
 
 def test_moment_equivariance(su21):
     alg, _, geo = su21
     rng = np.random.default_rng(14)
-    pt = rand_point(geo, rng)
+    ks, zs = rand_point(geo, rng)
     kp = alg.group_exp(rng.standard_normal(alg.dim_k))
-    moved = OrbitPoint(
-        geo, kp @ pt.k, (alg.adjoint_group_matrix(kp) @ geo.pad_fiber(pt.z)[0])[alg.dim_k :]
-    )
+    moved_z = (alg.adjoint_group_matrix(kp) @ geo.pad_fiber(zs)[0])[alg.dim_k :]
     coad = alg.coadjoint_group_matrix(kp)
-    assert np.abs(moment_pullback(moved).coords - coad @ moment_pullback(pt).coords).max() < 1e-10
+    moved = moment_pullback(geo, kp @ ks, moved_z[None])[0]
+    assert np.abs(moved - coad @ moment_pullback(geo, ks, zs)[0]).max() < 1e-10
 
 
 def test_bracket_positivity_inequality(su21):

@@ -7,9 +7,7 @@ from holomoser.moser import (
     MoserStage,
     analytic_properness_bound,
     check_hypotheses,
-    constant_stage,
     flow_stages,
-    gauge_fix,
     hermitian_stage,
     homotopy_primitive,
     integrate_flow,
@@ -25,7 +23,7 @@ from holomoser.moser import (
 )
 from holomoser.roots import chamber_constants, compute_root_datum, weight_from_matrix
 
-_SCALE = np.array([1.0])
+from oracles import constant_stage, gauge_fix
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +79,9 @@ def test_time_derivative_matches_finite_differences(which, su11, su21, request):
     for fam in families:
         for t in (0.15, 0.5, 0.85):
             fd = (
-                fam.omega(eig, kap, _SCALE, t + eps)
-                - fam.omega(eig, kap, _SCALE, t - eps)
+                fam.omega(eig, kap, t + eps) - fam.omega(eig, kap, t - eps)
             ) / (2 * eps)
-            sigma = fam.domega_dt(eig, kap, _SCALE, t)
+            sigma = fam.domega_dt(eig, kap, t)
             assert np.abs(fd - sigma).max() < 1e-8, fam.name
 
 
@@ -164,7 +161,7 @@ def test_moser_field_solves_and_is_vertical(su21):
     kap = geo.kappa(ks)
     for fam in families:
         xi, margin = moser_field(fam, ks, zs, 0.3)
-        omega = fam.omega(eig, kap, _SCALE, 0.3)[:, 0]
+        omega = fam.omega(eig, kap, 0.3)
         mu = homotopy_primitive(fam, eig, kap, zs, 0.3)
         solve_res = np.abs(np.einsum("bij,bj->bi", omega, xi) - mu).max()
         assert solve_res < 1e-12, fam.name
@@ -188,10 +185,10 @@ def test_stage_endpoints_are_compatible(su21):
     ks, zs = rand_batch(geo, rng, 6)
     eig = geo.fiber_eig(zs)
     kap = geo.kappa(ks)
-    herm1 = families[0].omega(eig, kap, _SCALE, 1.0)
-    scal0 = families[1].omega(eig, kap, _SCALE, 0.0)
-    scal1 = families[1].omega(eig, kap, _SCALE, 1.0)
-    segm0 = families[2].omega(eig, kap, _SCALE, 0.0)
+    herm1 = families[0].omega(eig, kap, 1.0)
+    scal0 = families[1].omega(eig, kap, 0.0)
+    scal1 = families[1].omega(eig, kap, 1.0)
+    segm0 = families[2].omega(eig, kap, 0.0)
     assert np.abs(herm1 - scal0).max() < 1e-12
     assert np.abs(scal1 - segm0).max() < 1e-12
 
@@ -214,7 +211,7 @@ def test_stokes_certifies_closed_and_detects_broken(su21):
     z0 = rng.standard_normal(geo.dim_p)
 
     def closed(eig, kap):
-        return fam.omega(eig, kap, _SCALE, 0.5)[:, 0]
+        return fam.omega(eig, kap, 0.5)
 
     def broken(eig, kap):
         # scaling a closed form by a non-constant function of Z breaks dW = 0
@@ -234,22 +231,6 @@ def test_flow_ceiling_aborts_escaping_lanes(su11):
     zs /= np.linalg.norm(zs, axis=1)[:, None]
     with pytest.raises(RuntimeError, match="ceiling"):
         integrate_flow(hermitian_stage(geo), ks, zs, steps=10, z_ceiling=0.1)
-
-
-def test_flow_records_path_when_asked(su11):
-    _, _, geo = su11
-    rng = np.random.default_rng(10)
-    ks, zs = rand_batch(geo, rng, 2)
-    res = integrate_flow(hermitian_stage(geo), ks, zs, steps=10, record_path=True)
-    assert len(res.trace.path) == 11
-    k_first, z_first = res.trace.path[0]
-    k_last, z_last = res.trace.path[-1]
-    assert np.abs(k_first - ks).max() == 0.0
-    assert np.abs(z_first - zs).max() == 0.0
-    assert np.abs(k_last - res.k).max() == 0.0
-    assert np.abs(z_last - res.z).max() == 0.0
-    plain = integrate_flow(hermitian_stage(geo), ks, zs, steps=10)
-    assert plain.trace.path is None
 
 
 def test_hermitian_stage_certifies_pullback(su11):

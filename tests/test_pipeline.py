@@ -41,6 +41,8 @@ def test_scenario_validation():
         Scenario(family="su", p=1, q=1, eps=0.0)
     with pytest.raises(ValueError, match="sample"):
         Scenario(family="su", p=1, q=1, samples=0)
+    with pytest.raises(ValueError, match="radius"):
+        Scenario(family="su", p=1, q=1, radius=0.1)
 
 
 def test_config_parsing_and_defaults():
@@ -265,6 +267,17 @@ def test_cli_refusals_exit_code_two(tmp_path, capsys):
     captured2 = capsys.readouterr()
     assert rc2 == 2
     assert "b_lambda" in captured2.err
+
+
+def test_cli_numerical_failure_exit_code_one(tmp_path, capsys):
+    # at rank 7 almost no box draw lies in the holomorphic chamber, so the
+    # bracket-positivity sampler exhausts its draws
+    path = tmp_path / "su44.cfg"
+    path.write_text("family = su\np = 4\nq = 4\nlemma_samples = 5\n", encoding="utf-8")
+    rc = cli.main(["lemmas", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: chamber rejection sampling failed" in captured.err
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
