@@ -325,15 +325,18 @@ def build_algebra(family, p=None, q=None, n=None):
     the maximal torus of k occupying the leading `rank` slots.
     """
     if family == "su":
-        if p is None or q is None or p < 1 or q < 1:
-            raise ValueError("su(p,q) requires p >= q >= 1; q = 0 is compact")
+        got = f"(got p = {p}, q = {q})"
+        if p is None or q is None:
+            raise ValueError(f"su(p,q) needs both p and q {got}")
+        if q < 1:
+            raise ValueError(f"su(p,q) requires q >= 1 {got}; q = 0 is compact")
         if p < q:
-            raise ValueError("su(p,q) expects p >= q")
+            raise ValueError(f"su(p,q) requires p >= q {got}")
         raw_k, raw_p, rank = _su_raw_basis(p, q)
         params, ambient = (p, q), p + q
     elif family == "sp":
         if n is None or n < 1:
-            raise ValueError("sp(2n,R) requires n >= 1")
+            raise ValueError(f"sp(2n,R) requires n >= 1 (got n = {n})")
         raw_k, raw_p, rank = _sp_raw_basis(n)
         params, ambient = (n,), 2 * n
     else:

@@ -19,8 +19,10 @@ fiber sign) are measured at run time by measure_convention_constants.
 
 OrbitGeometry's evaluators take the eigendecomposition of ad(Z) and the
 Ad(k^{-1}) matrices of a batch of points and accept any leading batch shape;
-the homotopy primitive in moser.py adds its quadrature-node axis that way,
-reusing one eigendecomposition per point for all scaled points (k, sZ).
+each block is a matmul chain W^T M W over that shape.  No evaluator needs a
+quadrature-node axis: the homotopy primitive in moser.py contracts the time
+derivative with (0, Z) in closed form, and only its quadrature oracle in the
+tests evaluates the blocks on a node batch of scaled points (k, sZ).
 The form_* and moment_* functions evaluate them at points (ks, zs).
 """
 
@@ -89,31 +91,31 @@ class OrbitGeometry:
         """Coadjoint coordinates of k lambda from the kappa matrices."""
         return np.einsum("...nm,n->...m", kap, self.lam)
 
-    def _spectral(self, eig, fn):
+    def pairing_klam(self, kap):
+        """Pairing matrices <k lambda, [., .]> (..., N, N) at the group elements."""
+        return np.tensordot(self.klam(kap), self.alg.structure, axes=([-1], [2]))
+
+    def _fiber_columns(self, eig, fn):
+        """The fiber columns fn(ad Z)[:, p] of a spectral function, (..., N, P)."""
         w, u = eig
-        return _reassemble(u, fn(w))
+        return (u * fn(w)[..., None, :]) @ _mT(u[..., self.alg.dim_k :, :])
 
     def pullback_blocks(self, eig, kap):
         """Form matrices (..., T, T) of Gamma^* Omega at the points (k, Z)."""
-        alg = self.alg
-        kl = self.klam(kap)
-        m_kl = np.einsum("nmk,...k->...nm", alg.structure, kl)
-        psim = self._spectral(eig, f_minus)[..., :, alg.dim_k :]
-        psip = self._spectral(eig, f_plus)[..., :, alg.dim_k :]
-        w_p = np.einsum("...nm,...mj->...nj", kap, psim)
+        m_kl = self.pairing_klam(kap)
+        psim = self._fiber_columns(eig, f_minus)
+        psip = self._fiber_columns(eig, f_plus)
+        w_p = kap @ psim
         w_c = np.broadcast_to(self.complement, w_p.shape[:-1] + (self.dim_c,))
         w_full = np.concatenate([w_c, w_p], axis=-1)
-        out = np.einsum("...ni,nm,...mj->...ij", w_full, self.m_lam, w_full)
-        out[..., self.dim_c :, self.dim_c :] += np.einsum(
-            "...nu,...nm,...mv->...uv", psip, m_kl, psip
-        )
+        out = _mT(w_full) @ (self.m_lam @ w_full)
+        out[..., self.dim_c :, self.dim_c :] += _mT(psip) @ (m_kl @ psip)
         return out
 
     def delta_blocks(self, eig, delta):
         """Omega^delta at (k, Z): base block plus delta-scaled flat pullback."""
-        psip = self._spectral(eig, f_plus)[..., :, self.alg.dim_k :]
-        pp = delta * np.einsum("...nu,nm,...mv->...uv", psip, self.m_lam0, psip)
-        return self._assemble(pp)
+        psip = self._fiber_columns(eig, f_plus)
+        return self._assemble(delta * (_mT(psip) @ (self.m_lam0 @ psip)))
 
     def hermitian_blocks(self, eig, t):
         """The scaled family Omega_t: fiber block (Gamma_0^* Omega)|_{tZ}."""
@@ -122,13 +124,10 @@ class OrbitGeometry:
 
     def hermitian_dt_blocks(self, eig, t):
         """d/dt of hermitian_blocks: commuting path, so a scalar derivative."""
-        alg = self.alg
-        w, u = eig
-        psip = _reassemble(u, f_plus(t * w))[..., :, alg.dim_k :]
-        dpsi = _reassemble(u, w * f_plus_prime(t * w))[..., :, alg.dim_k :]
-        cross = np.einsum("...nu,nm,...mv->...uv", dpsi, self.m_lam0, psip)
-        pp = cross - np.swapaxes(cross, -1, -2)
-        out = self._assemble(pp)
+        psip = self._fiber_columns(eig, lambda nu: f_plus(t * nu))
+        dpsi = self._fiber_columns(eig, lambda nu: nu * f_plus_prime(t * nu))
+        cross = _mT(dpsi) @ (self.m_lam0 @ psip)
+        out = self._assemble(cross - _mT(cross))
         out[..., : self.dim_c, : self.dim_c] = 0.0
         return out
 
@@ -141,7 +140,8 @@ class OrbitGeometry:
     # -- batched moment maps (B, N) ---------------------------------------------
 
     def _apply(self, eig, fn, xi):
-        return self._spectral(eig, fn) @ xi
+        w, u = eig
+        return _reassemble(u, fn(w)) @ xi
 
     def _restrict_k(self, xi):
         out = np.array(xi)
@@ -199,9 +199,13 @@ class OrbitGeometry:
         return np.concatenate([base, fiber], axis=-1)
 
 
+def _mT(a):
+    return np.swapaxes(a, -1, -2)
+
+
 def _reassemble(u, vals):
     """u diag(vals) u^T over any leading batch shape: a function of ad(Z)."""
-    return np.einsum("...ij,...j,...kj->...ik", u, vals, u)
+    return (u * vals[..., None, :]) @ _mT(u)
 
 
 # -- forms and moments at points (ks, zs): (B, T, T) and (B, N) arrays -------------

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .forms import OrbitGeometry
+from .operators import f_plus, f_plus_prime
 from .roots import ChamberWeight, chamber_constants
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -64,14 +65,17 @@ class FormFamily:
 
     omega / domega_dt map (eig, kap, t) to (..., T, T) form matrices at the
     points whose fiber eigendecompositions and Ad(k^{-1}) matrices are given;
-    moment maps (eig, kap, t) to (B, N) coadjoint coordinates, and
-    pairing_direction t to the unit vector the properness fit pairs with.
+    primitive maps (eig, kap, zp, t) to the (B, T) radial homotopy primitive
+    of domega_dt (see homotopy_primitive); moment maps (eig, kap, t) to
+    (B, N) coadjoint coordinates, and pairing_direction t to the unit vector
+    the properness fit pairs with.
     """
 
     name: str
     geometry: OrbitGeometry
     omega: Callable
     domega_dt: Callable
+    primitive: Callable
     moment: Callable
     pairing_direction: Callable
 
@@ -81,13 +85,39 @@ def _z0_direction(geometry):
     return lambda t: z0 / np.linalg.norm(z0)
 
 
+def _radial_row(geometry, eig, row, fn):
+    """Primitive (B, T): zero base part, fiber part row . R(F)[:, p].
+
+    R(F) = u diag(F(nu)) u^T is the spectral function of ad(Z) given by
+    eig = (nu, u), with F(nu) = int_0^1 s fn(s nu) ds integrated on the
+    eigenvalues by the 16-node Gauss-Legendre rule; row is (B, N).
+    """
+    nu, u = eig
+    vals = (_GL_WEIGHTS * _GL_NODES) @ fn(nu[:, None, :] * _GL_NODES[None, :, None])
+    coef = (row[:, None, :] @ u) * vals[:, None, :]
+    out = np.zeros((row.shape[0], geometry.dim_t))
+    u_p = u[:, geometry.alg.dim_k :, :]
+    out[:, geometry.dim_c :] = (coef @ np.swapaxes(u_p, -1, -2))[:, 0]
+    return out
+
+
 def hermitian_stage(geometry):
     """Product form to the delta = 1 form through the scaled fiber family."""
+    m0_p = geometry.m_lam0[geometry.alg.dim_k :]
+
+    def primitive(eig, kap, zp, t):
+        # m_lambda_0 is antisymmetric, so the surviving term of
+        # cross - cross^T contracts to +Z^T m_lambda_0
+        return _radial_row(
+            geometry, eig, zp @ m0_p, lambda nu: nu * f_plus_prime(t * nu)
+        )
+
     return FormFamily(
         "hermitian",
         geometry,
         lambda eig, kap, t: geometry.hermitian_blocks(eig, t),
         lambda eig, kap, t: geometry.hermitian_dt_blocks(eig, t),
+        primitive,
         lambda eig, kap, t: geometry.moment_hermitian(eig, geometry.klam(kap), t),
         _z0_direction(geometry),
     )
@@ -95,17 +125,22 @@ def hermitian_stage(geometry):
 
 def scaling_stage(geometry, delta):
     """Delta coefficient 1 to delta along s(t) = 1 + t (delta - 1)."""
+    m0_p = geometry.m_lam0[geometry.alg.dim_k :]
 
     def domega(eig, kap, t):
         out = geometry.delta_blocks(eig, delta - 1.0)
         out[..., : geometry.dim_c, : geometry.dim_c] = 0.0
         return out
 
+    def primitive(eig, kap, zp, t):
+        return _radial_row(geometry, eig, (delta - 1.0) * (zp @ m0_p), f_plus)
+
     return FormFamily(
         "scaling",
         geometry,
         lambda eig, kap, t: geometry.delta_blocks(eig, 1.0 + t * (delta - 1.0)),
         domega,
+        primitive,
         lambda eig, kap, t: geometry.moment_delta(
             eig, geometry.klam(kap), 1.0 + t * (delta - 1.0)
         ),
@@ -121,8 +156,16 @@ def segment_stage(geometry, delta):
         dl = geometry.delta_blocks(eig, delta)
         return (1.0 - t) * dl + t * pull
 
+    dim_k = geometry.alg.dim_k
+    m0_p = geometry.m_lam0[dim_k:]
+
     def domega(eig, kap, t):
         return geometry.pullback_blocks(eig, kap) - geometry.delta_blocks(eig, delta)
+
+    def primitive(eig, kap, zp, t):
+        m_kl_p = geometry.pairing_klam(kap)[:, dim_k:]
+        row = (zp[:, None, :] @ m_kl_p)[:, 0] - delta * (zp @ m0_p)
+        return _radial_row(geometry, eig, row, f_plus)
 
     def direction(t):
         coords = segment_weight_coords(geometry, delta, 1.0 - t)
@@ -133,6 +176,7 @@ def segment_stage(geometry, delta):
         geometry,
         omega,
         domega,
+        primitive,
         lambda eig, kap, t: geometry.moment_segment(
             eig, geometry.klam(kap), 1.0 - t, delta
         ),
@@ -159,20 +203,15 @@ def homotopy_primitive(family, eig, kap, zp, t):
 
     mu|_(k,Z)(u) = int_0^1 sigma|_(k,sZ)((0, Z), (u_base, s u_fiber)) ds,
     valid because each sigma is closed and has no base-base component along
-    the zero section.  This is the only code that knows the Gauss-Legendre
-    nodes: the scaled points (k, sZ) form an extra batch axis of sigma,
-    sharing each lane's eigendecomposition of ad(Z).  Returns covector
-    components (B, T).
+    the zero section.  Since ad(Z)Z = 0, every spectral function g(s ad Z)
+    maps Z to g(0) Z, so contracting sigma at (k, sZ) with (0, Z) leaves one
+    spectral function of ad(Z) per stage: the base part vanishes and the
+    fiber part is row . R(F)[:, p] with F(nu) = int_0^1 s f(s nu) ds (see
+    _radial_row).  Each family supplies that closed form as its primitive;
+    the quadrature over the full sigma it replaces is the test oracle
+    quadrature_primitive.  Returns covector components (B, T).
     """
-    geo = family.geometry
-    nu, u = eig
-    nodes = (nu[:, None, :] * _GL_NODES[None, :, None], u[:, None])
-    sigma = family.domega_dt(nodes, kap[:, None], t)  # (B, S, T, T)
-    w = np.zeros((zp.shape[0], geo.dim_t))
-    w[:, geo.dim_c :] = zp
-    contracted = np.einsum("bsij,bi->bsj", sigma, w)
-    contracted[:, :, geo.dim_c :] *= _GL_NODES[None, :, None]
-    return np.einsum("s,bsj->bj", _GL_WEIGHTS, contracted)
+    return family.primitive(eig, kap, zp, t)
 
 
 def moser_field(family, ks, zs, t):

@@ -14,6 +14,7 @@ byte-identical everywhere else.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -82,6 +83,10 @@ class Scenario:
     def __post_init__(self):
         if self.family not in ("su", "sp"):
             raise ValueError(f"unknown family {self.family!r}")
+        for name in sorted(_FLOAT_KEYS):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
         if self.delta_abs is None and not self.delta_mult > 1.0:
             raise ValueError(
                 f"delta_mult must exceed 1 (got {self.delta_mult}); smaller "
@@ -101,6 +106,9 @@ class Scenario:
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+        for key, value in sorted(self.tolerances.items()):
+            if not math.isfinite(value):
+                raise ValueError(f"tolerances.{key} must be finite (got {value})")
 
     def tolerance(self, name):
         if name not in DEFAULT_TOLERANCES:

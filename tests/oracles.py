@@ -8,6 +8,8 @@ None of this runs in the certification pipeline:
       dGamma(k lambda, Z)([k,X], A) = [e^Z k, X + Ad(k^{-1}) Psi_Z(A)];
 
 - the unsplit single-bracket formula for the pullback form;
+- the radial homotopy primitive by Gauss-Legendre quadrature over the full
+  time derivative of the forms at the scaled points (k, sZ);
 - gauge fixing of a family of 1-forms by its radial potential;
 - the constant family, whose Moser flow is the identity.
 """
@@ -151,6 +153,26 @@ def unsplit_pullback_blocks(geometry, eig, kap):
     return np.einsum("...ni,nm,...mj->...ij", w_full, geometry.m_lam, w_full)
 
 
+def quadrature_primitive(family, eig, kap, zp, t):
+    """The radial homotopy primitive by quadrature over the node batch.
+
+    mu|_(k,Z)(u) = int_0^1 sigma|_(k,sZ)((0, Z), (u_base, s u_fiber)) ds
+    with sigma = family.domega_dt evaluated at all 16 Gauss-Legendre scaled
+    points (k, sZ) at once, sharing each lane's eigendecomposition of ad(Z).
+    The independent oracle for moser.homotopy_primitive, which contracts
+    with (0, Z) in closed form.  Returns covector components (B, T).
+    """
+    geo = family.geometry
+    nu, u = eig
+    nodes = (nu[:, None, :] * _GL_NODES[None, :, None], u[:, None])
+    sigma = family.domega_dt(nodes, kap[:, None], t)  # (B, S, T, T)
+    w = np.zeros((zp.shape[0], geo.dim_t))
+    w[:, geo.dim_c :] = zp
+    contracted = np.einsum("bsij,bi->bsj", sigma, w)
+    contracted[:, :, geo.dim_c :] *= _GL_NODES[None, :, None]
+    return np.einsum("s,bsj->bj", _GL_WEIGHTS, contracted)
+
+
 def gauge_fix(geometry, mu_eval, eps=1e-6):
     """Normalize a family of 1-forms by subtracting the radial potential.
 
@@ -198,11 +220,15 @@ def constant_stage(geometry):
     def zero(eig, kap, t):
         return np.zeros(eig[0].shape[:-1] + shape)
 
+    def zero_primitive(eig, kap, zp, t):
+        return np.zeros((zp.shape[0], geometry.dim_t))
+
     return FormFamily(
         "constant",
         geometry,
         product,
         zero,
+        zero_primitive,
         lambda eig, kap, t: geometry.moment_product(eig, geometry.klam(kap)),
         _z0_direction(geometry),
     )

@@ -37,11 +37,18 @@ def test_dimensions(su11, su21, sp2, sp4):
 
 
 def test_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"q >= 1 \(got p = 2, q = 0\)"):
         build_algebra("su", p=2, q=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"p >= q \(got p = 1, q = 2\)"):
         build_algebra("su", p=1, q=2)
-    with pytest.raises(ValueError):
+    # p < 1 fails p >= q, not the compactness requirement on q
+    with pytest.raises(ValueError, match=r"p >= q \(got p = 0, q = 1\)"):
+        build_algebra("su", p=0, q=1)
+    with pytest.raises(ValueError, match=r"p >= q \(got p = -1, q = 2\)"):
+        build_algebra("su", p=-1, q=2)
+    with pytest.raises(ValueError, match=r"needs both p and q \(got p = 2, q = None\)"):
+        build_algebra("su", p=2)
+    with pytest.raises(ValueError, match=r"n >= 1 \(got n = 0\)"):
         build_algebra("sp", n=0)
     with pytest.raises(ValueError):
         build_algebra("so_star")

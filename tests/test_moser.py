@@ -21,9 +21,10 @@ from holomoser.moser import (
     stokes_closedness_residual,
     verify_pullback,
 )
+from holomoser.pipeline import _random_chamber_weight
 from holomoser.roots import chamber_constants, compute_root_datum, weight_from_matrix
 
-from oracles import constant_stage, gauge_fix
+from oracles import constant_stage, gauge_fix, quadrature_primitive
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,35 @@ def test_primitive_vanishes_on_zero_section(su21):
     for fam in families:
         mu = homotopy_primitive(fam, eig, kap, zs, 0.7)
         assert np.abs(mu).max() == 0.0, fam.name
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("su", {"p": 1, "q": 1}), ("su", {"p": 2, "q": 1}), ("sp", {"n": 2}),
+     ("su", {"p": 2, "q": 2})],
+    ids=["su11", "su21", "sp4", "su22"],
+)
+def test_primitive_matches_quadrature_oracle(family, params):
+    alg = build_algebra(family, **params)
+    datum = compute_root_datum(alg)
+    # a generic chamber weight has a torus stabilizer, so base slots exist
+    # from rank two on; rank one has only multiples of lambda_0
+    weight = _random_chamber_weight(datum, np.random.default_rng(0))
+    geo = OrbitGeometry(alg, datum, weight)
+    assert (geo.dim_c > 0) == (alg.rank > 1)
+    rng = np.random.default_rng(18)
+    ks, zs = rand_batch(geo, rng, 8)
+    zs *= (rng.uniform(0.05, 3.0, 8) / np.linalg.norm(zs, axis=1))[:, None]
+    zs[-1] = 0.0
+    eig = geo.fiber_eig(zs)
+    kap = geo.kappa(ks)
+    families, _ = stage_families(geo)
+    for fam in families:
+        for t in (0.0, 0.3, 1.0):
+            got = homotopy_primitive(fam, eig, kap, zs, t)
+            want = quadrature_primitive(fam, eig, kap, zs, t)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (fam.name, t)
+            assert np.abs(got[-1]).max() == 0.0, (fam.name, t)
 
 
 def test_gauge_potential_vanishes_for_radial_primitives(su21):

@@ -43,6 +43,26 @@ def test_scenario_validation():
         Scenario(family="su", p=1, q=1, samples=0)
     with pytest.raises(ValueError, match="radius"):
         Scenario(family="su", p=1, q=1, radius=0.1)
+    for name in ("eps", "radius", "delta_mult", "delta_abs"):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                Scenario(family="su", p=1, q=1, **{name: bad})
+
+
+def test_non_finite_tolerance_rejected(tmp_path, capsys):
+    text = "family = su\np = 1\nq = 1\ntolerances.moment_identity = nan\n"
+    with pytest.raises(ValueError, match="tolerances.moment_identity must be finite"):
+        scenario_from_config(text)
+    with pytest.raises(ValueError, match="tolerances.closedness must be finite"):
+        Scenario(family="su", p=1, q=1, tolerances={"closedness": np.inf})
+    path = tmp_path / "nan_tol.cfg"
+    path.write_text(text, encoding="utf-8")
+    rc = cli.main(["lemmas", "--config", str(path)])
+    assert rc == 2
+    assert "tolerances.moment_identity must be finite" in capsys.readouterr().err
+    rc = cli.main(["theorem", "--config", _write_config(tmp_path), "--eps", "inf"])
+    assert rc == 2
+    assert "eps must be finite" in capsys.readouterr().err
 
 
 def test_config_parsing_and_defaults():
@@ -164,6 +184,18 @@ def test_su11_pipeline_passes(su11_report):
 @pytest.fixture(scope="module")
 def su11_report():
     return run_theorem_pipeline(small_su11())
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("sp", {"n": 1}), ("sp", {"n": 2}), ("su", {"p": 3, "q": 1}), ("su", {"p": 2, "q": 2})],
+    ids=["sp2", "sp4", "su31", "su22"],
+)
+def test_theorem_pipeline_certifies_across_family(family, params):
+    sc = Scenario(family=family, **params, steps=20, samples=3, stage_samples=2,
+                  lemma_samples=100, seed=0)
+    rep = run_theorem_pipeline(sc)
+    assert rep["verdict"] == "pass"
 
 
 def test_report_is_deterministic_modulo_timing(su11_report):
