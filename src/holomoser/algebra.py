@@ -55,7 +55,20 @@ class MatrixLieAlgebra:
         # least-squares projector onto the basis, used by coords()
         flat = _vec(basis)  # (N, 2*ambient^2)
         self._proj = np.linalg.pinv(flat.T)  # (N, 2*ambient^2)
+        # the same projector acting on the interleaved (re, im, re, ...) float
+        # view of a contiguous complex matrix: (2*ambient^2, N)
+        n, half = self.dim, ambient * ambient
+        self._proj_view = np.stack(
+            [self._proj[:, :half], self._proj[:, half:]], axis=-1
+        ).reshape(n, -1).T.copy()
         self.structure = self._structure_constants()
+        # structure as GEMM operands: (N^2, N) for bracket, (N, N^2) for ad
+        self._structure_flat = self.structure.reshape(n * n, n)
+        self._structure_ad = np.ascontiguousarray(
+            self.structure.transpose(0, 2, 1).reshape(n, n * n)
+        )
+        # the basis as one (ambient, N * ambient) row block [e_0 | e_1 | ...]
+        self._basis_row = np.swapaxes(basis, 0, 1).reshape(ambient, -1)
         # Killing form from structure constants: tr(ad e_i o ad e_j)
         c = self.structure
         self.killing = np.einsum("ilk,jkl->ij", c, c)
@@ -76,9 +89,9 @@ class MatrixLieAlgebra:
 
     def coords(self, mat):
         """Coefficients of an ambient matrix (or stack) against the basis."""
-        mat = np.asarray(mat, dtype=complex)
-        out = _vec(mat) @ self._proj.T
-        return out
+        mat = np.ascontiguousarray(mat, dtype=complex)
+        flat = mat.reshape(mat.shape[:-2] + (mat.shape[-2] * mat.shape[-1],))
+        return flat.view(float) @ self._proj_view
 
     def matrix(self, x):
         """Ambient matrix (or stack) from coordinate vectors."""
@@ -95,11 +108,15 @@ class MatrixLieAlgebra:
 
     def bracket(self, x, y):
         """[x, y] in coordinates (supports leading batch axes)."""
-        return np.einsum("...i,...j,ijk->...k", x, y, self.structure)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        outer = x[..., :, None] * y[..., None, :]
+        n = self.dim
+        return outer.reshape(outer.shape[:-2] + (n * n,)) @ self._structure_flat
 
     def ad(self, x):
         """Matrix of ad(x) on coordinates: ad(x) y = [x, y]."""
-        return np.einsum("...i,ijk->...kj", x, self.structure)
+        x = np.asarray(x, dtype=float)
+        return (x @ self._structure_ad).reshape(x.shape[:-1] + (self.dim, self.dim))
 
     def killing_form(self, x, y):
         x, y = self._as_coords(x), self._as_coords(y)
@@ -114,7 +131,7 @@ class MatrixLieAlgebra:
         """Cartan involution, on coordinates or ambient matrices."""
         x = np.asarray(x)
         if x.ndim >= 2 and x.shape[-1] == self.ambient and np.iscomplexobj(x):
-            return -np.conj(np.swapaxes(x, -1, -2))
+            return -_dagger(x)
         return x * self.theta_signs
 
     def _as_coords(self, x):
@@ -168,18 +185,16 @@ class MatrixLieAlgebra:
         mats = self.matrix(full)
         w, v = np.linalg.eigh(1j * mats)
         phase = np.exp(-1j * w)
-        return np.einsum("...ij,...j,...kj->...ik", v, phase, np.conj(v))
+        return (v * phase[..., None, :]) @ _dagger(v)
 
     def group_inverse(self, g):
-        g = np.asarray(g, dtype=complex)
-        return np.conj(np.swapaxes(g, -1, -2))
+        return _dagger(np.asarray(g, dtype=complex))
 
     def group_residual(self, g):
         """Distance of (stacked) g from the maximal compact group K."""
         g = np.asarray(g, dtype=complex)
-        gh = np.conj(np.swapaxes(g, -1, -2))
         eye = np.eye(self.ambient)
-        res = np.abs(gh @ g - eye).max(axis=(-1, -2))
+        res = np.abs(_dagger(g) @ g - eye).max(axis=(-1, -2))
         if self.family == "su":
             p, q = self.params
             mask = np.zeros((self.ambient, self.ambient))
@@ -209,21 +224,20 @@ class MatrixLieAlgebra:
         return (u @ vh).astype(complex)
 
     def adjoint_group_matrix(self, g):
-        """Coordinate matrix of Ad(g): columns are coords(g e_j g^{-1})."""
-        g = np.asarray(g, dtype=complex)
-        ginv = self.group_inverse(g)
-        conj = np.einsum("...xy,jyz,...zw->...jxw", g, self.basis, ginv)
-        cols = self.coords(conj)  # (..., N, N) rows indexed by j
-        return np.swapaxes(cols, -1, -2)
+        """Coordinate matrix of Ad(g): columns are coords(g e_j g^{-1}).
 
-    def coadjoint_group_matrix(self, g):
-        """Matrix sending coords of xi to coords of the coadjoint action g.xi.
-
-        Coadjoint action: (g.xi)(Y) = xi(Ad(g^{-1}) Y), so the matrix is the
-        transpose of the Ad(g^{-1}) coordinate matrix.
+        Three GEMM-shaped steps over the batch: g e_j for every j as one
+        (B a, a) @ (a, N a) product, one batched product of those B (a N, a)
+        row blocks with g^{-1} = g^H, and the coordinate projection of all
+        B N conjugates as one GEMM.
         """
-        ad_inv = self.adjoint_group_matrix(self.group_inverse(g))
-        return np.swapaxes(ad_inv, -1, -2)
+        g = np.asarray(g, dtype=complex)
+        batch, a, n = g.shape[:-2], self.ambient, self.dim
+        g = g.reshape(-1, a, a)
+        left = (g.reshape(-1, a) @ self._basis_row).reshape(-1, a * n, a)
+        conj = (left @ _dagger(g)).reshape(-1, a, n, a)  # [b, x, j, w]
+        cols = self.coords(np.swapaxes(conj, 1, 2))  # (B, N, N) rows indexed by j
+        return np.swapaxes(cols, -1, -2).reshape(batch + (n, n))
 
     def _j_matrix(self):
         n = self.params[0]
@@ -231,6 +245,10 @@ class MatrixLieAlgebra:
         j[:n, n:] = np.eye(n)
         j[n:, :n] = -np.eye(n)
         return j
+
+
+def _dagger(m):
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
 # -- construction -------------------------------------------------------------

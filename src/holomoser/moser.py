@@ -28,7 +28,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .forms import OrbitGeometry
 from .operators import f_plus, f_plus_prime
@@ -343,18 +342,20 @@ def flow_stages(stages, k0, z0):
 
 
 def _dexp_matrix(alg, u_k, terms=10):
-    """Matrix of y -> d/de exp(u + e y) at e=0 in the frame exp(u)^-1 d exp.
+    """Matrices of y -> d/de exp(u + e y) at e=0 in the frame exp(u)^-1 d exp.
 
-    Equals sum_m (-ad_u)^m / (m+1)! on k; the series is used only for small
-    chart displacements, where ten terms are far below roundoff.
+    Equals sum_m (-ad_u)^m / (m+1)! on k, for a (..., dim_k) batch of u; the
+    series is used only for small chart displacements, where ten terms are
+    far below roundoff.
     """
-    full = np.zeros(alg.dim)
-    full[: alg.dim_k] = u_k
-    ad = alg.ad(full)[: alg.dim_k, : alg.dim_k]
+    u_k = np.asarray(u_k, dtype=float)
+    full = np.zeros(u_k.shape[:-1] + (alg.dim,))
+    full[..., : alg.dim_k] = u_k
+    neg_ad = -alg.ad(full)[..., : alg.dim_k, : alg.dim_k]
     out = np.eye(alg.dim_k)
     term = np.eye(alg.dim_k)
     for m in range(1, terms):
-        term = term @ (-ad) / (m + 1.0)
+        term = term @ neg_ad / (m + 1.0)
         out = out + term
     return out
 
@@ -364,15 +365,13 @@ def _chart_frames(geometry, k0, z0, pts):
     alg = geometry.alg
     c = geometry.dim_c
     c_k = geometry.complement[: alg.dim_k]
-    xs = pts[:, :c]
-    ks = k0 @ alg.group_exp(xs @ c_k.T)
+    u_k = pts[:, :c] @ c_k.T
+    ks = k0 @ alg.group_exp(u_k)
     zs = z0[None] + pts[:, c:]
-    jacs = []
-    for q in range(len(pts)):
-        jac = np.eye(geometry.dim_t)
-        jac[:c, :c] = c_k.T @ _dexp_matrix(alg, c_k @ xs[q]) @ c_k
-        jacs.append(jac)
-    return ks, zs, np.stack(jacs)
+    jacs = np.zeros((len(pts), geometry.dim_t, geometry.dim_t))
+    jacs[:, :c, :c] = c_k.T @ _dexp_matrix(alg, u_k) @ c_k
+    jacs[:, c:, c:] = np.eye(geometry.dim_p)
+    return ks, zs, jacs
 
 
 def _chart_form_matrices(geometry, omega_at, k0, z0, pts):
@@ -380,7 +379,7 @@ def _chart_form_matrices(geometry, omega_at, k0, z0, pts):
     eig = geometry.fiber_eig(zs)
     kap = geometry.kappa(ks)
     mats = omega_at(eig, kap)
-    return np.einsum("qji,qjl,qlm->qim", jacs, mats, jacs)
+    return np.swapaxes(jacs, -1, -2) @ mats @ jacs
 
 
 def stokes_closedness_residual(geometry, omega_at, k0, z0, diameter, rng, n_tets=2):
@@ -451,8 +450,19 @@ def primitive_exactness_residual(family, geometry, k0, z0, t, rng, h=1e-2):
 
 
 def _group_log(alg, g):
-    mat = scipy.linalg.logm(np.asarray(g, dtype=complex))
-    return alg.coords(mat)
+    """Coordinates of the principal logarithm of a stack of elements of K.
+
+    The Cayley transform H = i (1 - g)(1 + g)^{-1} is Hermitian for unitary
+    g, with eigenvalues w = tan(theta / 2) at the eigenvalues e^{i theta} of
+    g, so log g = i V diag(2 arctan w) V^H from one batched eigh.  Domain: g
+    has no eigenvalue -1 (|theta| < pi); the relative rotations of a central
+    difference lie within O(eps) of the identity.
+    """
+    g = np.asarray(g, dtype=complex)
+    eye = np.eye(g.shape[-1])
+    h = 1j * np.linalg.solve(eye + g, eye - g)
+    w, v = np.linalg.eigh(0.5 * (h + np.conj(np.swapaxes(h, -1, -2))))
+    return alg.coords((v * (2j * np.arctan(w))[..., None, :]) @ alg.group_inverse(v))
 
 
 def _flatten_points(ks, zs):
@@ -474,42 +484,41 @@ def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
     if rng is None:
         rng = np.random.default_rng(0)
     alg = geometry.alg
+    a, dim_p = alg.ambient, geometry.dim_p
     c, t_dim = geometry.dim_c, geometry.dim_t
     c_k = geometry.complement[: alg.dim_k]
     b0 = len(base_points)
 
-    lanes_k = [np.asarray(k, complex) for k, _ in base_points]
-    lanes_z = [np.asarray(z, float) for _, z in base_points]
-    for k, zp in base_points:
-        for i in range(t_dim):
-            for sgn in (1.0, -1.0):
-                if i < c:
-                    lanes_k.append(k @ alg.group_exp(sgn * eps * c_k[:, i]))
-                    lanes_z.append(zp)
-                else:
-                    dz = np.zeros(geometry.dim_p)
-                    dz[i - c] = sgn * eps
-                    lanes_k.append(k)
-                    lanes_z.append(zp + dz)
+    base_k = np.array([k for k, _ in base_points], dtype=complex).reshape(b0, a, a)
+    base_z = np.array([z for _, z in base_points], dtype=float).reshape(b0, dim_p)
+    # perturbed lanes, ordered (sample, tangent direction, sign + then -):
+    # k exp(+-eps C_i) along the complement, Z +- eps e_j along the fiber
+    signs = np.array([1.0, -1.0])
+    step_k = np.concatenate([
+        alg.group_exp(eps * signs[None, :, None] * c_k.T[:, None, :]),
+        np.broadcast_to(np.eye(a), (dim_p, 2, a, a)),
+    ])
+    step_z = np.zeros((t_dim, 2, dim_p))
+    step_z[c:] = eps * signs[None, :, None] * np.eye(dim_p)[:, None, :]
+    lanes_k = [base_k, (base_k[:, None, None] @ step_k).reshape(-1, a, a)]
+    lanes_z = [base_z, (base_z[:, None, None] + step_z).reshape(-1, dim_p)]
 
     n_eq = min(n_equivariance, b0)
     eq_rot = []
     for j in range(n_eq):
-        k, zp = base_points[j]
         kp = alg.group_exp(rng.standard_normal(alg.dim_k))
         adk = alg.adjoint_group_matrix(kp)
         eq_rot.append((kp, adk))
-        lanes_k.append(kp @ k)
-        lanes_z.append((adk @ geometry.pad_fiber(zp)[0])[alg.dim_k :])
+        lanes_k.append((kp @ base_k[j])[None])
+        lanes_z.append((adk @ geometry.pad_fiber(base_z[j])[0])[None, alg.dim_k :])
 
-    zero_idx = len(lanes_k)
+    zero_idx = b0 * (1 + 2 * t_dim) + n_eq
     zero_sources = alg.group_exp(rng.standard_normal((n_zero, alg.dim_k)))
-    for j in range(n_zero):
-        lanes_k.append(zero_sources[j])
-        lanes_z.append(np.zeros(geometry.dim_p))
+    lanes_k.append(zero_sources)
+    lanes_z.append(np.zeros((n_zero, dim_p)))
 
-    ks = np.stack(lanes_k)
-    zs = np.stack(lanes_z)
+    ks = np.concatenate(lanes_k)
+    zs = np.concatenate(lanes_z)
 
     eig0 = geometry.fiber_eig(zs[:b0])
     kap0 = geometry.kappa(ks[:b0])
@@ -523,18 +532,19 @@ def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
     omega_end = stages[-1].family.omega(eig1, kap1, 1.0)
     moment_end = stages[-1].family.moment(eig1, kap1, 1.0)
 
-    per_sample = np.zeros(b0)
-    for b in range(b0):
-        kb_inv = alg.group_inverse(flowed_k[b])
-        diff = np.zeros((t_dim, t_dim))
-        for i in range(t_dim):
-            ip = b0 + b * 2 * t_dim + 2 * i
-            x_hi = _group_log(alg, kb_inv @ flowed_k[ip])
-            x_lo = _group_log(alg, kb_inv @ flowed_k[ip + 1])
-            diff[:c, i] = c_k.T @ (x_hi - x_lo)[: alg.dim_k] / (2 * eps)
-            diff[c:, i] = (flowed_z[ip] - flowed_z[ip + 1]) / (2 * eps)
-        pulled = diff.T @ omega_end[b] @ diff
-        per_sample[b] = np.abs(pulled - omega_start[b]).max()
+    # central differences of the composite, one group log for every lane:
+    # jac_t[b, i] is the tangent image of direction i at sample b
+    pert = slice(b0, b0 * (1 + 2 * t_dim))
+    k_pert = flowed_k[pert].reshape(b0, t_dim, 2, a, a)
+    z_pert = flowed_z[pert].reshape(b0, t_dim, 2, dim_p)
+    rel = alg.group_inverse(flowed_k[:b0])[:, None, None] @ k_pert
+    x_log = _group_log(alg, rel)[..., : alg.dim_k]
+    jac_t = np.concatenate(
+        [(x_log[:, :, 0] - x_log[:, :, 1]) @ c_k, z_pert[:, :, 0] - z_pert[:, :, 1]],
+        axis=-1,
+    ) / (2 * eps)
+    pulled = jac_t @ omega_end @ np.swapaxes(jac_t, -1, -2)
+    per_sample = np.abs(pulled - omega_start).max(axis=(-1, -2))
 
     shift = moment_end - moment_start
     shift_mean = shift.mean(axis=0)
@@ -551,14 +561,11 @@ def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
             float(np.abs(flowed_z[lane] - target_z).max()),
         )
 
-    zero_res = 0.0
-    for j in range(n_zero):
-        lane = zero_idx + j
-        zero_res = max(
-            zero_res,
-            float(np.linalg.norm(flowed_z[lane])),
-            float(np.abs(flowed_k[lane] - zero_sources[j]).max()),
-        )
+    zero_k, zero_z = flowed_k[zero_idx:], flowed_z[zero_idx:]
+    zero_res = max(
+        float(np.linalg.norm(zero_z, axis=-1).max(initial=0.0)),
+        float(np.abs(zero_k - zero_sources).max(initial=0.0)),
+    )
 
     flat_src = _flatten_points(ks[:b0], zs[:b0])
     flat_img = _flatten_points(flowed_k[:b0], flowed_z[:b0])

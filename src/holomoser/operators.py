@@ -57,7 +57,7 @@ def chi_spectrum_check(alg, z):
     full = np.zeros(alg.dim)
     full[alg.dim_k :] = z
     w, v = np.linalg.eigh(alg.ad(full))
-    chi = np.einsum("...ij,...j,...kj->...ik", v, f_chi(w), v)
+    chi = (v * f_chi(w)) @ v.T
     chi_eigs = np.sort(np.linalg.eigvalsh(chi))
     predicted = np.sort(np.expm1(w) / (np.exp(w) + 1.0))
     dev = float(np.abs(chi_eigs - predicted).max())

@@ -2,6 +2,7 @@
 
 None of this runs in the certification pipeline:
 
+- Ad(g) by a three-operand einsum, and the coadjoint action of K;
 - the operator bundle Psi_Z, Psi_Z^{+-}, chi_Z, cosh, e^{-ad Z} at one Z;
 - the orbit chart Gamma(k lambda, Z) = e^Z.(k lambda) and its tangent map
 
@@ -34,6 +35,32 @@ def spectral_apply(eigvals, eigvecs, fn):
     """Reassemble fn(S) for symmetric S = eigvecs diag(eigvals) eigvecs^T."""
     vals = fn(eigvals)
     return np.einsum("...ij,...j,...kj->...ik", eigvecs, vals, eigvecs)
+
+
+# -- the group action ----------------------------------------------------------
+
+
+def adjoint_group_matrix_einsum(alg, g):
+    """Coordinate matrix of Ad(g) by one einsum over g e_j g^{-1}.
+
+    The independent oracle for MatrixLieAlgebra.adjoint_group_matrix, which
+    builds the conjugates by GEMM.
+    """
+    g = np.asarray(g, dtype=complex)
+    ginv = alg.group_inverse(g)
+    conj = np.einsum("...xy,jyz,...zw->...jxw", g, alg.basis, ginv)
+    cols = alg.coords(conj)  # (..., N, N) rows indexed by j
+    return np.swapaxes(cols, -1, -2)
+
+
+def coadjoint_group_matrix(alg, g):
+    """Matrix sending coords of xi to coords of the coadjoint action g.xi.
+
+    Coadjoint action: (g.xi)(Y) = xi(Ad(g^{-1}) Y), so the matrix is the
+    transpose of the Ad(g^{-1}) coordinate matrix.
+    """
+    ad_inv = alg.adjoint_group_matrix(alg.group_inverse(g))
+    return np.swapaxes(ad_inv, -1, -2)
 
 
 # -- the operator bundle at a fixed Z -------------------------------------------
@@ -111,13 +138,13 @@ def gamma_map(alg, weight, k, z):
     """Coadjoint coordinates of the orbit point Gamma(k lambda, Z) = e^Z.(k lambda)."""
     _check_group(alg, k)
     op = psi_operators(alg, z)
-    xi = alg.coadjoint_group_matrix(k) @ weight.full(alg)
+    xi = coadjoint_group_matrix(alg, k) @ weight.full(alg)
     return op.exp_minus_ad @ xi
 
 
 def gamma_push_matrix(alg, k, op):
     """Coordinate matrix of the coadjoint action of e^Z k on g*."""
-    return op.exp_minus_ad @ alg.coadjoint_group_matrix(k)
+    return op.exp_minus_ad @ coadjoint_group_matrix(alg, k)
 
 
 def d_gamma(alg, weight, k, z, x_dir, a_dir):

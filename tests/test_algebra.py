@@ -2,8 +2,21 @@ import numpy as np
 import pytest
 
 from holomoser import build_algebra
+from holomoser.moser import _group_log
+
+from oracles import adjoint_group_matrix_einsum, coadjoint_group_matrix
 
 ATOL = 1e-10
+
+# the algebras the group-layer rewrites are checked on
+GROUP_ALGEBRAS = {
+    "su11": ("su", dict(p=1, q=1)),
+    "su21": ("su", dict(p=2, q=1)),
+    "sp2": ("sp", dict(n=1)),
+    "sp4": ("sp", dict(n=2)),
+    "su22": ("su", dict(p=2, q=2)),
+    "su31": ("su", dict(p=3, q=1)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -168,5 +181,35 @@ def test_coadjoint_action_is_isometric(su21):
     rng = np.random.default_rng(29)
     xi = rng.standard_normal(su21.dim)
     g = su21.group_exp(rng.standard_normal(su21.dim_k))
-    moved = su21.coadjoint_group_matrix(g) @ xi
+    moved = coadjoint_group_matrix(su21, g) @ xi
     assert abs(np.linalg.norm(moved) - np.linalg.norm(xi)) < 1e-11
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_ALGEBRAS))
+def test_adjoint_group_matrix_matches_einsum_oracle(name):
+    family, params = GROUP_ALGEBRAS[name]
+    alg = build_algebra(family, **params)
+    rng = np.random.default_rng(31)
+    for shape in ((), (5,), (2, 3)):
+        g = alg.group_exp(rng.standard_normal(shape + (alg.dim_k,)))
+        got = alg.adjoint_group_matrix(g)
+        assert got.shape == shape + (alg.dim, alg.dim)
+        assert np.abs(got - adjoint_group_matrix_einsum(alg, g)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_ALGEBRAS))
+def test_group_log_matches_logm(name):
+    import scipy.linalg
+
+    family, params = GROUP_ALGEBRAS[name]
+    alg = build_algebra(family, **params)
+    rng = np.random.default_rng(37)
+    for scale in (1e-4, 1e-2, 1.0, 2.5):
+        # relative rotations k^{-1} (k exp(u)) with |u| = scale, as in the
+        # central differences of verify_pullback
+        u = rng.standard_normal((4, alg.dim_k))
+        u *= scale / np.linalg.norm(u, axis=-1, keepdims=True)
+        k = alg.group_exp(rng.standard_normal((4, alg.dim_k)))
+        rel = alg.group_inverse(k) @ (k @ alg.group_exp(u))
+        want = np.stack([alg.coords(scipy.linalg.logm(r)) for r in rel])
+        assert np.abs(_group_log(alg, rel) - want).max() <= 1e-12

@@ -5,6 +5,7 @@ from holomoser import build_algebra
 from holomoser.forms import OrbitGeometry
 from holomoser.moser import (
     MoserStage,
+    _dexp_matrix,
     analytic_properness_bound,
     check_hypotheses,
     flow_stages,
@@ -138,6 +139,21 @@ def test_primitive_matches_quadrature_oracle(family, params):
             want = quadrature_primitive(fam, eig, kap, zs, t)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (fam.name, t)
             assert np.abs(got[-1]).max() == 0.0, (fam.name, t)
+
+
+def test_dexp_matrix_batch_matches_central_difference(su21):
+    # exp(u)^{-1} d/de exp(u + e y) by central differences of group_exp
+    alg = su21[0]
+    rng = np.random.default_rng(41)
+    u = rng.standard_normal((6, alg.dim_k))
+    u *= rng.uniform(0.01, 0.2, size=(6, 1)) / np.linalg.norm(u, axis=-1, keepdims=True)
+    y = rng.standard_normal((6, alg.dim_k))
+    h = 1e-5
+    step = alg.group_exp(u + h * y) - alg.group_exp(u - h * y)
+    fd = alg.coords(alg.group_inverse(alg.group_exp(u)) @ step / (2 * h))
+    got = (_dexp_matrix(alg, u) @ y[..., None])[..., 0]
+    assert got.shape == (6, alg.dim_k)
+    assert np.abs(got - fd[:, : alg.dim_k]).max() <= 1e-8
 
 
 def test_gauge_potential_vanishes_for_radial_primitives(su21):

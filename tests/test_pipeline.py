@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,3 +323,25 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error" in captured.err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it would cost every fresh
+    # interpreter a noticeable share of its set-up time
+    import holomoser
+
+    src = str(Path(holomoser.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys, holomoser, holomoser.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
