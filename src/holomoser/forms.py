@@ -266,16 +266,21 @@ def moment_hermitian(geometry, ks, zs, t):
 def bracket_positivity_slack(datum, w1, w2, zp):
     """B_theta(H_1, ad(Z)^2 H_2) >= min_beta beta(H_1) beta(H_2) ||Z||^2.
 
-    The minimum runs over the positive noncompact roots.  Returns
-    (lhs, rhs, slack).
+    The minimum runs over the positive noncompact roots.  The weights' coords
+    and zp may carry a common leading batch shape, (..., rank) and (..., P).
+    Returns (lhs, rhs, slack), arrays of that shape.
     """
     alg = datum.algebra
-    z = np.zeros(alg.dim)
-    z[alg.dim_k :] = zp
+    zp = np.asarray(zp, dtype=float)
+    z = np.zeros(zp.shape[:-1] + (alg.dim,))
+    z[..., alg.dim_k :] = zp
     adz = alg.ad(z)
-    lhs = float(w1.full(alg) @ (adz @ adz) @ w2.full(alg))
-    prods = [r.value(w1.coords) * r.value(w2.coords) for r in datum.positive_noncompact()]
-    rhs = min(prods) * float(zp @ zp)
+    x1 = w1.full(alg)[..., None, :]
+    x2 = w2.full(alg)[..., :, None]
+    lhs = (x1 @ (adz @ adz) @ x2)[..., 0, 0]
+    nonc = datum.noncompact_coords.T
+    prods = (w1.coords @ nonc) * (w2.coords @ nonc)
+    rhs = prods.min(axis=-1) * np.einsum("...i,...i->...", zp, zp)
     return lhs, rhs, lhs - rhs
 
 

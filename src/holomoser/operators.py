@@ -41,24 +41,30 @@ def f_plus_prime(nu):
     nu = np.asarray(nu, dtype=float)
     small = np.abs(nu) < 1e-2
     safe = np.where(small, 1.0, nu)
-    direct = np.cosh(safe) / safe - np.sinh(safe) / safe**2
-    series = nu / 3.0 + nu**3 / 30.0 + nu**5 / 840.0
-    return np.where(small, series, direct)
+    out = np.asarray(np.cosh(safe) / safe - np.sinh(safe) / safe**2)
+    s = nu[small]
+    out[small] = s / 3.0 + s**3 / 30.0 + s**5 / 840.0
+    return out
 
 
 def chi_spectrum_check(alg, z):
     """Compare spec(chi_Z) with {(e^nu - 1)/(e^nu + 1)} as multisets.
 
-    z holds the p-coordinates of Z.  Returns (multiset deviation, max
-    |eigenvalue of chi|).  The per-vector spectral rule gives -tanh(nu/2);
-    written as the multiset {tanh(nu/2)} it is the same set because
-    spec(ad Z) is symmetric about zero.
+    z holds the p-coordinates of Z, with any leading batch shape (..., P).
+    Returns (multiset deviation, max |eigenvalue of chi|), arrays of the
+    batch shape, or two floats for a single Z.  The per-vector spectral rule
+    gives -tanh(nu/2); written as the multiset {tanh(nu/2)} it is the same
+    set because spec(ad Z) is symmetric about zero.
     """
-    full = np.zeros(alg.dim)
-    full[alg.dim_k :] = z
+    z = np.asarray(z, dtype=float)
+    full = np.zeros(z.shape[:-1] + (alg.dim,))
+    full[..., alg.dim_k :] = z
     w, v = np.linalg.eigh(alg.ad(full))
-    chi = (v * f_chi(w)) @ v.T
-    chi_eigs = np.sort(np.linalg.eigvalsh(chi))
-    predicted = np.sort(np.expm1(w) / (np.exp(w) + 1.0))
-    dev = float(np.abs(chi_eigs - predicted).max())
-    return dev, float(np.abs(chi_eigs).max())
+    chi = (v * f_chi(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    chi_eigs = np.sort(np.linalg.eigvalsh(chi), axis=-1)
+    predicted = np.sort(np.expm1(w) / (np.exp(w) + 1.0), axis=-1)
+    dev = np.abs(chi_eigs - predicted).max(axis=-1)
+    peak = np.abs(chi_eigs).max(axis=-1)
+    if z.ndim == 1:
+        return float(dev), float(peak)
+    return dev, peak

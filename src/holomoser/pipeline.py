@@ -57,9 +57,15 @@ from .report import SCHEMA_VERSION
 from .roots import (
     ChamberWeight,
     chamber_constants,
+    chamber_membership,
     compute_root_datum,
     in_holomorphic_chamber,
 )
+
+# chamber candidates tested per product in _random_chamber_weight
+_CHAMBER_BLOCK = 64
+# rows per evaluation chunk in _lemma_block; bounds its peak memory
+_LEMMA_CHUNK = 256
 
 
 class ChamberError(ValueError):
@@ -187,18 +193,33 @@ def inspect_model(family, p=None, q=None, n=None):
 
 
 def _random_chamber_weight(datum, rng, box=2.0, max_draws=10000):
+    """Uniform draw from the box, rejected until it lies in the chamber.
+
+    Candidates are tested _CHAMBER_BLOCK at a time; on a hit the generator is
+    rewound and redrawn up to the first accepted row, so the result and the
+    generator's final state are those of testing one candidate at a time.
+    """
     rank = datum.algebra.rank
-    for _ in range(max_draws):
-        w = ChamberWeight(rng.uniform(-box, box, rank))
-        ok, _ = in_holomorphic_chamber(w, datum)
-        if ok:
-            return w
+    left = max_draws
+    while left > 0:
+        m = min(_CHAMBER_BLOCK, left)
+        state = rng.bit_generator.state
+        ok, _ = chamber_membership(datum, rng.uniform(-box, box, (m, rank)))
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            rng.bit_generator.state = state
+            return ChamberWeight(rng.uniform(-box, box, (hits[0] + 1, rank))[-1])
+        left -= m
     raise RuntimeError("chamber rejection sampling failed")
 
 
 def _unit_fiber(dim_p, rng):
     v = rng.standard_normal(dim_p)
     return v / np.linalg.norm(v)
+
+
+def _radial_fiber(dim_p, rng, r_max):
+    return rng.uniform(0.05, r_max) * _unit_fiber(dim_p, rng)
 
 
 def _lemma_block(scenario, alg, datum, weight):
@@ -209,35 +230,43 @@ def _lemma_block(scenario, alg, datum, weight):
         np.random.default_rng, seeds
     )
 
-    chi_dev = 0.0
-    chi_eig = 0.0
-    for _ in range(n):
-        z = rng_chi.uniform(0.05, 3.0) * _unit_fiber(alg.dim_p, rng_chi)
-        dev, eig = chi_spectrum_check(alg, z)
-        chi_dev = max(chi_dev, dev)
-        chi_eig = max(chi_eig, eig)
+    # The draws interleave uniform and standard_normal calls, so they stay in
+    # one Python loop per stream; the evaluation runs on _LEMMA_CHUNK rows.
+    chi_z, grow_z, br_z = np.empty((3, n, alg.dim_p))
+    h1, h2 = np.empty((2, n, alg.rank))
+    for i in range(n):
+        chi_z[i] = _radial_fiber(alg.dim_p, rng_chi, 3.0)
+    for i in range(n):
+        grow_z[i] = _radial_fiber(alg.dim_p, rng_growth, 3.0)
+    for i in range(n):
+        h1[i] = _random_chamber_weight(datum, rng_bracket).coords
+        h2[i] = _random_chamber_weight(datum, rng_bracket).coords
+        br_z[i] = _radial_fiber(alg.dim_p, rng_bracket, 2.5)
 
     geo_flat = OrbitGeometry(alg, datum, datum.lambda0)
     eye = np.eye(alg.ambient, dtype=complex)[None]
-    growth_slack = np.inf
-    flat_res = 0.0
-    for _ in range(n):
-        zp = rng_growth.uniform(0.05, 3.0) * _unit_fiber(alg.dim_p, rng_growth)
-        phi = moment_hermitian(geo_flat, eye, zp[None], 1.0)[0]
-        growth_slack = min(
-            growth_slack,
-            float((phi - geo_flat.lam0) @ geo_flat.z0 - 0.5 * zp @ zp),
-        )
-        val = moment_flat(geo_flat, zp[None])[0] @ geo_flat.z0
-        flat_res = max(flat_res, abs(val - zp @ zp) / max(1.0, zp @ zp))
+    chi_dev = chi_eig = flat_res = 0.0
+    growth_slack = bracket_slack = np.inf
+    for start in range(0, n, _LEMMA_CHUNK):
+        c = slice(start, start + _LEMMA_CHUNK)
+        dev, eig = chi_spectrum_check(alg, chi_z[c])
+        chi_dev = max(chi_dev, float(dev.max()))
+        chi_eig = max(chi_eig, float(eig.max()))
 
-    bracket_slack = np.inf
-    for _ in range(n):
-        w1 = _random_chamber_weight(datum, rng_bracket)
-        w2 = _random_chamber_weight(datum, rng_bracket)
-        zp = rng_bracket.uniform(0.05, 2.5) * _unit_fiber(alg.dim_p, rng_bracket)
-        _, _, slack = bracket_positivity_slack(datum, w1, w2, zp)
-        bracket_slack = min(bracket_slack, float(slack))
+        zp = grow_z[c]
+        zz = np.einsum("bi,bi->b", zp, zp)
+        phi = moment_hermitian(geo_flat, eye, zp, 1.0)
+        growth = (phi - geo_flat.lam0) @ geo_flat.z0 - 0.5 * zz
+        growth_slack = min(growth_slack, float(growth.min()))
+        val = moment_flat(geo_flat, zp) @ geo_flat.z0
+        flat_res = max(
+            flat_res, float((np.abs(val - zz) / np.maximum(1.0, zz)).max())
+        )
+
+        _, _, slack = bracket_positivity_slack(
+            datum, ChamberWeight(h1[c]), ChamberWeight(h2[c]), br_z[c]
+        )
+        bracket_slack = min(bracket_slack, float(slack.min()))
     lhs, rhs, _ = bracket_positivity_slack(
         datum, datum.lambda0, datum.lambda0, _unit_fiber(alg.dim_p, rng_bracket)
     )

@@ -180,16 +180,18 @@ def load_scenario(path, **overrides):
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts them."""
+    """Recursively convert numpy scalars/arrays so json.dumps accepts them.
+
+    Non-finite floats, numpy or not, become the strings "inf", "-inf" and
+    "nan", so the output is standard JSON.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return jsonable(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 

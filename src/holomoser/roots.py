@@ -10,7 +10,7 @@ lambda_0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,9 @@ class ChamberWeight:
     """A weight in t*, stored by coefficients against the dual torus basis.
 
     B_theta identifies t with t*, so the same coefficients give H_lambda; the
-    functional extends by zero on the root spaces and on p.
+    functional extends by zero on the root spaces and on p.  The batched
+    evaluators (full, bracket_positivity_slack) accept coords with leading
+    batch axes, (..., rank), for a batch of weights.
     """
 
     coords: np.ndarray
@@ -42,8 +44,8 @@ class ChamberWeight:
         self.coords = np.asarray(self.coords, dtype=float)
 
     def full(self, alg):
-        out = np.zeros(alg.dim)
-        out[: len(self.coords)] = self.coords
+        out = np.zeros(self.coords.shape[:-1] + (alg.dim,))
+        out[..., : self.coords.shape[-1]] = self.coords
         return out
 
     def pair(self, alg, x):
@@ -57,6 +59,18 @@ class RootDatum:
     roots: list
     z0: np.ndarray  # (N,) coordinates
     lambda0: ChamberWeight
+    # coordinates of the positive noncompact / compact roots, (P, rank)
+    noncompact_coords: np.ndarray = field(init=False, repr=False)
+    compact_coords: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rank = self.algebra.rank
+        self.noncompact_coords = np.array(
+            [r.coords for r in self.positive_noncompact()]
+        ).reshape(-1, rank)
+        self.compact_coords = np.array(
+            [r.coords for r in self.positive_compact()]
+        ).reshape(-1, rank)
 
     @property
     def rank(self):
@@ -97,10 +111,10 @@ class RootDatum:
         out["z0_in_torus"] = float(np.abs(np.delete(self.z0, range(r))).max())
 
         z0_t = self.z0[:r]
-        nc = [abs(root.value(z0_t) - 1.0) for root in self.positive_noncompact()]
-        cc = [abs(root.value(z0_t)) for root in self.positive_compact()]
-        out["noncompact_z0_eigenvalue"] = max(nc) if nc else 0.0
-        out["compact_z0_eigenvalue"] = max(cc) if cc else 0.0
+        nc = np.abs(self.noncompact_coords @ z0_t - 1.0)
+        cc = np.abs(self.compact_coords @ z0_t)
+        out["noncompact_z0_eigenvalue"] = float(nc.max(initial=0.0))
+        out["compact_z0_eigenvalue"] = float(cc.max(initial=0.0))
 
         norm_res = 0.0
         for root in self.positive_noncompact():
@@ -229,14 +243,24 @@ def _distinguished_central_element(alg, tol):
 # -- chamber ------------------------------------------------------------------
 
 
+def chamber_membership(datum, h, strict_margin=1e-12):
+    """(membership, margin over positive noncompact roots) of torus coords h.
+
+    h has any leading batch shape, (..., rank); both results have that
+    shape.  One matmul per root set against the datum's coordinate arrays.
+    """
+    h = np.asarray(h, dtype=float)
+    margin = (h @ datum.noncompact_coords.T).min(axis=-1)
+    ok = margin > strict_margin
+    if len(datum.compact_coords):
+        ok = ok & ((h @ datum.compact_coords.T).min(axis=-1) >= -strict_margin)
+    return ok, margin
+
+
 def in_holomorphic_chamber(weight, datum, strict_margin=1e-12):
     """Membership test; returns (bool, margin over noncompact positive roots)."""
-    h = weight.coords
-    nonc = [root.value(h) for root in datum.positive_noncompact()]
-    comp = [root.value(h) for root in datum.positive_compact()]
-    margin = min(nonc)
-    ok = margin > strict_margin and (not comp or min(comp) >= -strict_margin)
-    return ok, float(margin)
+    ok, margin = chamber_membership(datum, weight.coords, strict_margin)
+    return bool(ok), float(margin)
 
 
 def chamber_constants(weight, datum):

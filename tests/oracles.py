@@ -12,7 +12,9 @@ None of this runs in the certification pipeline:
 - the radial homotopy primitive by Gauss-Legendre quadrature over the full
   time derivative of the forms at the scaled points (k, sZ);
 - gauge fixing of a family of 1-forms by its radial potential;
-- the constant family, whose Moser flow is the identity.
+- the constant family, whose Moser flow is the identity;
+- chamber rejection sampling one candidate at a time, and the lemma suite's
+  growth, flat and bracket loops evaluated one point at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from holomoser.moser import _GL_NODES, _GL_WEIGHTS, FormFamily, _z0_direction
+from holomoser.forms import OrbitGeometry, moment_flat, moment_hermitian
 from holomoser.operators import f_chi, f_cosh, f_minus, f_plus
+from holomoser.roots import ChamberWeight, in_holomorphic_chamber
 
 
 def f_psi(nu):
@@ -259,3 +263,70 @@ def constant_stage(geometry):
         lambda eig, kap, t: geometry.moment_product(eig, geometry.klam(kap)),
         _z0_direction(geometry),
     )
+
+
+# -- the lemma suite one point at a time -----------------------------------------
+
+
+def random_chamber_weight_loop(datum, rng, box=2.0, max_draws=10000):
+    """Rejection sampling that tests one candidate weight per draw."""
+    rank = datum.algebra.rank
+    for _ in range(max_draws):
+        w = ChamberWeight(rng.uniform(-box, box, rank))
+        ok, _ = in_holomorphic_chamber(w, datum)
+        if ok:
+            return w
+    raise RuntimeError("chamber rejection sampling failed")
+
+
+def _unit_fiber(dim_p, rng):
+    v = rng.standard_normal(dim_p)
+    return v / np.linalg.norm(v)
+
+
+def bracket_slack_point(datum, w1, w2, zp):
+    """lhs - rhs of the bracket positivity inequality at one point, per root."""
+    alg = datum.algebra
+    z = np.zeros(alg.dim)
+    z[alg.dim_k :] = zp
+    adz = alg.ad(z)
+    lhs = float(w1.full(alg) @ (adz @ adz) @ w2.full(alg))
+    prods = [r.value(w1.coords) * r.value(w2.coords) for r in datum.positive_noncompact()]
+    return lhs - min(prods) * float(zp @ zp)
+
+
+def lemma_point_loops(scenario, alg, datum):
+    """Growth slack, flat residual and bracket slack of the lemma suite.
+
+    Draws from the same streams, in the same order, as the pipeline's
+    _lemma_block, and evaluates every sample as its own one-point call.
+    """
+    n = scenario.lemma_samples
+    seeds = np.random.SeedSequence(scenario.seed).spawn(5)
+    _, rng_growth, rng_bracket, _, _ = map(np.random.default_rng, seeds)
+
+    geo_flat = OrbitGeometry(alg, datum, datum.lambda0)
+    eye = np.eye(alg.ambient, dtype=complex)[None]
+    growth_slack = np.inf
+    flat_res = 0.0
+    for _ in range(n):
+        zp = rng_growth.uniform(0.05, 3.0) * _unit_fiber(alg.dim_p, rng_growth)
+        phi = moment_hermitian(geo_flat, eye, zp[None], 1.0)[0]
+        growth_slack = min(
+            growth_slack,
+            float((phi - geo_flat.lam0) @ geo_flat.z0 - 0.5 * zp @ zp),
+        )
+        val = moment_flat(geo_flat, zp[None])[0] @ geo_flat.z0
+        flat_res = max(flat_res, abs(val - zp @ zp) / max(1.0, zp @ zp))
+
+    bracket_slack = np.inf
+    for _ in range(n):
+        w1 = random_chamber_weight_loop(datum, rng_bracket)
+        w2 = random_chamber_weight_loop(datum, rng_bracket)
+        zp = rng_bracket.uniform(0.05, 2.5) * _unit_fiber(alg.dim_p, rng_bracket)
+        bracket_slack = min(bracket_slack, bracket_slack_point(datum, w1, w2, zp))
+    return {
+        "pullback_growth_min_slack": growth_slack,
+        "flat_identity_residual": flat_res,
+        "bracket_min_slack": bracket_slack,
+    }

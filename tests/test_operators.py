@@ -99,6 +99,23 @@ def test_chi_contraction_and_multiset(models):
             assert peak < 1.0
 
 
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+def test_batched_chi_check_matches_row_loop(models, batch):
+    for alg, _ in models.values():
+        rng = np.random.default_rng(5)
+        zs = rng.standard_normal(batch + (alg.dim_p,))
+        zs /= np.linalg.norm(zs, axis=-1, keepdims=True)
+        zs *= rng.uniform(0.05, 3.0, batch + (1,))
+        dev, peak = map(np.asarray, chi_spectrum_check(alg, zs))
+        assert dev.shape == batch and peak.shape == batch
+        for idx in np.ndindex(*batch):
+            want_dev, want_peak = chi_spectrum_check(alg, zs[idx])
+            assert abs(dev[idx] - want_dev) <= 1e-14
+            assert abs(peak[idx] - want_peak) <= 1e-14
+    one = chi_spectrum_check(alg, zs.reshape(-1, alg.dim_p)[0])
+    assert all(type(v) is float for v in one)
+
+
 def test_chi_factorization(models):
     alg, _ = models["su21"]
     rng = np.random.default_rng(4)

@@ -16,7 +16,9 @@ from holomoser import (
     run_theorem_pipeline,
     scenario_from_config,
 )
-from holomoser import cli
+from holomoser import build_algebra, cli
+from holomoser.pipeline import _CHAMBER_BLOCK, _lemma_block, _random_chamber_weight
+from holomoser.roots import compute_root_datum
 from holomoser.report import (
     DEFAULT_TOLERANCES,
     load_scenario,
@@ -24,6 +26,8 @@ from holomoser.report import (
     render_report,
     strip_timing,
 )
+
+import oracles
 
 SMALL = dict(steps=20, samples=4, stage_samples=3, lemma_samples=40)
 
@@ -209,6 +213,101 @@ def test_report_is_deterministic_modulo_timing(su11_report):
     lem_a = render_report(run_lemma_suite(small_su11(seed=8)))
     lem_b = render_report(run_lemma_suite(small_su11(seed=8)))
     assert strip_timing(lem_a) == strip_timing(lem_b)
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_report_renders_non_finite_values_as_strings():
+    text = render_report({
+        "numpy_inf": np.float64("inf"),
+        "numpy_nan": np.float32("nan"),
+        "python_inf": float("-inf"),
+        "array": np.array([1.5, np.inf, -np.inf, np.nan]),
+        "zero_dim": np.array(np.inf),
+    })
+    data = json.loads(text, parse_constant=_refuse_constant)
+    assert data == {
+        "numpy_inf": "inf",
+        "numpy_nan": "nan",
+        "python_inf": "-inf",
+        "array": [1.5, "inf", "-inf", "nan"],
+        "zero_dim": "inf",
+    }
+
+
+SAMPLER_MODELS = [
+    ("su", dict(p=1, q=1)),
+    ("su", dict(p=2, q=1)),
+    ("sp", dict(n=1)),
+    ("sp", dict(n=2)),
+    ("su", dict(p=2, q=2)),
+    ("su", dict(p=3, q=1)),
+]
+
+
+@pytest.fixture(scope="module")
+def sampler_data():
+    return [compute_root_datum(build_algebra(f, **kw)) for f, kw in SAMPLER_MODELS]
+
+
+def test_block_chamber_sampler_matches_one_at_a_time_loop(sampler_data):
+    for datum in sampler_data:
+        for seed in (0, 1, 5, 11):
+            loop_rng = np.random.default_rng(seed)
+            block_rng = np.random.default_rng(seed)
+            for _ in range(50):
+                want = oracles.random_chamber_weight_loop(datum, loop_rng)
+                got = _random_chamber_weight(datum, block_rng)
+                assert np.array_equal(got.coords, want.coords)
+            assert block_rng.random() == loop_rng.random()
+
+
+def _draw_or_raise(sampler, datum, rng, max_draws):
+    try:
+        return sampler(datum, rng, max_draws=max_draws).coords
+    except RuntimeError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "max_draws", [1, _CHAMBER_BLOCK - 1, _CHAMBER_BLOCK, _CHAMBER_BLOCK + 1]
+)
+def test_block_chamber_sampler_exhaustion_matches_loop(sampler_data, max_draws):
+    raised = returned = 0
+    for datum in sampler_data:
+        for seed in (0, 1, 5):
+            loop_rng = np.random.default_rng(seed)
+            block_rng = np.random.default_rng(seed)
+            for _ in range(12):
+                want = _draw_or_raise(
+                    oracles.random_chamber_weight_loop, datum, loop_rng, max_draws
+                )
+                got = _draw_or_raise(
+                    _random_chamber_weight, datum, block_rng, max_draws
+                )
+                assert (got is None) == (want is None)
+                if want is None:
+                    raised += 1
+                else:
+                    returned += 1
+                    assert np.array_equal(got, want)
+                assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert raised and returned
+
+
+@pytest.mark.parametrize(
+    "family, params", [("su", dict(p=2, q=1)), ("su", dict(p=2, q=2))]
+)
+def test_chunked_lemma_values_match_point_loops(family, params):
+    sc = Scenario(family=family, lemma_samples=300, seed=4, **params)
+    alg = build_algebra(family, **params)
+    datum = compute_root_datum(alg)
+    block = _lemma_block(sc, alg, datum, datum.lambda0)
+    want = oracles.lemma_point_loops(sc, alg, datum)
+    for key, value in want.items():
+        assert abs(block[key] - value) <= 1e-14, key
 
 
 def test_report_json_shape(su11_report):
