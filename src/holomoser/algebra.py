@@ -98,12 +98,6 @@ class MatrixLieAlgebra:
         x = np.asarray(x, dtype=float)
         return np.tensordot(x, self.basis, axes=([-1], [0]))
 
-    def membership_residual(self, mat):
-        """Frobenius distance from `mat` to the span of the basis."""
-        x = self.coords(mat)
-        rec = self.matrix(x)
-        return float(np.linalg.norm(np.asarray(mat, dtype=complex) - rec))
-
     # -- algebra operations --------------------------------------------------
 
     def bracket(self, x, y):
@@ -122,11 +116,6 @@ class MatrixLieAlgebra:
         x, y = self._as_coords(x), self._as_coords(y)
         return np.einsum("...i,ij,...j->...", x, self.killing, y)
 
-    def b_theta(self, x, y):
-        """B_theta inner product; the basis is orthonormal for it."""
-        x, y = self._as_coords(x), self._as_coords(y)
-        return np.einsum("...i,...i->...", x, y)
-
     def theta(self, x):
         """Cartan involution, on coordinates or ambient matrices."""
         x = np.asarray(x)
@@ -139,37 +128,6 @@ class MatrixLieAlgebra:
         if x.ndim >= 2 and x.shape[-2:] == (self.ambient, self.ambient):
             return self.coords(x)
         return x.astype(float)
-
-    # -- diagnostics ---------------------------------------------------------
-
-    def closure_residual(self):
-        """Max Frobenius error of reconstructing [e_i,e_j] from structure."""
-        mats = self.basis
-        brk = np.einsum("iab,jbc->ijac", mats, mats) - np.einsum(
-            "jab,ibc->ijac", mats, mats
-        )
-        rec = np.tensordot(self.structure, mats, axes=([2], [0]))
-        return float(np.abs(brk - rec).max())
-
-    def jacobi_residual(self):
-        """Max residual of the Jacobi identity over all basis triples."""
-        c = self.structure
-        term = np.einsum("ijm,mkl->ijkl", c, c)
-        total = term + np.einsum("jkm,mil->ijkl", c, c) + np.einsum(
-            "kim,mjl->ijkl", c, c
-        )
-        return float(np.abs(total).max())
-
-    def ad_invariance_residual(self, rng, samples=20):
-        """Max |B_g([x,y],z) + B_g(y,[x,z])| over random triples."""
-        out = 0.0
-        for _ in range(samples):
-            x, y, z = rng.standard_normal((3, self.dim))
-            r = self.killing_form(self.bracket(x, y), z) + self.killing_form(
-                y, self.bracket(x, z)
-            )
-            out = max(out, abs(float(r)))
-        return out
 
     # -- group-level helpers -------------------------------------------------
 

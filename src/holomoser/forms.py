@@ -17,20 +17,25 @@ X_M(x) = d/dt|_0 exp(tX).x; the two textbook displays that disagree with this
 convention (the flat display, off by a factor 2, and the product display's
 fiber sign) are measured at run time by measure_convention_constants.
 
-OrbitGeometry's evaluators take the eigendecomposition of ad(Z) and the
+OrbitGeometry's evaluators take the spectrum of ad(Z) (fiber_eig) and the
 Ad(k^{-1}) matrices of a batch of points and accept any leading batch shape;
-each block is a matmul chain W^T M W over that shape.  No evaluator needs a
-quadrature-node axis: the homotopy primitive in moser.py contracts the time
-derivative with (0, Z) in closed form, and only its quadrature oracle in the
-tests evaluates the blocks on a node batch of scaled points (k, sZ).
-The form_* and moment_* functions evaluate them at points (ks, zs).
+each block is a matmul chain W^T M W over that shape.  The spectrum is the
+half-size operators.FiberSpectrum: ad(Z) = [[0, A], [A^T, 0]], so every
+block is a function of s = nu^2 from one eigh of A^T A, clipped at 0.  The
+fiber columns of the even Psi_Z^+ are the p-p block even(f_plus) (zero k
+rows), those of the odd Psi_Z^- = -nu G the k-p block -odd(G) (zero p rows);
+the moments apply k-k blocks to k* vectors, and the flat display
+A A^T lambda_0 needs only A.  The homotopy primitive in moser.py is a closed
+form in s; only its quadrature oracle in the tests evaluates the blocks at
+scaled points (k, sZ).  The form_* and moment_* functions evaluate them at
+points (ks, zs).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .operators import f_cosh, f_minus, f_plus, f_plus_prime
+from .operators import G, FiberSpectrum, f_plus, f_plus_prime
 from .roots import in_holomorphic_chamber, pairing_matrix, stabilizer_algebra
 
 
@@ -60,7 +65,15 @@ class OrbitGeometry:
         self.complement = comp  # (N, c) full coordinates
         self.m_lam = pairing_matrix(alg, self.lam)
         self.m_lam0 = pairing_matrix(alg, self.lam0)
+        k, p = alg.dim_k, alg.dim_p
+        self.m_lam0_pp = self.m_lam0[k:, k:]
+        self.lam0_k = self.lam0[:k]
         self.ad_z0 = alg.ad(self.z0)
+        # GEMM operands: zp -> A = ad(Z)[:k, k:] as (P, K*P), and k lambda ->
+        # the p-p block of <k lambda, [., .]> as (N, P*P)
+        c = alg.structure
+        self._ad_kp = c[k:, k:, :k].transpose(0, 2, 1).reshape(p, k * p)
+        self._structure_pp = c[k:, k:, :].transpose(2, 0, 1).reshape(alg.dim, p * p)
         self.base_block = comp.T @ self.m_lam @ comp  # (c, c), point-independent
         prod = np.zeros((self.dim_t, self.dim_t))
         prod[: self.dim_c, : self.dim_c] = self.base_block
@@ -75,10 +88,14 @@ class OrbitGeometry:
         out[..., self.alg.dim_k :] = zp
         return out
 
+    def fiber_block(self, zp):
+        """The k-p blocks A = ad(Z)[:dim_k, dim_k:] (..., K, P) of fiber vectors."""
+        zp = np.atleast_2d(np.asarray(zp, dtype=float))
+        return (zp @ self._ad_kp).reshape(zp.shape[:-1] + (self.alg.dim_k, self.dim_p))
+
     def fiber_eig(self, zp):
-        """Eigendecomposition of ad(Z) for a batch of fiber vectors."""
-        s = self.alg.ad(self.pad_fiber(zp))
-        return np.linalg.eigh(s)
+        """FiberSpectrum of ad(Z) for a batch of fiber vectors: one eigh of A^T A."""
+        return FiberSpectrum(self.fiber_block(zp))
 
     def kappa(self, k):
         """Ad(k^{-1}) coordinate matrices for a batch of group elements."""
@@ -92,41 +109,37 @@ class OrbitGeometry:
         return np.einsum("...nm,n->...m", kap, self.lam)
 
     def pairing_klam(self, kap):
-        """Pairing matrices <k lambda, [., .]> (..., N, N) at the group elements."""
-        return np.tensordot(self.klam(kap), self.alg.structure, axes=([-1], [2]))
+        """p-p blocks (..., P, P) of the pairings <k lambda, [., .]>."""
+        out = self.klam(kap) @ self._structure_pp
+        return out.reshape(out.shape[:-1] + (self.dim_p, self.dim_p))
 
-    def _fiber_columns(self, eig, fn):
-        """The fiber columns fn(ad Z)[:, p] of a spectral function, (..., N, P)."""
-        w, u = eig
-        return (u * fn(w)[..., None, :]) @ _mT(u[..., self.alg.dim_k :, :])
-
-    def pullback_blocks(self, eig, kap):
+    def pullback_blocks(self, spec, kap):
         """Form matrices (..., T, T) of Gamma^* Omega at the points (k, Z)."""
         m_kl = self.pairing_klam(kap)
-        psim = self._fiber_columns(eig, f_minus)
-        psip = self._fiber_columns(eig, f_plus)
-        w_p = kap @ psim
+        psim = -spec.odd(G)  # the k rows of Psi_Z^-; its p rows vanish
+        psip = spec.even(f_plus)  # the p rows of Psi_Z^+; its k rows vanish
+        w_p = kap[..., : self.alg.dim_k] @ psim
         w_c = np.broadcast_to(self.complement, w_p.shape[:-1] + (self.dim_c,))
         w_full = np.concatenate([w_c, w_p], axis=-1)
         out = _mT(w_full) @ (self.m_lam @ w_full)
         out[..., self.dim_c :, self.dim_c :] += _mT(psip) @ (m_kl @ psip)
         return out
 
-    def delta_blocks(self, eig, delta):
+    def delta_blocks(self, spec, delta):
         """Omega^delta at (k, Z): base block plus delta-scaled flat pullback."""
-        psip = self._fiber_columns(eig, f_plus)
-        return self._assemble(delta * (_mT(psip) @ (self.m_lam0 @ psip)))
+        psip = spec.even(f_plus)
+        return self._assemble(delta * (_mT(psip) @ (self.m_lam0_pp @ psip)))
 
-    def hermitian_blocks(self, eig, t):
+    def hermitian_blocks(self, spec, t):
         """The scaled family Omega_t: fiber block (Gamma_0^* Omega)|_{tZ}."""
-        w, u = eig
-        return self.delta_blocks((t * w, u), 1.0)
+        psip = spec.even(lambda s: f_plus(t * t * s))
+        return self._assemble(_mT(psip) @ (self.m_lam0_pp @ psip))
 
-    def hermitian_dt_blocks(self, eig, t):
+    def hermitian_dt_blocks(self, spec, t):
         """d/dt of hermitian_blocks: commuting path, so a scalar derivative."""
-        psip = self._fiber_columns(eig, lambda nu: f_plus(t * nu))
-        dpsi = self._fiber_columns(eig, lambda nu: nu * f_plus_prime(t * nu))
-        cross = _mT(dpsi) @ (self.m_lam0 @ psip)
+        psip = spec.even(lambda s: f_plus(t * t * s))
+        dpsi = spec.even(lambda s: 2.0 * t * s * f_plus_prime(t * t * s))
+        cross = _mT(dpsi) @ (self.m_lam0_pp @ psip)
         out = self._assemble(cross - _mT(cross))
         out[..., : self.dim_c, : self.dim_c] = 0.0
         return out
@@ -137,52 +150,47 @@ class OrbitGeometry:
         out[..., self.dim_c :, self.dim_c :] = fiber_block
         return out
 
-    # -- batched moment maps (B, N) ---------------------------------------------
+    # -- batched moment maps (B, N): k* coordinates, zero on p -------------------
 
-    def _apply(self, eig, fn, xi):
-        w, u = eig
-        return _reassemble(u, fn(w)) @ xi
-
-    def _restrict_k(self, xi):
-        out = np.array(xi)
-        out[..., self.alg.dim_k :] = 0.0
+    def _k_covector(self, xk):
+        out = np.zeros(xk.shape[:-1] + (self.alg.dim,))
+        out[..., : self.alg.dim_k] = xk
         return out
 
-    def moment_pullback(self, eig, kl):
-        """Gamma^* of the orbit moment map: (e^Z.(k lambda)) restricted to k*."""
-        moved = self._apply(eig, lambda nu: np.exp(-nu), kl[..., None])
-        return self._restrict_k(moved[..., 0])
+    def moment_pullback(self, spec, kl):
+        """Gamma^* of the orbit moment map: (e^Z.(k lambda)) restricted to k*.
 
-    def moment_delta(self, eig, kl, delta):
-        cosh = self._apply(eig, f_cosh, self.lam0[:, None])[..., 0]
-        return self._restrict_k(kl + delta * cosh)
-
-    def moment_segment(self, eig, kl, t, delta):
-        """t * Phi^delta + (1-t) * Phi_pullback, matching the segment form."""
-        return t * self.moment_delta(eig, kl, delta) + (1.0 - t) * self.moment_pullback(
-            eig, kl
-        )
-
-    def moment_flat(self, eig):
-        """The flat display lambda_0 o ad(Z)^2; twice the true moment of Omega_p."""
-        out = self._apply(eig, lambda nu: nu * nu, self.lam0[:, None])
-        return self._restrict_k(out[..., 0])
-
-    def moment_product(self, eig, kl):
-        return self._restrict_k(kl + 0.5 * self.moment_flat(eig))
-
-    def moment_hermitian(self, eig, kl, t):
-        """Moment of the scaled family; continuous through t = 0.
-
-        (1/t^2)(cosh(t nu) - 1) = 2 sinh(t nu / 2)^2 / t^2, with limit nu^2/2.
+        k lambda lies in k*, where the k-k block of e^{-ad Z} is cosh(A A^T).
         """
-        w, u = eig
-        if t < 1e-12:
-            vals = 0.5 * w * w
-        else:
-            vals = 2.0 * np.sinh(0.5 * t * w) ** 2 / (t * t)
-        out = _reassemble(u, vals) @ self.lam0[:, None]
-        return self._restrict_k(kl + out[..., 0])
+        return self._k_covector(spec.apply_k(1.0, G, kl[..., : self.alg.dim_k]))
+
+    def moment_delta(self, spec, kl, delta):
+        cosh = spec.apply_k(1.0, G, self.lam0_k)
+        return self._k_covector(kl[..., : self.alg.dim_k] + delta * cosh)
+
+    def moment_segment(self, spec, kl, t, delta):
+        """t * Phi^delta + (1-t) * Phi_pullback, matching the segment form."""
+        pull = self.moment_pullback(spec, kl)
+        return t * self.moment_delta(spec, kl, delta) + (1.0 - t) * pull
+
+    def moment_flat(self, a):
+        """The flat display lambda_0 o ad(Z)^2 = A A^T lambda_0 from the blocks A.
+
+        Twice the true moment of Omega_p; it needs no eigendecomposition.
+        """
+        return self._k_covector((a @ (_mT(a) @ self.lam0_k[:, None]))[..., 0])
+
+    def moment_product(self, spec, kl):
+        flat = self.moment_flat(spec.a)
+        return self._k_covector(kl[..., : self.alg.dim_k]) + 0.5 * flat
+
+    def moment_hermitian(self, spec, kl, t):
+        """Moment of the scaled family: kl + (cosh(t ad Z) - 1)/t^2 lambda_0.
+
+        On k that is A G(t^2 A^T A) A^T lambda_0, continuous through t = 0.
+        """
+        out = spec.apply_k(0.0, lambda s: G(t * t * s), self.lam0_k)
+        return self._k_covector(kl[..., : self.alg.dim_k] + out)
 
     # -- tangent utilities ------------------------------------------------------
 
@@ -203,11 +211,6 @@ def _mT(a):
     return np.swapaxes(a, -1, -2)
 
 
-def _reassemble(u, vals):
-    """u diag(vals) u^T over any leading batch shape: a function of ad(Z)."""
-    return (u * vals[..., None, :]) @ _mT(u)
-
-
 # -- forms and moments at points (ks, zs): (B, T, T) and (B, N) arrays -------------
 
 
@@ -225,9 +228,9 @@ def form_delta(geometry, ks, zs, delta):
 
 
 def form_segment(geometry, ks, zs, t, delta):
-    eig = geometry.fiber_eig(zs)
-    pull = geometry.pullback_blocks(eig, geometry.kappa(ks))
-    dl = geometry.delta_blocks(eig, delta)
+    spec = geometry.fiber_eig(zs)
+    pull = geometry.pullback_blocks(spec, geometry.kappa(ks))
+    dl = geometry.delta_blocks(spec, delta)
     return t * dl + (1.0 - t) * pull
 
 
@@ -235,32 +238,32 @@ def form_hermitian(geometry, ks, zs, t):
     return geometry.hermitian_blocks(geometry.fiber_eig(zs), t)
 
 
-def _eig_klam(geometry, ks, zs):
+def _spectrum_klam(geometry, ks, zs):
     return geometry.fiber_eig(zs), geometry.klam(geometry.kappa(ks))
 
 
 def moment_pullback(geometry, ks, zs):
-    return geometry.moment_pullback(*_eig_klam(geometry, ks, zs))
+    return geometry.moment_pullback(*_spectrum_klam(geometry, ks, zs))
 
 
 def moment_delta(geometry, ks, zs, delta):
-    return geometry.moment_delta(*_eig_klam(geometry, ks, zs), delta)
+    return geometry.moment_delta(*_spectrum_klam(geometry, ks, zs), delta)
 
 
 def moment_segment(geometry, ks, zs, t, delta):
-    return geometry.moment_segment(*_eig_klam(geometry, ks, zs), t, delta)
+    return geometry.moment_segment(*_spectrum_klam(geometry, ks, zs), t, delta)
 
 
 def moment_flat(geometry, zs):
-    return geometry.moment_flat(geometry.fiber_eig(zs))
+    return geometry.moment_flat(geometry.fiber_block(zs))
 
 
 def moment_product(geometry, ks, zs):
-    return geometry.moment_product(*_eig_klam(geometry, ks, zs))
+    return geometry.moment_product(*_spectrum_klam(geometry, ks, zs))
 
 
 def moment_hermitian(geometry, ks, zs, t):
-    return geometry.moment_hermitian(*_eig_klam(geometry, ks, zs), t)
+    return geometry.moment_hermitian(*_spectrum_klam(geometry, ks, zs), t)
 
 
 def bracket_positivity_slack(datum, w1, w2, zp):
@@ -343,10 +346,10 @@ def measure_convention_constants(geometry, rng, samples=6, eps=1e-6):
             rhs = float(field @ adz0_p[:, j])
             if abs(rhs) < 1e-3:
                 continue
-            eig_hi = geometry.fiber_eig((zp + dz)[None])
-            eig_lo = geometry.fiber_eig((zp - dz)[None])
+            a_hi = geometry.fiber_block((zp + dz)[None])
+            a_lo = geometry.fiber_block((zp - dz)[None])
             flat_fd = (
-                geometry.moment_flat(eig_hi)[0] - geometry.moment_flat(eig_lo)[0]
+                geometry.moment_flat(a_hi)[0] - geometry.moment_flat(a_lo)[0]
             ) @ x_full / (2 * eps)
             ratios_flat.append(flat_fd / rhs)
 

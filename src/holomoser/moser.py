@@ -30,12 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import OrbitGeometry
-from .operators import f_plus, f_plus_prime
+from .operators import G, hermitian_radial
 from .roots import ChamberWeight, chamber_constants
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_GL_NODES = 0.5 * (_GL_X + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_W
 
 # degree-5 symmetric triangle rule (barycentric nodes, weights sum to 1)
 _TRI_A2 = 0.470142064105115
@@ -62,12 +58,12 @@ _TRI_W = np.array(
 class FormFamily:
     """A t in [0,1] family of closed 2-forms with moments, batched evaluators.
 
-    omega / domega_dt map (eig, kap, t) to (..., T, T) form matrices at the
-    points whose fiber eigendecompositions and Ad(k^{-1}) matrices are given;
-    primitive maps (eig, kap, zp, t) to the (B, T) radial homotopy primitive
-    of domega_dt (see homotopy_primitive); moment maps (eig, kap, t) to
-    (B, N) coadjoint coordinates, and pairing_direction t to the unit vector
-    the properness fit pairs with.
+    omega / domega_dt map (spec, kap, t) to (..., T, T) form matrices at the
+    points whose fiber spectra (OrbitGeometry.fiber_eig) and Ad(k^{-1})
+    matrices are given; primitive maps (spec, kap, zp, t) to the (B, T) radial
+    homotopy primitive of domega_dt (see homotopy_primitive); moment maps
+    (spec, kap, t) to (B, N) coadjoint coordinates, and pairing_direction t
+    to the unit vector the properness fit pairs with.
     """
 
     name: str
@@ -84,64 +80,57 @@ def _z0_direction(geometry):
     return lambda t: z0 / np.linalg.norm(z0)
 
 
-def _radial_row(geometry, eig, row, fn):
-    """Primitive (B, T): zero base part, fiber part row . R(F)[:, p].
+def _radial_row(geometry, spec, row_p, fn):
+    """Primitive (B, T): zero base part, fiber part row_p . even(F).
 
-    R(F) = u diag(F(nu)) u^T is the spectral function of ad(Z) given by
-    eig = (nu, u), with F(nu) = int_0^1 s fn(s nu) ds integrated on the
-    eigenvalues by the 16-node Gauss-Legendre rule; row is (B, N).
+    F(nu) = int_0^1 r f(r nu) dr is even, so only its p-p block acts on the
+    p-part row_p (B, P) of the row.  fn is F in closed form as a function of
+    s = nu^2: G for f = f_plus, hermitian_radial for f(nu) = nu f_plus'(t nu).
     """
-    nu, u = eig
-    vals = (_GL_WEIGHTS * _GL_NODES) @ fn(nu[:, None, :] * _GL_NODES[None, :, None])
-    coef = (row[:, None, :] @ u) * vals[:, None, :]
-    out = np.zeros((row.shape[0], geometry.dim_t))
-    u_p = u[:, geometry.alg.dim_k :, :]
-    out[:, geometry.dim_c :] = (coef @ np.swapaxes(u_p, -1, -2))[:, 0]
+    out = np.zeros(row_p.shape[:-1] + (geometry.dim_t,))
+    out[..., geometry.dim_c :] = (row_p[..., None, :] @ spec.even(fn))[..., 0, :]
     return out
 
 
 def hermitian_stage(geometry):
     """Product form to the delta = 1 form through the scaled fiber family."""
-    m0_p = geometry.m_lam0[geometry.alg.dim_k :]
 
-    def primitive(eig, kap, zp, t):
+    def primitive(spec, kap, zp, t):
         # m_lambda_0 is antisymmetric, so the surviving term of
         # cross - cross^T contracts to +Z^T m_lambda_0
-        return _radial_row(
-            geometry, eig, zp @ m0_p, lambda nu: nu * f_plus_prime(t * nu)
-        )
+        row = zp @ geometry.m_lam0_pp
+        return _radial_row(geometry, spec, row, lambda s: hermitian_radial(s, t))
 
     return FormFamily(
         "hermitian",
         geometry,
-        lambda eig, kap, t: geometry.hermitian_blocks(eig, t),
-        lambda eig, kap, t: geometry.hermitian_dt_blocks(eig, t),
+        lambda spec, kap, t: geometry.hermitian_blocks(spec, t),
+        lambda spec, kap, t: geometry.hermitian_dt_blocks(spec, t),
         primitive,
-        lambda eig, kap, t: geometry.moment_hermitian(eig, geometry.klam(kap), t),
+        lambda spec, kap, t: geometry.moment_hermitian(spec, geometry.klam(kap), t),
         _z0_direction(geometry),
     )
 
 
 def scaling_stage(geometry, delta):
     """Delta coefficient 1 to delta along s(t) = 1 + t (delta - 1)."""
-    m0_p = geometry.m_lam0[geometry.alg.dim_k :]
 
-    def domega(eig, kap, t):
-        out = geometry.delta_blocks(eig, delta - 1.0)
+    def domega(spec, kap, t):
+        out = geometry.delta_blocks(spec, delta - 1.0)
         out[..., : geometry.dim_c, : geometry.dim_c] = 0.0
         return out
 
-    def primitive(eig, kap, zp, t):
-        return _radial_row(geometry, eig, (delta - 1.0) * (zp @ m0_p), f_plus)
+    def primitive(spec, kap, zp, t):
+        return _radial_row(geometry, spec, (delta - 1.0) * (zp @ geometry.m_lam0_pp), G)
 
     return FormFamily(
         "scaling",
         geometry,
-        lambda eig, kap, t: geometry.delta_blocks(eig, 1.0 + t * (delta - 1.0)),
+        lambda spec, kap, t: geometry.delta_blocks(spec, 1.0 + t * (delta - 1.0)),
         domega,
         primitive,
-        lambda eig, kap, t: geometry.moment_delta(
-            eig, geometry.klam(kap), 1.0 + t * (delta - 1.0)
+        lambda spec, kap, t: geometry.moment_delta(
+            spec, geometry.klam(kap), 1.0 + t * (delta - 1.0)
         ),
         _z0_direction(geometry),
     )
@@ -150,21 +139,18 @@ def scaling_stage(geometry, delta):
 def segment_stage(geometry, delta):
     """Delta form to the orbit pullback: the segment family from its delta end."""
 
-    def omega(eig, kap, t):
-        pull = geometry.pullback_blocks(eig, kap)
-        dl = geometry.delta_blocks(eig, delta)
+    def omega(spec, kap, t):
+        pull = geometry.pullback_blocks(spec, kap)
+        dl = geometry.delta_blocks(spec, delta)
         return (1.0 - t) * dl + t * pull
 
-    dim_k = geometry.alg.dim_k
-    m0_p = geometry.m_lam0[dim_k:]
+    def domega(spec, kap, t):
+        return geometry.pullback_blocks(spec, kap) - geometry.delta_blocks(spec, delta)
 
-    def domega(eig, kap, t):
-        return geometry.pullback_blocks(eig, kap) - geometry.delta_blocks(eig, delta)
-
-    def primitive(eig, kap, zp, t):
-        m_kl_p = geometry.pairing_klam(kap)[:, dim_k:]
-        row = (zp[:, None, :] @ m_kl_p)[:, 0] - delta * (zp @ m0_p)
-        return _radial_row(geometry, eig, row, f_plus)
+    def primitive(spec, kap, zp, t):
+        row = (zp[:, None, :] @ geometry.pairing_klam(kap))[:, 0]
+        row -= delta * (zp @ geometry.m_lam0_pp)
+        return _radial_row(geometry, spec, row, G)
 
     def direction(t):
         coords = segment_weight_coords(geometry, delta, 1.0 - t)
@@ -176,8 +162,8 @@ def segment_stage(geometry, delta):
         omega,
         domega,
         primitive,
-        lambda eig, kap, t: geometry.moment_segment(
-            eig, geometry.klam(kap), 1.0 - t, delta
+        lambda spec, kap, t: geometry.moment_segment(
+            spec, geometry.klam(kap), 1.0 - t, delta
         ),
         direction,
     )
@@ -197,7 +183,7 @@ class MoserStage:
 # -- Moser data at points ----------------------------------------------------------
 
 
-def homotopy_primitive(family, eig, kap, zp, t):
+def homotopy_primitive(family, spec, kap, zp, t):
     """Primitive mu_t of d omega_t/dt from the fiber-scaling homotopy.
 
     mu|_(k,Z)(u) = int_0^1 sigma|_(k,sZ)((0, Z), (u_base, s u_fiber)) ds,
@@ -205,27 +191,30 @@ def homotopy_primitive(family, eig, kap, zp, t):
     the zero section.  Since ad(Z)Z = 0, every spectral function g(s ad Z)
     maps Z to g(0) Z, so contracting sigma at (k, sZ) with (0, Z) leaves one
     spectral function of ad(Z) per stage: the base part vanishes and the
-    fiber part is row . R(F)[:, p] with F(nu) = int_0^1 s f(s nu) ds (see
-    _radial_row).  Each family supplies that closed form as its primitive;
-    the quadrature over the full sigma it replaces is the test oracle
-    quadrature_primitive.  Returns covector components (B, T).
+    fiber part is row . F(ad Z)[:, p] with F(nu) = int_0^1 s f(s nu) ds.
+    F is even and known in closed form as a function of nu^2 (see
+    _radial_row): 2 sinh(nu/2)^2/nu^2 for the scaling and segment stages,
+    (f_plus(t nu) - 2 G(t nu))/t for the hermitian one.  Each family
+    supplies that closed form as its primitive; the quadrature over the
+    full sigma it replaces is the test oracle quadrature_primitive.
+    Returns covector components (B, T).
     """
-    return family.primitive(eig, kap, zp, t)
+    return family.primitive(spec, kap, zp, t)
 
 
 def moser_field(family, ks, zs, t):
     """Moser field xi_t with iota(xi) omega_t = -mu_t; (B, T) tangent coords."""
     geo = family.geometry
-    eig = geo.fiber_eig(zs)
+    spec = geo.fiber_eig(zs)
     kap = geo.kappa(ks)
-    omega = family.omega(eig, kap, t)
+    omega = family.omega(spec, kap, t)
     margin = float(np.linalg.svd(omega, compute_uv=False)[..., -1].min())
     if margin < 1e-10:
         raise RuntimeError(
             f"{family.name} family degenerates along the flow "
             f"(margin {margin:.3e} at t = {t:.4f})"
         )
-    mu = homotopy_primitive(family, eig, kap, zs, t)
+    mu = homotopy_primitive(family, spec, kap, zs, t)
     xi = np.linalg.solve(omega, mu[..., None])[..., 0]
     return xi, margin
 
@@ -376,16 +365,16 @@ def _chart_frames(geometry, k0, z0, pts):
 
 def _chart_form_matrices(geometry, omega_at, k0, z0, pts):
     ks, zs, jacs = _chart_frames(geometry, k0, z0, pts)
-    eig = geometry.fiber_eig(zs)
+    spec = geometry.fiber_eig(zs)
     kap = geometry.kappa(ks)
-    mats = omega_at(eig, kap)
+    mats = omega_at(spec, kap)
     return np.swapaxes(jacs, -1, -2) @ mats @ jacs
 
 
 def stokes_closedness_residual(geometry, omega_at, k0, z0, diameter, rng, n_tets=2):
     """Relative boundary-integral defect of omega over small 3-simplices.
 
-    omega_at(eig, kap) -> (Q, T, T).  Integrates the form over the oriented
+    omega_at(spec, kap) -> (Q, T, T).  Integrates the form over the oriented
     boundary of random tetrahedra of the given diameter in the exponential
     chart at (k0, z0); for closed forms the sum is quadrature-exact zero.
     On a two-dimensional total space every 2-form is closed and the check
@@ -427,9 +416,9 @@ def primitive_exactness_residual(family, geometry, k0, z0, t, rng, h=1e-2):
 
     def mu_chart(pts):
         ks, zs, jacs = _chart_frames(geometry, k0, z0, pts)
-        eig = geometry.fiber_eig(zs)
+        spec = geometry.fiber_eig(zs)
         kap = geometry.kappa(ks)
-        mu = homotopy_primitive(family, eig, kap, zs, t)
+        mu = homotopy_primitive(family, spec, kap, zs, t)
         return np.einsum("qji,qj->qi", jacs, mu)
 
     circulation = 0.0
@@ -440,7 +429,7 @@ def primitive_exactness_residual(family, geometry, k0, z0, t, rng, h=1e-2):
 
     quad_pts = _TRI_BARY @ np.stack(corners)
     sigma = _chart_form_matrices(
-        geometry, lambda eig, kap: family.domega_dt(eig, kap, t), k0, z0, quad_pts
+        geometry, lambda spec, kap: family.domega_dt(spec, kap, t), k0, z0, quad_pts
     )
     flux = 0.5 * float(_TRI_W @ np.einsum("i,qij,j->q", u, sigma, v))
     return abs(circulation - flux) / max(abs(flux), h * h)
@@ -520,17 +509,17 @@ def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
     ks = np.concatenate(lanes_k)
     zs = np.concatenate(lanes_z)
 
-    eig0 = geometry.fiber_eig(zs[:b0])
+    spec0 = geometry.fiber_eig(zs[:b0])
     kap0 = geometry.kappa(ks[:b0])
-    omega_start = stages[0].family.omega(eig0, kap0, 0.0)
-    moment_start = stages[0].family.moment(eig0, kap0, 0.0)
+    omega_start = stages[0].family.omega(spec0, kap0, 0.0)
+    moment_start = stages[0].family.moment(spec0, kap0, 0.0)
 
     flowed_k, flowed_z, traces = flow_stages(stages, ks, zs)
 
-    eig1 = geometry.fiber_eig(flowed_z[:b0])
+    spec1 = geometry.fiber_eig(flowed_z[:b0])
     kap1 = geometry.kappa(flowed_k[:b0])
-    omega_end = stages[-1].family.omega(eig1, kap1, 1.0)
-    moment_end = stages[-1].family.moment(eig1, kap1, 1.0)
+    omega_end = stages[-1].family.omega(spec1, kap1, 1.0)
+    moment_end = stages[-1].family.moment(spec1, kap1, 1.0)
 
     # central differences of the composite, one group log for every lane:
     # jac_t[b, i] is the tangent image of direction i at sample b
@@ -641,12 +630,12 @@ def properness_fit(geometry, family, rng, samples=60, t_grid=_PROPERNESS_GRID,
     )])
     zs = np.concatenate([zs, np.stack(probes)])
     kap = geometry.kappa(ks)
-    eig = geometry.fiber_eig(zs)
-    eig0 = geometry.fiber_eig(np.zeros_like(zs))
+    spec = geometry.fiber_eig(zs)
+    spec0 = geometry.fiber_eig(np.zeros_like(zs))
     sq = np.linalg.norm(zs, axis=1) ** 2
     best = np.inf
     for t in t_grid:
-        gap = family.moment(eig, kap, t) - family.moment(eig0, kap, t)
+        gap = family.moment(spec, kap, t) - family.moment(spec0, kap, t)
         vals = gap @ family.pairing_direction(t) / sq
         best = min(best, float(vals.min()))
     return best
@@ -726,13 +715,13 @@ def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
     moment_sup = 0.0
     nullspace_res = 0.0
     properness = []
-    eig_zero = geometry.fiber_eig(np.zeros((1, geometry.dim_p)))
+    spec_zero = geometry.fiber_eig(np.zeros((1, geometry.dim_p)))
     c = geometry.dim_c
     for stage in stages:
         fam = stage.family
         for t in (0.0, 0.5, 1.0):
-            def omega_at(eig, kap, _t=t, _f=fam):
-                return _f.omega(eig, kap, _t)
+            def omega_at(spec, kap, _t=t, _f=fam):
+                return _f.omega(spec, kap, _t)
 
             for _ in range(closedness_points):
                 k0 = alg.group_exp(rng.standard_normal(alg.dim_k))
@@ -748,22 +737,22 @@ def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
                     primitive_exactness_residual(fam, geometry, k0, z0, t, rng),
                 )
                 kap0 = geometry.kappa(k0)
-                block = omega_at(eig_zero, kap0)[0]
+                block = omega_at(spec_zero, kap0)[0]
                 mu0 = homotopy_primitive(
-                    fam, eig_zero, kap0, np.zeros((1, geometry.dim_p)), t
+                    fam, spec_zero, kap0, np.zeros((1, geometry.dim_p)), t
                 )
                 primitive_zero = max(primitive_zero, float(np.abs(mu0).max()))
                 moment_sup = max(
                     moment_sup,
-                    float(np.linalg.norm(fam.moment(eig_zero, kap0, t), axis=-1).max()),
+                    float(np.linalg.norm(fam.moment(spec_zero, kap0, t), axis=-1).max()),
                 )
                 if c == 0:
                     continue
                 cross = max(cross, float(np.abs(block[:c, c:]).max()))
-                sigma0 = fam.domega_dt(eig_zero, kap0, t)[0]
+                sigma0 = fam.domega_dt(spec_zero, kap0, t)[0]
                 i_star_dt = max(i_star_dt, float(np.abs(sigma0[:c, :c]).max()))
                 gap01 = (
-                    fam.omega(eig_zero, kap0, 1.0) - fam.omega(eig_zero, kap0, 0.0)
+                    fam.omega(spec_zero, kap0, 1.0) - fam.omega(spec_zero, kap0, 0.0)
                 )[0]
                 i_star_endpoints = max(
                     i_star_endpoints, float(np.abs(gap01[:c, :c]).max())

@@ -1,50 +1,108 @@
-"""Scalar spectral functions of ad(Z) for Z in p.
+"""Spectral functions of ad(Z) for Z in p, evaluated at half size.
 
-For Z in p the operator ad(Z) is symmetric in the orthonormal coordinates, so
-every analytic function of it is evaluated spectrally: eigendecompose once,
-apply the scalar function to the eigenvalues, reconstruct.  The functions:
+The basis is B_theta-orthonormal with k first, and [k, p] in p, [p, p] in k,
+so for Z in p the symmetric ad(Z) has the Cartan block structure
 
-    Psi_Z^+    sinh(nu)/nu                 even part of int_0^1 e^{-s ad Z} ds
-    Psi_Z^-    -(cosh(nu)-1)/nu            minus its odd part
-    chi_Z      Psi_Z^- o (Psi_Z^+)^{-1}:   -tanh(nu/2)
-    cosh       cosh(nu)
+    ad(Z) = [[0, A], [A^T, 0]],    A = ad(Z)[:dim_k, dim_k:]  (dim_k x dim_p).
+
+An analytic function of ad(Z) splits into an even part g(ad(Z)^2) and an odd
+part ad(Z) h(ad(Z)^2), and A f(A^T A) = f(A A^T) A writes every block through
+A^T A.  FiberSpectrum holds one eigh A^T A = V diag(s) V^T, s = sigma^2 the
+squared singular values of A clipped at 0 against roundoff (the eigenvalues
+of ad(Z) are +-sigma and zeros):
+
+    even(g)      p-p block of g:        V g(s) V^T
+    odd(h)       k-p block of nu h:     A V h(s) V^T
+    apply_k      k-k block of g on xi:  g(0) xi + A phi(A^T A) A^T xi,
+                                        phi(s) = (g(s) - g(0)) / s
+
+The scalar functions are functions of s = nu^2 >= 0: f_plus = sinh(nu)/nu
+(Psi_Z^+), its s-derivative f_plus_prime, and G = (cosh(nu) - 1)/nu^2, which
+gives Psi_Z^- = -nu G, the phi of cosh and int_0^1 r f_plus(r nu) dr.
+chi_spectrum_check certifies the spectrum lemma independently, with its own
+full-size eigh of ad(Z) and chi_Z = -tanh(nu/2) on its eigenvalues nu.
 """
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 
-
-def f_plus(nu):
-    nu = np.asarray(nu, dtype=float)
-    safe = np.where(nu == 0.0, 1.0, nu)
-    return np.where(nu == 0.0, 1.0, np.sinh(safe) / safe)
-
-
-def f_minus(nu):
-    # -(cosh(nu)-1)/nu computed as -2 sinh(nu/2)^2 / nu to avoid cancellation
-    nu = np.asarray(nu, dtype=float)
-    safe = np.where(nu == 0.0, 1.0, nu)
-    return np.where(nu == 0.0, 0.0, -2.0 * np.sinh(safe / 2.0) ** 2 / safe)
+# below these arguments the closed forms cancel, and six Taylor terms are
+# exact to roundoff: sum_n n s^(n-1)/(2n+1)! and sum_n 2n y^(n-1)/(2n+2)!
+_SERIES_CUT = 0.1
+_F_PLUS_PRIME_SERIES = [n / factorial(2 * n + 1) for n in range(1, 7)]
+_HERMITIAN_SERIES = [2 * n / factorial(2 * n + 2) for n in range(1, 7)]
 
 
-def f_chi(nu):
-    return -np.tanh(np.asarray(nu, dtype=float) / 2.0)
+def _mT(a):
+    return np.swapaxes(a, -1, -2)
 
 
-def f_cosh(nu):
-    return np.cosh(np.asarray(nu, dtype=float))
+def _with_series(s, closed, coef):
+    """closed(s) for s >= _SERIES_CUT, the Taylor polynomial coef below."""
+    s = np.asarray(s, dtype=float)
+    small = s < _SERIES_CUT
+    far = closed(np.where(small, 1.0, s))
+    return np.where(small, np.polynomial.polynomial.polyval(s, coef), far)
 
 
-def f_plus_prime(nu):
-    """Derivative of sinh(nu)/nu; series branch tames the 1/nu cancellation."""
-    nu = np.asarray(nu, dtype=float)
-    small = np.abs(nu) < 1e-2
-    safe = np.where(small, 1.0, nu)
-    out = np.asarray(np.cosh(safe) / safe - np.sinh(safe) / safe**2)
-    s = nu[small]
-    out[small] = s / 3.0 + s**3 / 30.0 + s**5 / 840.0
-    return out
+def f_plus(s):
+    """sinh(nu)/nu at s = nu^2."""
+    s = np.asarray(s, dtype=float)
+    r = np.sqrt(np.where(s == 0.0, 1.0, s))
+    return np.where(s == 0.0, 1.0, np.sinh(r) / r)
+
+
+def G(s):
+    """(cosh(nu) - 1)/nu^2 = (1/2) (sinh(nu/2)/(nu/2))^2 at s = nu^2."""
+    return 0.5 * f_plus(0.25 * np.asarray(s, dtype=float)) ** 2
+
+
+def f_plus_prime(s):
+    """d f_plus / ds = (cosh(nu) - f_plus) / (2 s)."""
+    return _with_series(
+        s, lambda x: (np.cosh(np.sqrt(x)) - f_plus(x)) / (2.0 * x), _F_PLUS_PRIME_SERIES
+    )
+
+
+def hermitian_radial(s, t):
+    """int_0^1 r (r nu) f'(t r nu) dr = (f_plus(y) - 2 G(y)) / t at y = t^2 s.
+
+    f' is the nu-derivative of f(nu) = sinh(nu)/nu.  Written as t s H(y) with
+    H(y) = (f_plus(y) - 2 G(y)) / y; H cancels for small y, so it takes its
+    series there (H(0) = 1/12), and the result is exactly 0 at t = 0.
+    """
+    y = t * t * np.asarray(s, dtype=float)
+    h = _with_series(y, lambda x: (f_plus(x) - 2.0 * G(x)) / x, _HERMITIAN_SERIES)
+    return t * s * h
+
+
+class FiberSpectrum:
+    """Spectral data (s, V, A) of ad(Z) for a batch of Z in p; see the module doc.
+
+    a: (..., dim_k, dim_p) k-p blocks of ad(Z).  One eigh of A^T A gives s
+    (..., dim_p), clipped at 0, and V (..., dim_p, dim_p).
+    """
+
+    def __init__(self, a):
+        self.a = a
+        s, self.v = np.linalg.eigh(_mT(a) @ a)
+        self.s = np.maximum(s, 0.0)
+
+    def even(self, g):
+        """The p-p block V g(s) V^T of g(ad(Z)^2), (..., P, P)."""
+        return (self.v * g(self.s)[..., None, :]) @ _mT(self.v)
+
+    def odd(self, h):
+        """The k-p block A V h(s) V^T of ad(Z) h(ad(Z)^2), (..., K, P)."""
+        return self.a @ self.even(h)
+
+    def apply_k(self, g0, phi, xi):
+        """The k-k block of g(ad(Z)^2) on k-coordinates xi: g0 xi + A phi A^T xi."""
+        y = self.even(phi) @ (_mT(self.a) @ xi[..., None])
+        return g0 * xi + (self.a @ y)[..., 0]
 
 
 def chi_spectrum_check(alg, z):
@@ -60,7 +118,7 @@ def chi_spectrum_check(alg, z):
     full = np.zeros(z.shape[:-1] + (alg.dim,))
     full[..., alg.dim_k :] = z
     w, v = np.linalg.eigh(alg.ad(full))
-    chi = (v * f_chi(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    chi = (v * -np.tanh(0.5 * w)[..., None, :]) @ np.swapaxes(v, -1, -2)
     chi_eigs = np.sort(np.linalg.eigvalsh(chi), axis=-1)
     predicted = np.sort(np.expm1(w) / (np.exp(w) + 1.0), axis=-1)
     dev = np.abs(chi_eigs - predicted).max(axis=-1)

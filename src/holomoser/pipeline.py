@@ -380,14 +380,14 @@ def _segment_witness(geometry, delta, rng, points=200, t_count=21):
     )
     zs = rng.standard_normal((points, geometry.dim_p))
     zs *= (rng.uniform(0.1, 1.5, points) / np.linalg.norm(zs, axis=1))[:, None]
-    eig = geometry.fiber_eig(zs)
+    spec = geometry.fiber_eig(zs)
     kap = geometry.kappa(ks)
-    end0 = family.omega(eig, kap, 0.0)
-    end1 = family.omega(eig, kap, 1.0)
+    end0 = family.omega(spec, kap, 0.0)
+    end1 = family.omega(spec, kap, 1.0)
     min_margin = np.inf
     affinity = 0.0
     for t in np.linspace(0.0, 1.0, t_count):
-        omega = family.omega(eig, kap, t)
+        omega = family.omega(spec, kap, t)
         svals = np.linalg.svd(omega, compute_uv=False)
         min_margin = min(min_margin, float(svals[..., -1].min()))
         affinity = max(

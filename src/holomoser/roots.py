@@ -305,13 +305,3 @@ def stabilizer_algebra(weight, datum, rel_tol=1e-9):
     kernel = vt[small].T
     complement = vt[~small].T
     return StabilizerSplit(kernel=kernel, complement=complement)
-
-
-def weight_from_matrix(alg, h_matrix):
-    """ChamberWeight whose H_lambda equals the given torus matrix."""
-    x = alg.coords(h_matrix)
-    if alg.membership_residual(h_matrix) > 1e-10:
-        raise ValueError("matrix does not lie in the algebra")
-    if np.abs(x[alg.rank :]).max() > 1e-10:
-        raise ValueError("matrix does not lie in the chosen maximal torus")
-    return ChamberWeight(x[: alg.rank].copy())

@@ -2,8 +2,13 @@
 
 None of this runs in the certification pipeline:
 
+- structure residuals of the algebra (closure, Jacobi, ad-invariance,
+  membership) and torus weights from matrices;
 - Ad(g) by a three-operand einsum, and the coadjoint action of K;
 - the operator bundle Psi_Z, Psi_Z^{+-}, chi_Z, cosh, e^{-ad Z} at one Z;
+- the full-size spectral path: one eigh of the N x N matrix ad(Z) and
+  functions of its eigenvalues nu, for every form block, moment map and
+  stage primitive;
 - the orbit chart Gamma(k lambda, Z) = e^Z.(k lambda) and its tangent map
 
       dGamma(k lambda, Z)([k,X], A) = [e^Z k, X + Ad(k^{-1}) Psi_Z(A)];
@@ -23,10 +28,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holomoser.moser import _GL_NODES, _GL_WEIGHTS, FormFamily, _z0_direction
+from holomoser.moser import FormFamily, _z0_direction
 from holomoser.forms import OrbitGeometry, moment_flat, moment_hermitian
-from holomoser.operators import f_chi, f_cosh, f_minus, f_plus
 from holomoser.roots import ChamberWeight, in_holomorphic_chamber
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_NODES = 0.5 * (_GL_X + 1.0)
+_GL_WEIGHTS = 0.5 * _GL_W
+
+
+# -- scalar functions of the eigenvalues nu of ad(Z) ------------------------------
+
+
+def f_plus(nu):
+    nu = np.asarray(nu, dtype=float)
+    safe = np.where(nu == 0.0, 1.0, nu)
+    return np.where(nu == 0.0, 1.0, np.sinh(safe) / safe)
+
+
+def f_minus(nu):
+    # -(cosh(nu)-1)/nu computed as -2 sinh(nu/2)^2 / nu to avoid cancellation
+    nu = np.asarray(nu, dtype=float)
+    safe = np.where(nu == 0.0, 1.0, nu)
+    return np.where(nu == 0.0, 0.0, -2.0 * np.sinh(safe / 2.0) ** 2 / safe)
+
+
+def f_cosh(nu):
+    return np.cosh(np.asarray(nu, dtype=float))
+
+
+def f_plus_prime(nu):
+    """Derivative of sinh(nu)/nu; series branch tames the 1/nu cancellation."""
+    nu = np.asarray(nu, dtype=float)
+    small = np.abs(nu) < 1e-2
+    safe = np.where(small, 1.0, nu)
+    out = np.asarray(np.cosh(safe) / safe - np.sinh(safe) / safe**2)
+    s = nu[small]
+    out[small] = s / 3.0 + s**3 / 30.0 + s**5 / 840.0
+    return out
+
+
+def f_chi(nu):
+    return -np.tanh(np.asarray(nu, dtype=float) / 2.0)
 
 
 def f_psi(nu):
@@ -39,6 +82,58 @@ def spectral_apply(eigvals, eigvecs, fn):
     """Reassemble fn(S) for symmetric S = eigvecs diag(eigvals) eigvecs^T."""
     vals = fn(eigvals)
     return np.einsum("...ij,...j,...kj->...ik", eigvecs, vals, eigvecs)
+
+
+# -- structure residuals ---------------------------------------------------------
+
+
+def membership_residual(alg, mat):
+    """Frobenius distance from `mat` to the span of the basis."""
+    x = alg.coords(mat)
+    rec = alg.matrix(x)
+    return float(np.linalg.norm(np.asarray(mat, dtype=complex) - rec))
+
+
+def closure_residual(alg):
+    """Max Frobenius error of reconstructing [e_i,e_j] from structure."""
+    mats = alg.basis
+    brk = np.einsum("iab,jbc->ijac", mats, mats) - np.einsum(
+        "jab,ibc->ijac", mats, mats
+    )
+    rec = np.tensordot(alg.structure, mats, axes=([2], [0]))
+    return float(np.abs(brk - rec).max())
+
+
+def jacobi_residual(alg):
+    """Max residual of the Jacobi identity over all basis triples."""
+    c = alg.structure
+    term = np.einsum("ijm,mkl->ijkl", c, c)
+    total = term + np.einsum("jkm,mil->ijkl", c, c) + np.einsum(
+        "kim,mjl->ijkl", c, c
+    )
+    return float(np.abs(total).max())
+
+
+def ad_invariance_residual(alg, rng, samples=20):
+    """Max |B_g([x,y],z) + B_g(y,[x,z])| over random triples."""
+    out = 0.0
+    for _ in range(samples):
+        x, y, z = rng.standard_normal((3, alg.dim))
+        r = alg.killing_form(alg.bracket(x, y), z) + alg.killing_form(
+            y, alg.bracket(x, z)
+        )
+        out = max(out, abs(float(r)))
+    return out
+
+
+def weight_from_matrix(alg, h_matrix):
+    """ChamberWeight whose H_lambda equals the given torus matrix."""
+    x = alg.coords(h_matrix)
+    if membership_residual(alg, h_matrix) > 1e-10:
+        raise ValueError("matrix does not lie in the algebra")
+    if np.abs(x[alg.rank :]).max() > 1e-10:
+        raise ValueError("matrix does not lie in the chosen maximal torus")
+    return ChamberWeight(x[: alg.rank].copy())
 
 
 # -- the group action ----------------------------------------------------------
@@ -170,32 +265,144 @@ def d_gamma(alg, weight, k, z, x_dir, a_dir):
 # -- forms and flows ---------------------------------------------------------------
 
 
-def unsplit_pullback_blocks(geometry, eig, kap):
+def full_eig(geometry, zs):
+    """Eigenvalues nu and eigenvectors u of the N x N matrices ad(Z)."""
+    return np.linalg.eigh(geometry.alg.ad(geometry.pad_fiber(zs)))
+
+
+class FullSizeReference:
+    """The forms, moments and stage primitives from one eigh of ad(Z).
+
+    The independent oracle for OrbitGeometry's half-size spectral layer
+    (operators.FiberSpectrum, one eigh of A^T A): every spectral function is
+    reassembled as u diag(fn(nu)) u^T over the full spectrum of ad(Z), with
+    the functions of nu above, and the radial primitives integrate their
+    functions of nu on the 16-node Gauss-Legendre grid.
+    """
+
+    def __init__(self, geometry, zs):
+        self.geo = geometry
+        self.zs = np.asarray(zs, dtype=float)
+        self.w, self.u = full_eig(geometry, zs)
+
+    def _columns(self, fn):
+        """The fiber columns fn(ad Z)[:, p], (B, N, P)."""
+        k = self.geo.alg.dim_k
+        return (self.u * fn(self.w)[..., None, :]) @ np.swapaxes(self.u[:, k:], -1, -2)
+
+    def _apply(self, fn, xi):
+        full = (self.u * fn(self.w)[..., None, :]) @ np.swapaxes(self.u, -1, -2)
+        out = (full @ xi[..., None])[..., 0]
+        out[..., self.geo.alg.dim_k :] = 0.0
+        return out
+
+    def _fiber_pairing(self, psip, m):
+        return np.swapaxes(psip, -1, -2) @ (m @ psip)
+
+    def pullback_blocks(self, kap):
+        geo = self.geo
+        m_kl = np.tensordot(geo.klam(kap), geo.alg.structure, axes=([-1], [2]))
+        psip = self._columns(f_plus)
+        w_p = kap @ self._columns(f_minus)
+        w_c = np.broadcast_to(geo.complement, w_p.shape[:-1] + (geo.dim_c,))
+        w_full = np.concatenate([w_c, w_p], axis=-1)
+        out = self._fiber_pairing(w_full, geo.m_lam)
+        out[..., geo.dim_c :, geo.dim_c :] += self._fiber_pairing(psip, m_kl)
+        return out
+
+    def delta_blocks(self, delta):
+        psip = self._columns(f_plus)
+        return self.geo._assemble(delta * self._fiber_pairing(psip, self.geo.m_lam0))
+
+    def hermitian_blocks(self, t):
+        psip = self._columns(lambda nu: f_plus(t * nu))
+        return self.geo._assemble(self._fiber_pairing(psip, self.geo.m_lam0))
+
+    def hermitian_dt_blocks(self, t):
+        psip = self._columns(lambda nu: f_plus(t * nu))
+        dpsi = self._columns(lambda nu: nu * f_plus_prime(t * nu))
+        cross = np.swapaxes(dpsi, -1, -2) @ (self.geo.m_lam0 @ psip)
+        out = self.geo._assemble(cross - np.swapaxes(cross, -1, -2))
+        out[..., : self.geo.dim_c, : self.geo.dim_c] = 0.0
+        return out
+
+    def moment_pullback(self, kl):
+        return self._apply(lambda nu: np.exp(-nu), kl)
+
+    def moment_delta(self, kl, delta):
+        out = kl + delta * self._apply(f_cosh, self.geo.lam0)
+        out[..., self.geo.alg.dim_k :] = 0.0
+        return out
+
+    def moment_segment(self, kl, t, delta):
+        return t * self.moment_delta(kl, delta) + (1.0 - t) * self.moment_pullback(kl)
+
+    def moment_flat(self):
+        return self._apply(lambda nu: nu * nu, self.geo.lam0)
+
+    def moment_product(self, kl):
+        out = kl + 0.5 * self.moment_flat()
+        out[..., self.geo.alg.dim_k :] = 0.0
+        return out
+
+    def moment_hermitian(self, kl, t):
+        if t < 1e-12:
+            vals = lambda nu: 0.5 * nu * nu  # noqa: E731
+        else:
+            vals = lambda nu: 2.0 * np.sinh(0.5 * t * nu) ** 2 / (t * t)  # noqa: E731
+        out = kl + self._apply(vals, self.geo.lam0)
+        out[..., self.geo.alg.dim_k :] = 0.0
+        return out
+
+    def _radial_row(self, row, fn):
+        """row (B, N) . F(ad Z)[:, p] with F(nu) = int_0^1 s fn(s nu) ds."""
+        nodes = self.w[:, None, :] * _GL_NODES[None, :, None]
+        vals = (_GL_WEIGHTS * _GL_NODES) @ fn(nodes)
+        coef = (row[:, None, :] @ self.u) * vals[:, None, :]
+        out = np.zeros((row.shape[0], self.geo.dim_t))
+        u_p = self.u[:, self.geo.alg.dim_k :, :]
+        out[:, self.geo.dim_c :] = (coef @ np.swapaxes(u_p, -1, -2))[:, 0]
+        return out
+
+    def primitive(self, stage, kap, t, delta):
+        """The radial primitive of the hermitian, scaling or segment stage."""
+        geo = self.geo
+        m0_p = geo.m_lam0[geo.alg.dim_k :]
+        row0 = self.zs @ m0_p
+        if stage == "hermitian":
+            return self._radial_row(row0, lambda nu: nu * f_plus_prime(t * nu))
+        if stage == "scaling":
+            return self._radial_row((delta - 1.0) * row0, f_plus)
+        m_kl = np.tensordot(geo.klam(kap), geo.alg.structure, axes=([-1], [2]))
+        row = (self.zs[:, None, :] @ m_kl[:, geo.alg.dim_k :])[:, 0] - delta * row0
+        return self._radial_row(row, f_plus)
+
+
+def unsplit_pullback_blocks(geometry, zs, kap):
     """Gamma^* Omega through the single-bracket expression with Psi_Z.
 
     The independent oracle for OrbitGeometry.pullback_blocks, which splits
     Psi_Z into its even and odd parts.
     """
     alg = geometry.alg
-    psi = spectral_apply(*eig, f_psi)[..., :, alg.dim_k :]
+    psi = spectral_apply(*full_eig(geometry, zs), f_psi)[..., :, alg.dim_k :]
     w_p = np.einsum("...nm,...mj->...nj", kap, psi)
     w_c = np.broadcast_to(geometry.complement, w_p.shape[:-1] + (geometry.dim_c,))
     w_full = np.concatenate([w_c, w_p], axis=-1)
     return np.einsum("...ni,nm,...mj->...ij", w_full, geometry.m_lam, w_full)
 
 
-def quadrature_primitive(family, eig, kap, zp, t):
+def quadrature_primitive(family, spec, kap, zp, t):
     """The radial homotopy primitive by quadrature over the node batch.
 
     mu|_(k,Z)(u) = int_0^1 sigma|_(k,sZ)((0, Z), (u_base, s u_fiber)) ds
     with sigma = family.domega_dt evaluated at all 16 Gauss-Legendre scaled
-    points (k, sZ) at once, sharing each lane's eigendecomposition of ad(Z).
-    The independent oracle for moser.homotopy_primitive, which contracts
-    with (0, Z) in closed form.  Returns covector components (B, T).
+    points (k, sZ) at once, each with its own spectrum fiber_eig(s Z); spec
+    is not used.  The independent oracle for moser.homotopy_primitive, which
+    contracts with (0, Z) in closed form.  Returns covector components (B, T).
     """
     geo = family.geometry
-    nu, u = eig
-    nodes = (nu[:, None, :] * _GL_NODES[None, :, None], u[:, None])
+    nodes = geo.fiber_eig(_GL_NODES[None, :, None] * zp[:, None, :])
     sigma = family.domega_dt(nodes, kap[:, None], t)  # (B, S, T, T)
     w = np.zeros((zp.shape[0], geo.dim_t))
     w[:, geo.dim_c :] = zp
@@ -245,13 +452,13 @@ def constant_stage(geometry):
     """The product form at every t; its Moser flow is the identity."""
     shape = (geometry.dim_t, geometry.dim_t)
 
-    def product(eig, kap, t):
-        return np.broadcast_to(geometry.product_matrix, eig[0].shape[:-1] + shape).copy()
+    def product(spec, kap, t):
+        return np.broadcast_to(geometry.product_matrix, spec.s.shape[:-1] + shape).copy()
 
-    def zero(eig, kap, t):
-        return np.zeros(eig[0].shape[:-1] + shape)
+    def zero(spec, kap, t):
+        return np.zeros(spec.s.shape[:-1] + shape)
 
-    def zero_primitive(eig, kap, zp, t):
+    def zero_primitive(spec, kap, zp, t):
         return np.zeros((zp.shape[0], geometry.dim_t))
 
     return FormFamily(
@@ -260,7 +467,7 @@ def constant_stage(geometry):
         product,
         zero,
         zero_primitive,
-        lambda eig, kap, t: geometry.moment_product(eig, geometry.klam(kap)),
+        lambda spec, kap, t: geometry.moment_product(spec, geometry.klam(kap)),
         _z0_direction(geometry),
     )
 

@@ -4,7 +4,14 @@ import pytest
 from holomoser import build_algebra
 from holomoser.moser import _group_log
 
-from oracles import adjoint_group_matrix_einsum, coadjoint_group_matrix
+from oracles import (
+    ad_invariance_residual,
+    adjoint_group_matrix_einsum,
+    closure_residual,
+    coadjoint_group_matrix,
+    jacobi_residual,
+    membership_residual,
+)
 
 ATOL = 1e-10
 
@@ -70,8 +77,8 @@ def test_rejects_bad_parameters():
 @pytest.mark.parametrize("name", ["su11", "su21", "sp2", "sp4"])
 def test_structure_residuals(name, request):
     alg = request.getfixturevalue(name)
-    assert alg.closure_residual() < ATOL
-    assert alg.jacobi_residual() < ATOL
+    assert closure_residual(alg) < ATOL
+    assert jacobi_residual(alg) < ATOL
 
 
 @pytest.mark.parametrize("name", ["su11", "su21", "sp2", "sp4"])
@@ -119,7 +126,7 @@ def test_b_theta_orthonormal_and_positive(name, request):
 def test_killing_ad_invariance(name, request):
     alg = request.getfixturevalue(name)
     rng = np.random.default_rng(11)
-    assert alg.ad_invariance_residual(rng) < 1e-9
+    assert ad_invariance_residual(alg, rng) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["su21", "sp4"])
@@ -139,9 +146,9 @@ def test_coords_roundtrip_and_membership(su21):
     rng = np.random.default_rng(13)
     x = rng.standard_normal(su21.dim)
     assert np.allclose(su21.coords(su21.matrix(x)), x, atol=1e-12)
-    assert su21.membership_residual(su21.matrix(x)) < 1e-12
+    assert membership_residual(su21, su21.matrix(x)) < 1e-12
     # the identity matrix is Hermitian, not anti-Hermitian: far from su(2,1)
-    assert su21.membership_residual(np.eye(3)) > 0.5
+    assert membership_residual(su21, np.eye(3)) > 0.5
 
 
 def test_bracket_matches_matrix_commutator(su21, sp4):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,9 @@ from holomoser.moser import (
     verify_pullback,
 )
 from holomoser.pipeline import _random_chamber_weight
-from holomoser.roots import chamber_constants, compute_root_datum, weight_from_matrix
+from holomoser.roots import chamber_constants, compute_root_datum
 
-from oracles import constant_stage, gauge_fix, quadrature_primitive
+from oracles import constant_stage, gauge_fix, quadrature_primitive, weight_from_matrix
 
 
 @pytest.fixture(scope="module")
@@ -256,13 +258,14 @@ def test_stokes_certifies_closed_and_detects_broken(su21):
     k0 = geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k))
     z0 = rng.standard_normal(geo.dim_p)
 
-    def closed(eig, kap):
-        return fam.omega(eig, kap, 0.5)
+    def closed(spec, kap):
+        return fam.omega(spec, kap, 0.5)
 
-    def broken(eig, kap):
-        # scaling a closed form by a non-constant function of Z breaks dW = 0
-        factor = 1.0 + 0.1 * (eig[0] ** 2).sum(axis=-1)
-        return closed(eig, kap) * factor[:, None, None]
+    def broken(spec, kap):
+        # scaling a closed form by a non-constant function of Z breaks dW = 0;
+        # sum(nu^2) over the spectrum of ad(Z) is 2 sum(s)
+        factor = 1.0 + 0.1 * 2.0 * spec.s.sum(axis=-1)
+        return closed(spec, kap) * factor[:, None, None]
 
     good = stokes_closedness_residual(geo, closed, k0, z0, 1e-2, rng)
     bad = stokes_closedness_residual(geo, broken, k0, z0, 1e-2, rng)
@@ -277,6 +280,22 @@ def test_flow_ceiling_aborts_escaping_lanes(su11):
     zs /= np.linalg.norm(zs, axis=1)[:, None]
     with pytest.raises(RuntimeError, match="ceiling"):
         integrate_flow(hermitian_stage(geo), ks, zs, steps=10, z_ceiling=0.1)
+
+
+def test_singular_family_raises_degenerate(su11):
+    # a family whose omega is identically zero has margin 0 everywhere
+    _, _, geo = su11
+    rng = np.random.default_rng(10)
+    ks, zs = rand_batch(geo, rng, 3)
+    base = constant_stage(geo)
+    singular = dataclasses.replace(
+        base, name="singular", omega=lambda spec, kap, t: base.domega_dt(spec, kap, t)
+    )
+    msg = r"singular family degenerates along the flow \(margin 0\.000e\+00 at t = {}\)"
+    with pytest.raises(RuntimeError, match=msg.format(r"0\.3000")):
+        moser_field(singular, ks, zs, 0.3)
+    with pytest.raises(RuntimeError, match=msg.format(r"0\.0000")):
+        integrate_flow(singular, ks, zs, steps=4)
 
 
 def test_hermitian_stage_certifies_pullback(su11):

@@ -5,7 +5,13 @@ from holomoser import build_algebra
 from holomoser.operators import chi_spectrum_check
 from holomoser.roots import compute_root_datum
 
-from oracles import coadjoint_group_matrix, d_gamma, gamma_map, psi_operators
+from oracles import (
+    coadjoint_group_matrix,
+    d_gamma,
+    gamma_map,
+    psi_operators,
+    weight_from_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +179,6 @@ def test_gamma_rejects_non_group_base(models):
 def test_gamma_equivariance(models):
     alg, datum = models["su21"]
     rng = np.random.default_rng(9)
-    from holomoser.roots import weight_from_matrix
-
     w = weight_from_matrix(alg, 1j * np.diag([0.6, 0.1, -0.7]))
     z = random_fiber(alg, rng, 1.0)
     k = alg.group_exp(rng.standard_normal(alg.dim_k))
@@ -202,8 +206,6 @@ def test_gamma_fixed_point_and_pullback_growth(models):
 
 def test_d_gamma_matches_finite_differences(models):
     alg, datum = models["su21"]
-    from holomoser.roots import weight_from_matrix
-
     w = weight_from_matrix(alg, 1j * np.diag([0.6, 0.1, -0.7]))
     rng = np.random.default_rng(11)
     eps = 1e-5

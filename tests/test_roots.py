@@ -9,8 +9,9 @@ from holomoser.roots import (
     in_holomorphic_chamber,
     pairing_matrix,
     stabilizer_algebra,
-    weight_from_matrix,
 )
+
+from oracles import weight_from_matrix
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,111 @@
+"""The half-size spectral layer against the full-size eigh of ad(Z)."""
+
+import numpy as np
+import pytest
+
+from holomoser import build_algebra
+from holomoser.forms import OrbitGeometry
+from holomoser.moser import (
+    _root_probe_fibers,
+    hermitian_stage,
+    homotopy_primitive,
+    scaling_stage,
+    segment_stage,
+)
+from holomoser.operators import G, hermitian_radial
+from holomoser.pipeline import _random_chamber_weight
+from holomoser.roots import chamber_constants, compute_root_datum
+
+from oracles import FullSizeReference, f_plus, f_plus_prime
+
+ALGEBRAS = [
+    ("su", {"p": 1, "q": 1}),
+    ("su", {"p": 2, "q": 1}),
+    ("sp", {"n": 1}),
+    ("sp", {"n": 2}),
+    ("su", {"p": 2, "q": 2}),
+    ("su", {"p": 3, "q": 1}),
+]
+IDS = ["su11", "su21", "sp2", "sp4", "su22", "su31"]
+
+
+def _close(got, want, tol=1e-12):
+    err = float(np.abs(got - want).max())
+    return err <= tol * float(np.abs(want).max()), err
+
+
+@pytest.mark.parametrize("family,params", ALGEBRAS, ids=IDS)
+def test_half_size_layer_matches_full_size_reference(family, params):
+    alg = build_algebra(family, **params)
+    datum = compute_root_datum(alg)
+    weight = _random_chamber_weight(datum, np.random.default_rng(0))
+    geo = OrbitGeometry(alg, datum, weight)
+    _, b_lam = chamber_constants(weight, datum)
+    delta = 1.5 * b_lam
+    rng = np.random.default_rng(29)
+    n = 6
+    zs = rng.standard_normal((n, geo.dim_p))
+    zs *= (rng.uniform(0.05, 3.0, n) / np.linalg.norm(zs, axis=1))[:, None]
+    # a zero lane and a root-plane lane, whose A has repeated singular values
+    root_plane = 1.3 * _root_probe_fibers(geo, (1.0,))[0]
+    zs = np.concatenate([zs, np.zeros((1, geo.dim_p)), root_plane[None]])
+    ks = alg.group_exp(rng.standard_normal((len(zs), alg.dim_k)))
+    kap = geo.kappa(ks)
+    kl = geo.klam(kap)
+    spec = geo.fiber_eig(zs)
+    ref = FullSizeReference(geo, zs)
+
+    nonzero = np.sort(spec.s[-1][spec.s[-1] > 1e-12])
+    if geo.dim_p > 2:
+        assert np.min(np.diff(nonzero)) < 1e-12
+    assert np.abs(spec.s[-2]).max() == 0.0
+
+    checks = {
+        "pullback_blocks": (geo.pullback_blocks(spec, kap), ref.pullback_blocks(kap)),
+        "delta_blocks": (geo.delta_blocks(spec, delta), ref.delta_blocks(delta)),
+        "moment_pullback": (geo.moment_pullback(spec, kl), ref.moment_pullback(kl)),
+        "moment_delta": (geo.moment_delta(spec, kl, delta), ref.moment_delta(kl, delta)),
+        "moment_flat": (geo.moment_flat(spec.a), ref.moment_flat()),
+        "moment_product": (geo.moment_product(spec, kl), ref.moment_product(kl)),
+    }
+    stages = [hermitian_stage(geo), scaling_stage(geo, delta), segment_stage(geo, delta)]
+    for t in (0.0, 0.3, 1.0):
+        checks[f"hermitian_blocks t={t}"] = (
+            geo.hermitian_blocks(spec, t), ref.hermitian_blocks(t))
+        checks[f"hermitian_dt_blocks t={t}"] = (
+            geo.hermitian_dt_blocks(spec, t), ref.hermitian_dt_blocks(t))
+        checks[f"moment_segment t={t}"] = (
+            geo.moment_segment(spec, kl, t, delta), ref.moment_segment(kl, t, delta))
+        checks[f"moment_hermitian t={t}"] = (
+            geo.moment_hermitian(spec, kl, t), ref.moment_hermitian(kl, t))
+        for fam in stages:
+            checks[f"{fam.name} primitive t={t}"] = (
+                homotopy_primitive(fam, spec, kap, zs, t),
+                ref.primitive(fam.name, kap, t, delta),
+            )
+    for name, (got, want) in checks.items():
+        assert got.shape == want.shape, name
+        ok, err = _close(got, want)
+        assert ok, (name, err)
+
+
+def _gauss(fn, nodes=40):
+    """int_0^1 fn(r) dr by the Gauss-Legendre rule with the given nodes."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    r = 0.5 * (x + 1.0)
+    return 0.5 * sum(wi * fn(ri) for ri, wi in zip(r, w))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+def test_radial_closed_forms_match_quadrature(t):
+    # x = t nu; at t = 0 every x is taken as nu, where the primitive is 0
+    for x in (0.0, 3e-7, 3e-4, 1e-2, 0.5, 3.0):
+        nu = x / t if t > 0 else x
+        herm = _gauss(lambda r: r * (r * nu) * f_plus_prime(t * r * nu))
+        got = hermitian_radial(np.array([nu * nu]), t)[0]
+        assert abs(got - herm) <= 1e-12 * abs(herm), (x, t, got, herm)
+        if t == 0.0:
+            assert got == 0.0
+        scale = _gauss(lambda r: r * f_plus(r * nu))
+        got = G(np.array([nu * nu]))[0]
+        assert abs(got - scale) <= 1e-12 * abs(scale), (x, got, scale)
