@@ -112,22 +112,12 @@ class MatrixLieAlgebra:
         x = np.asarray(x, dtype=float)
         return (x @ self._structure_ad).reshape(x.shape[:-1] + (self.dim, self.dim))
 
-    def killing_form(self, x, y):
-        x, y = self._as_coords(x), self._as_coords(y)
-        return np.einsum("...i,ij,...j->...", x, self.killing, y)
-
     def theta(self, x):
         """Cartan involution, on coordinates or ambient matrices."""
         x = np.asarray(x)
         if x.ndim >= 2 and x.shape[-1] == self.ambient and np.iscomplexobj(x):
             return -_dagger(x)
         return x * self.theta_signs
-
-    def _as_coords(self, x):
-        x = np.asarray(x)
-        if x.ndim >= 2 and x.shape[-2:] == (self.ambient, self.ambient):
-            return self.coords(x)
-        return x.astype(float)
 
     # -- group-level helpers -------------------------------------------------
 

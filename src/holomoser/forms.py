@@ -28,7 +28,9 @@ the moments apply k-k blocks to k* vectors, and the flat display
 A A^T lambda_0 needs only A.  The homotopy primitive in moser.py is a closed
 form in s; only its quadrature oracle in the tests evaluates the blocks at
 scaled points (k, sZ).  The form_* and moment_* functions evaluate them at
-points (ks, zs).
+points (ks, zs).  moment_identity_residual checks each (form, moment) pair
+on a batch of B points: its 2 T finite-difference lanes per point go
+through one moment call of B 2 T rows.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class OrbitGeometry:
         """Form matrices (..., T, T) of Gamma^* Omega at the points (k, Z)."""
         m_kl = self.pairing_klam(kap)
         psim = -spec.odd(G)  # the k rows of Psi_Z^-; its p rows vanish
-        psip = spec.even(f_plus)  # the p rows of Psi_Z^+; its k rows vanish
+        psip = spec.psi_plus  # the p rows of Psi_Z^+; its k rows vanish
         w_p = kap[..., : self.alg.dim_k] @ psim
         w_c = np.broadcast_to(self.complement, w_p.shape[:-1] + (self.dim_c,))
         w_full = np.concatenate([w_c, w_p], axis=-1)
@@ -127,7 +129,7 @@ class OrbitGeometry:
 
     def delta_blocks(self, spec, delta):
         """Omega^delta at (k, Z): base block plus delta-scaled flat pullback."""
-        psip = spec.even(f_plus)
+        psip = spec.psi_plus
         return self._assemble(delta * (_mT(psip) @ (self.m_lam0_pp @ psip)))
 
     def hermitian_blocks(self, spec, t):
@@ -195,11 +197,13 @@ class OrbitGeometry:
     # -- tangent utilities ------------------------------------------------------
 
     def generator_field(self, kap, zp, x_gen):
-        """Tangent coordinates of the vector field of X = x_gen (in k) at (k, Z)."""
+        """Tangent coordinates of the vector field of X = x_gen (in k) at (k, Z).
+
+        x_gen is one generator (dim_k,) or one per point (B, dim_k).
+        """
         alg = self.alg
-        x_full = np.zeros(alg.dim)
-        x_full[: alg.dim_k] = x_gen
-        moved = np.einsum("bnm,m->bn", kap, x_full)
+        x_full = self._k_covector(np.asarray(x_gen, dtype=float))
+        moved = (kap @ x_full[..., None])[..., 0]
         base = moved @ self.complement  # (B, c) coordinates in the complement
         fiber = self.alg.bracket(
             np.broadcast_to(x_full, (kap.shape[0], alg.dim)), self.pad_fiber(zp)
@@ -290,38 +294,48 @@ def bracket_positivity_slack(datum, w1, w2, zp):
 # -- moment-map convention checks -------------------------------------------------
 
 
+def _moment_identity_sides(geometry, form_at, moment_at, ks, zs, gens, eps):
+    """Both sides of d<Phi, X>(u) = Omega(X_M, u) for every basis direction u.
+
+    Returns (lhs, rhs), each (B, T): lhs the central differences of <Phi, X>,
+    rhs the contraction of the form with the generator field.  All B 2 T
+    difference lanes, ordered (point, direction, sign + then -), take one
+    moment_at call; base directions perturb k to k exp(+-eps C_i) with the
+    2 dim_c group steps shared by every point, fiber directions shift Z.
+    """
+    alg = geometry.alg
+    a, dim_p, c = alg.ambient, geometry.dim_p, geometry.dim_c
+    gens = np.asarray(gens, dtype=float)
+    field = geometry.generator_field(geometry.kappa(ks), zs, gens)
+    rhs = (field[:, None] @ form_at(ks, zs))[:, 0]
+    signs = np.array([1.0, -1.0])
+    step_k = np.concatenate([
+        alg.group_exp(
+            eps * signs[None, :, None] * geometry.complement[: alg.dim_k].T[:, None]
+        ),
+        np.broadcast_to(np.eye(a), (dim_p, 2, a, a)),
+    ])
+    step_z = np.zeros((geometry.dim_t, 2, dim_p))
+    step_z[c:] = eps * signs[None, :, None] * np.eye(dim_p)[:, None, :]
+    lanes_k = (ks[:, None, None] @ step_k).reshape(-1, a, a)
+    lanes_z = (zs[:, None, None] + step_z).reshape(-1, dim_p)
+    mom = moment_at(lanes_k, lanes_z).reshape(len(zs), geometry.dim_t, 2, alg.dim)
+    vals = np.einsum("btsn,bn->bts", mom, geometry._k_covector(gens))
+    return (vals[..., 0] - vals[..., 1]) / (2 * eps), rhs
+
+
 def moment_identity_residual(
-    geometry, form_at, moment_at, points, generators, eps=1e-5, constant=1.0
+    geometry, form_at, moment_at, ks, zs, gens, eps=1e-5, constant=1.0
 ):
     """max |FD d<Phi,X>(u) - constant * Omega(X_M, u)| over points and basis u.
 
-    form_at(k, z) -> (T, T) matrix; moment_at(k, z) -> (N,) k*-coordinates.
-    Base directions perturb k by k exp(+-eps X_i); fiber directions shift Z.
+    form_at(ks, zs) -> (B, T, T) matrices; moment_at(ks, zs) -> (B, N)
+    k*-coordinates, both batched over points.  ks (B, a, a), zs (B, P) and
+    gens (B, dim_k) give one point and one generator per row; the finite
+    differences are _moment_identity_sides.
     """
-    alg = geometry.alg
-    worst = 0.0
-    for (k, zp), x_gen in zip(points, generators):
-        kap = geometry.kappa(k[None])
-        omega = form_at(k, zp)
-        field = geometry.generator_field(kap, zp[None], x_gen)[0]
-        x_full = np.zeros(alg.dim)
-        x_full[: alg.dim_k] = x_gen
-        rhs = field @ omega
-        lhs = np.zeros(geometry.dim_t)
-        for i in range(geometry.dim_c):
-            step = alg.group_exp(eps * geometry.complement[: alg.dim_k, i])
-            stepm = alg.group_exp(-eps * geometry.complement[: alg.dim_k, i])
-            hi = moment_at(k @ step, zp) @ x_full
-            lo = moment_at(k @ stepm, zp) @ x_full
-            lhs[i] = (hi - lo) / (2 * eps)
-        for j in range(geometry.dim_p):
-            dz = np.zeros(geometry.dim_p)
-            dz[j] = eps
-            hi = moment_at(k, zp + dz) @ x_full
-            lo = moment_at(k, zp - dz) @ x_full
-            lhs[geometry.dim_c + j] = (hi - lo) / (2 * eps)
-        worst = max(worst, float(np.abs(lhs - constant * rhs).max()))
-    return worst
+    lhs, rhs = _moment_identity_sides(geometry, form_at, moment_at, ks, zs, gens, eps)
+    return float(np.abs(lhs - constant * rhs).max())
 
 
 def measure_convention_constants(geometry, rng, samples=6, eps=1e-6):

@@ -19,13 +19,17 @@ The verification drivers re-integrate perturbed initial points and compare
 central-difference differentials against the claimed pullback identity,
 transport moment maps, and check the standing hypotheses (closedness via
 Stokes on exponential-chart simplices, exactness of the primitive, zero
-section behaviour, properness constants of the moment families).
+section behaviour, properness constants of the moment families).  The
+chart checks take a leading batch of base points (B, ...) with their
+simplex frames and evaluate every quadrature node of every simplex in one
+batched call, each node carrying its own base point.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -52,6 +56,17 @@ _TRI_W = np.array(
     + [0.132394152788506] * 3
     + [0.125939180544827] * 3
 )
+
+
+@cache
+def _edge_rule():
+    """8-node Gauss-Legendre rule on [0, 1] for the circulation along an edge.
+
+    Built on first use, so runs without hypothesis checks never import
+    numpy.polynomial (about 1 MB of resident memory).
+    """
+    x, w = np.polynomial.legendre.leggauss(8)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 @dataclass(frozen=True)
@@ -350,13 +365,17 @@ def _dexp_matrix(alg, u_k, terms=10):
 
 
 def _chart_frames(geometry, k0, z0, pts):
-    """Points and frame correction for the chart (x, w) -> (k0 exp(Cx), z0+w)."""
+    """Points and frame correction for the chart (x, w) -> (k0 exp(Cx), z0 + w).
+
+    pts: (Q, T) chart coordinates, each node with its own base point k0
+    (Q, a, a), z0 (Q, P).
+    """
     alg = geometry.alg
     c = geometry.dim_c
     c_k = geometry.complement[: alg.dim_k]
     u_k = pts[:, :c] @ c_k.T
     ks = k0 @ alg.group_exp(u_k)
-    zs = z0[None] + pts[:, c:]
+    zs = z0 + pts[:, c:]
     jacs = np.zeros((len(pts), geometry.dim_t, geometry.dim_t))
     jacs[:, :c, :c] = c_k.T @ _dexp_matrix(alg, u_k) @ c_k
     jacs[:, c:, c:] = np.eye(geometry.dim_p)
@@ -371,68 +390,81 @@ def _chart_form_matrices(geometry, omega_at, k0, z0, pts):
     return np.swapaxes(jacs, -1, -2) @ mats @ jacs
 
 
-def stokes_closedness_residual(geometry, omega_at, k0, z0, diameter, rng, n_tets=2):
+def _per_node(k0, z0, pts):
+    """Flatten chart nodes pts (B, ..., T), repeating base point b per node."""
+    per = int(np.prod(pts.shape[1:-1]))
+    flat = pts.reshape(-1, pts.shape[-1])
+    return np.repeat(k0, per, axis=0), np.repeat(z0, per, axis=0), flat
+
+
+# oriented boundary faces (sign, vertex indices) of a tetrahedron
+_TET_FACES = ((1.0, (1, 2, 3)), (-1.0, (0, 2, 3)), (1.0, (0, 1, 3)), (-1.0, (0, 1, 2)))
+
+
+def stokes_closedness_residual(geometry, omega_at, k0, z0, frames, diameter):
     """Relative boundary-integral defect of omega over small 3-simplices.
 
-    omega_at(spec, kap) -> (Q, T, T).  Integrates the form over the oriented
-    boundary of random tetrahedra of the given diameter in the exponential
-    chart at (k0, z0); for closed forms the sum is quadrature-exact zero.
-    On a two-dimensional total space every 2-form is closed and the check
-    is vacuous (returns 0).
+    omega_at(spec, kap) -> (Q, T, T).  k0 (B, a, a) and z0 (B, P) are base
+    points; frames (B, n, T, 3) hold orthonormal edge directions of n
+    tetrahedra at each, with vertices 0 and diameter times the columns in
+    the exponential chart at the base point.  The form is integrated over
+    every oriented boundary face by the degree-5 triangle rule, all
+    B n 4 7 nodes in one _chart_form_matrices call; for closed forms the
+    sum is quadrature-exact zero.  Returns the worst relative defect per
+    base point (B,).  On a two-dimensional total space every 2-form is
+    closed and the check is vacuous (zeros; frames is not read).
     """
     if geometry.dim_t < 3:
-        return 0.0
-    faces = [(1.0, (1, 2, 3)), (-1.0, (0, 2, 3)), (1.0, (0, 1, 3)), (-1.0, (0, 1, 2))]
-    worst = 0.0
-    for _ in range(n_tets):
-        dirs, _ = np.linalg.qr(rng.standard_normal((geometry.dim_t, 3)))
-        verts = np.zeros((4, geometry.dim_t))
-        verts[1:] = diameter * dirs.T
-        total, scale = 0.0, 0.0
-        for sign, (ia, ib, ic) in faces:
-            a, b, cc = verts[ia], verts[ib], verts[ic]
-            pts = _TRI_BARY @ np.stack([a, b, cc])
-            mats = _chart_form_matrices(geometry, omega_at, k0, z0, pts)
-            vals = np.einsum("i,qij,j->q", b - a, mats, cc - a)
-            integral = 0.5 * float(_TRI_W @ vals)
-            total += sign * integral
-            scale += abs(integral)
-        worst = max(worst, abs(total) / max(scale, 1e-300))
-    return worst
-
-
-def primitive_exactness_residual(family, geometry, k0, z0, t, rng, h=1e-2):
-    """Check d mu_t = d omega_t/dt on a random small 2-simplex in the chart.
-
-    Compares the circulation of mu_t around the simplex boundary with the
-    flux of the claimed derivative through it (degree-5 triangle rule); both
-    are O(h^2), and the returned value is their relative mismatch.
-    """
-    dirs, _ = np.linalg.qr(rng.standard_normal((geometry.dim_t, 2)))
-    u, v = h * dirs[:, 0], h * dirs[:, 1]
-    corners = [np.zeros(geometry.dim_t), u, v]
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    nodes, weights = 0.5 * (gl_x + 1.0), 0.5 * gl_w
-
-    def mu_chart(pts):
-        ks, zs, jacs = _chart_frames(geometry, k0, z0, pts)
-        spec = geometry.fiber_eig(zs)
-        kap = geometry.kappa(ks)
-        mu = homotopy_primitive(family, spec, kap, zs, t)
-        return np.einsum("qji,qj->qi", jacs, mu)
-
-    circulation = 0.0
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        pts = a[None] + nodes[:, None] * (b - a)[None]
-        vals = mu_chart(pts) @ (b - a)
-        circulation += float(weights @ vals)
-
-    quad_pts = _TRI_BARY @ np.stack(corners)
-    sigma = _chart_form_matrices(
-        geometry, lambda spec, kap: family.domega_dt(spec, kap, t), k0, z0, quad_pts
+        return np.zeros(len(z0))
+    t_dim = geometry.dim_t
+    verts = np.zeros(frames.shape[:2] + (4, t_dim))
+    verts[:, :, 1:] = diameter * np.swapaxes(frames, -1, -2)
+    tri = verts[:, :, [face for _, face in _TET_FACES]]  # (B, n, 4, 3, T)
+    pts = _TRI_BARY @ tri
+    mats = _chart_form_matrices(geometry, omega_at, *_per_node(k0, z0, pts))
+    mats = mats.reshape(pts.shape + (t_dim,))
+    vals = np.einsum(
+        "...i,...qij,...j->...q", tri[..., 1, :] - tri[..., 0, :], mats,
+        tri[..., 2, :] - tri[..., 0, :],
     )
-    flux = 0.5 * float(_TRI_W @ np.einsum("i,qij,j->q", u, sigma, v))
-    return abs(circulation - flux) / max(abs(flux), h * h)
+    integral = 0.5 * (vals @ _TRI_W)  # (B, n, 4)
+    total = integral @ np.array([sign for sign, _ in _TET_FACES])
+    scale = np.abs(integral).sum(axis=-1)
+    return (np.abs(total) / np.maximum(scale, 1e-300)).max(axis=-1)
+
+
+def primitive_exactness_residual(family, geometry, k0, z0, t, frames, h=1e-2):
+    """Check d mu_t = d omega_t/dt on small 2-simplices in the chart.
+
+    k0 (B, a, a) and z0 (B, P) are base points; frames (B, T, 2) hold
+    orthonormal directions, and the simplex at base point b has corners 0,
+    h frames[b, :, 0] and h frames[b, :, 1].  Compares the circulation of
+    mu_t around its boundary (8-node Gauss-Legendre rule per edge, all
+    B 3 8 edge nodes in one primitive evaluation) with the flux of the
+    claimed derivative through it (degree-5 triangle rule, all B 7 nodes in
+    one form evaluation); both are O(h^2), and the returned (B,) values
+    are their relative mismatch.
+    """
+    corners = np.zeros((len(z0), 3, geometry.dim_t))
+    corners[:, 1:] = h * np.swapaxes(frames, -1, -2)
+    # edge a -> b is b - a; the edge nodes are (B, 3, 8, T)
+    edges = np.roll(corners, -1, axis=1) - corners
+    nodes, weights = _edge_rule()
+    pts = corners[:, :, None] + nodes[:, None] * edges[:, :, None]
+
+    ks, zs, jacs = _chart_frames(geometry, *_per_node(k0, z0, pts))
+    mu = homotopy_primitive(family, geometry.fiber_eig(zs), geometry.kappa(ks), zs, t)
+    mu = np.einsum("qji,qj->qi", jacs, mu).reshape(pts.shape)
+    circulation = np.einsum("benj,bej,n->b", mu, edges, weights)
+
+    quad_pts = _TRI_BARY @ corners
+    sigma = _chart_form_matrices(
+        geometry, lambda spec, kap: family.domega_dt(spec, kap, t),
+        *_per_node(k0, z0, quad_pts),
+    ).reshape(quad_pts.shape + (geometry.dim_t,))
+    vals = np.einsum("bi,bqij,bj->bq", corners[:, 1], sigma, corners[:, 2])
+    flux = 0.5 * (vals @ _TRI_W)
+    return np.abs(circulation - flux) / np.maximum(np.abs(flux), h * h)
 
 
 # -- verification drivers ----------------------------------------------------------
@@ -688,6 +720,29 @@ def analytic_properness_bound(geometry, stage_name, delta, t_grid=_PROPERNESS_GR
     raise ValueError(f"unknown stage {stage_name!r}")
 
 
+def _draw_chart_points(geometry, rng, count, n_tets):
+    """Base points and simplex frames, drawn point by point in a fixed order.
+
+    Per point: k0, z0, the n_tets tetrahedron frames (none when dim_t < 3,
+    where the Stokes check is vacuous) and the triangle frame.  Returns k0
+    (B, a, a), z0 (B, P), tetrahedron frames (B, n, T, 3) and triangle
+    frames (B, T, 2), each frame orthonormalised by QR.
+    """
+    alg, t_dim = geometry.alg, geometry.dim_t
+    n_tets = n_tets if t_dim >= 3 else 0
+    draws = [
+        (
+            rng.standard_normal(alg.dim_k),
+            rng.standard_normal(geometry.dim_p),
+            rng.standard_normal((n_tets, t_dim, 3)),
+            rng.standard_normal((t_dim, 2)),
+        )
+        for _ in range(count)
+    ]
+    k, z0, tets, tris = (np.array(x) for x in zip(*draws))
+    return alg.group_exp(k), z0, np.linalg.qr(tets)[0], np.linalg.qr(tris)[0]
+
+
 def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
                      n_tets=2, diameter=1e-2, properness_samples=60):
     """Static hypothesis checks for a stage list.
@@ -704,8 +759,12 @@ def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
     reported against the analytic constant.  Dynamic checks (zero-section
     fixing, equivariance, fiber ceilings) come from the flow itself in
     verify_pullback.
+
+    Per stage and t in (0, 0.5, 1) the closedness_points base points and
+    their frames are drawn first (_draw_chart_points); then all Stokes
+    nodes, all exactness edge nodes, all flux nodes and the zero-section
+    blocks of those points are each one batched evaluation.
     """
-    alg = geometry.alg
     worst_closed = 0.0
     worst_exact = 0.0
     cross = 0.0
@@ -715,7 +774,8 @@ def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
     moment_sup = 0.0
     nullspace_res = 0.0
     properness = []
-    spec_zero = geometry.fiber_eig(np.zeros((1, geometry.dim_p)))
+    zero_fiber = np.zeros((closedness_points, geometry.dim_p))
+    spec_zero = geometry.fiber_eig(zero_fiber)
     c = geometry.dim_c
     for stage in stages:
         fam = stage.family
@@ -723,52 +783,46 @@ def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
             def omega_at(spec, kap, _t=t, _f=fam):
                 return _f.omega(spec, kap, _t)
 
-            for _ in range(closedness_points):
-                k0 = alg.group_exp(rng.standard_normal(alg.dim_k))
-                z0 = rng.standard_normal(geometry.dim_p)
-                worst_closed = max(
-                    worst_closed,
-                    stokes_closedness_residual(
-                        geometry, omega_at, k0, z0, diameter, rng, n_tets
-                    ),
+            k0, z0, tet_frames, tri_frames = _draw_chart_points(
+                geometry, rng, closedness_points, n_tets
+            )
+            worst_closed = max(worst_closed, float(stokes_closedness_residual(
+                geometry, omega_at, k0, z0, tet_frames, diameter
+            ).max()))
+            worst_exact = max(worst_exact, float(primitive_exactness_residual(
+                fam, geometry, k0, z0, t, tri_frames
+            ).max()))
+            kap0 = geometry.kappa(k0)
+            block = omega_at(spec_zero, kap0)
+            mu0 = homotopy_primitive(fam, spec_zero, kap0, zero_fiber, t)
+            primitive_zero = max(primitive_zero, float(np.abs(mu0).max()))
+            moment_sup = max(
+                moment_sup,
+                float(np.linalg.norm(fam.moment(spec_zero, kap0, t), axis=-1).max()),
+            )
+            if c == 0:
+                continue
+            cross = max(cross, float(np.abs(block[:, :c, c:]).max()))
+            sigma0 = fam.domega_dt(spec_zero, kap0, t)
+            i_star_dt = max(i_star_dt, float(np.abs(sigma0[:, :c, :c]).max()))
+            gap01 = fam.omega(spec_zero, kap0, 1.0) - fam.omega(spec_zero, kap0, 0.0)
+            i_star_endpoints = max(
+                i_star_endpoints, float(np.abs(gap01[:, :c, :c]).max())
+            )
+            # symplectic orthogonal of the zero section: null space of the
+            # base rows of omega_t must have fiber dimension and no base
+            # component
+            _, svals, vt = np.linalg.svd(block[:, :c, :])
+            pad = np.zeros((closedness_points, geometry.dim_t - c))
+            small = np.concatenate([svals, pad], axis=-1) < (
+                1e-10 * np.maximum(svals.max(axis=-1), 1.0)
+            )[:, None]
+            if (small.sum(axis=-1) != geometry.dim_p).any():
+                nullspace_res = np.inf
+            else:
+                nullspace_res = max(
+                    nullspace_res, float(np.abs(vt[small][:, :c]).max())
                 )
-                worst_exact = max(
-                    worst_exact,
-                    primitive_exactness_residual(fam, geometry, k0, z0, t, rng),
-                )
-                kap0 = geometry.kappa(k0)
-                block = omega_at(spec_zero, kap0)[0]
-                mu0 = homotopy_primitive(
-                    fam, spec_zero, kap0, np.zeros((1, geometry.dim_p)), t
-                )
-                primitive_zero = max(primitive_zero, float(np.abs(mu0).max()))
-                moment_sup = max(
-                    moment_sup,
-                    float(np.linalg.norm(fam.moment(spec_zero, kap0, t), axis=-1).max()),
-                )
-                if c == 0:
-                    continue
-                cross = max(cross, float(np.abs(block[:c, c:]).max()))
-                sigma0 = fam.domega_dt(spec_zero, kap0, t)[0]
-                i_star_dt = max(i_star_dt, float(np.abs(sigma0[:c, :c]).max()))
-                gap01 = (
-                    fam.omega(spec_zero, kap0, 1.0) - fam.omega(spec_zero, kap0, 0.0)
-                )[0]
-                i_star_endpoints = max(
-                    i_star_endpoints, float(np.abs(gap01[:c, :c]).max())
-                )
-                # symplectic orthogonal of the zero section: null space of the
-                # base rows of omega_t must have fiber dimension and no base
-                # component
-                _, svals, vt = np.linalg.svd(block[:c, :])
-                kernel = vt[np.concatenate([svals, np.zeros(geometry.dim_t - c)])
-                            < 1e-10 * max(svals.max(), 1.0)]
-                if kernel.shape[0] != geometry.dim_p:
-                    nullspace_res = np.inf
-                else:
-                    nullspace_res = max(
-                        nullspace_res, float(np.abs(kernel[:, :c]).max())
-                    )
         d_fit = properness_fit(geometry, fam, rng, samples=properness_samples)
         d_bound = analytic_properness_bound(geometry, fam.name, delta)
         properness.append(

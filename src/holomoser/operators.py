@@ -25,6 +25,7 @@ full-size eigh of ad(Z) and chi_Z = -tanh(nu/2) on its eigenvalues nu.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -94,6 +95,17 @@ class FiberSpectrum:
     def even(self, g):
         """The p-p block V g(s) V^T of g(ad(Z)^2), (..., P, P)."""
         return (self.v * g(self.s)[..., None, :]) @ _mT(self.v)
+
+    @cached_property
+    def psi_plus(self):
+        """even(f_plus), the p rows of Psi_Z^+, computed once and read-only.
+
+        pullback_blocks and delta_blocks both read it, so the segment
+        family's two blocks at one spectrum share it.
+        """
+        out = self.even(f_plus)
+        out.flags.writeable = False
+        return out
 
     def odd(self, h):
         """The k-p block A V h(s) V^T of ad(Z) h(ad(Z)^2), (..., K, P)."""

@@ -23,6 +23,7 @@ reproducible byte-for-byte outside their timing block.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -279,31 +280,29 @@ def _lemma_block(scenario, alg, datum, weight):
         if scenario.delta_abs is not None
         else scenario.delta_mult * b_lam
     )
-    pts = [
-        (
-            alg.group_exp(rng_ident.standard_normal(alg.dim_k)),
-            rng_ident.standard_normal(geo.dim_p),
-        )
+    draws = [
+        (rng_ident.standard_normal(alg.dim_k), rng_ident.standard_normal(geo.dim_p))
         for _ in range(5)
     ]
-    gens = [rng_ident.standard_normal(alg.dim_k) for _ in range(5)]
-
-    def pair(form_fn, mom_fn, *args):
-        return (
-            lambda k, z: form_fn(geo, k[None], z[None], *args)[0],
-            lambda k, z: mom_fn(geo, k[None], z[None], *args)[0],
-        )
-
+    ks = alg.group_exp(np.array([x for x, _ in draws]))
+    zs = np.array([z for _, z in draws])
+    gens = rng_ident.standard_normal((5, alg.dim_k))
+    # (form, moment, keyword arguments) per identity; the form_* and moment_*
+    # names are read here at call time, so wrappers installed on this module
+    # (the perfbench tracer) see every call
     cases = {
-        "pullback": pair(form_pullback, moment_pullback),
-        "product": pair(form_product, moment_product),
-        "delta": pair(form_delta, moment_delta, delta),
-        "segment": pair(form_segment, moment_segment, 0.4, delta),
-        "hermitian": pair(form_hermitian, moment_hermitian, 0.7),
+        "pullback": (form_pullback, moment_pullback, {}),
+        "product": (form_product, moment_product, {}),
+        "delta": (form_delta, moment_delta, {"delta": delta}),
+        "segment": (form_segment, moment_segment, {"t": 0.4, "delta": delta}),
+        "hermitian": (form_hermitian, moment_hermitian, {"t": 0.7}),
     }
     identity_res = {
-        name: moment_identity_residual(geo, f_at, m_at, pts, gens, eps=1e-5)
-        for name, (f_at, m_at) in cases.items()
+        name: moment_identity_residual(
+            geo, partial(form_fn, geo, **kw), partial(mom_fn, geo, **kw),
+            ks, zs, gens, eps=1e-5,
+        )
+        for name, (form_fn, mom_fn, kw) in cases.items()
     }
     constants = measure_convention_constants(geo, rng_ident)
 

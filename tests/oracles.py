@@ -3,7 +3,7 @@
 None of this runs in the certification pipeline:
 
 - structure residuals of the algebra (closure, Jacobi, ad-invariance,
-  membership) and torus weights from matrices;
+  membership), the Killing form and torus weights from matrices;
 - Ad(g) by a three-operand einsum, and the coadjoint action of K;
 - the operator bundle Psi_Z, Psi_Z^{+-}, chi_Z, cosh, e^{-ad Z} at one Z;
 - the full-size spectral path: one eigh of the N x N matrix ad(Z) and
@@ -19,7 +19,10 @@ None of this runs in the certification pipeline:
 - gauge fixing of a family of 1-forms by its radial potential;
 - the constant family, whose Moser flow is the identity;
 - chamber rejection sampling one candidate at a time, and the lemma suite's
-  growth, flat and bracket loops evaluated one point at a time.
+  growth, flat and bracket loops evaluated one point at a time;
+- the hypothesis checks (Stokes closedness, primitive exactness, zero
+  section) and both sides of the moment identities one base point and one
+  finite-difference lane at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holomoser.moser import FormFamily, _z0_direction
+from holomoser.moser import (
+    _TRI_BARY,
+    _TRI_W,
+    FormFamily,
+    _dexp_matrix,
+    _z0_direction,
+    analytic_properness_bound,
+    homotopy_primitive,
+    properness_fit,
+    properness_gamma,
+)
 from holomoser.forms import OrbitGeometry, moment_flat, moment_hermitian
 from holomoser.roots import ChamberWeight, in_holomorphic_chamber
 
@@ -114,13 +127,26 @@ def jacobi_residual(alg):
     return float(np.abs(total).max())
 
 
+def _as_coords(alg, x):
+    x = np.asarray(x)
+    if x.ndim >= 2 and x.shape[-2:] == (alg.ambient, alg.ambient):
+        return alg.coords(x)
+    return x.astype(float)
+
+
+def killing_form(alg, x, y):
+    """B_g(x, y) from the Gram matrix, on coordinates or ambient matrices."""
+    x, y = _as_coords(alg, x), _as_coords(alg, y)
+    return np.einsum("...i,ij,...j->...", x, alg.killing, y)
+
+
 def ad_invariance_residual(alg, rng, samples=20):
     """Max |B_g([x,y],z) + B_g(y,[x,z])| over random triples."""
     out = 0.0
     for _ in range(samples):
         x, y, z = rng.standard_normal((3, alg.dim))
-        r = alg.killing_form(alg.bracket(x, y), z) + alg.killing_form(
-            y, alg.bracket(x, z)
+        r = killing_form(alg, alg.bracket(x, y), z) + killing_form(
+            alg, y, alg.bracket(x, z)
         )
         out = max(out, abs(float(r)))
     return out
@@ -537,3 +563,202 @@ def lemma_point_loops(scenario, alg, datum):
         "flat_identity_residual": flat_res,
         "bracket_min_slack": bracket_slack,
     }
+
+
+# -- hypothesis checks and moment identities one point at a time ------------------
+
+
+def chart_frames_point(geometry, k0, z0, pts):
+    """Chart (x, w) -> (k0 exp(Cx), z0 + w) at one base point (k0, z0)."""
+    alg = geometry.alg
+    c = geometry.dim_c
+    c_k = geometry.complement[: alg.dim_k]
+    u_k = pts[:, :c] @ c_k.T
+    ks = k0 @ alg.group_exp(u_k)
+    zs = z0[None] + pts[:, c:]
+    jacs = np.zeros((len(pts), geometry.dim_t, geometry.dim_t))
+    jacs[:, :c, :c] = c_k.T @ _dexp_matrix(alg, u_k) @ c_k
+    jacs[:, c:, c:] = np.eye(geometry.dim_p)
+    return ks, zs, jacs
+
+
+def chart_form_matrices_point(geometry, omega_at, k0, z0, pts):
+    ks, zs, jacs = chart_frames_point(geometry, k0, z0, pts)
+    spec = geometry.fiber_eig(zs)
+    kap = geometry.kappa(ks)
+    mats = omega_at(spec, kap)
+    return np.swapaxes(jacs, -1, -2) @ mats @ jacs
+
+
+def stokes_closedness_loop(geometry, omega_at, k0, z0, diameter, rng, n_tets=2):
+    """Stokes defect at one base point, one chart call per tetrahedron face."""
+    if geometry.dim_t < 3:
+        return 0.0
+    faces = [(1.0, (1, 2, 3)), (-1.0, (0, 2, 3)), (1.0, (0, 1, 3)), (-1.0, (0, 1, 2))]
+    worst = 0.0
+    for _ in range(n_tets):
+        dirs, _ = np.linalg.qr(rng.standard_normal((geometry.dim_t, 3)))
+        verts = np.zeros((4, geometry.dim_t))
+        verts[1:] = diameter * dirs.T
+        total, scale = 0.0, 0.0
+        for sign, (ia, ib, ic) in faces:
+            a, b, cc = verts[ia], verts[ib], verts[ic]
+            pts = _TRI_BARY @ np.stack([a, b, cc])
+            mats = chart_form_matrices_point(geometry, omega_at, k0, z0, pts)
+            vals = np.einsum("i,qij,j->q", b - a, mats, cc - a)
+            integral = 0.5 * float(_TRI_W @ vals)
+            total += sign * integral
+            scale += abs(integral)
+        worst = max(worst, abs(total) / max(scale, 1e-300))
+    return worst
+
+
+def primitive_exactness_loop(family, geometry, k0, z0, t, rng, h=1e-2):
+    """Circulation against flux at one base point, one call per edge."""
+    dirs, _ = np.linalg.qr(rng.standard_normal((geometry.dim_t, 2)))
+    u, v = h * dirs[:, 0], h * dirs[:, 1]
+    corners = [np.zeros(geometry.dim_t), u, v]
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    nodes, weights = 0.5 * (gl_x + 1.0), 0.5 * gl_w
+
+    def mu_chart(pts):
+        ks, zs, jacs = chart_frames_point(geometry, k0, z0, pts)
+        spec = geometry.fiber_eig(zs)
+        kap = geometry.kappa(ks)
+        mu = homotopy_primitive(family, spec, kap, zs, t)
+        return np.einsum("qji,qj->qi", jacs, mu)
+
+    circulation = 0.0
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        pts = a[None] + nodes[:, None] * (b - a)[None]
+        vals = mu_chart(pts) @ (b - a)
+        circulation += float(weights @ vals)
+
+    quad_pts = _TRI_BARY @ np.stack(corners)
+    sigma = chart_form_matrices_point(
+        geometry, lambda spec, kap: family.domega_dt(spec, kap, t), k0, z0, quad_pts
+    )
+    flux = 0.5 * float(_TRI_W @ np.einsum("i,qij,j->q", u, sigma, v))
+    return abs(circulation - flux) / max(abs(flux), h * h)
+
+
+def check_hypotheses_loop(geometry, stages, delta, rng, closedness_points=2,
+                          n_tets=2, diameter=1e-2, properness_samples=60):
+    """check_hypotheses one base point at a time, drawing as it evaluates."""
+    alg = geometry.alg
+    worst_closed = 0.0
+    worst_exact = 0.0
+    cross = 0.0
+    i_star_dt = 0.0
+    i_star_endpoints = 0.0
+    primitive_zero = 0.0
+    moment_sup = 0.0
+    nullspace_res = 0.0
+    properness = []
+    spec_zero = geometry.fiber_eig(np.zeros((1, geometry.dim_p)))
+    c = geometry.dim_c
+    for stage in stages:
+        fam = stage.family
+        for t in (0.0, 0.5, 1.0):
+            def omega_at(spec, kap, _t=t, _f=fam):
+                return _f.omega(spec, kap, _t)
+
+            for _ in range(closedness_points):
+                k0 = alg.group_exp(rng.standard_normal(alg.dim_k))
+                z0 = rng.standard_normal(geometry.dim_p)
+                worst_closed = max(
+                    worst_closed,
+                    stokes_closedness_loop(
+                        geometry, omega_at, k0, z0, diameter, rng, n_tets
+                    ),
+                )
+                worst_exact = max(
+                    worst_exact,
+                    primitive_exactness_loop(fam, geometry, k0, z0, t, rng),
+                )
+                kap0 = geometry.kappa(k0)
+                block = omega_at(spec_zero, kap0)[0]
+                mu0 = homotopy_primitive(
+                    fam, spec_zero, kap0, np.zeros((1, geometry.dim_p)), t
+                )
+                primitive_zero = max(primitive_zero, float(np.abs(mu0).max()))
+                moment_sup = max(
+                    moment_sup,
+                    float(np.linalg.norm(fam.moment(spec_zero, kap0, t), axis=-1).max()),
+                )
+                if c == 0:
+                    continue
+                cross = max(cross, float(np.abs(block[:c, c:]).max()))
+                sigma0 = fam.domega_dt(spec_zero, kap0, t)[0]
+                i_star_dt = max(i_star_dt, float(np.abs(sigma0[:c, :c]).max()))
+                gap01 = (
+                    fam.omega(spec_zero, kap0, 1.0) - fam.omega(spec_zero, kap0, 0.0)
+                )[0]
+                i_star_endpoints = max(
+                    i_star_endpoints, float(np.abs(gap01[:c, :c]).max())
+                )
+                _, svals, vt = np.linalg.svd(block[:c, :])
+                kernel = vt[np.concatenate([svals, np.zeros(geometry.dim_t - c)])
+                            < 1e-10 * max(svals.max(), 1.0)]
+                if kernel.shape[0] != geometry.dim_p:
+                    nullspace_res = np.inf
+                else:
+                    nullspace_res = max(
+                        nullspace_res, float(np.abs(kernel[:, :c]).max())
+                    )
+        d_fit = properness_fit(geometry, fam, rng, samples=properness_samples)
+        d_bound = analytic_properness_bound(geometry, fam.name, delta)
+        properness.append(
+            {
+                "stage": fam.name,
+                "d_fit": d_fit,
+                "d_analytic": d_bound,
+                "ratio": d_fit / d_bound,
+                "gamma_fit": properness_gamma(geometry, fam),
+            }
+        )
+    return {
+        "closedness_rel_residual": worst_closed,
+        "primitive_exactness_residual": worst_exact,
+        "zero_section_cross_block": cross,
+        "zero_section_dt_restriction": i_star_dt,
+        "zero_section_endpoint_restriction": i_star_endpoints,
+        "zero_section_primitive_sup": primitive_zero,
+        "zero_section_moment_sup": moment_sup,
+        "orthogonality_nullspace_residual": nullspace_res,
+        "properness": properness,
+    }
+
+
+def moment_identity_rows_loop(geometry, form_at, moment_at, points, generators,
+                              eps=1e-5):
+    """Both sides (lhs, rhs) (B, T) of the moment identity, one lane at a time.
+
+    form_at(k, z) -> (T, T) matrix; moment_at(k, z) -> (N,) k*-coordinates.
+    Base directions perturb k by k exp(+-eps X_i); fiber directions shift Z.
+    """
+    alg = geometry.alg
+    lhs_rows, rhs_rows = [], []
+    for (k, zp), x_gen in zip(points, generators):
+        kap = geometry.kappa(k[None])
+        omega = form_at(k, zp)
+        field = geometry.generator_field(kap, zp[None], x_gen)[0]
+        x_full = np.zeros(alg.dim)
+        x_full[: alg.dim_k] = x_gen
+        rhs = field @ omega
+        lhs = np.zeros(geometry.dim_t)
+        for i in range(geometry.dim_c):
+            step = alg.group_exp(eps * geometry.complement[: alg.dim_k, i])
+            stepm = alg.group_exp(-eps * geometry.complement[: alg.dim_k, i])
+            hi = moment_at(k @ step, zp) @ x_full
+            lo = moment_at(k @ stepm, zp) @ x_full
+            lhs[i] = (hi - lo) / (2 * eps)
+        for j in range(geometry.dim_p):
+            dz = np.zeros(geometry.dim_p)
+            dz[j] = eps
+            hi = moment_at(k, zp + dz) @ x_full
+            lo = moment_at(k, zp - dz) @ x_full
+            lhs[geometry.dim_c + j] = (hi - lo) / (2 * eps)
+        lhs_rows.append(lhs)
+        rhs_rows.append(rhs)
+    return np.array(lhs_rows), np.array(rhs_rows)

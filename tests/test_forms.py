@@ -1,9 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from holomoser import build_algebra
 from holomoser.forms import (
     OrbitGeometry,
+    _moment_identity_sides,
     form_delta,
     form_hermitian,
     form_product,
@@ -49,6 +52,23 @@ def rand_point(geo, rng, radius=1.5):
     """One point as a batch of size one: (ks, zs) of shapes (1, a, a), (1, p)."""
     k = geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k))
     return k[None], radius * rng.standard_normal(geo.dim_p)[None]
+
+
+def identity_pairs(geo, delta):
+    """The five (form_at, moment_at) pairs, each batched over points (ks, zs)."""
+    return [
+        (partial(form_pullback, geo), partial(moment_pullback, geo)),
+        (partial(form_product, geo), partial(moment_product, geo)),
+        (
+            partial(form_delta, geo, delta=delta),
+            partial(moment_delta, geo, delta=delta),
+        ),
+        (
+            partial(form_segment, geo, t=0.4, delta=delta),
+            partial(moment_segment, geo, t=0.4, delta=delta),
+        ),
+        (partial(form_hermitian, geo, t=0.7), partial(moment_hermitian, geo, t=0.7)),
+    ]
 
 
 def margin(form):
@@ -212,45 +232,70 @@ def test_moment_identities_all_pairs(su21):
     _, _, geo = su21
     rng = np.random.default_rng(8)
     delta = 1.5
-    pts = [
-        (geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k)), rng.standard_normal(geo.dim_p))
+    draws = [
+        (rng.standard_normal(geo.alg.dim_k), rng.standard_normal(geo.dim_p))
         for _ in range(5)
     ]
-    gens = [rng.standard_normal(geo.alg.dim_k) for _ in range(5)]
+    ks = geo.alg.group_exp(np.array([x for x, _ in draws]))
+    zs = np.array([z for _, z in draws])
+    gens = rng.standard_normal((5, geo.alg.dim_k))
 
-    def pair(form_fn, mom_fn, *args):
-        return (
-            lambda k, z: form_fn(geo, k[None], z[None], *args)[0],
-            lambda k, z: mom_fn(geo, k[None], z[None], *args)[0],
-        )
-
-    cases = [
-        pair(form_pullback, moment_pullback),
-        pair(form_product, moment_product),
-        pair(form_delta, moment_delta, delta),
-        pair(form_segment, moment_segment, 0.4, delta),
-        pair(form_hermitian, moment_hermitian, 0.7),
-    ]
-    for form_at, mom_at in cases:
-        res = moment_identity_residual(geo, form_at, mom_at, pts, gens, eps=1e-5)
+    for form_at, mom_at in identity_pairs(geo, delta):
+        res = moment_identity_residual(geo, form_at, mom_at, ks, zs, gens, eps=1e-5)
         assert res < 1e-6
 
 
 def test_flat_moment_identity_with_factor_two(su21_flat):
     geo = su21_flat
     rng = np.random.default_rng(9)
-    pts = [(np.eye(3, dtype=complex), rng.standard_normal(geo.dim_p)) for _ in range(5)]
-    gens = [rng.standard_normal(geo.alg.dim_k) for _ in range(5)]
+    zs = rng.standard_normal((5, geo.dim_p))
+    ks = np.broadcast_to(np.eye(3, dtype=complex), (5, 3, 3))
+    gens = rng.standard_normal((5, geo.alg.dim_k))
     res = moment_identity_residual(
         geo,
-        lambda k, z: form_product(geo, k[None], z[None])[0],
-        lambda k, z: moment_flat(geo, z[None])[0],
-        pts,
+        lambda k, z: form_product(geo, k, z),
+        lambda k, z: moment_flat(geo, z),
+        ks,
+        zs,
         gens,
         eps=1e-5,
         constant=2.0,
     )
     assert res < 1e-6
+
+
+@pytest.mark.parametrize(
+    "case", ["pullback", "product", "delta", "segment", "hermitian", "flat"]
+)
+def test_moment_identity_lanes_match_loop_oracle(case, su21, su21_flat):
+    # every finite-difference lane of the batch against the one-lane-at-a-time
+    # loop; the generic weight has dim_c = 2 base directions, lambda_0 none
+    rng = np.random.default_rng(11)
+    if case == "flat":
+        geo = su21_flat
+        form_at = partial(form_product, geo)
+        mom_at = lambda k, z: moment_flat(geo, z)  # noqa: E731
+    else:
+        _, _, geo = su21
+        names = ["pullback", "product", "delta", "segment", "hermitian"]
+        form_at, mom_at = identity_pairs(geo, 1.5)[names.index(case)]
+    ks = geo.alg.group_exp(rng.standard_normal((4, geo.alg.dim_k)))
+    zs = rng.standard_normal((4, geo.dim_p))
+    gens = rng.standard_normal((4, geo.alg.dim_k))
+    lhs, rhs = _moment_identity_sides(geo, form_at, mom_at, ks, zs, gens, 1e-5)
+    lhs_ref, rhs_ref = oracles.moment_identity_rows_loop(
+        geo,
+        lambda k, z: form_at(k[None], z[None])[0],
+        lambda k, z: mom_at(k[None], z[None])[0],
+        list(zip(ks, zs)),
+        gens,
+        eps=1e-5,
+    )
+    assert lhs.shape == lhs_ref.shape == (4, geo.dim_t)
+    # the roundoff floor of a central difference at eps = 1e-5
+    assert np.abs(lhs - lhs_ref).max() <= 1e-9
+    assert np.abs(rhs - rhs_ref).max() <= 1e-12
+    assert np.abs(lhs_ref).max() > 1e-2
 
 
 def test_measured_convention_constants(su21):

@@ -24,10 +24,26 @@ from holomoser.moser import (
     stokes_closedness_residual,
     verify_pullback,
 )
+from holomoser.operators import FiberSpectrum, f_plus
 from holomoser.pipeline import _random_chamber_weight
 from holomoser.roots import chamber_constants, compute_root_datum
 
-from oracles import constant_stage, gauge_fix, quadrature_primitive, weight_from_matrix
+from oracles import (
+    check_hypotheses_loop,
+    constant_stage,
+    gauge_fix,
+    primitive_exactness_loop,
+    quadrature_primitive,
+    stokes_closedness_loop,
+    weight_from_matrix,
+)
+
+ALGEBRAS = pytest.mark.parametrize(
+    "family,params",
+    [("su", {"p": 1, "q": 1}), ("su", {"p": 2, "q": 1}), ("sp", {"n": 2}),
+     ("su", {"p": 2, "q": 2})],
+    ids=["su11", "su21", "sp4", "su22"],
+)
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +111,10 @@ def test_primitive_integrates_time_derivative(which, su11, su21, request):
     rng = np.random.default_rng(2)
     families, _ = stage_families(geo)
     for fam in families:
-        k0 = geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k))
-        z0 = rng.standard_normal(geo.dim_p)
-        res = primitive_exactness_residual(fam, geo, k0, z0, 0.4, rng)
+        k0 = geo.alg.group_exp(rng.standard_normal((1, geo.alg.dim_k)))
+        z0 = rng.standard_normal((1, geo.dim_p))
+        frames = np.linalg.qr(rng.standard_normal((1, geo.dim_t, 2)))[0]
+        res = primitive_exactness_residual(fam, geo, k0, z0, 0.4, frames)[0]
         assert res < 1e-6, fam.name
 
 
@@ -114,19 +131,19 @@ def test_primitive_vanishes_on_zero_section(su21):
         assert np.abs(mu).max() == 0.0, fam.name
 
 
-@pytest.mark.parametrize(
-    "family,params",
-    [("su", {"p": 1, "q": 1}), ("su", {"p": 2, "q": 1}), ("sp", {"n": 2}),
-     ("su", {"p": 2, "q": 2})],
-    ids=["su11", "su21", "sp4", "su22"],
-)
-def test_primitive_matches_quadrature_oracle(family, params):
+def generic_geometry(family, params):
     alg = build_algebra(family, **params)
     datum = compute_root_datum(alg)
     # a generic chamber weight has a torus stabilizer, so base slots exist
     # from rank two on; rank one has only multiples of lambda_0
     weight = _random_chamber_weight(datum, np.random.default_rng(0))
-    geo = OrbitGeometry(alg, datum, weight)
+    return OrbitGeometry(alg, datum, weight)
+
+
+@ALGEBRAS
+def test_primitive_matches_quadrature_oracle(family, params):
+    geo = generic_geometry(family, params)
+    alg = geo.alg
     assert (geo.dim_c > 0) == (alg.rank > 1)
     rng = np.random.default_rng(18)
     ks, zs = rand_batch(geo, rng, 8)
@@ -255,22 +272,28 @@ def test_stokes_certifies_closed_and_detects_broken(su21):
     _, _, geo = su21
     rng = np.random.default_rng(8)
     fam = hermitian_stage(geo)
-    k0 = geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k))
-    z0 = rng.standard_normal(geo.dim_p)
+    # three base points with two tetrahedra each; only the middle one is broken
+    k0 = geo.alg.group_exp(rng.standard_normal((3, geo.alg.dim_k)))
+    z0 = rng.standard_normal((3, geo.dim_p))
+    frames = np.linalg.qr(rng.standard_normal((3, 2, geo.dim_t, 3)))[0]
+    a_broken = geo.fiber_block(z0[1])
 
     def closed(spec, kap):
         return fam.omega(spec, kap, 0.5)
 
     def broken(spec, kap):
         # scaling a closed form by a non-constant function of Z breaks dW = 0;
-        # sum(nu^2) over the spectrum of ad(Z) is 2 sum(s)
-        factor = 1.0 + 0.1 * 2.0 * spec.s.sum(axis=-1)
+        # sum(nu^2) over the spectrum of ad(Z) is 2 sum(s).  Only the nodes
+        # around the middle base point (A = ad(Z)[k, p] within 0.1) see it.
+        near = np.abs(spec.a - a_broken).max(axis=(-2, -1)) < 0.1
+        factor = np.where(near, 1.0 + 0.1 * 2.0 * spec.s.sum(axis=-1), 1.0)
         return closed(spec, kap) * factor[:, None, None]
 
-    good = stokes_closedness_residual(geo, closed, k0, z0, 1e-2, rng)
-    bad = stokes_closedness_residual(geo, broken, k0, z0, 1e-2, rng)
-    assert good < 1e-8
-    assert bad > 1e-4
+    good = stokes_closedness_residual(geo, closed, k0, z0, frames, 1e-2)
+    bad = stokes_closedness_residual(geo, broken, k0, z0, frames, 1e-2)
+    assert good.max() < 1e-8
+    assert bad[1] > 1e-4
+    assert bad[[0, 2]].max() < 1e-8
 
 
 def test_flow_ceiling_aborts_escaping_lanes(su11):
@@ -391,6 +414,105 @@ def test_check_hypotheses_clean_report(su21):
     for row in out["properness"]:
         assert 0.99 < row["ratio"] < 1.05, row
         assert abs(row["gamma_fit"] - 2.0) < 0.05, row
+
+
+ZERO_SECTION_KEYS = (
+    "zero_section_cross_block",
+    "zero_section_dt_restriction",
+    "zero_section_endpoint_restriction",
+    "zero_section_primitive_sup",
+    "zero_section_moment_sup",
+    "orthogonality_nullspace_residual",
+)
+
+
+@ALGEBRAS
+def test_check_hypotheses_matches_loop_oracle(family, params):
+    geo = generic_geometry(family, params)
+    families, d = stage_families(geo)
+    stages = [MoserStage(f, 10) for f in families]
+    out = check_hypotheses(geo, stages, d, np.random.default_rng(15))
+    ref = check_hypotheses_loop(geo, stages, d, np.random.default_rng(15))
+    # the draws keep their order, so everything evaluated once per point or
+    # after the draws (properness) is bit-identical
+    assert out["properness"] == ref["properness"]
+    for key in ZERO_SECTION_KEYS:
+        assert out[key] == ref[key], key
+    for key in ("closedness_rel_residual", "primitive_exactness_residual"):
+        assert abs(out[key] - ref[key]) <= 1e-12, key
+
+
+class ReplayRng:
+    """Hands out pre-drawn arrays in order in place of standard_normal."""
+
+    def __init__(self, arrays):
+        self._arrays = iter(arrays)
+
+    def standard_normal(self, shape):
+        out = next(self._arrays)
+        assert out.shape == shape
+        return out
+
+
+def test_batched_chart_checks_match_point_loops(su21):
+    # forms and primitives that fail the checks, so the compared values are
+    # far above roundoff
+    _, _, geo = su21
+    fam = hermitian_stage(geo)
+    rng = np.random.default_rng(21)
+    k0 = geo.alg.group_exp(rng.standard_normal((3, geo.alg.dim_k)))
+    z0 = rng.standard_normal((3, geo.dim_p))
+    tet_draws = rng.standard_normal((3, 2, geo.dim_t, 3))
+    tri_draws = rng.standard_normal((3, geo.dim_t, 2))
+
+    def broken(spec, kap):
+        factor = 1.0 + 0.1 * 2.0 * spec.s.sum(axis=-1)
+        return fam.omega(spec, kap, 0.5) * factor[:, None, None]
+
+    off = dataclasses.replace(
+        fam, primitive=lambda spec, kap, zp, t: 1.1 * fam.primitive(spec, kap, zp, t)
+    )
+    stokes = stokes_closedness_residual(
+        geo, broken, k0, z0, np.linalg.qr(tet_draws)[0], 1e-2
+    )
+    exact = primitive_exactness_residual(
+        off, geo, k0, z0, 0.5, np.linalg.qr(tri_draws)[0]
+    )
+    for b in range(3):
+        ref = stokes_closedness_loop(
+            geo, broken, k0[b], z0[b], 1e-2, ReplayRng(tet_draws[b])
+        )
+        assert ref > 1e-6
+        assert abs(stokes[b] - ref) <= 1e-12
+        ref = primitive_exactness_loop(
+            off, geo, k0[b], z0[b], 0.5, ReplayRng([tri_draws[b]])
+        )
+        assert ref > 1e-4
+        assert abs(exact[b] - ref) <= 1e-12
+
+
+def test_segment_form_builds_psi_plus_once(su21, monkeypatch):
+    _, _, geo = su21
+    rng = np.random.default_rng(22)
+    ks, zs = rand_batch(geo, rng, 5)
+    kap = geo.kappa(ks)
+    t, d = 0.3, delta_for(geo)
+    # blocks on separate spectra: pullback_blocks and delta_blocks each
+    # build even(f_plus) themselves
+    ref = (1.0 - t) * geo.delta_blocks(geo.fiber_eig(zs), d) + t * geo.pullback_blocks(
+        geo.fiber_eig(zs), kap
+    )
+    calls = []
+    even = FiberSpectrum.even
+
+    def counting_even(self, g):
+        calls.append(g)
+        return even(self, g)
+
+    monkeypatch.setattr(FiberSpectrum, "even", counting_even)
+    omega = segment_stage(geo, d).omega(geo.fiber_eig(zs), kap, t)
+    assert sum(g is f_plus for g in calls) == 1
+    assert np.array_equal(omega, ref)
 
 
 def test_three_stage_composite_certifies(su11):
