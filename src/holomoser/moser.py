@@ -15,6 +15,9 @@ Three concrete stages compose to the full isotopy:
     segment     delta form    ->  pullback of the orbit form
                 (the segment family traversed from the delta end).
 
+The hermitian and scaling fields are vertical (FormFamily.moves_base is
+False): their flows step the fiber alone, once per distinct fiber vector.
+
 The verification drivers re-integrate perturbed initial points and compare
 central-difference differentials against the claimed pullback identity,
 transport moment maps, and check the standing hypotheses (closedness via
@@ -79,6 +82,11 @@ class FormFamily:
     homotopy primitive of domega_dt (see homotopy_primitive); moment maps
     (spec, kap, t) to (B, N) coadjoint coordinates, and pairing_direction t
     to the unit vector the properness fit pairs with.
+
+    moves_base is False for the families of the form base block + fiber(Z)
+    whose primitive has no base part (hermitian, scaling): their omega and
+    primitive never read kap, and their Moser field is exactly vertical, so
+    moser_field skips kappa and integrate_flow flows only the fiber.
     """
 
     name: str
@@ -88,6 +96,7 @@ class FormFamily:
     primitive: Callable
     moment: Callable
     pairing_direction: Callable
+    moves_base: bool = True
 
 
 def _z0_direction(geometry):
@@ -124,6 +133,7 @@ def hermitian_stage(geometry):
         primitive,
         lambda spec, kap, t: geometry.moment_hermitian(spec, geometry.klam(kap), t),
         _z0_direction(geometry),
+        moves_base=False,
     )
 
 
@@ -148,6 +158,7 @@ def scaling_stage(geometry, delta):
             spec, geometry.klam(kap), 1.0 + t * (delta - 1.0)
         ),
         _z0_direction(geometry),
+        moves_base=False,
     )
 
 
@@ -218,10 +229,14 @@ def homotopy_primitive(family, spec, kap, zp, t):
 
 
 def moser_field(family, ks, zs, t):
-    """Moser field xi_t with iota(xi) omega_t = -mu_t; (B, T) tangent coords."""
+    """Moser field xi_t with iota(xi) omega_t = -mu_t; (B, T) tangent coords.
+
+    A family that does not move the base never reads Ad(k^{-1}), so its ks
+    are not read (they may be None).
+    """
     geo = family.geometry
     spec = geo.fiber_eig(zs)
-    kap = geo.kappa(ks)
+    kap = geo.kappa(ks) if family.moves_base else None
     omega = family.omega(spec, kap, t)
     margin = float(np.linalg.svd(omega, compute_uv=False)[..., -1].min())
     if margin < 1e-10:
@@ -244,6 +259,7 @@ class FlowTrace:
     max_group_residual: float
     reprojections: int
     fiber_sup: np.ndarray  # per-lane max ||Z|| along the flow
+    field_lanes: int  # lanes the Moser field evaluated, summed over its calls
 
 
 @dataclass
@@ -276,9 +292,14 @@ def integrate_flow(family, k0, z0, steps, t0=0.0, t1=1.0, z_ceiling=None,
     (B, dim_p).  The group chart is k exp(u) with the truncated dexpinv;
     drift off K beyond project_tol triggers a polar reprojection.  A fiber
     norm ceiling (default ten times the initial bound) aborts escaping flows.
+
+    A family with moves_base False has a vertical field that does not read
+    k: the same RK4 update runs on Z alone, once per distinct row of z0,
+    and k leaves as it came, its drift checked (and reprojected) once.
     """
     geo = family.geometry
     alg = geo.alg
+    moves = family.moves_base
     ks = np.asarray(k0, dtype=complex)
     zs = np.asarray(z0, dtype=float).copy()
     if ks.ndim == 2:
@@ -286,6 +307,8 @@ def integrate_flow(family, k0, z0, steps, t0=0.0, t1=1.0, z_ceiling=None,
     if zs.ndim == 1:
         zs = zs[None]
     ks = ks.copy()
+    if not moves:
+        zs, lane_rows = np.unique(zs, axis=0, return_inverse=True)
     fiber_sup = np.linalg.norm(zs, axis=-1)
     if z_ceiling is None:
         z_ceiling = 10.0 * max(1.0, float(fiber_sup.max()))
@@ -293,27 +316,32 @@ def integrate_flow(family, k0, z0, steps, t0=0.0, t1=1.0, z_ceiling=None,
     min_margin = np.inf
     max_res = 0.0
     reproj = 0
+    field_lanes = 0
 
-    def eval_field(k_arg, z_arg, t_arg):
-        nonlocal min_margin
+    def field(t_arg, z_arg, scale=0.0, x_prev=None):
+        # velocities at (ks exp(u), z_arg), u = scale x_prev: the k-chart one
+        # corrected by dexpinv (None for a vertical family), the fiber one
+        nonlocal min_margin, field_lanes
+        u = None if x_prev is None else scale * x_prev
+        k_arg = None
+        if moves:
+            k_arg = ks if u is None else ks @ alg.group_exp(u)
         xi, margin = moser_field(family, k_arg, z_arg, t_arg)
         min_margin = min(min_margin, margin)
-        x_full = xi[:, : geo.dim_c] @ geo.complement[: alg.dim_k].T
-        return x_full, xi[:, geo.dim_c :]
+        field_lanes += len(z_arg)
+        if not moves:
+            return None, xi[:, geo.dim_c :]
+        x = xi[:, : geo.dim_c] @ geo.complement[: alg.dim_k].T
+        return (x if u is None else _dexpinv(alg, u, x)), xi[:, geo.dim_c :]
 
     for n in range(steps):
         t = t0 + n * h
-        x1, a1 = eval_field(ks, zs, t)
-        k2 = ks @ alg.group_exp(0.5 * h * x1)
-        x2r, a2 = eval_field(k2, zs + 0.5 * h * a1, t + 0.5 * h)
-        x2 = _dexpinv(alg, 0.5 * h * x1, x2r)
-        k3 = ks @ alg.group_exp(0.5 * h * x2)
-        x3r, a3 = eval_field(k3, zs + 0.5 * h * a2, t + 0.5 * h)
-        x3 = _dexpinv(alg, 0.5 * h * x2, x3r)
-        k4 = ks @ alg.group_exp(h * x3)
-        x4r, a4 = eval_field(k4, zs + h * a3, t + h)
-        x4 = _dexpinv(alg, h * x3, x4r)
-        ks = ks @ alg.group_exp((h / 6.0) * (x1 + 2 * x2 + 2 * x3 + x4))
+        x1, a1 = field(t, zs)
+        x2, a2 = field(t + 0.5 * h, zs + 0.5 * h * a1, 0.5 * h, x1)
+        x3, a3 = field(t + 0.5 * h, zs + 0.5 * h * a2, 0.5 * h, x2)
+        x4, a4 = field(t + h, zs + h * a3, h, x3)
+        if moves:
+            ks = ks @ alg.group_exp((h / 6.0) * (x1 + 2 * x2 + 2 * x3 + x4))
         zs = zs + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
         norms = np.linalg.norm(zs, axis=-1)
         fiber_sup = np.maximum(fiber_sup, norms)
@@ -322,12 +350,16 @@ def integrate_flow(family, k0, z0, steps, t0=0.0, t1=1.0, z_ceiling=None,
                 f"{family.name} flow escaped the fiber ceiling "
                 f"{z_ceiling:.2f} at t = {t + h:.4f}"
             )
-        res = float(alg.group_residual(ks).max())
-        max_res = max(max_res, res)
-        if res > project_tol:
-            ks = alg.group_project(ks)
-            reproj += 1
-    trace = FlowTrace(steps, float(min_margin), max_res, reproj, fiber_sup)
+        # a vertical flow never updates ks, so its first check covers every step
+        if moves or n == 0:
+            res = float(alg.group_residual(ks).max())
+            max_res = max(max_res, res)
+            if res > project_tol:
+                ks = alg.group_project(ks)
+                reproj += 1
+    if not moves:
+        zs, fiber_sup = zs[lane_rows], fiber_sup[lane_rows]
+    trace = FlowTrace(steps, float(min_margin), max_res, reproj, fiber_sup, field_lanes)
     return FlowResult(ks, zs, trace)
 
 
@@ -609,6 +641,9 @@ def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
         "min_form_margin": min(tr.min_form_margin for tr in traces),
         "max_group_residual": max(tr.max_group_residual for tr in traces),
         "reprojections": sum(tr.reprojections for tr in traces),
+        # four field evaluations per RK4 step
+        "field_evaluations": sum(4 * tr.steps for tr in traces),
+        "field_lanes": sum(tr.field_lanes for tr in traces),
         "fiber_sup": max(float(tr.fiber_sup.max()) for tr in traces),
         "traces": traces,
     }
@@ -661,14 +696,15 @@ def properness_fit(geometry, family, rng, samples=60, t_grid=_PROPERNESS_GRID,
         np.eye(alg.ambient, dtype=complex), (len(probes), alg.ambient, alg.ambient)
     )])
     zs = np.concatenate([zs, np.stack(probes)])
-    kap = geometry.kappa(ks)
-    spec = geometry.fiber_eig(zs)
-    spec0 = geometry.fiber_eig(np.zeros_like(zs))
+    n = len(zs)
+    # the sampled fibers and the zero section under the same k, as one batch
+    kap = np.concatenate([geometry.kappa(ks)] * 2)
+    spec = geometry.fiber_eig(np.concatenate([zs, np.zeros_like(zs)]))
     sq = np.linalg.norm(zs, axis=1) ** 2
     best = np.inf
     for t in t_grid:
-        gap = family.moment(spec, kap, t) - family.moment(spec0, kap, t)
-        vals = gap @ family.pairing_direction(t) / sq
+        phi = family.moment(spec, kap, t)
+        vals = (phi[:n] - phi[n:]) @ family.pairing_direction(t) / sq
         best = min(best, float(vals.min()))
     return best
 

@@ -423,6 +423,8 @@ def _stage_report(geometry, stage, points, eps, rng, expected_shift, tol):
         "min_form_margin": out["min_form_margin"],
         "max_group_residual": out["max_group_residual"],
         "reprojections": out["reprojections"],
+        "field_evaluations": out["field_evaluations"],
+        "field_lanes": out["field_lanes"],
         "fiber_sup": out["fiber_sup"],
         "checks": checks,
     }
@@ -541,6 +543,8 @@ def run_theorem_pipeline(scenario):
         "min_form_margin": comp["min_form_margin"],
         "max_group_residual": comp["max_group_residual"],
         "reprojections": comp["reprojections"],
+        "field_evaluations": comp["field_evaluations"],
+        "field_lanes": comp["field_lanes"],
         "fiber_sup": comp["fiber_sup"],
         "min_image_separation": comp["min_image_separation"],
         "min_source_separation": comp["min_source_separation"],

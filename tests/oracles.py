@@ -22,7 +22,10 @@ None of this runs in the certification pipeline:
   growth, flat and bracket loops evaluated one point at a time;
 - the hypothesis checks (Stokes closedness, primitive exactness, zero
   section) and both sides of the moment identities one base point and one
-  finite-difference lane at a time.
+  finite-difference lane at a time, and the properness fit with its
+  sampled and zero-fiber moments as separate calls;
+- the Moser flow with the full RKMK group update for every family and
+  every lane, the Moser field evaluating Ad(k^{-1}) at every stage point.
 """
 
 from __future__ import annotations
@@ -32,14 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from holomoser.moser import (
+    _PROPERNESS_GRID,
     _TRI_BARY,
     _TRI_W,
+    FlowResult,
+    FlowTrace,
     FormFamily,
     _dexp_matrix,
+    _dexpinv,
+    _root_probe_fibers,
     _z0_direction,
     analytic_properness_bound,
     homotopy_primitive,
-    properness_fit,
     properness_gamma,
 )
 from holomoser.forms import OrbitGeometry, moment_flat, moment_hermitian
@@ -642,6 +649,33 @@ def primitive_exactness_loop(family, geometry, k0, z0, t, rng, h=1e-2):
     return abs(circulation - flux) / max(abs(flux), h * h)
 
 
+def properness_fit_loop(geometry, family, rng, samples=60, t_grid=_PROPERNESS_GRID,
+                        radii=(0.2, 2.5)):
+    """properness_fit with the sampled and the zero-fiber moments as two calls."""
+    alg = geometry.alg
+    ks = alg.group_exp(rng.standard_normal((samples, alg.dim_k)))
+    zs = rng.standard_normal((samples, geometry.dim_p))
+    zs *= (
+        rng.uniform(radii[0], radii[1], size=samples)
+        / np.linalg.norm(zs, axis=1)
+    )[:, None]
+    probes = _root_probe_fibers(geometry)
+    ks = np.concatenate([ks, np.broadcast_to(
+        np.eye(alg.ambient, dtype=complex), (len(probes), alg.ambient, alg.ambient)
+    )])
+    zs = np.concatenate([zs, np.stack(probes)])
+    kap = geometry.kappa(ks)
+    spec = geometry.fiber_eig(zs)
+    spec0 = geometry.fiber_eig(np.zeros_like(zs))
+    sq = np.linalg.norm(zs, axis=1) ** 2
+    best = np.inf
+    for t in t_grid:
+        gap = family.moment(spec, kap, t) - family.moment(spec0, kap, t)
+        vals = gap @ family.pairing_direction(t) / sq
+        best = min(best, float(vals.min()))
+    return best
+
+
 def check_hypotheses_loop(geometry, stages, delta, rng, closedness_points=2,
                           n_tets=2, diameter=1e-2, properness_samples=60):
     """check_hypotheses one base point at a time, drawing as it evaluates."""
@@ -706,7 +740,7 @@ def check_hypotheses_loop(geometry, stages, delta, rng, closedness_points=2,
                     nullspace_res = max(
                         nullspace_res, float(np.abs(kernel[:, :c]).max())
                     )
-        d_fit = properness_fit(geometry, fam, rng, samples=properness_samples)
+        d_fit = properness_fit_loop(geometry, fam, rng, samples=properness_samples)
         d_bound = analytic_properness_bound(geometry, fam.name, delta)
         properness.append(
             {
@@ -762,3 +796,64 @@ def moment_identity_rows_loop(geometry, form_at, moment_at, points, generators,
         lhs_rows.append(lhs)
         rhs_rows.append(rhs)
     return np.array(lhs_rows), np.array(rhs_rows)
+
+
+# -- the Moser flow with the group update on every lane ---------------------------
+
+
+def _moser_field_with_kappa(family, ks, zs, t):
+    geo = family.geometry
+    spec = geo.fiber_eig(zs)
+    kap = geo.kappa(ks)
+    omega = family.omega(spec, kap, t)
+    margin = float(np.linalg.svd(omega, compute_uv=False)[..., -1].min())
+    if margin < 1e-10:
+        raise RuntimeError(f"{family.name} family degenerates along the flow")
+    mu = homotopy_primitive(family, spec, kap, zs, t)
+    return np.linalg.solve(omega, mu[..., None])[..., 0], margin
+
+
+def integrate_flow_rkmk(family, k0, z0, steps, t0=0.0, t1=1.0, project_tol=1e-12):
+    """RKMK order four on every lane, for every family: four group_exp, three
+    dexpinv and a drift check per step, and Ad(k^{-1}) at every stage point."""
+    geo = family.geometry
+    alg = geo.alg
+    ks = np.asarray(k0, dtype=complex).copy()
+    zs = np.asarray(z0, dtype=float).copy()
+    fiber_sup = np.linalg.norm(zs, axis=-1)
+    h = (t1 - t0) / steps
+    min_margin = np.inf
+    max_res = 0.0
+    reproj = 0
+
+    def eval_field(k_arg, z_arg, t_arg):
+        nonlocal min_margin
+        xi, margin = _moser_field_with_kappa(family, k_arg, z_arg, t_arg)
+        min_margin = min(min_margin, margin)
+        x_full = xi[:, : geo.dim_c] @ geo.complement[: alg.dim_k].T
+        return x_full, xi[:, geo.dim_c :]
+
+    for n in range(steps):
+        t = t0 + n * h
+        x1, a1 = eval_field(ks, zs, t)
+        k2 = ks @ alg.group_exp(0.5 * h * x1)
+        x2r, a2 = eval_field(k2, zs + 0.5 * h * a1, t + 0.5 * h)
+        x2 = _dexpinv(alg, 0.5 * h * x1, x2r)
+        k3 = ks @ alg.group_exp(0.5 * h * x2)
+        x3r, a3 = eval_field(k3, zs + 0.5 * h * a2, t + 0.5 * h)
+        x3 = _dexpinv(alg, 0.5 * h * x2, x3r)
+        k4 = ks @ alg.group_exp(h * x3)
+        x4r, a4 = eval_field(k4, zs + h * a3, t + h)
+        x4 = _dexpinv(alg, h * x3, x4r)
+        ks = ks @ alg.group_exp((h / 6.0) * (x1 + 2 * x2 + 2 * x3 + x4))
+        zs = zs + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+        fiber_sup = np.maximum(fiber_sup, np.linalg.norm(zs, axis=-1))
+        res = float(alg.group_residual(ks).max())
+        max_res = max(max_res, res)
+        if res > project_tol:
+            ks = alg.group_project(ks)
+            reproj += 1
+    trace = FlowTrace(
+        steps, float(min_margin), max_res, reproj, fiber_sup, 4 * steps * len(zs)
+    )
+    return FlowResult(ks, zs, trace)

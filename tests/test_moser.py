@@ -32,7 +32,9 @@ from oracles import (
     check_hypotheses_loop,
     constant_stage,
     gauge_fix,
+    integrate_flow_rkmk,
     primitive_exactness_loop,
+    properness_fit_loop,
     quadrature_primitive,
     stokes_closedness_loop,
     weight_from_matrix,
@@ -549,3 +551,82 @@ def test_flow_stages_chains_traces(su11):
     assert len(traces) == 3
     assert all(tr.steps == 10 for tr in traces)
     assert all(tr.max_group_residual < 1e-10 for tr in traces)
+
+
+@ALGEBRAS
+def test_properness_fit_matches_loop_oracle(family, params):
+    # one moment call on the sampled and zero fibers together, split after
+    geo = generic_geometry(family, params)
+    families, _ = stage_families(geo)
+    for fam in families:
+        got = properness_fit(geo, fam, np.random.default_rng(25))
+        want = properness_fit_loop(geo, fam, np.random.default_rng(25))
+        assert got == want, fam.name
+
+
+def repeated_fiber_batch(geo, rng):
+    """Nine lanes with four distinct fibers: three random, one repeated
+    under other k twice, one once, and three zero-section lanes."""
+    ks, zs = rand_batch(geo, rng, 9, radius=0.4)
+    zs[3:5] = zs[0]
+    zs[5] = zs[1]
+    zs[6:] = 0.0
+    return ks, zs
+
+
+@ALGEBRAS
+def test_vertical_flows_keep_k_and_match_rkmk_oracle(family, params):
+    geo = generic_geometry(family, params)
+    families, _ = stage_families(geo)
+    assert families[2].moves_base
+    ks, zs = repeated_fiber_batch(geo, np.random.default_rng(23))
+    steps = 6
+    for fam in families[:2]:
+        assert not fam.moves_base
+        got = integrate_flow(fam, ks, zs, steps)
+        ref = integrate_flow_rkmk(fam, ks, zs, steps)
+        assert np.array_equal(got.k, ks), fam.name
+        assert np.array_equal(got.z, ref.z), fam.name
+        assert np.array_equal(got.trace.fiber_sup, ref.trace.fiber_sup), fam.name
+        for key in ("min_form_margin", "max_group_residual", "reprojections"):
+            assert getattr(got.trace, key) == getattr(ref.trace, key), (fam.name, key)
+        assert got.trace.field_lanes == 4 * steps * 4, fam.name
+
+
+def test_vertical_flow_reprojects_drifted_k_once(su21):
+    _, _, geo = su21
+    rng = np.random.default_rng(24)
+    ks, zs = rand_batch(geo, rng, 4, radius=0.5)
+    # about 1e-9 off K, past the 1e-12 projection tolerance
+    ks = ks + 1e-9 * rng.standard_normal(ks.shape)
+    assert geo.alg.group_residual(ks).max() > 1e-10
+    fam = hermitian_stage(geo)
+    got = integrate_flow(fam, ks, zs, steps=5)
+    ref = integrate_flow_rkmk(fam, ks, zs, steps=5)
+    assert got.trace.reprojections == ref.trace.reprojections == 1
+    assert got.trace.max_group_residual == ref.trace.max_group_residual
+    assert np.array_equal(got.k, ref.k)
+    assert geo.alg.group_residual(got.k).max() < 1e-12
+    assert np.array_equal(got.z, ref.z)
+
+
+def test_vertical_stages_flow_each_distinct_fiber_once(su21):
+    # one sample: a centre lane, 2 dim_t perturbed lanes, one equivariance
+    # partner and four zero-section lanes.  The vertical stages flow the
+    # 2 dim_c base-perturbed lanes with the centre fiber and the zero
+    # section as one lane.
+    _, _, geo = su21
+    assert geo.dim_c > 0
+    families, _ = stage_families(geo)
+    rng = np.random.default_rng(26)
+    ks, zs = rand_batch(geo, rng, 1, radius=0.5)
+    pts = [(ks[0], zs[0])]
+    every = 1 + 2 * geo.dim_t + 1 + 4
+    distinct = 1 + 2 * geo.dim_p + 1 + 1
+    for fam, lanes in zip(families, (distinct, distinct, every)):
+        out = verify_pullback(geo, [MoserStage(fam, 5)], pts, rng=np.random.default_rng(0))
+        assert out["field_evaluations"] == 20, fam.name
+        assert out["field_lanes"] == 20 * lanes, fam.name
+        if not fam.moves_base:
+            # k leaves as it came and the field vanishes on the zero section
+            assert out["zero_section_displacement"] == 0.0, fam.name

@@ -333,6 +333,32 @@ def test_report_json_shape(su11_report):
     assert isinstance(data["stages"], list) and len(data["stages"]) == 3
 
 
+def test_stage_and_composite_blocks_report_flow_counters(su11_report):
+    const = su11_report["constants"]
+    c, t_dim = const["dim_base_complement"], const["dim_total"]
+
+    def lanes(b0, vertical):
+        # centre, 2 dim_t perturbed, min(4, b0) equivariance and 4 zero
+        # lanes; a vertical stage flows the 2 dim_c base-perturbed lanes with
+        # the centre fiber and the zero section as one lane
+        if vertical:
+            return b0 * (1 + 2 * (t_dim - c)) + min(4, b0) + 1
+        return b0 * (1 + 2 * t_dim) + min(4, b0) + 4
+
+    vertical = (True, True, False)
+    for rep, vert in zip(su11_report["stages"], vertical):
+        assert rep["field_evaluations"] == 4 * rep["steps"], rep["name"]
+        assert rep["field_lanes"] == 4 * rep["steps"] * lanes(
+            rep["sample_count"], vert
+        ), rep["name"]
+    comp = su11_report["composite"]
+    assert comp["field_evaluations"] == 4 * sum(comp["steps"])
+    assert comp["field_lanes"] == sum(
+        4 * steps * lanes(comp["sample_count"], vert)
+        for steps, vert in zip(comp["steps"], vertical)
+    )
+
+
 def test_cli_inspect(capsys):
     rc = cli.main(["inspect", "--family", "su", "--p", "2", "--q", "1"])
     out = capsys.readouterr().out
