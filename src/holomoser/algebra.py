@@ -112,13 +112,6 @@ class MatrixLieAlgebra:
         x = np.asarray(x, dtype=float)
         return (x @ self._structure_ad).reshape(x.shape[:-1] + (self.dim, self.dim))
 
-    def theta(self, x):
-        """Cartan involution, on coordinates or ambient matrices."""
-        x = np.asarray(x)
-        if x.ndim >= 2 and x.shape[-1] == self.ambient and np.iscomplexobj(x):
-            return -_dagger(x)
-        return x * self.theta_signs
-
     # -- group-level helpers -------------------------------------------------
 
     def group_exp(self, u):

@@ -14,8 +14,9 @@ Three subcommands mirror the pipeline module:
 ``--seed/--steps/--delta-mult/--samples/--eps`` override the corresponding
 config entries.  Exit status: 0 verdict pass, 1 verdict fail or a run that
 stopped on a numerical failure (RuntimeError: chamber sampling exhausted, a
-degenerate form along a flow, a flow past its fiber ceiling; the message
-goes to stderr), 2 refused or invalid input.
+degenerate form along a flow, a flow past its fiber ceiling; LinAlgError: a
+linear-algebra routine that did not converge; the message goes to stderr),
+2 refused or invalid input.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import numpy as np
 
 from .pipeline import (
     ChamberError,
@@ -114,12 +117,13 @@ def main(argv=None):
     except (ChamberError, DeltaError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 2
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except RuntimeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
 
 
 if __name__ == "__main__":

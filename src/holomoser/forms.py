@@ -30,7 +30,8 @@ form in s; only its quadrature oracle in the tests evaluates the blocks at
 scaled points (k, sZ).  The form_* and moment_* functions evaluate them at
 points (ks, zs).  moment_identity_residual checks each (form, moment) pair
 on a batch of B points: its 2 T finite-difference lanes per point go
-through one moment call of B 2 T rows.
+through one moment call of B 2 T rows.  difference_lanes lays those lanes
+out, for it and for moser.verify_pullback.
 """
 
 from __future__ import annotations
@@ -294,20 +295,16 @@ def bracket_positivity_slack(datum, w1, w2, zp):
 # -- moment-map convention checks -------------------------------------------------
 
 
-def _moment_identity_sides(geometry, form_at, moment_at, ks, zs, gens, eps):
-    """Both sides of d<Phi, X>(u) = Omega(X_M, u) for every basis direction u.
+def difference_lanes(geometry, ks, zs, eps):
+    """The B 2 T central-difference lanes around the points ks (B, a, a), zs (B, P).
 
-    Returns (lhs, rhs), each (B, T): lhs the central differences of <Phi, X>,
-    rhs the contraction of the form with the generator field.  All B 2 T
-    difference lanes, ordered (point, direction, sign + then -), take one
-    moment_at call; base directions perturb k to k exp(+-eps C_i) with the
-    2 dim_c group steps shared by every point, fiber directions shift Z.
+    Ordered (point, tangent direction, sign + then -): base directions move k
+    to k exp(+-eps C_i) along the complement, with the 2 dim_c group steps
+    shared by every point; fiber directions shift Z by +-eps e_j.  Returns
+    (lanes_k, lanes_z), (B 2 T, a, a) and (B 2 T, P).
     """
     alg = geometry.alg
-    a, dim_p, c = alg.ambient, geometry.dim_p, geometry.dim_c
-    gens = np.asarray(gens, dtype=float)
-    field = geometry.generator_field(geometry.kappa(ks), zs, gens)
-    rhs = (field[:, None] @ form_at(ks, zs))[:, 0]
+    a, dim_p = alg.ambient, geometry.dim_p
     signs = np.array([1.0, -1.0])
     step_k = np.concatenate([
         alg.group_exp(
@@ -316,10 +313,23 @@ def _moment_identity_sides(geometry, form_at, moment_at, ks, zs, gens, eps):
         np.broadcast_to(np.eye(a), (dim_p, 2, a, a)),
     ])
     step_z = np.zeros((geometry.dim_t, 2, dim_p))
-    step_z[c:] = eps * signs[None, :, None] * np.eye(dim_p)[:, None, :]
+    step_z[geometry.dim_c :] = eps * signs[None, :, None] * np.eye(dim_p)[:, None, :]
     lanes_k = (ks[:, None, None] @ step_k).reshape(-1, a, a)
-    lanes_z = (zs[:, None, None] + step_z).reshape(-1, dim_p)
-    mom = moment_at(lanes_k, lanes_z).reshape(len(zs), geometry.dim_t, 2, alg.dim)
+    return lanes_k, (zs[:, None, None] + step_z).reshape(-1, dim_p)
+
+
+def _moment_identity_sides(geometry, form_at, moment_at, ks, zs, gens, eps):
+    """Both sides of d<Phi, X>(u) = Omega(X_M, u) for every basis direction u.
+
+    Returns (lhs, rhs), each (B, T): lhs the central differences of <Phi, X>,
+    rhs the contraction of the form with the generator field.  All B 2 T
+    difference_lanes take one moment_at call.
+    """
+    gens = np.asarray(gens, dtype=float)
+    field = geometry.generator_field(geometry.kappa(ks), zs, gens)
+    rhs = (field[:, None] @ form_at(ks, zs))[:, 0]
+    lanes = difference_lanes(geometry, ks, zs, eps)
+    mom = moment_at(*lanes).reshape(len(zs), geometry.dim_t, 2, geometry.alg.dim)
     vals = np.einsum("btsn,bn->bts", mom, geometry._k_covector(gens))
     return (vals[..., 0] - vals[..., 1]) / (2 * eps), rhs
 
@@ -338,17 +348,20 @@ def moment_identity_residual(
     return float(np.abs(lhs - constant * rhs).max())
 
 
-def measure_convention_constants(geometry, rng, samples=6, eps=1e-6):
+def measure_convention_constants(geometry, rng):
     """Numerically fit the two display constants discussed in the module docs.
 
     Returns {"flat_display_factor": ~2.0, "product_display_fiber_sign": ~-1.0}:
     the flat display lambda_0 o ad(Z)^2 differentiates to twice iota(X_M)Omega_p,
     and the display fiber term (1/2) Omega_p(v, [X, v]) is minus the true one.
+    Medians over 6 random (Z, X) and every fiber direction, central
+    differences of step 1e-6.
     """
     alg = geometry.alg
+    eps = 1e-6
     ratios_flat, ratios_sign = [], []
     adz0_p = geometry.ad_z0[alg.dim_k :, alg.dim_k :]
-    for _ in range(samples):
+    for _ in range(6):
         zp = rng.standard_normal(geometry.dim_p)
         x = rng.standard_normal(alg.dim_k)
         x_full = np.zeros(alg.dim)

@@ -36,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .forms import OrbitGeometry
+from .forms import OrbitGeometry, difference_lanes
 from .operators import G, hermitian_radial
 from .roots import ChamberWeight, chamber_constants
 
@@ -284,13 +284,12 @@ def _dexpinv(alg, u, y):
     return y + 0.5 * uy + _bracket_k(alg, u, uy) / 12.0
 
 
-def integrate_flow(family, k0, z0, steps, t0=0.0, t1=1.0, z_ceiling=None,
-                   project_tol=1e-12):
-    """Flow the Moser field of the family from t0 to t1 (RKMK order four).
+def integrate_flow(family, k0, z0, steps, z_ceiling=None):
+    """Flow the Moser field of the family from t = 0 to 1 (RKMK order four).
 
     k0: (B, a, a) group elements (one matrix is promoted to a batch), z0:
     (B, dim_p).  The group chart is k exp(u) with the truncated dexpinv;
-    drift off K beyond project_tol triggers a polar reprojection.  A fiber
+    drift off K beyond 1e-12 triggers a polar reprojection.  A fiber
     norm ceiling (default ten times the initial bound) aborts escaping flows.
 
     A family with moves_base False has a vertical field that does not read
@@ -312,7 +311,7 @@ def integrate_flow(family, k0, z0, steps, t0=0.0, t1=1.0, z_ceiling=None,
     fiber_sup = np.linalg.norm(zs, axis=-1)
     if z_ceiling is None:
         z_ceiling = 10.0 * max(1.0, float(fiber_sup.max()))
-    h = (t1 - t0) / steps
+    h = 1.0 / steps
     min_margin = np.inf
     max_res = 0.0
     reproj = 0
@@ -335,7 +334,7 @@ def integrate_flow(family, k0, z0, steps, t0=0.0, t1=1.0, z_ceiling=None,
         return (x if u is None else _dexpinv(alg, u, x)), xi[:, geo.dim_c :]
 
     for n in range(steps):
-        t = t0 + n * h
+        t = n * h
         x1, a1 = field(t, zs)
         x2, a2 = field(t + 0.5 * h, zs + 0.5 * h * a1, 0.5 * h, x1)
         x3, a3 = field(t + 0.5 * h, zs + 0.5 * h * a2, 0.5 * h, x2)
@@ -354,7 +353,7 @@ def integrate_flow(family, k0, z0, steps, t0=0.0, t1=1.0, z_ceiling=None,
         if moves or n == 0:
             res = float(alg.group_residual(ks).max())
             max_res = max(max_res, res)
-            if res > project_tol:
+            if res > 1e-12:
                 ks = alg.group_project(ks)
                 reproj += 1
     if not moves:
@@ -377,7 +376,7 @@ def flow_stages(stages, k0, z0):
 # -- exponential-chart evaluation (shared by the Stokes and exactness checks) ------
 
 
-def _dexp_matrix(alg, u_k, terms=10):
+def _dexp_matrix(alg, u_k):
     """Matrices of y -> d/de exp(u + e y) at e=0 in the frame exp(u)^-1 d exp.
 
     Equals sum_m (-ad_u)^m / (m+1)! on k, for a (..., dim_k) batch of u; the
@@ -390,7 +389,7 @@ def _dexp_matrix(alg, u_k, terms=10):
     neg_ad = -alg.ad(full)[..., : alg.dim_k, : alg.dim_k]
     out = np.eye(alg.dim_k)
     term = np.eye(alg.dim_k)
-    for m in range(1, terms):
+    for m in range(1, 10):
         term = term @ neg_ad / (m + 1.0)
         out = out + term
     return out
@@ -465,18 +464,19 @@ def stokes_closedness_residual(geometry, omega_at, k0, z0, frames, diameter):
     return (np.abs(total) / np.maximum(scale, 1e-300)).max(axis=-1)
 
 
-def primitive_exactness_residual(family, geometry, k0, z0, t, frames, h=1e-2):
+def primitive_exactness_residual(family, geometry, k0, z0, t, frames):
     """Check d mu_t = d omega_t/dt on small 2-simplices in the chart.
 
     k0 (B, a, a) and z0 (B, P) are base points; frames (B, T, 2) hold
     orthonormal directions, and the simplex at base point b has corners 0,
-    h frames[b, :, 0] and h frames[b, :, 1].  Compares the circulation of
-    mu_t around its boundary (8-node Gauss-Legendre rule per edge, all
-    B 3 8 edge nodes in one primitive evaluation) with the flux of the
-    claimed derivative through it (degree-5 triangle rule, all B 7 nodes in
-    one form evaluation); both are O(h^2), and the returned (B,) values
+    h frames[b, :, 0] and h frames[b, :, 1] with h = 1e-2.  Compares the
+    circulation of mu_t around its boundary (8-node Gauss-Legendre rule per
+    edge, all B 3 8 edge nodes in one primitive evaluation) with the flux of
+    the claimed derivative through it (degree-5 triangle rule, all B 7 nodes
+    in one form evaluation); both are O(h^2), and the returned (B,) values
     are their relative mismatch.
     """
+    h = 1e-2
     corners = np.zeros((len(z0), 3, geometry.dim_t))
     corners[:, 1:] = h * np.swapaxes(frames, -1, -2)
     # edge a -> b is b - a; the edge nodes are (B, 3, 8, T)
@@ -526,35 +526,24 @@ def _flatten_points(ks, zs):
 
 
 def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
-                    n_zero=4, rng=None):
+                    n_zero=4, *, rng):
     """Certify rho^*(final form) = initial form at the base points.
 
-    Every sample contributes one center lane and 2 dim_t perturbed lanes;
-    equivariance partners and zero-section lanes are appended, and the whole
-    batch is flowed once through the stages.  Differentials of the composite
-    come from central differences (group logarithms for the K part).
+    Every sample contributes one center lane and its 2 dim_t
+    forms.difference_lanes; equivariance partners (their K elements drawn
+    from rng) and zero-section lanes are appended, and the whole batch is
+    flowed once through the stages.  Differentials of the composite come
+    from central differences (group logarithms for the K part).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     alg = geometry.alg
-    a, dim_p = alg.ambient, geometry.dim_p
-    c, t_dim = geometry.dim_c, geometry.dim_t
+    a, dim_p, t_dim = alg.ambient, geometry.dim_p, geometry.dim_t
     c_k = geometry.complement[: alg.dim_k]
     b0 = len(base_points)
 
     base_k = np.array([k for k, _ in base_points], dtype=complex).reshape(b0, a, a)
     base_z = np.array([z for _, z in base_points], dtype=float).reshape(b0, dim_p)
-    # perturbed lanes, ordered (sample, tangent direction, sign + then -):
-    # k exp(+-eps C_i) along the complement, Z +- eps e_j along the fiber
-    signs = np.array([1.0, -1.0])
-    step_k = np.concatenate([
-        alg.group_exp(eps * signs[None, :, None] * c_k.T[:, None, :]),
-        np.broadcast_to(np.eye(a), (dim_p, 2, a, a)),
-    ])
-    step_z = np.zeros((t_dim, 2, dim_p))
-    step_z[c:] = eps * signs[None, :, None] * np.eye(dim_p)[:, None, :]
-    lanes_k = [base_k, (base_k[:, None, None] @ step_k).reshape(-1, a, a)]
-    lanes_z = [base_z, (base_z[:, None, None] + step_z).reshape(-1, dim_p)]
+    pert_k, pert_z = difference_lanes(geometry, base_k, base_z, eps)
+    lanes_k, lanes_z = [base_k, pert_k], [base_z, pert_z]
 
     n_eq = min(n_equivariance, b0)
     eq_rot = []
@@ -597,27 +586,25 @@ def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
         axis=-1,
     ) / (2 * eps)
     pulled = jac_t @ omega_end @ np.swapaxes(jac_t, -1, -2)
-    per_sample = np.abs(pulled - omega_start).max(axis=(-1, -2))
 
     shift = moment_end - moment_start
     shift_mean = shift.mean(axis=0)
     shift_spread = float((shift.max(axis=0) - shift.min(axis=0)).max()) if b0 else 0.0
 
-    eq_res = 0.0
+    eq_res = []
     for j, (kp, adk) in enumerate(eq_rot):
         lane = b0 * (1 + 2 * t_dim) + j
         target_k = kp @ flowed_k[j]
         target_z = (adk @ geometry.pad_fiber(flowed_z[j])[0])[alg.dim_k :]
-        eq_res = max(
-            eq_res,
-            float(np.abs(flowed_k[lane] - target_k).max()),
-            float(np.abs(flowed_z[lane] - target_z).max()),
-        )
+        eq_res += [
+            np.abs(flowed_k[lane] - target_k).max(),
+            np.abs(flowed_z[lane] - target_z).max(),
+        ]
 
     zero_k, zero_z = flowed_k[zero_idx:], flowed_z[zero_idx:]
-    zero_res = max(
-        float(np.linalg.norm(zero_z, axis=-1).max(initial=0.0)),
-        float(np.abs(zero_k - zero_sources).max(initial=0.0)),
+    zero_res = np.max(
+        [np.linalg.norm(zero_z, axis=-1).max(initial=0.0),
+         np.abs(zero_k - zero_sources).max(initial=0.0)]
     )
 
     flat_src = _flatten_points(ks[:b0], zs[:b0])
@@ -630,22 +617,20 @@ def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
         return float(d[np.triu_indices(len(arr), 1)].min())
 
     return {
-        "pullback_residual": float(per_sample.max()) if b0 else 0.0,
-        "pullback_per_sample": per_sample,
+        "pullback_residual": float(np.abs(pulled - omega_start).max(initial=0.0)),
         "moment_shift_mean": shift_mean,
         "moment_shift_spread": shift_spread,
-        "equivariance_residual": eq_res,
-        "zero_section_displacement": zero_res,
+        "equivariance_residual": float(np.max(eq_res, initial=0.0)),
+        "zero_section_displacement": float(zero_res),
         "min_image_separation": min_pairwise(flat_img),
         "min_source_separation": min_pairwise(flat_src),
-        "min_form_margin": min(tr.min_form_margin for tr in traces),
-        "max_group_residual": max(tr.max_group_residual for tr in traces),
+        "min_form_margin": float(np.min([tr.min_form_margin for tr in traces])),
+        "max_group_residual": float(np.max([tr.max_group_residual for tr in traces])),
         "reprojections": sum(tr.reprojections for tr in traces),
         # four field evaluations per RK4 step
         "field_evaluations": sum(4 * tr.steps for tr in traces),
         "field_lanes": sum(tr.field_lanes for tr in traces),
-        "fiber_sup": max(float(tr.fiber_sup.max()) for tr in traces),
-        "traces": traces,
+        "fiber_sup": float(np.max([tr.fiber_sup.max() for tr in traces])),
     }
 
 
@@ -675,20 +660,21 @@ def _root_probe_fibers(geometry, radii=(0.2, 0.4)):
     return probes
 
 
-def properness_fit(geometry, family, rng, samples=60, t_grid=_PROPERNESS_GRID,
-                   radii=(0.2, 2.5)):
+def properness_fit(geometry, family, rng):
     """Fitted quadratic growth constant of the moment family.
 
     min over samples and t of <Phi_t(k,Z) - Phi_t(k,0), n_t> / ||Z||^2 with
     n_t the family's unit pairing direction (z0-hat for the product-side
-    families, H_{lambda_t}-hat for the segment).  Random points are mixed
-    with root-plane probes so the minimum lands on the saturating rays.
+    families, H_{lambda_t}-hat for the segment).  60 random points with
+    ||Z|| in [0.2, 2.5] are mixed with root-plane probes so the minimum
+    lands on the saturating rays; t runs over _PROPERNESS_GRID.
     """
     alg = geometry.alg
+    samples = 60
     ks = alg.group_exp(rng.standard_normal((samples, alg.dim_k)))
     zs = rng.standard_normal((samples, geometry.dim_p))
     zs *= (
-        rng.uniform(radii[0], radii[1], size=samples)
+        rng.uniform(0.2, 2.5, size=samples)
         / np.linalg.norm(zs, axis=1)
     )[:, None]
     probes = _root_probe_fibers(geometry)
@@ -701,22 +687,21 @@ def properness_fit(geometry, family, rng, samples=60, t_grid=_PROPERNESS_GRID,
     kap = np.concatenate([geometry.kappa(ks)] * 2)
     spec = geometry.fiber_eig(np.concatenate([zs, np.zeros_like(zs)]))
     sq = np.linalg.norm(zs, axis=1) ** 2
-    best = np.inf
-    for t in t_grid:
+    best = []
+    for t in _PROPERNESS_GRID:
         phi = family.moment(spec, kap, t)
-        vals = (phi[:n] - phi[n:]) @ family.pairing_direction(t) / sq
-        best = min(best, float(vals.min()))
-    return best
+        best.append(((phi[:n] - phi[n:]) @ family.pairing_direction(t) / sq).min())
+    return float(np.min(best))
 
 
-def properness_gamma(geometry, family, t=0.5, radii=None):
+def properness_gamma(geometry, family):
     """Fitted growth exponent of the moment gap along a root-plane ray.
 
-    Log-log regression of <Phi_t(e, rV) - Phi_t(e, 0), n_t> against r; the
-    quadratic-growth hypothesis predicts a slope of 2 for small radii.
+    Log-log regression of <Phi_t(e, rV) - Phi_t(e, 0), n_t> against r at
+    t = 0.5 and six radii r in [0.05, 0.4]; the quadratic-growth hypothesis
+    predicts a slope of 2 for small radii.
     """
-    if radii is None:
-        radii = np.geomspace(0.05, 0.4, 6)
+    t, radii = 0.5, np.geomspace(0.05, 0.4, 6)
     alg = geometry.alg
     direction = _root_probe_fibers(geometry, radii=(1.0,))[0]
     zs = np.stack([r * direction for r in radii])
@@ -732,7 +717,7 @@ def properness_gamma(geometry, family, t=0.5, radii=None):
     return float(np.polyfit(np.log(radii), np.log(vals), 1)[0])
 
 
-def analytic_properness_bound(geometry, stage_name, delta, t_grid=_PROPERNESS_GRID):
+def analytic_properness_bound(geometry, stage_name, delta):
     """The quadratic growth constants the moment families are tested against.
 
     1/(2||z0||) for the hermitian family, min(1, delta)/(2||z0||) for the
@@ -747,7 +732,7 @@ def analytic_properness_bound(geometry, stage_name, delta, t_grid=_PROPERNESS_GR
         return min(1.0, delta) / (2.0 * z0_norm)
     if stage_name == "segment":
         vals = []
-        for t in t_grid:
+        for t in _PROPERNESS_GRID:
             coords = segment_weight_coords(geometry, delta, 1.0 - t)
             rank = geometry.alg.rank
             m, _ = chamber_constants(ChamberWeight(coords[:rank]), geometry.datum)
@@ -779,8 +764,16 @@ def _draw_chart_points(geometry, rng, count, n_tets):
     return alg.group_exp(k), z0, np.linalg.qr(tets)[0], np.linalg.qr(tris)[0]
 
 
-def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
-                     n_tets=2, diameter=1e-2, properness_samples=60):
+# the worst-case values check_hypotheses reports, each over every stage and t
+_HYPOTHESIS_VALUES = (
+    "closedness_rel_residual", "primitive_exactness_residual",
+    "zero_section_cross_block", "zero_section_dt_restriction",
+    "zero_section_endpoint_restriction", "zero_section_primitive_sup",
+    "zero_section_moment_sup", "orthogonality_nullspace_residual",
+)
+
+
+def check_hypotheses(geometry, stages, delta, rng):
     """Static hypothesis checks for a stage list.
 
     For every stage this certifies, at randomly sampled points and family
@@ -796,21 +789,16 @@ def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
     fixing, equivariance, fiber ceilings) come from the flow itself in
     verify_pullback.
 
-    Per stage and t in (0, 0.5, 1) the closedness_points base points and
-    their frames are drawn first (_draw_chart_points); then all Stokes
-    nodes, all exactness edge nodes, all flux nodes and the zero-section
-    blocks of those points are each one batched evaluation.
+    Per stage and t in (0, 0.5, 1) two base points with two tetrahedra of
+    diameter 1e-2 and one triangle each are drawn first
+    (_draw_chart_points); then all Stokes nodes, all exactness edge nodes,
+    all flux nodes and the zero-section blocks of those points are each one
+    batched evaluation.  Every reported value is the np.max of its per-(stage,
+    t) maxima, so a NaN anywhere is reported.
     """
-    worst_closed = 0.0
-    worst_exact = 0.0
-    cross = 0.0
-    i_star_dt = 0.0
-    i_star_endpoints = 0.0
-    primitive_zero = 0.0
-    moment_sup = 0.0
-    nullspace_res = 0.0
+    worst = {key: [] for key in _HYPOTHESIS_VALUES}
     properness = []
-    zero_fiber = np.zeros((closedness_points, geometry.dim_p))
+    zero_fiber = np.zeros((2, geometry.dim_p))
     spec_zero = geometry.fiber_eig(zero_fiber)
     c = geometry.dim_c
     for stage in stages:
@@ -819,47 +807,42 @@ def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
             def omega_at(spec, kap, _t=t, _f=fam):
                 return _f.omega(spec, kap, _t)
 
-            k0, z0, tet_frames, tri_frames = _draw_chart_points(
-                geometry, rng, closedness_points, n_tets
-            )
-            worst_closed = max(worst_closed, float(stokes_closedness_residual(
-                geometry, omega_at, k0, z0, tet_frames, diameter
-            ).max()))
-            worst_exact = max(worst_exact, float(primitive_exactness_residual(
+            k0, z0, tet_frames, tri_frames = _draw_chart_points(geometry, rng, 2, 2)
+            worst["closedness_rel_residual"].append(stokes_closedness_residual(
+                geometry, omega_at, k0, z0, tet_frames, 1e-2
+            ).max())
+            worst["primitive_exactness_residual"].append(primitive_exactness_residual(
                 fam, geometry, k0, z0, t, tri_frames
-            ).max()))
+            ).max())
             kap0 = geometry.kappa(k0)
             block = omega_at(spec_zero, kap0)
             mu0 = homotopy_primitive(fam, spec_zero, kap0, zero_fiber, t)
-            primitive_zero = max(primitive_zero, float(np.abs(mu0).max()))
-            moment_sup = max(
-                moment_sup,
-                float(np.linalg.norm(fam.moment(spec_zero, kap0, t), axis=-1).max()),
+            worst["zero_section_primitive_sup"].append(np.abs(mu0).max())
+            worst["zero_section_moment_sup"].append(
+                np.linalg.norm(fam.moment(spec_zero, kap0, t), axis=-1).max()
             )
             if c == 0:
                 continue
-            cross = max(cross, float(np.abs(block[:, :c, c:]).max()))
+            worst["zero_section_cross_block"].append(np.abs(block[:, :c, c:]).max())
             sigma0 = fam.domega_dt(spec_zero, kap0, t)
-            i_star_dt = max(i_star_dt, float(np.abs(sigma0[:, :c, :c]).max()))
+            worst["zero_section_dt_restriction"].append(np.abs(sigma0[:, :c, :c]).max())
             gap01 = fam.omega(spec_zero, kap0, 1.0) - fam.omega(spec_zero, kap0, 0.0)
-            i_star_endpoints = max(
-                i_star_endpoints, float(np.abs(gap01[:, :c, :c]).max())
+            worst["zero_section_endpoint_restriction"].append(
+                np.abs(gap01[:, :c, :c]).max()
             )
             # symplectic orthogonal of the zero section: null space of the
             # base rows of omega_t must have fiber dimension and no base
             # component
             _, svals, vt = np.linalg.svd(block[:, :c, :])
-            pad = np.zeros((closedness_points, geometry.dim_t - c))
+            pad = np.zeros((len(svals), geometry.dim_t - c))
             small = np.concatenate([svals, pad], axis=-1) < (
                 1e-10 * np.maximum(svals.max(axis=-1), 1.0)
             )[:, None]
-            if (small.sum(axis=-1) != geometry.dim_p).any():
-                nullspace_res = np.inf
-            else:
-                nullspace_res = max(
-                    nullspace_res, float(np.abs(vt[small][:, :c]).max())
-                )
-        d_fit = properness_fit(geometry, fam, rng, samples=properness_samples)
+            worst["orthogonality_nullspace_residual"].append(
+                np.inf if (small.sum(axis=-1) != geometry.dim_p).any()
+                else np.abs(vt[small][:, :c]).max()
+            )
+        d_fit = properness_fit(geometry, fam, rng)
         d_bound = analytic_properness_bound(geometry, fam.name, delta)
         properness.append(
             {
@@ -870,14 +853,5 @@ def check_hypotheses(geometry, stages, delta, rng, closedness_points=2,
                 "gamma_fit": properness_gamma(geometry, fam),
             }
         )
-    return {
-        "closedness_rel_residual": worst_closed,
-        "primitive_exactness_residual": worst_exact,
-        "zero_section_cross_block": cross,
-        "zero_section_dt_restriction": i_star_dt,
-        "zero_section_endpoint_restriction": i_star_endpoints,
-        "zero_section_primitive_sup": primitive_zero,
-        "zero_section_moment_sup": moment_sup,
-        "orthogonality_nullspace_residual": nullspace_res,
-        "properness": properness,
-    }
+    out = {key: float(np.max(vals, initial=0.0)) for key, vals in worst.items()}
+    return {**out, "properness": properness}

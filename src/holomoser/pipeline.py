@@ -112,6 +112,17 @@ def _verdict(checks):
     return "pass" if all(checks.values()) else "fail"
 
 
+def _gate(tol, *values):
+    """True only when every value is below tol; a NaN value fails."""
+    return bool(np.all(np.array(values) < tol))
+
+
+def _delta(scenario, b_lam):
+    if scenario.delta_abs is not None:
+        return scenario.delta_abs
+    return scenario.delta_mult * b_lam
+
+
 # -- inspection ---------------------------------------------------------------------
 
 
@@ -193,8 +204,8 @@ def inspect_model(family, p=None, q=None, n=None):
 # -- supporting-inequality suite ----------------------------------------------------
 
 
-def _random_chamber_weight(datum, rng, box=2.0, max_draws=10000):
-    """Uniform draw from the box, rejected until it lies in the chamber.
+def _random_chamber_weight(datum, rng, max_draws=10000):
+    """Uniform draw from [-2, 2]^rank, rejected until it lies in the chamber.
 
     Candidates are tested _CHAMBER_BLOCK at a time; on a hit the generator is
     rewound and redrawn up to the first accepted row, so the result and the
@@ -205,11 +216,11 @@ def _random_chamber_weight(datum, rng, box=2.0, max_draws=10000):
     while left > 0:
         m = min(_CHAMBER_BLOCK, left)
         state = rng.bit_generator.state
-        ok, _ = chamber_membership(datum, rng.uniform(-box, box, (m, rank)))
+        ok, _ = chamber_membership(datum, rng.uniform(-2.0, 2.0, (m, rank)))
         hits = np.flatnonzero(ok)
         if hits.size:
             rng.bit_generator.state = state
-            return ChamberWeight(rng.uniform(-box, box, (hits[0] + 1, rank))[-1])
+            return ChamberWeight(rng.uniform(-2.0, 2.0, (hits[0] + 1, rank))[-1])
         left -= m
     raise RuntimeError("chamber rejection sampling failed")
 
@@ -246,40 +257,31 @@ def _lemma_block(scenario, alg, datum, weight):
 
     geo_flat = OrbitGeometry(alg, datum, datum.lambda0)
     eye = np.eye(alg.ambient, dtype=complex)[None]
-    chi_dev = chi_eig = flat_res = 0.0
-    growth_slack = bracket_slack = np.inf
+    # per-sample values, reduced once with np.max/np.min (which keep a NaN)
+    dev, peak, growth, flat, slack = np.empty((5, n))
     for start in range(0, n, _LEMMA_CHUNK):
         c = slice(start, start + _LEMMA_CHUNK)
-        dev, eig = chi_spectrum_check(alg, chi_z[c])
-        chi_dev = max(chi_dev, float(dev.max()))
-        chi_eig = max(chi_eig, float(eig.max()))
+        dev[c], peak[c] = chi_spectrum_check(alg, chi_z[c])
 
         zp = grow_z[c]
         zz = np.einsum("bi,bi->b", zp, zp)
         phi = moment_hermitian(geo_flat, eye, zp, 1.0)
-        growth = (phi - geo_flat.lam0) @ geo_flat.z0 - 0.5 * zz
-        growth_slack = min(growth_slack, float(growth.min()))
+        growth[c] = (phi - geo_flat.lam0) @ geo_flat.z0 - 0.5 * zz
         val = moment_flat(geo_flat, zp) @ geo_flat.z0
-        flat_res = max(
-            flat_res, float((np.abs(val - zz) / np.maximum(1.0, zz)).max())
-        )
+        flat[c] = np.abs(val - zz) / np.maximum(1.0, zz)
 
-        _, _, slack = bracket_positivity_slack(
+        _, _, slack[c] = bracket_positivity_slack(
             datum, ChamberWeight(h1[c]), ChamberWeight(h2[c]), br_z[c]
         )
-        bracket_slack = min(bracket_slack, float(slack.min()))
+    chi_dev, chi_eig, flat_res = float(dev.max()), float(peak.max()), float(flat.max())
+    growth_slack, bracket_slack = float(growth.min()), float(slack.min())
     lhs, rhs, _ = bracket_positivity_slack(
         datum, datum.lambda0, datum.lambda0, _unit_fiber(alg.dim_p, rng_bracket)
     )
     bracket_equality = abs(lhs - rhs)
 
     geo = OrbitGeometry(alg, datum, weight)
-    _, b_lam = chamber_constants(weight, datum)
-    delta = (
-        scenario.delta_abs
-        if scenario.delta_abs is not None
-        else scenario.delta_mult * b_lam
-    )
+    delta = _delta(scenario, chamber_constants(weight, datum)[1])
     draws = [
         (rng_ident.standard_normal(alg.dim_k), rng_ident.standard_normal(geo.dim_p))
         for _ in range(5)
@@ -306,11 +308,12 @@ def _lemma_block(scenario, alg, datum, weight):
     }
     constants = measure_convention_constants(geo, rng_ident)
 
-    scale_res = 0.0
+    scale_res = []
     for w in [weight] + [_random_chamber_weight(datum, rng_scale) for _ in range(3)]:
         m1, b1 = chamber_constants(w, datum)
         m2, b2 = chamber_constants(ChamberWeight(2.0 * w.coords), datum)
-        scale_res = max(scale_res, abs(m2 - 2.0 * m1), abs(b2 - 2.0 * b1))
+        scale_res += [abs(m2 - 2.0 * m1), abs(b2 - 2.0 * b1)]
+    scale_res = float(np.max(scale_res))
 
     checks = {
         "chi_multiset": chi_dev < tol("chi_multiset"),
@@ -319,11 +322,11 @@ def _lemma_block(scenario, alg, datum, weight):
         "flat_identity": flat_res < tol("flat_identity"),
         "bracket_positivity": bracket_slack >= tol("bracket_slack"),
         "bracket_equality_at_lambda0": bracket_equality < tol("flat_identity"),
-        "moment_identities": max(identity_res.values()) < tol("moment_identity"),
-        "convention_constants": (
-            abs(constants["flat_display_factor"] - 2.0) < tol("moment_identity")
-            and abs(constants["product_display_fiber_sign"] + 1.0)
-            < tol("moment_identity")
+        "moment_identities": _gate(tol("moment_identity"), *identity_res.values()),
+        "convention_constants": _gate(
+            tol("moment_identity"),
+            abs(constants["flat_display_factor"] - 2.0),
+            abs(constants["product_display_fiber_sign"] + 1.0),
         ),
         "scaling_linearity": scale_res < tol("scaling_linearity"),
     }
@@ -367,12 +370,13 @@ def run_lemma_suite(scenario):
 # -- main certification pipeline ----------------------------------------------------
 
 
-def _segment_witness(geometry, delta, rng, points=200, t_count=21):
-    """Nondegeneracy of the segment family over a (t, point) grid.
+def _segment_witness(geometry, delta, rng):
+    """Nondegeneracy of the segment family at 200 points and 21 times in [0, 1].
 
     Also certifies affinity in t: the form at interior times must equal the
     straight-line combination of its endpoint evaluations.
     """
+    points, t_count = 200, 21
     family = segment_stage(geometry, delta)
     ks = geometry.alg.group_exp(
         rng.standard_normal((points, geometry.alg.dim_k))
@@ -383,50 +387,50 @@ def _segment_witness(geometry, delta, rng, points=200, t_count=21):
     kap = geometry.kappa(ks)
     end0 = family.omega(spec, kap, 0.0)
     end1 = family.omega(spec, kap, 1.0)
-    min_margin = np.inf
-    affinity = 0.0
+    margins, affinity = [], []
     for t in np.linspace(0.0, 1.0, t_count):
         omega = family.omega(spec, kap, t)
-        svals = np.linalg.svd(omega, compute_uv=False)
-        min_margin = min(min_margin, float(svals[..., -1].min()))
-        affinity = max(
-            affinity, float(np.abs(omega - ((1 - t) * end0 + t * end1)).max())
-        )
+        margins.append(np.linalg.svd(omega, compute_uv=False)[..., -1].min())
+        affinity.append(np.abs(omega - ((1 - t) * end0 + t * end1)).max())
     return {
         "t_count": t_count,
         "point_count": points,
-        "min_margin": min_margin,
-        "affinity_residual": affinity,
+        "min_margin": float(np.min(margins)),
+        "affinity_residual": float(np.max(affinity)),
     }
 
 
-def _stage_report(geometry, stage, points, eps, rng, expected_shift, tol):
-    out = verify_pullback(geometry, [stage], points, eps=eps, rng=rng)
+# verify_pullback outputs copied unchanged into the stage and composite blocks
+_FLOW_KEYS = (
+    "pullback_residual", "moment_shift_spread", "zero_section_displacement",
+    "equivariance_residual", "min_form_margin", "max_group_residual",
+    "reprojections", "field_evaluations", "field_lanes", "fiber_sup",
+)
+
+
+def _flow_block(out, tol, pullback_tol, expected_shift):
+    """Values and checks of a stage or composite block from verify_pullback."""
     shift_error = float(np.abs(out["moment_shift_mean"] - expected_shift).max())
     checks = {
-        "pullback": out["pullback_residual"] < tol("stage_pullback"),
-        "moment_shift": shift_error < tol("moment_shift")
-        and out["moment_shift_spread"] < tol("moment_shift"),
+        "pullback": out["pullback_residual"] < tol(pullback_tol),
+        "moment_shift": _gate(
+            tol("moment_shift"), shift_error, out["moment_shift_spread"]
+        ),
         "zero_section_fixed": out["zero_section_displacement"] < tol("zero_section"),
         "equivariance": out["equivariance_residual"] < tol("equivariance"),
         "group_drift": out["max_group_residual"] < tol("group_drift"),
     }
+    block = {key: out[key] for key in _FLOW_KEYS}
+    return {**block, "moment_shift_error": shift_error, "checks": checks}
+
+
+def _stage_report(geometry, stage, points, eps, rng, expected_shift, tol):
+    out = verify_pullback(geometry, [stage], points, eps=eps, rng=rng)
     return {
         "name": stage.family.name,
         "steps": stage.steps,
         "sample_count": len(points),
-        "pullback_residual": out["pullback_residual"],
-        "moment_shift_error": shift_error,
-        "moment_shift_spread": out["moment_shift_spread"],
-        "zero_section_displacement": out["zero_section_displacement"],
-        "equivariance_residual": out["equivariance_residual"],
-        "min_form_margin": out["min_form_margin"],
-        "max_group_residual": out["max_group_residual"],
-        "reprojections": out["reprojections"],
-        "field_evaluations": out["field_evaluations"],
-        "field_lanes": out["field_lanes"],
-        "fiber_sup": out["fiber_sup"],
-        "checks": checks,
+        **_flow_block(out, tol, "stage_pullback", expected_shift),
     }
 
 
@@ -435,13 +439,13 @@ def _hypothesis_checks(hyp, tol):
         "closedness": hyp["closedness_rel_residual"] < tol("closedness"),
         "primitive_exactness": hyp["primitive_exactness_residual"]
         < tol("exactness"),
-        "zero_section_restrictions": max(
+        "zero_section_restrictions": _gate(
+            tol("zero_restriction"),
             hyp["zero_section_cross_block"],
             hyp["zero_section_dt_restriction"],
             hyp["zero_section_endpoint_restriction"],
             hyp["zero_section_primitive_sup"],
-        )
-        < tol("zero_restriction"),
+        ),
         "zero_section_moment_bounded": bool(
             np.isfinite(hyp["zero_section_moment_sup"])
         ),
@@ -465,11 +469,7 @@ def run_theorem_pipeline(scenario):
     t_start = time.perf_counter()
     alg, datum, weight, margin = _build_model(scenario)
     m_lam, b_lam = chamber_constants(weight, datum)
-    delta = (
-        scenario.delta_abs
-        if scenario.delta_abs is not None
-        else scenario.delta_mult * b_lam
-    )
+    delta = _delta(scenario, b_lam)
     if not delta > b_lam:
         raise DeltaError(
             f"delta = {delta:.6g} must exceed b_lambda = {b_lam:.6g}; the "
@@ -521,35 +521,17 @@ def run_theorem_pipeline(scenario):
     comp = verify_pullback(
         geometry, stages, comp_pts, eps=scenario.eps, rng=rng_comp
     )
-    comp_shift_error = float(np.abs(comp["moment_shift_mean"]).max())
-    composite_checks = {
-        "pullback": comp["pullback_residual"] < tol("composite_pullback"),
-        "moment_preserved": comp_shift_error < tol("moment_shift")
-        and comp["moment_shift_spread"] < tol("moment_shift"),
-        "zero_section_fixed": comp["zero_section_displacement"]
-        < tol("zero_section"),
-        "equivariance": comp["equivariance_residual"] < tol("equivariance"),
-        "group_drift": comp["max_group_residual"] < tol("group_drift"),
-        "images_separated": comp["min_image_separation"] > 0.0,
-    }
     composite = {
         "steps": [stage.steps for stage in stages],
         "sample_count": len(comp_pts),
-        "pullback_residual": comp["pullback_residual"],
-        "moment_shift_error": comp_shift_error,
-        "moment_shift_spread": comp["moment_shift_spread"],
-        "zero_section_displacement": comp["zero_section_displacement"],
-        "equivariance_residual": comp["equivariance_residual"],
-        "min_form_margin": comp["min_form_margin"],
-        "max_group_residual": comp["max_group_residual"],
-        "reprojections": comp["reprojections"],
-        "field_evaluations": comp["field_evaluations"],
-        "field_lanes": comp["field_lanes"],
-        "fiber_sup": comp["fiber_sup"],
         "min_image_separation": comp["min_image_separation"],
         "min_source_separation": comp["min_source_separation"],
-        "checks": composite_checks,
+        **_flow_block(comp, tol, "composite_pullback", 0.0),
     }
+    composite_checks = composite["checks"]
+    # the composite's shift gate (expected shift 0) is named moment_preserved
+    composite_checks["moment_preserved"] = composite_checks.pop("moment_shift")
+    composite_checks["images_separated"] = comp["min_image_separation"] > 0.0
 
     checks = {
         "lemmas": all(lemmas["checks"].values()),
@@ -562,9 +544,6 @@ def run_theorem_pipeline(scenario):
         "composite": all(composite_checks.values()),
     }
 
-    hypotheses_out = dict(hypotheses)
-    hypotheses_out["checks"] = hyp_checks
-
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "theorem",
@@ -573,7 +552,7 @@ def run_theorem_pipeline(scenario):
         "constants": constants,
         "lemmas": lemmas,
         "segment_witness": witness,
-        "hypotheses": hypotheses_out,
+        "hypotheses": {**hypotheses, "checks": hyp_checks},
         "stages": stage_reports,
         "composite": composite,
         "checks": checks,

@@ -139,14 +139,16 @@ def _unit(n, j):
     return e
 
 
-def compute_root_datum(alg, tol=1e-9):
+def compute_root_datum(alg):
     """Extract the root datum by simultaneous diagonalization of ad(t).
 
     A deterministic generic combination of the torus generators is
     eigendecomposed (it is real skew, so i times it is Hermitian); each
     nonzero eigenvector is certified to be a simultaneous eigenvector of all
-    ad(H_j), retrying with a different combination on accidental degeneracy.
+    ad(H_j) to 1e-9, retrying with a different combination on accidental
+    degeneracy.
     """
+    tol = 1e-9
     r = alg.rank
     torus_ads = np.swapaxes(alg.structure[:r], 1, 2)
     for attempt in range(len(_PRIMES) - r):
@@ -289,18 +291,18 @@ class StabilizerSplit:
     complement: np.ndarray  # (dim_k, c)
 
 
-def stabilizer_algebra(weight, datum, rel_tol=1e-9):
+def stabilizer_algebra(weight, datum):
     """Split k into the stabilizer k_lambda and its B_theta-orthocomplement.
 
-    k_lambda is the kernel of X |-> lambda o ad(X)|_k, found by SVD with a
-    relative singular-value threshold.
+    k_lambda is the kernel of X |-> lambda o ad(X)|_k, found by SVD with the
+    relative singular-value threshold 1e-9.
     """
     alg = datum.algebra
     dim_k = alg.dim_k
     m_kk = pairing_matrix(alg, weight.full(alg))[:dim_k, :dim_k]
     _, s, vt = np.linalg.svd(m_kk)
     # absolute floor keeps the K-invariant case (zero matrix) in the kernel
-    thresh = max(rel_tol * float(s.max()), 1e-12 * max(1.0, float(np.linalg.norm(weight.coords))))
+    thresh = max(1e-9 * float(s.max()), 1e-12 * max(1.0, float(np.linalg.norm(weight.coords))))
     small = s < thresh
     kernel = vt[small].T
     complement = vt[~small].T

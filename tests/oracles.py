@@ -141,6 +141,14 @@ def _as_coords(alg, x):
     return x.astype(float)
 
 
+def theta(alg, x):
+    """Cartan involution, on coordinates or ambient matrices."""
+    x = np.asarray(x)
+    if x.ndim >= 2 and x.shape[-1] == alg.ambient and np.iscomplexobj(x):
+        return -np.conj(np.swapaxes(x, -1, -2))
+    return x * alg.theta_signs
+
+
 def killing_form(alg, x, y):
     """B_g(x, y) from the Gram matrix, on coordinates or ambient matrices."""
     x, y = _as_coords(alg, x), _as_coords(alg, y)

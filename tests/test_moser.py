@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from holomoser import build_algebra
+from holomoser import build_algebra, moser
 from holomoser.forms import OrbitGeometry
 from holomoser.moser import (
     MoserStage,
@@ -416,6 +416,41 @@ def test_check_hypotheses_clean_report(su21):
     for row in out["properness"]:
         assert 0.99 < row["ratio"] < 1.05, row
         assert abs(row["gamma_fit"] - 2.0) < 0.05, row
+
+
+def test_worst_case_values_keep_a_nan_from_any_lane(su21, monkeypatch):
+    # running Python max() accumulators would drop a NaN met after the first
+    # (stage, t) or equivariance lane
+    _, _, geo = su21
+    families, d = stage_families(geo)
+    stages = [MoserStage(f, 10) for f in families]
+    real_exact, real_flow = moser.primitive_exactness_residual, moser.flow_stages
+    calls = []
+
+    def nan_on_third_call(*args):
+        calls.append(None)
+        out = real_exact(*args)
+        return out * np.nan if len(calls) == 3 else out
+
+    monkeypatch.setattr(moser, "primitive_exactness_residual", nan_on_third_call)
+    out = check_hypotheses(geo, stages, d, np.random.default_rng(15))
+    assert len(calls) == 9
+    assert np.isnan(out["primitive_exactness_residual"])
+    assert out["closedness_rel_residual"] < 1e-8
+
+    rng = np.random.default_rng(4)
+    pts = [(geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k)),
+            0.5 * rng.standard_normal(geo.dim_p)) for _ in range(2)]
+    second_partner = len(pts) * (1 + 2 * geo.dim_t) + 1
+
+    def nan_second_partner(*args):
+        k, z, traces = real_flow(*args)
+        z[second_partner] = np.nan
+        return k, z, traces
+
+    monkeypatch.setattr(moser, "flow_stages", nan_second_partner)
+    out = verify_pullback(geo, stages[:1], pts, rng=np.random.default_rng(0))
+    assert np.isnan(out["equivariance_residual"])
 
 
 ZERO_SECTION_KEYS = (

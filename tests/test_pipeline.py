@@ -16,8 +16,13 @@ from holomoser import (
     run_theorem_pipeline,
     scenario_from_config,
 )
-from holomoser import build_algebra, cli
-from holomoser.pipeline import _CHAMBER_BLOCK, _lemma_block, _random_chamber_weight
+from holomoser import build_algebra, cli, pipeline
+from holomoser.pipeline import (
+    _CHAMBER_BLOCK,
+    _hypothesis_checks,
+    _lemma_block,
+    _random_chamber_weight,
+)
 from holomoser.roots import compute_root_datum
 from holomoser.report import (
     DEFAULT_TOLERANCES,
@@ -333,6 +338,101 @@ def test_report_json_shape(su11_report):
     assert isinstance(data["stages"], list) and len(data["stages"]) == 3
 
 
+# the values and gate names of every report block, pinned
+FLOW_VALUES = {
+    "pullback_residual", "moment_shift_error", "moment_shift_spread",
+    "zero_section_displacement", "equivariance_residual", "min_form_margin",
+    "max_group_residual", "reprojections", "field_evaluations", "field_lanes",
+    "fiber_sup", "sample_count", "steps", "checks",
+}
+FLOW_GATES = {"pullback", "zero_section_fixed", "equivariance", "group_drift"}
+
+
+def test_report_blocks_keep_their_keys_and_gate_names(su11_report):
+    for rep in su11_report["stages"]:
+        assert set(rep) == FLOW_VALUES | {"name"}, rep["name"]
+        assert set(rep["checks"]) == FLOW_GATES | {"moment_shift"}, rep["name"]
+    comp = su11_report["composite"]
+    assert set(comp) == FLOW_VALUES | {
+        "min_image_separation", "min_source_separation"
+    }
+    assert set(comp["checks"]) == FLOW_GATES | {
+        "moment_preserved", "images_separated"
+    }
+    hyp = su11_report["hypotheses"]
+    assert set(hyp) == {
+        "closedness_rel_residual", "primitive_exactness_residual",
+        "zero_section_cross_block", "zero_section_dt_restriction",
+        "zero_section_endpoint_restriction", "zero_section_primitive_sup",
+        "zero_section_moment_sup", "orthogonality_nullspace_residual",
+        "properness", "checks",
+    }
+    assert set(hyp["checks"]) == {
+        "closedness", "primitive_exactness", "zero_section_restrictions",
+        "zero_section_moment_bounded", "orthogonality_nullspace",
+        "properness_hermitian", "properness_scaling", "properness_segment",
+    }
+    for row in hyp["properness"]:
+        assert set(row) == {"stage", "d_fit", "d_analytic", "ratio", "gamma_fit"}
+    lemmas = su11_report["lemmas"]
+    assert set(lemmas) == {
+        "samples", "chi_multiset_deviation", "chi_spectral_radius",
+        "pullback_growth_min_slack", "flat_identity_residual",
+        "bracket_min_slack", "bracket_equality_residual",
+        "moment_identity_residuals", "convention_constants",
+        "scaling_linearity_residual", "checks",
+    }
+    assert set(lemmas["moment_identity_residuals"]) == {
+        "pullback", "product", "delta", "segment", "hermitian"
+    }
+    assert set(lemmas["checks"]) == {
+        "chi_multiset", "chi_contraction", "pullback_growth", "flat_identity",
+        "bracket_positivity", "bracket_equality_at_lambda0",
+        "moment_identities", "convention_constants", "scaling_linearity",
+    }
+    assert set(su11_report["checks"]) == {
+        "lemmas", "segment_witness", "hypotheses", "stages", "composite"
+    }
+
+
+def test_nan_in_a_later_moment_identity_fails_the_lemma_verdict(monkeypatch):
+    # a Python max() over the residuals would skip a NaN after the first one
+    real = pipeline.moment_identity_residual
+
+    def nan_for_product(geo, form_at, moment_at, *args, **kwargs):
+        value = real(geo, form_at, moment_at, *args, **kwargs)
+        return np.nan if form_at.func is pipeline.form_product else value
+
+    monkeypatch.setattr(pipeline, "moment_identity_residual", nan_for_product)
+    rep = run_lemma_suite(small_su11(seed=8))
+    residuals = rep["lemmas"]["moment_identity_residuals"]
+    assert list(residuals).index("product") > 0
+    assert np.isnan(residuals["product"])
+    assert rep["lemmas"]["checks"]["moment_identities"] is False
+    assert rep["verdict"] == "fail"
+
+
+def test_nan_in_a_later_zero_section_value_fails_the_theorem_verdict(
+    su11_report, monkeypatch
+):
+    tol = small_su11().tolerance
+    clean = {k: v for k, v in su11_report["hypotheses"].items() if k != "checks"}
+    assert _hypothesis_checks(clean, tol)["zero_section_restrictions"]
+    hyp = {**clean, "zero_section_dt_restriction": np.nan}
+    assert _hypothesis_checks(hyp, tol)["zero_section_restrictions"] is False
+
+    real = pipeline.check_hypotheses
+
+    def nan_dt_restriction(*args, **kwargs):
+        return {**real(*args, **kwargs), "zero_section_dt_restriction": np.nan}
+
+    monkeypatch.setattr(pipeline, "check_hypotheses", nan_dt_restriction)
+    rep = run_theorem_pipeline(small_su11())
+    assert rep["hypotheses"]["checks"]["zero_section_restrictions"] is False
+    assert rep["checks"]["hypotheses"] is False
+    assert rep["verdict"] == "fail"
+
+
 def test_stage_and_composite_blocks_report_flow_counters(su11_report):
     const = su11_report["constants"]
     c, t_dim = const["dim_base_complement"], const["dim_total"]
@@ -439,6 +539,22 @@ def test_cli_numerical_failure_exit_code_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "error: chamber rejection sampling failed" in captured.err
+
+
+def test_cli_linear_algebra_failure_exit_code_one(tmp_path, capsys):
+    # at radius 900 the form blocks overflow and moser_field's svd does not
+    # converge; LinAlgError subclasses ValueError, yet it is a numerical
+    # failure, not invalid input
+    path = tmp_path / "far.cfg"
+    path.write_text(
+        "family = su\np = 1\nq = 1\nradius = 900\nsteps = 10\nsamples = 2\n"
+        "stage_samples = 1\nlemma_samples = 50\n",
+        encoding="utf-8",
+    )
+    rc = cli.main(["theorem", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: SVD did not converge" in captured.err
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
