@@ -112,6 +112,20 @@ class MatrixLieAlgebra:
         x = np.asarray(x, dtype=float)
         return (x @ self._structure_ad).reshape(x.shape[:-1] + (self.dim, self.dim))
 
+    def embed_k(self, x):
+        """Full coordinates (..., N) of k-coordinates x (..., dim_k); zero on p."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (self.dim,))
+        out[..., : self.dim_k] = x
+        return out
+
+    def embed_p(self, z):
+        """Full coordinates (..., N) of p-coordinates z (..., dim_p); zero on k."""
+        z = np.asarray(z, dtype=float)
+        out = np.zeros(z.shape[:-1] + (self.dim,))
+        out[..., self.dim_k :] = z
+        return out
+
     # -- group-level helpers -------------------------------------------------
 
     def group_exp(self, u):
@@ -120,10 +134,7 @@ class MatrixLieAlgebra:
         Elements of k are anti-Hermitian, so i*u_mat is Hermitian and the
         exponential comes from a batched eigh.
         """
-        u = np.asarray(u, dtype=float)
-        full = np.zeros(u.shape[:-1] + (self.dim,))
-        full[..., : self.dim_k] = u
-        mats = self.matrix(full)
+        mats = self.matrix(self.embed_k(u))
         w, v = np.linalg.eigh(1j * mats)
         phase = np.exp(-1j * w)
         return (v * phase[..., None, :]) @ _dagger(v)

@@ -85,12 +85,6 @@ class OrbitGeometry:
 
     # -- batched building blocks (any leading batch shape) ----------------------
 
-    def pad_fiber(self, zp):
-        zp = np.atleast_2d(np.asarray(zp, dtype=float))
-        out = np.zeros(zp.shape[:-1] + (self.alg.dim,))
-        out[..., self.alg.dim_k :] = zp
-        return out
-
     def fiber_block(self, zp):
         """The k-p blocks A = ad(Z)[:dim_k, dim_k:] (..., K, P) of fiber vectors."""
         zp = np.atleast_2d(np.asarray(zp, dtype=float))
@@ -155,21 +149,16 @@ class OrbitGeometry:
 
     # -- batched moment maps (B, N): k* coordinates, zero on p -------------------
 
-    def _k_covector(self, xk):
-        out = np.zeros(xk.shape[:-1] + (self.alg.dim,))
-        out[..., : self.alg.dim_k] = xk
-        return out
-
     def moment_pullback(self, spec, kl):
         """Gamma^* of the orbit moment map: (e^Z.(k lambda)) restricted to k*.
 
         k lambda lies in k*, where the k-k block of e^{-ad Z} is cosh(A A^T).
         """
-        return self._k_covector(spec.apply_k(1.0, G, kl[..., : self.alg.dim_k]))
+        return self.alg.embed_k(spec.apply_k(1.0, G, kl[..., : self.alg.dim_k]))
 
     def moment_delta(self, spec, kl, delta):
         cosh = spec.apply_k(1.0, G, self.lam0_k)
-        return self._k_covector(kl[..., : self.alg.dim_k] + delta * cosh)
+        return self.alg.embed_k(kl[..., : self.alg.dim_k] + delta * cosh)
 
     def moment_segment(self, spec, kl, t, delta):
         """t * Phi^delta + (1-t) * Phi_pullback, matching the segment form."""
@@ -181,11 +170,11 @@ class OrbitGeometry:
 
         Twice the true moment of Omega_p; it needs no eigendecomposition.
         """
-        return self._k_covector((a @ (_mT(a) @ self.lam0_k[:, None]))[..., 0])
+        return self.alg.embed_k((a @ (_mT(a) @ self.lam0_k[:, None]))[..., 0])
 
     def moment_product(self, spec, kl):
         flat = self.moment_flat(spec.a)
-        return self._k_covector(kl[..., : self.alg.dim_k]) + 0.5 * flat
+        return self.alg.embed_k(kl[..., : self.alg.dim_k]) + 0.5 * flat
 
     def moment_hermitian(self, spec, kl, t):
         """Moment of the scaled family: kl + (cosh(t ad Z) - 1)/t^2 lambda_0.
@@ -193,7 +182,7 @@ class OrbitGeometry:
         On k that is A G(t^2 A^T A) A^T lambda_0, continuous through t = 0.
         """
         out = spec.apply_k(0.0, lambda s: G(t * t * s), self.lam0_k)
-        return self._k_covector(kl[..., : self.alg.dim_k] + out)
+        return self.alg.embed_k(kl[..., : self.alg.dim_k] + out)
 
     # -- tangent utilities ------------------------------------------------------
 
@@ -203,11 +192,11 @@ class OrbitGeometry:
         x_gen is one generator (dim_k,) or one per point (B, dim_k).
         """
         alg = self.alg
-        x_full = self._k_covector(np.asarray(x_gen, dtype=float))
+        x_full = alg.embed_k(x_gen)
         moved = (kap @ x_full[..., None])[..., 0]
         base = moved @ self.complement  # (B, c) coordinates in the complement
-        fiber = self.alg.bracket(
-            np.broadcast_to(x_full, (kap.shape[0], alg.dim)), self.pad_fiber(zp)
+        fiber = alg.bracket(
+            np.broadcast_to(x_full, (kap.shape[0], alg.dim)), alg.embed_p(zp)
         )[..., alg.dim_k :]
         return np.concatenate([base, fiber], axis=-1)
 
@@ -280,9 +269,7 @@ def bracket_positivity_slack(datum, w1, w2, zp):
     """
     alg = datum.algebra
     zp = np.asarray(zp, dtype=float)
-    z = np.zeros(zp.shape[:-1] + (alg.dim,))
-    z[..., alg.dim_k :] = zp
-    adz = alg.ad(z)
+    adz = alg.ad(alg.embed_p(zp))
     x1 = w1.full(alg)[..., None, :]
     x2 = w2.full(alg)[..., :, None]
     lhs = (x1 @ (adz @ adz) @ x2)[..., 0, 0]
@@ -330,7 +317,7 @@ def _moment_identity_sides(geometry, form_at, moment_at, ks, zs, gens, eps):
     rhs = (field[:, None] @ form_at(ks, zs))[:, 0]
     lanes = difference_lanes(geometry, ks, zs, eps)
     mom = moment_at(*lanes).reshape(len(zs), geometry.dim_t, 2, geometry.alg.dim)
-    vals = np.einsum("btsn,bn->bts", mom, geometry._k_covector(gens))
+    vals = np.einsum("btsn,bn->bts", mom, geometry.alg.embed_k(gens))
     return (vals[..., 0] - vals[..., 1]) / (2 * eps), rhs
 
 
@@ -363,10 +350,8 @@ def measure_convention_constants(geometry, rng):
     adz0_p = geometry.ad_z0[alg.dim_k :, alg.dim_k :]
     for _ in range(6):
         zp = rng.standard_normal(geometry.dim_p)
-        x = rng.standard_normal(alg.dim_k)
-        x_full = np.zeros(alg.dim)
-        x_full[: alg.dim_k] = x
-        field = alg.bracket(x_full, geometry.pad_fiber(zp[None])[0])[alg.dim_k :]
+        x_full = alg.embed_k(rng.standard_normal(alg.dim_k))
+        field = alg.bracket(x_full, alg.embed_p(zp))[alg.dim_k :]
         for j in range(geometry.dim_p):
             dz = np.zeros(geometry.dim_p)
             dz[j] = eps
@@ -381,7 +366,8 @@ def measure_convention_constants(geometry, rng):
             ratios_flat.append(flat_fd / rhs)
 
             def display_fiber(v):
-                return 0.5 * float(v @ adz0_p @ alg.bracket(x_full, geometry.pad_fiber(v[None])[0])[alg.dim_k :])
+                moved = alg.bracket(x_full, alg.embed_p(v))[alg.dim_k :]
+                return 0.5 * float(v @ adz0_p @ moved)
 
             disp_fd = (display_fiber(zp + dz) - display_fiber(zp - dz)) / (2 * eps)
             ratios_sign.append(disp_fd / rhs)

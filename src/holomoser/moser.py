@@ -38,7 +38,7 @@ import numpy as np
 
 from .forms import OrbitGeometry, difference_lanes
 from .operators import G, hermitian_radial
-from .roots import ChamberWeight, chamber_constants
+from .roots import ChamberWeight, in_holomorphic_chamber
 
 # degree-5 symmetric triangle rule (barycentric nodes, weights sum to 1)
 _TRI_A2 = 0.470142064105115
@@ -83,6 +83,14 @@ class FormFamily:
     (spec, kap, t) to (B, N) coadjoint coordinates, and pairing_direction t
     to the unit vector the properness fit pairs with.
 
+    moment_shift (N,) is the change Phi_1(rho(x)) - Phi_0(x) the time-one
+    flow rho must make at every point: 0, (delta - 1) lambda_0 and
+    -delta lambda_0 for the three stages.  properness_bound is the analytic
+    quadratic growth constant the properness fit is compared with:
+    1/(2||z0||) for the hermitian family, min(1, delta)/(2||z0||) for the
+    scaling, and for the segment the minimum over _PROPERNESS_GRID of the
+    interpolated m_{lambda_t}^2 / (2 ||H_{lambda_t}||), m the chamber margin.
+
     moves_base is False for the families of the form base block + fiber(Z)
     whose primitive has no base part (hermitian, scaling): their omega and
     primitive never read kap, and their Moser field is exactly vertical, so
@@ -96,7 +104,13 @@ class FormFamily:
     primitive: Callable
     moment: Callable
     pairing_direction: Callable
+    moment_shift: np.ndarray
+    properness_bound: float
     moves_base: bool = True
+
+
+# family times of the properness fit and of the segment stage's analytic bound
+_PROPERNESS_GRID = tuple(np.linspace(0.0, 1.0, 11))
 
 
 def _z0_direction(geometry):
@@ -133,6 +147,8 @@ def hermitian_stage(geometry):
         primitive,
         lambda spec, kap, t: geometry.moment_hermitian(spec, geometry.klam(kap), t),
         _z0_direction(geometry),
+        0.0 * geometry.lam0,
+        1.0 / (2.0 * float(np.linalg.norm(geometry.z0))),
         moves_base=False,
     )
 
@@ -158,6 +174,8 @@ def scaling_stage(geometry, delta):
             spec, geometry.klam(kap), 1.0 + t * (delta - 1.0)
         ),
         _z0_direction(geometry),
+        (delta - 1.0) * geometry.lam0,
+        min(1.0, delta) / (2.0 * float(np.linalg.norm(geometry.z0))),
         moves_base=False,
     )
 
@@ -182,6 +200,12 @@ def segment_stage(geometry, delta):
         coords = segment_weight_coords(geometry, delta, 1.0 - t)
         return coords / np.linalg.norm(coords)
 
+    bounds = []
+    for t in _PROPERNESS_GRID:
+        coords = segment_weight_coords(geometry, delta, 1.0 - t)
+        weight = ChamberWeight(coords[: geometry.alg.rank])
+        _, m = in_holomorphic_chamber(weight, geometry.datum, -np.inf)
+        bounds.append(m * m / (2.0 * np.linalg.norm(coords)))
     return FormFamily(
         "segment",
         geometry,
@@ -192,6 +216,8 @@ def segment_stage(geometry, delta):
             spec, geometry.klam(kap), 1.0 - t, delta
         ),
         direction,
+        -delta * geometry.lam0,
+        float(min(bounds)),
     )
 
 
@@ -232,13 +258,21 @@ def moser_field(family, ks, zs, t):
     """Moser field xi_t with iota(xi) omega_t = -mu_t; (B, T) tangent coords.
 
     A family that does not move the base never reads Ad(k^{-1}), so its ks
-    are not read (they may be None).
+    are not read (they may be None).  An svd that does not converge (an
+    overflowing form) raises RuntimeError naming the family, t and whether
+    the form had non-finite entries.
     """
     geo = family.geometry
     spec = geo.fiber_eig(zs)
     kap = geo.kappa(ks) if family.moves_base else None
     omega = family.omega(spec, kap, t)
-    margin = float(np.linalg.svd(omega, compute_uv=False)[..., -1].min())
+    try:
+        margin = float(np.linalg.svd(omega, compute_uv=False)[..., -1].min())
+    except np.linalg.LinAlgError as exc:
+        entries = "finite" if np.isfinite(omega).all() else "non-finite"
+        raise RuntimeError(
+            f"{exc} ({family.name} form at t = {t:.4f}; form has {entries} entries)"
+        ) from exc
     if margin < 1e-10:
         raise RuntimeError(
             f"{family.name} family degenerates along the flow "
@@ -270,11 +304,7 @@ class FlowResult:
 
 
 def _bracket_k(alg, x, y):
-    xf = np.zeros(x.shape[:-1] + (alg.dim,))
-    xf[..., : alg.dim_k] = x
-    yf = np.zeros(y.shape[:-1] + (alg.dim,))
-    yf[..., : alg.dim_k] = y
-    return alg.bracket(xf, yf)[..., : alg.dim_k]
+    return alg.bracket(alg.embed_k(x), alg.embed_k(y))[..., : alg.dim_k]
 
 
 def _dexpinv(alg, u, y):
@@ -383,10 +413,7 @@ def _dexp_matrix(alg, u_k):
     series is used only for small chart displacements, where ten terms are
     far below roundoff.
     """
-    u_k = np.asarray(u_k, dtype=float)
-    full = np.zeros(u_k.shape[:-1] + (alg.dim,))
-    full[..., : alg.dim_k] = u_k
-    neg_ad = -alg.ad(full)[..., : alg.dim_k, : alg.dim_k]
+    neg_ad = -alg.ad(alg.embed_k(u_k))[..., : alg.dim_k, : alg.dim_k]
     out = np.eye(alg.dim_k)
     term = np.eye(alg.dim_k)
     for m in range(1, 10):
@@ -464,7 +491,7 @@ def stokes_closedness_residual(geometry, omega_at, k0, z0, frames, diameter):
     return (np.abs(total) / np.maximum(scale, 1e-300)).max(axis=-1)
 
 
-def primitive_exactness_residual(family, geometry, k0, z0, t, frames):
+def primitive_exactness_residual(family, k0, z0, t, frames):
     """Check d mu_t = d omega_t/dt on small 2-simplices in the chart.
 
     k0 (B, a, a) and z0 (B, P) are base points; frames (B, T, 2) hold
@@ -476,6 +503,7 @@ def primitive_exactness_residual(family, geometry, k0, z0, t, frames):
     in one form evaluation); both are O(h^2), and the returned (B,) values
     are their relative mismatch.
     """
+    geometry = family.geometry
     h = 1e-2
     corners = np.zeros((len(z0), 3, geometry.dim_t))
     corners[:, 1:] = h * np.swapaxes(frames, -1, -2)
@@ -525,16 +553,17 @@ def _flatten_points(ks, zs):
     )
 
 
-def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
-                    n_zero=4, *, rng):
+def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *, rng):
     """Certify rho^*(final form) = initial form at the base points.
 
     Every sample contributes one center lane and its 2 dim_t
     forms.difference_lanes; equivariance partners (their K elements drawn
     from rng) and zero-section lanes are appended, and the whole batch is
     flowed once through the stages.  Differentials of the composite come
-    from central differences (group logarithms for the K part).
+    from central differences (group logarithms for the K part).  The stages
+    share one geometry.
     """
+    geometry = stages[0].family.geometry
     alg = geometry.alg
     a, dim_p, t_dim = alg.ambient, geometry.dim_p, geometry.dim_t
     c_k = geometry.complement[: alg.dim_k]
@@ -552,7 +581,7 @@ def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
         adk = alg.adjoint_group_matrix(kp)
         eq_rot.append((kp, adk))
         lanes_k.append((kp @ base_k[j])[None])
-        lanes_z.append((adk @ geometry.pad_fiber(base_z[j])[0])[None, alg.dim_k :])
+        lanes_z.append((adk @ alg.embed_p(base_z[j]))[None, alg.dim_k :])
 
     zero_idx = b0 * (1 + 2 * t_dim) + n_eq
     zero_sources = alg.group_exp(rng.standard_normal((n_zero, alg.dim_k)))
@@ -595,7 +624,7 @@ def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
     for j, (kp, adk) in enumerate(eq_rot):
         lane = b0 * (1 + 2 * t_dim) + j
         target_k = kp @ flowed_k[j]
-        target_z = (adk @ geometry.pad_fiber(flowed_z[j])[0])[alg.dim_k :]
+        target_z = (adk @ alg.embed_p(flowed_z[j]))[alg.dim_k :]
         eq_res += [
             np.abs(flowed_k[lane] - target_k).max(),
             np.abs(flowed_z[lane] - target_z).max(),
@@ -637,9 +666,6 @@ def verify_pullback(geometry, stages, base_points, eps=1e-4, n_equivariance=4,
 # -- hypothesis checks -------------------------------------------------------------
 
 
-_PROPERNESS_GRID = tuple(np.linspace(0.0, 1.0, 11))
-
-
 def _root_probe_fibers(geometry, radii=(0.2, 0.4)):
     """Small fiber vectors along every positive noncompact root plane.
 
@@ -660,7 +686,7 @@ def _root_probe_fibers(geometry, radii=(0.2, 0.4)):
     return probes
 
 
-def properness_fit(geometry, family, rng):
+def properness_fit(family, rng):
     """Fitted quadratic growth constant of the moment family.
 
     min over samples and t of <Phi_t(k,Z) - Phi_t(k,0), n_t> / ||Z||^2 with
@@ -669,6 +695,7 @@ def properness_fit(geometry, family, rng):
     ||Z|| in [0.2, 2.5] are mixed with root-plane probes so the minimum
     lands on the saturating rays; t runs over _PROPERNESS_GRID.
     """
+    geometry = family.geometry
     alg = geometry.alg
     samples = 60
     ks = alg.group_exp(rng.standard_normal((samples, alg.dim_k)))
@@ -694,7 +721,7 @@ def properness_fit(geometry, family, rng):
     return float(np.min(best))
 
 
-def properness_gamma(geometry, family):
+def properness_gamma(family):
     """Fitted growth exponent of the moment gap along a root-plane ray.
 
     Log-log regression of <Phi_t(e, rV) - Phi_t(e, 0), n_t> against r at
@@ -702,6 +729,7 @@ def properness_gamma(geometry, family):
     predicts a slope of 2 for small radii.
     """
     t, radii = 0.5, np.geomspace(0.05, 0.4, 6)
+    geometry = family.geometry
     alg = geometry.alg
     direction = _root_probe_fibers(geometry, radii=(1.0,))[0]
     zs = np.stack([r * direction for r in radii])
@@ -715,30 +743,6 @@ def properness_gamma(geometry, family):
     )
     vals = gap @ family.pairing_direction(t)
     return float(np.polyfit(np.log(radii), np.log(vals), 1)[0])
-
-
-def analytic_properness_bound(geometry, stage_name, delta):
-    """The quadratic growth constants the moment families are tested against.
-
-    1/(2||z0||) for the hermitian family, min(1, delta)/(2||z0||) for the
-    coefficient scaling, and min over the segment of the interpolated
-    m_{lambda_t}^2 / (2 ||H_{lambda_t}||); the segment minimum runs over the
-    same t-grid the fit uses.
-    """
-    z0_norm = float(np.linalg.norm(geometry.z0))
-    if stage_name == "hermitian":
-        return 1.0 / (2.0 * z0_norm)
-    if stage_name == "scaling":
-        return min(1.0, delta) / (2.0 * z0_norm)
-    if stage_name == "segment":
-        vals = []
-        for t in _PROPERNESS_GRID:
-            coords = segment_weight_coords(geometry, delta, 1.0 - t)
-            rank = geometry.alg.rank
-            m, _ = chamber_constants(ChamberWeight(coords[:rank]), geometry.datum)
-            vals.append(m * m / (2.0 * np.linalg.norm(coords)))
-        return float(min(vals))
-    raise ValueError(f"unknown stage {stage_name!r}")
 
 
 def _draw_chart_points(geometry, rng, count, n_tets):
@@ -773,7 +777,7 @@ _HYPOTHESIS_VALUES = (
 )
 
 
-def check_hypotheses(geometry, stages, delta, rng):
+def check_hypotheses(stages, rng):
     """Static hypothesis checks for a stage list.
 
     For every stage this certifies, at randomly sampled points and family
@@ -785,17 +789,18 @@ def check_hypotheses(geometry, stages, delta, rng):
     (sup reported), and the symplectic orthogonal of the section - computed
     as an explicit null space of the base rows - is exactly the fiber.  Each
     moment family's fitted quadratic growth constant and growth exponent are
-    reported against the analytic constant.  Dynamic checks (zero-section
-    fixing, equivariance, fiber ceilings) come from the flow itself in
-    verify_pullback.
+    reported against its FormFamily.properness_bound.  Dynamic checks
+    (zero-section fixing, equivariance, fiber ceilings) come from the flow
+    itself in verify_pullback.
 
     Per stage and t in (0, 0.5, 1) two base points with two tetrahedra of
     diameter 1e-2 and one triangle each are drawn first
     (_draw_chart_points); then all Stokes nodes, all exactness edge nodes,
     all flux nodes and the zero-section blocks of those points are each one
     batched evaluation.  Every reported value is the np.max of its per-(stage,
-    t) maxima, so a NaN anywhere is reported.
+    t) maxima, so a NaN anywhere is reported.  The stages share one geometry.
     """
+    geometry = stages[0].family.geometry
     worst = {key: [] for key in _HYPOTHESIS_VALUES}
     properness = []
     zero_fiber = np.zeros((2, geometry.dim_p))
@@ -812,7 +817,7 @@ def check_hypotheses(geometry, stages, delta, rng):
                 geometry, omega_at, k0, z0, tet_frames, 1e-2
             ).max())
             worst["primitive_exactness_residual"].append(primitive_exactness_residual(
-                fam, geometry, k0, z0, t, tri_frames
+                fam, k0, z0, t, tri_frames
             ).max())
             kap0 = geometry.kappa(k0)
             block = omega_at(spec_zero, kap0)
@@ -842,15 +847,14 @@ def check_hypotheses(geometry, stages, delta, rng):
                 np.inf if (small.sum(axis=-1) != geometry.dim_p).any()
                 else np.abs(vt[small][:, :c]).max()
             )
-        d_fit = properness_fit(geometry, fam, rng)
-        d_bound = analytic_properness_bound(geometry, fam.name, delta)
+        d_fit = properness_fit(fam, rng)
         properness.append(
             {
                 "stage": fam.name,
                 "d_fit": d_fit,
-                "d_analytic": d_bound,
-                "ratio": d_fit / d_bound,
-                "gamma_fit": properness_gamma(geometry, fam),
+                "d_analytic": fam.properness_bound,
+                "ratio": d_fit / fam.properness_bound,
+                "gamma_fit": properness_gamma(fam),
             }
         )
     out = {key: float(np.max(vals, initial=0.0)) for key, vals in worst.items()}

@@ -127,9 +127,7 @@ def chi_spectrum_check(alg, z):
     set because spec(ad Z) is symmetric about zero.
     """
     z = np.asarray(z, dtype=float)
-    full = np.zeros(z.shape[:-1] + (alg.dim,))
-    full[..., alg.dim_k :] = z
-    w, v = np.linalg.eigh(alg.ad(full))
+    w, v = np.linalg.eigh(alg.ad(alg.embed_p(z)))
     chi = (v * -np.tanh(0.5 * w)[..., None, :]) @ np.swapaxes(v, -1, -2)
     chi_eigs = np.sort(np.linalg.eigvalsh(chi), axis=-1)
     predicted = np.sort(np.expm1(w) / (np.exp(w) + 1.0), axis=-1)

@@ -78,6 +78,7 @@ class DeltaError(ValueError):
 
 
 def _build_model(scenario):
+    """The run's OrbitGeometry and chamber margin; ChamberError off the chamber."""
     alg = build_algebra(scenario.family, **scenario.algebra_params())
     datum = compute_root_datum(alg)
     if scenario.lam is None:
@@ -95,7 +96,7 @@ def _build_model(scenario):
             f"weight {coords} is outside the holomorphic chamber "
             f"(margin over positive noncompact roots: {margin:.6g}, need > 0)"
         )
-    return alg, datum, weight, margin
+    return OrbitGeometry(alg, datum, weight), margin
 
 
 def _sample_points(geometry, rng, count, radius):
@@ -234,7 +235,8 @@ def _radial_fiber(dim_p, rng, r_max):
     return rng.uniform(0.05, r_max) * _unit_fiber(dim_p, rng)
 
 
-def _lemma_block(scenario, alg, datum, weight):
+def _lemma_block(scenario, geometry, delta):
+    alg, datum, weight = geometry.alg, geometry.datum, geometry.weight
     tol = scenario.tolerance
     n = scenario.lemma_samples
     seeds = np.random.SeedSequence(scenario.seed).spawn(5)
@@ -280,10 +282,8 @@ def _lemma_block(scenario, alg, datum, weight):
     )
     bracket_equality = abs(lhs - rhs)
 
-    geo = OrbitGeometry(alg, datum, weight)
-    delta = _delta(scenario, chamber_constants(weight, datum)[1])
     draws = [
-        (rng_ident.standard_normal(alg.dim_k), rng_ident.standard_normal(geo.dim_p))
+        (rng_ident.standard_normal(alg.dim_k), rng_ident.standard_normal(alg.dim_p))
         for _ in range(5)
     ]
     ks = alg.group_exp(np.array([x for x, _ in draws]))
@@ -301,12 +301,12 @@ def _lemma_block(scenario, alg, datum, weight):
     }
     identity_res = {
         name: moment_identity_residual(
-            geo, partial(form_fn, geo, **kw), partial(mom_fn, geo, **kw),
-            ks, zs, gens, eps=1e-5,
+            geometry, partial(form_fn, geometry, **kw),
+            partial(mom_fn, geometry, **kw), ks, zs, gens, eps=1e-5,
         )
         for name, (form_fn, mom_fn, kw) in cases.items()
     }
-    constants = measure_convention_constants(geo, rng_ident)
+    constants = measure_convention_constants(geometry, rng_ident)
 
     scale_res = []
     for w in [weight] + [_random_chamber_weight(datum, rng_scale) for _ in range(3)]:
@@ -348,9 +348,9 @@ def _lemma_block(scenario, alg, datum, weight):
 def run_lemma_suite(scenario):
     """Certify the supporting facts for the scenario's algebra and weight."""
     t_start = time.perf_counter()
-    alg, datum, weight, margin = _build_model(scenario)
-    m_lam, b_lam = chamber_constants(weight, datum)
-    lemmas = _lemma_block(scenario, alg, datum, weight)
+    geometry, margin = _build_model(scenario)
+    m_lam, b_lam = chamber_constants(geometry.weight, geometry.datum)
+    lemmas = _lemma_block(scenario, geometry, _delta(scenario, b_lam))
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "lemmas",
@@ -370,14 +370,14 @@ def run_lemma_suite(scenario):
 # -- main certification pipeline ----------------------------------------------------
 
 
-def _segment_witness(geometry, delta, rng):
+def _segment_witness(family, rng):
     """Nondegeneracy of the segment family at 200 points and 21 times in [0, 1].
 
     Also certifies affinity in t: the form at interior times must equal the
     straight-line combination of its endpoint evaluations.
     """
     points, t_count = 200, 21
-    family = segment_stage(geometry, delta)
+    geometry = family.geometry
     ks = geometry.alg.group_exp(
         rng.standard_normal((points, geometry.alg.dim_k))
     )
@@ -424,13 +424,13 @@ def _flow_block(out, tol, pullback_tol, expected_shift):
     return {**block, "moment_shift_error": shift_error, "checks": checks}
 
 
-def _stage_report(geometry, stage, points, eps, rng, expected_shift, tol):
-    out = verify_pullback(geometry, [stage], points, eps=eps, rng=rng)
+def _stage_report(stage, points, eps, rng, tol):
+    out = verify_pullback([stage], points, eps=eps, rng=rng)
     return {
         "name": stage.family.name,
         "steps": stage.steps,
         "sample_count": len(points),
-        **_flow_block(out, tol, "stage_pullback", expected_shift),
+        **_flow_block(out, tol, "stage_pullback", stage.family.moment_shift),
     }
 
 
@@ -467,15 +467,14 @@ def run_theorem_pipeline(scenario):
     is inadmissible; otherwise returns the full report with one verdict.
     """
     t_start = time.perf_counter()
-    alg, datum, weight, margin = _build_model(scenario)
-    m_lam, b_lam = chamber_constants(weight, datum)
+    geometry, margin = _build_model(scenario)
+    m_lam, b_lam = chamber_constants(geometry.weight, geometry.datum)
     delta = _delta(scenario, b_lam)
     if not delta > b_lam:
         raise DeltaError(
             f"delta = {delta:.6g} must exceed b_lambda = {b_lam:.6g}; the "
             "weight segment would leave the holomorphic chamber"
         )
-    geometry = OrbitGeometry(alg, datum, weight)
     tol = scenario.tolerance
 
     seeds = np.random.SeedSequence((scenario.seed, 1)).spawn(7)
@@ -494,33 +493,25 @@ def run_theorem_pipeline(scenario):
         "b_lambda": b_lam,
         "delta": delta,
         "chamber_margin": margin,
-        "dim_k_lambda": alg.dim_k - geometry.dim_c,
+        "dim_k_lambda": geometry.alg.dim_k - geometry.dim_c,
         "dim_base_complement": geometry.dim_c,
         "dim_p": geometry.dim_p,
         "dim_total": geometry.dim_t,
         "z0_norm": float(np.linalg.norm(geometry.z0)),
     }
 
-    lemmas = _lemma_block(scenario, alg, datum, weight)
-    witness = _segment_witness(geometry, delta, rng_witness)
-    hypotheses = check_hypotheses(geometry, stages, delta, rng_hyp)
+    lemmas = _lemma_block(scenario, geometry, delta)
+    witness = _segment_witness(stages[-1].family, rng_witness)
+    hypotheses = check_hypotheses(stages, rng_hyp)
     hyp_checks = _hypothesis_checks(hypotheses, tol)
 
-    lam0 = geometry.lam0
-    expected_shifts = [0.0 * lam0, (delta - 1.0) * lam0, -delta * lam0]
     stage_reports = []
-    for stage, expected, rng_s in zip(
-        stages, expected_shifts, (rng_s1, rng_s2, rng_s3)
-    ):
+    for stage, rng_s in zip(stages, (rng_s1, rng_s2, rng_s3)):
         pts = _sample_points(geometry, rng_s, scenario.stage_samples, scenario.radius)
-        stage_reports.append(
-            _stage_report(geometry, stage, pts, scenario.eps, rng_s, expected, tol)
-        )
+        stage_reports.append(_stage_report(stage, pts, scenario.eps, rng_s, tol))
 
     comp_pts = _sample_points(geometry, rng_pts, scenario.samples, scenario.radius)
-    comp = verify_pullback(
-        geometry, stages, comp_pts, eps=scenario.eps, rng=rng_comp
-    )
+    comp = verify_pullback(stages, comp_pts, eps=scenario.eps, rng=rng_comp)
     composite = {
         "steps": [stage.steps for stage in stages],
         "sample_count": len(comp_pts),

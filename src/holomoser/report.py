@@ -87,6 +87,8 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite (got {value})")
+        if self.lam is not None and not all(map(math.isfinite, self.lam)):
+            raise ValueError(f"lam must be finite (got {list(self.lam)})")
         if self.delta_abs is None and not self.delta_mult > 1.0:
             raise ValueError(
                 f"delta_mult must exceed 1 (got {self.delta_mult}); smaller "

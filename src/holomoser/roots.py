@@ -232,8 +232,7 @@ def _distinguished_central_element(alg, tol):
             f"center of k has dimension {len(kernel)}; the model is not of "
             "Hermitian tube/non-tube type handled here"
         )
-    zeta = np.zeros(alg.dim)
-    zeta[:dim_k] = kernel[0]
+    zeta = alg.embed_k(kernel[0])
     adz = alg.ad(zeta)
     blk = (adz @ adz)[dim_k:, dim_k:]
     mu = float(np.trace(blk)) / alg.dim_p

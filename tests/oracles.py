@@ -23,7 +23,8 @@ None of this runs in the certification pipeline:
 - the hypothesis checks (Stokes closedness, primitive exactness, zero
   section) and both sides of the moment identities one base point and one
   finite-difference lane at a time, and the properness fit with its
-  sampled and zero-fiber moments as separate calls;
+  sampled and zero-fiber moments as separate calls, and the analytic
+  properness constant of each stage by name (analytic_properness_bound);
 - the Moser flow with the full RKMK group update for every family and
   every lane, the Moser field evaluating Ad(k^{-1}) at every stage point.
 """
@@ -45,12 +46,12 @@ from holomoser.moser import (
     _dexpinv,
     _root_probe_fibers,
     _z0_direction,
-    analytic_properness_bound,
     homotopy_primitive,
     properness_gamma,
+    segment_weight_coords,
 )
 from holomoser.forms import OrbitGeometry, moment_flat, moment_hermitian
-from holomoser.roots import ChamberWeight, in_holomorphic_chamber
+from holomoser.roots import ChamberWeight, chamber_constants, in_holomorphic_chamber
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_NODES = 0.5 * (_GL_X + 1.0)
@@ -308,7 +309,7 @@ def d_gamma(alg, weight, k, z, x_dir, a_dir):
 
 def full_eig(geometry, zs):
     """Eigenvalues nu and eigenvectors u of the N x N matrices ad(Z)."""
-    return np.linalg.eigh(geometry.alg.ad(geometry.pad_fiber(zs)))
+    return np.linalg.eigh(geometry.alg.ad(geometry.alg.embed_p(zs)))
 
 
 class FullSizeReference:
@@ -510,6 +511,8 @@ def constant_stage(geometry):
         zero_primitive,
         lambda spec, kap, t: geometry.moment_product(spec, geometry.klam(kap)),
         _z0_direction(geometry),
+        0.0 * geometry.lam0,
+        1.0 / (2.0 * float(np.linalg.norm(geometry.z0))),
     )
 
 
@@ -684,6 +687,30 @@ def properness_fit_loop(geometry, family, rng, samples=60, t_grid=_PROPERNESS_GR
     return best
 
 
+def analytic_properness_bound(geometry, stage_name, delta):
+    """The quadratic growth constants the moment families are tested against.
+
+    1/(2||z0||) for the hermitian family, min(1, delta)/(2||z0||) for the
+    coefficient scaling, and min over the segment of the interpolated
+    m_{lambda_t}^2 / (2 ||H_{lambda_t}||); the segment minimum runs over the
+    same t-grid the fit uses.
+    """
+    z0_norm = float(np.linalg.norm(geometry.z0))
+    if stage_name == "hermitian":
+        return 1.0 / (2.0 * z0_norm)
+    if stage_name == "scaling":
+        return min(1.0, delta) / (2.0 * z0_norm)
+    if stage_name == "segment":
+        vals = []
+        for t in _PROPERNESS_GRID:
+            coords = segment_weight_coords(geometry, delta, 1.0 - t)
+            rank = geometry.alg.rank
+            m, _ = chamber_constants(ChamberWeight(coords[:rank]), geometry.datum)
+            vals.append(m * m / (2.0 * np.linalg.norm(coords)))
+        return float(min(vals))
+    raise ValueError(f"unknown stage {stage_name!r}")
+
+
 def check_hypotheses_loop(geometry, stages, delta, rng, closedness_points=2,
                           n_tets=2, diameter=1e-2, properness_samples=60):
     """check_hypotheses one base point at a time, drawing as it evaluates."""
@@ -756,7 +783,7 @@ def check_hypotheses_loop(geometry, stages, delta, rng, closedness_points=2,
                 "d_fit": d_fit,
                 "d_analytic": d_bound,
                 "ratio": d_fit / d_bound,
-                "gamma_fit": properness_gamma(geometry, fam),
+                "gamma_fit": properness_gamma(fam),
             }
         )
     return {

@@ -194,7 +194,7 @@ def test_criterion_08_hermitian_certification_su11():
         pts.append((k, z / np.linalg.norm(z) * rng.uniform(0.3, 1.0)))
 
     out = verify_pullback(
-        geo, [MoserStage(hermitian_stage(geo), 200)], pts, eps=1e-4,
+        [MoserStage(hermitian_stage(geo), 200)], pts, eps=1e-4,
         rng=np.random.default_rng(1),
     )
     assert out["pullback_residual"] < 1e-4
@@ -206,7 +206,7 @@ def test_criterion_08_hermitian_certification_su11():
     coarse = {}
     for steps in (10, 20):
         coarse[steps] = verify_pullback(
-            geo, [MoserStage(hermitian_stage(geo), steps)], pts, eps=1e-5,
+            [MoserStage(hermitian_stage(geo), steps)], pts, eps=1e-5,
             n_equivariance=0, n_zero=0, rng=np.random.default_rng(1),
         )["pullback_residual"]
     ratio = coarse[10] / coarse[20]

@@ -153,6 +153,18 @@ def test_coords_roundtrip_and_membership(su21):
     assert membership_residual(su21, np.eye(3)) > 0.5
 
 
+def test_embeddings_pad_with_zeros_and_keep_batch_shape(su21):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, 3, su21.dim_k))
+    z = rng.standard_normal((2, 3, su21.dim_p))
+    full = np.concatenate([x, z], axis=-1)
+    assert su21.embed_k(x).shape == su21.embed_p(z).shape == full.shape
+    assert np.array_equal(su21.embed_k(x) + su21.embed_p(z), full)
+    assert not su21.embed_k(x)[..., su21.dim_k :].any()
+    assert not su21.embed_p(z)[..., : su21.dim_k].any()
+    assert su21.embed_p(z[0, 0]).shape == (su21.dim,)
+
+
 def test_bracket_matches_matrix_commutator(su21, sp4):
     rng = np.random.default_rng(17)
     for alg in (su21, sp4):

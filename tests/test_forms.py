@@ -182,7 +182,7 @@ def test_forms_are_K_invariant(su21):
     rng = np.random.default_rng(5)
     ks, zs = rand_point(geo, rng)
     kp = alg.group_exp(rng.standard_normal(alg.dim_k))
-    moved_z = (alg.adjoint_group_matrix(kp) @ geo.pad_fiber(zs)[0])[alg.dim_k :]
+    moved_z = (alg.adjoint_group_matrix(kp) @ alg.embed_p(zs[0]))[alg.dim_k :]
     adk = alg.adjoint_group_matrix(kp)[alg.dim_k :, alg.dim_k :]
     u_x, u_a = rng.standard_normal(geo.dim_c), rng.standard_normal(geo.dim_p)
     v_x, v_a = rng.standard_normal(geo.dim_c), rng.standard_normal(geo.dim_p)
@@ -346,7 +346,7 @@ def test_moment_equivariance(su21):
     rng = np.random.default_rng(14)
     ks, zs = rand_point(geo, rng)
     kp = alg.group_exp(rng.standard_normal(alg.dim_k))
-    moved_z = (alg.adjoint_group_matrix(kp) @ geo.pad_fiber(zs)[0])[alg.dim_k :]
+    moved_z = (alg.adjoint_group_matrix(kp) @ alg.embed_p(zs[0]))[alg.dim_k :]
     coad = oracles.coadjoint_group_matrix(alg, kp)
     moved = moment_pullback(geo, kp @ ks, moved_z[None])[0]
     assert np.abs(moved - coad @ moment_pullback(geo, ks, zs)[0]).max() < 1e-10

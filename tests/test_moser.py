@@ -8,7 +8,6 @@ from holomoser.forms import OrbitGeometry
 from holomoser.moser import (
     MoserStage,
     _dexp_matrix,
-    analytic_properness_bound,
     check_hypotheses,
     flow_stages,
     hermitian_stage,
@@ -29,6 +28,7 @@ from holomoser.pipeline import _random_chamber_weight
 from holomoser.roots import chamber_constants, compute_root_datum
 
 from oracles import (
+    analytic_properness_bound,
     check_hypotheses_loop,
     constant_stage,
     gauge_fix,
@@ -116,7 +116,7 @@ def test_primitive_integrates_time_derivative(which, su11, su21, request):
         k0 = geo.alg.group_exp(rng.standard_normal((1, geo.alg.dim_k)))
         z0 = rng.standard_normal((1, geo.dim_p))
         frames = np.linalg.qr(rng.standard_normal((1, geo.dim_t, 2)))[0]
-        res = primitive_exactness_residual(fam, geo, k0, z0, 0.4, frames)[0]
+        res = primitive_exactness_residual(fam, k0, z0, 0.4, frames)[0]
         assert res < 1e-6, fam.name
 
 
@@ -332,7 +332,7 @@ def test_hermitian_stage_certifies_pullback(su11):
         z = rng.standard_normal(geo.dim_p)
         pts.append((k, z / np.linalg.norm(z) * rng.uniform(0.3, 1.0)))
     stages = [MoserStage(hermitian_stage(geo), 200)]
-    out = verify_pullback(geo, stages, pts, eps=1e-4, rng=np.random.default_rng(0))
+    out = verify_pullback(stages, pts, eps=1e-4, rng=np.random.default_rng(0))
     assert out["pullback_residual"] < 1e-6
     assert out["zero_section_displacement"] < 1e-10
     assert out["equivariance_residual"] < 1e-10
@@ -355,7 +355,7 @@ def test_flow_converges_at_order_four(su11):
     for steps in (10, 20):
         stages = [MoserStage(hermitian_stage(geo), steps)]
         out = verify_pullback(
-            geo, stages, pts, eps=1e-5, n_equivariance=0, n_zero=0,
+            stages, pts, eps=1e-5, n_equivariance=0, n_zero=0,
             rng=np.random.default_rng(0),
         )
         residuals[steps] = out["pullback_residual"]
@@ -377,8 +377,9 @@ def test_stage_moment_shifts_match_analytic_constants(su11):
         "segment": -d * geo.lam0,
     }
     for fam in (hermitian_stage(geo), scaling_stage(geo, d), segment_stage(geo, d)):
+        assert np.array_equal(fam.moment_shift, expected[fam.name]), fam.name
         out = verify_pullback(
-            geo, [MoserStage(fam, 60)], pts, eps=1e-4,
+            [MoserStage(fam, 60)], pts, eps=1e-4,
             n_equivariance=0, n_zero=0, rng=np.random.default_rng(0),
         )
         gap = out["moment_shift_mean"] - expected[fam.name]
@@ -392,18 +393,35 @@ def test_properness_fit_matches_analytic_bound(which, su11, su21, request):
     families, d = stage_families(geo)
     rng = np.random.default_rng(14)
     for fam in families:
-        fit = properness_fit(geo, fam, rng)
+        fit = properness_fit(fam, rng)
         bound = analytic_properness_bound(geo, fam.name, d)
         assert 0.99 < fit / bound < 1.05, fam.name
-        gamma = properness_gamma(geo, fam)
+        gamma = properness_gamma(fam)
         assert abs(gamma - 2.0) < 0.05, fam.name
+
+
+@ALGEBRAS
+@pytest.mark.parametrize("weight", ["lambda0", "generic"])
+def test_properness_bound_matches_oracle(family, params, weight):
+    # each stage carries its analytic constant; the oracle derives it from the
+    # stage name through chamber_constants
+    if weight == "generic":
+        geo = generic_geometry(family, params)
+    else:
+        alg = build_algebra(family, **params)
+        datum = compute_root_datum(alg)
+        geo = OrbitGeometry(alg, datum, datum.lambda0)
+    families, d = stage_families(geo)
+    for fam in families:
+        want = analytic_properness_bound(geo, fam.name, d)
+        assert fam.properness_bound == want, fam.name
 
 
 def test_check_hypotheses_clean_report(su21):
     _, _, geo = su21
-    families, d = stage_families(geo)
+    families, _ = stage_families(geo)
     stages = [MoserStage(f, 10) for f in families]
-    out = check_hypotheses(geo, stages, d, np.random.default_rng(15))
+    out = check_hypotheses(stages, np.random.default_rng(15))
     assert out["closedness_rel_residual"] < 1e-8
     assert out["primitive_exactness_residual"] < 1e-6
     assert out["zero_section_cross_block"] < 1e-14
@@ -422,7 +440,7 @@ def test_worst_case_values_keep_a_nan_from_any_lane(su21, monkeypatch):
     # running Python max() accumulators would drop a NaN met after the first
     # (stage, t) or equivariance lane
     _, _, geo = su21
-    families, d = stage_families(geo)
+    families, _ = stage_families(geo)
     stages = [MoserStage(f, 10) for f in families]
     real_exact, real_flow = moser.primitive_exactness_residual, moser.flow_stages
     calls = []
@@ -433,7 +451,7 @@ def test_worst_case_values_keep_a_nan_from_any_lane(su21, monkeypatch):
         return out * np.nan if len(calls) == 3 else out
 
     monkeypatch.setattr(moser, "primitive_exactness_residual", nan_on_third_call)
-    out = check_hypotheses(geo, stages, d, np.random.default_rng(15))
+    out = check_hypotheses(stages, np.random.default_rng(15))
     assert len(calls) == 9
     assert np.isnan(out["primitive_exactness_residual"])
     assert out["closedness_rel_residual"] < 1e-8
@@ -449,7 +467,7 @@ def test_worst_case_values_keep_a_nan_from_any_lane(su21, monkeypatch):
         return k, z, traces
 
     monkeypatch.setattr(moser, "flow_stages", nan_second_partner)
-    out = verify_pullback(geo, stages[:1], pts, rng=np.random.default_rng(0))
+    out = verify_pullback(stages[:1], pts, rng=np.random.default_rng(0))
     assert np.isnan(out["equivariance_residual"])
 
 
@@ -468,7 +486,7 @@ def test_check_hypotheses_matches_loop_oracle(family, params):
     geo = generic_geometry(family, params)
     families, d = stage_families(geo)
     stages = [MoserStage(f, 10) for f in families]
-    out = check_hypotheses(geo, stages, d, np.random.default_rng(15))
+    out = check_hypotheses(stages, np.random.default_rng(15))
     ref = check_hypotheses_loop(geo, stages, d, np.random.default_rng(15))
     # the draws keep their order, so everything evaluated once per point or
     # after the draws (properness) is bit-identical
@@ -512,9 +530,7 @@ def test_batched_chart_checks_match_point_loops(su21):
     stokes = stokes_closedness_residual(
         geo, broken, k0, z0, np.linalg.qr(tet_draws)[0], 1e-2
     )
-    exact = primitive_exactness_residual(
-        off, geo, k0, z0, 0.5, np.linalg.qr(tri_draws)[0]
-    )
+    exact = primitive_exactness_residual(off, k0, z0, 0.5, np.linalg.qr(tri_draws)[0])
     for b in range(3):
         ref = stokes_closedness_loop(
             geo, broken, k0[b], z0[b], 1e-2, ReplayRng(tet_draws[b])
@@ -566,7 +582,7 @@ def test_three_stage_composite_certifies(su11):
         k = geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k))
         z = rng.standard_normal(geo.dim_p)
         pts.append((k, z / np.linalg.norm(z) * rng.uniform(0.2, 1.1)))
-    out = verify_pullback(geo, stages, pts, eps=1e-4, rng=np.random.default_rng(0))
+    out = verify_pullback(stages, pts, eps=1e-4, rng=np.random.default_rng(0))
     assert out["pullback_residual"] < 1e-5
     # hermitian, scaling and segment shifts cancel exactly in the composite
     assert np.abs(out["moment_shift_mean"]).max() < 1e-8
@@ -594,7 +610,7 @@ def test_properness_fit_matches_loop_oracle(family, params):
     geo = generic_geometry(family, params)
     families, _ = stage_families(geo)
     for fam in families:
-        got = properness_fit(geo, fam, np.random.default_rng(25))
+        got = properness_fit(fam, np.random.default_rng(25))
         want = properness_fit_loop(geo, fam, np.random.default_rng(25))
         assert got == want, fam.name
 
@@ -659,7 +675,7 @@ def test_vertical_stages_flow_each_distinct_fiber_once(su21):
     every = 1 + 2 * geo.dim_t + 1 + 4
     distinct = 1 + 2 * geo.dim_p + 1 + 1
     for fam, lanes in zip(families, (distinct, distinct, every)):
-        out = verify_pullback(geo, [MoserStage(fam, 5)], pts, rng=np.random.default_rng(0))
+        out = verify_pullback([MoserStage(fam, 5)], pts, rng=np.random.default_rng(0))
         assert out["field_evaluations"] == 20, fam.name
         assert out["field_lanes"] == 20 * lanes, fam.name
         if not fam.moves_base:

@@ -17,13 +17,14 @@ from holomoser import (
     scenario_from_config,
 )
 from holomoser import build_algebra, cli, pipeline
+from holomoser.forms import OrbitGeometry
 from holomoser.pipeline import (
     _CHAMBER_BLOCK,
     _hypothesis_checks,
     _lemma_block,
     _random_chamber_weight,
 )
-from holomoser.roots import compute_root_datum
+from holomoser.roots import chamber_constants, compute_root_datum
 from holomoser.report import (
     DEFAULT_TOLERANCES,
     load_scenario,
@@ -60,6 +61,9 @@ def test_scenario_validation():
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 Scenario(family="su", p=1, q=1, **{name: bad})
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            Scenario(family="su", p=2, q=1, lam=(0.5, bad))
 
 
 def test_non_finite_tolerance_rejected(tmp_path, capsys):
@@ -76,6 +80,10 @@ def test_non_finite_tolerance_rejected(tmp_path, capsys):
     rc = cli.main(["theorem", "--config", _write_config(tmp_path), "--eps", "inf"])
     assert rc == 2
     assert "eps must be finite" in capsys.readouterr().err
+    # an infinite weight would pass the chamber test (its margin is inf)
+    rc = cli.main(["theorem", "--config", _write_config(tmp_path, **{"lambda": "inf"})])
+    assert rc == 2
+    assert "lam must be finite" in capsys.readouterr().err
 
 
 def test_config_parsing_and_defaults():
@@ -309,7 +317,8 @@ def test_chunked_lemma_values_match_point_loops(family, params):
     sc = Scenario(family=family, lemma_samples=300, seed=4, **params)
     alg = build_algebra(family, **params)
     datum = compute_root_datum(alg)
-    block = _lemma_block(sc, alg, datum, datum.lambda0)
+    delta = 1.5 * chamber_constants(datum.lambda0, datum)[1]
+    block = _lemma_block(sc, OrbitGeometry(alg, datum, datum.lambda0), delta)
     want = oracles.lemma_point_loops(sc, alg, datum)
     for key, value in want.items():
         assert abs(block[key] - value) <= 1e-14, key
@@ -555,6 +564,45 @@ def test_cli_linear_algebra_failure_exit_code_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "error: SVD did not converge" in captured.err
+
+
+def test_svd_failure_names_stage_and_time(tmp_path, capsys):
+    # the radius-900 run of the test above stops in the hermitian stage at
+    # its step midpoint t = 0.7, where the form has overflowed
+    path = tmp_path / "far.cfg"
+    path.write_text(
+        "family = su\np = 1\nq = 1\nradius = 900\nsteps = 10\nsamples = 2\n"
+        "stage_samples = 1\nlemma_samples = 50\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["theorem", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "hermitian" in err
+    assert "t = 0.7000" in err
+    assert "non-finite entries" in err
+
+
+def test_theorem_run_builds_each_geometry_once(monkeypatch):
+    # a generic weight needs its own geometry and the lemma suite's flat one
+    # at lambda_0; the stages, the witness and the checks share the first
+    built = []
+    init = OrbitGeometry.__init__
+
+    def counting_init(self, alg, datum, weight):
+        built.append(weight.coords.copy())
+        init(self, alg, datum, weight)
+
+    monkeypatch.setattr(OrbitGeometry, "__init__", counting_init)
+    lam = (0.8660254037844386, 2.0999999999999996)
+    rep = run_theorem_pipeline(
+        Scenario(family="su", p=2, q=1, lam=lam, steps=10, samples=1,
+                 stage_samples=1, lemma_samples=4)
+    )
+    assert rep["constants"]["dim_base_complement"] > 0
+    assert len(built) == 2
+    assert np.array_equal(built[0], lam)
+    lambda0 = compute_root_datum(build_algebra("su", p=2, q=1)).lambda0.coords
+    assert np.array_equal(built[1], lambda0)
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
