@@ -18,14 +18,15 @@ Three concrete stages compose to the full isotopy:
 The hermitian and scaling fields are vertical (FormFamily.moves_base is
 False): their flows step the fiber alone, once per distinct fiber vector.
 
-The verification drivers re-integrate perturbed initial points and compare
-central-difference differentials against the claimed pullback identity,
-transport moment maps, and check the standing hypotheses (closedness via
-Stokes on exponential-chart simplices, exactness of the primitive, zero
-section behaviour, properness constants of the moment families).  The
-chart checks take a leading batch of base points (B, ...) with their
-simplex frames and evaluate every quadrature node of every simplex in one
-batched call, each node carrying its own base point.
+The verification drivers flow perturbed initial points through the stages
+once and compare central-difference differentials at every stage boundary
+against the claimed pullback identity of the composite and of each stage
+(FlowBlock), transport moment maps, and check the standing hypotheses
+(closedness via Stokes on exponential-chart simplices, exactness of the
+primitive, zero section behaviour, properness constants of the moment
+families).  The chart checks take a leading batch of base points (B, ...)
+with their simplex frames and evaluate every quadrature node of every
+simplex in one batched call, each node carrying its own base point.
 """
 
 from __future__ import annotations
@@ -393,14 +394,12 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None):
 
 
 def flow_stages(stages, k0, z0):
-    """Chain the stage flows; returns (k, z, [FlowTrace])."""
-    ks, zs = np.asarray(k0, dtype=complex), np.asarray(z0, dtype=float)
-    traces = []
+    """Chain the stage flows; one FlowResult (the states after it) per stage."""
+    results = []
     for stage in stages:
-        res = integrate_flow(stage.family, ks, zs, stage.steps)
-        ks, zs = res.k, res.z
-        traces.append(res.trace)
-    return ks, zs, traces
+        results.append(integrate_flow(stage.family, k0, z0, stage.steps))
+        k0, z0 = results[-1].k, results[-1].z
+    return results
 
 
 # -- exponential-chart evaluation (shared by the Stokes and exactness checks) ------
@@ -546,11 +545,40 @@ def _group_log(alg, g):
     return alg.coords((v * (2j * np.arctan(w))[..., None, :]) @ alg.group_inverse(v))
 
 
-def _flatten_points(ks, zs):
-    b = ks.shape[0]
-    return np.concatenate(
-        [ks.reshape(b, -1).real, ks.reshape(b, -1).imag, zs], axis=1
-    )
+@dataclass
+class FlowBlock:
+    """Per-sample certificate values of the flow between stage boundaries i -> j.
+
+    defect (B, T, T) is J_j omega(1) J_j^T - J_i omega(0) J_i^T, J_s the
+    Jacobian of the flow up to boundary s (J_0 = I), omega the forms of the
+    first and last stage spanned; shift (B, N) the moment change;
+    equivariance one residual of the flow up to j per partner lane (partner p
+    belongs to sample p); zero_section the zero-section lanes' displacement.
+    """
+
+    defect: np.ndarray
+    shift: np.ndarray
+    equivariance: np.ndarray
+    zero_section: float
+    traces: list  # the FlowTraces of the stages spanned
+
+    def values(self, count):
+        """The block's reported values, read at its first count samples."""
+        shift, traces = self.shift[:count], self.traces
+        return {
+            "pullback_residual": float(np.abs(self.defect[:count]).max(initial=0.0)),
+            "moment_shift_mean": shift.mean(axis=0),
+            "moment_shift_spread": float(np.ptp(shift, axis=0).max()) if len(shift) else 0.0,
+            "equivariance_residual": float(np.max(self.equivariance[:count], initial=0.0)),
+            "zero_section_displacement": self.zero_section,
+            "min_form_margin": float(np.min([tr.min_form_margin for tr in traces])),
+            "max_group_residual": float(np.max([tr.max_group_residual for tr in traces])),
+            "reprojections": sum(tr.reprojections for tr in traces),
+            # four field evaluations per RK4 step
+            "field_evaluations": sum(4 * tr.steps for tr in traces),
+            "field_lanes": sum(tr.field_lanes for tr in traces),
+            "fiber_sup": float(np.max([tr.fiber_sup.max() for tr in traces])),
+        }
 
 
 def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *, rng):
@@ -559,14 +587,15 @@ def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *
     Every sample contributes one center lane and its 2 dim_t
     forms.difference_lanes; equivariance partners (their K elements drawn
     from rng) and zero-section lanes are appended, and the whole batch is
-    flowed once through the stages.  Differentials of the composite come
-    from central differences (group logarithms for the K part).  The stages
-    share one geometry.
+    flowed once through the stages.  Differentials come from central
+    differences (group logarithms for the K part) at every stage boundary.
+    Returns the composite's values (FlowBlock.values at every sample) and
+    sample separations, and the FlowBlocks of the composite ("block") and of
+    each stage ("stage_blocks").  The stages share one geometry.
     """
     geometry = stages[0].family.geometry
     alg = geometry.alg
     a, dim_p, t_dim = alg.ambient, geometry.dim_p, geometry.dim_t
-    c_k = geometry.complement[: alg.dim_k]
     b0 = len(base_points)
 
     base_k = np.array([k for k, _ in base_points], dtype=complex).reshape(b0, a, a)
@@ -583,83 +612,63 @@ def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *
         lanes_k.append((kp @ base_k[j])[None])
         lanes_z.append((adk @ alg.embed_p(base_z[j]))[None, alg.dim_k :])
 
-    zero_idx = b0 * (1 + 2 * t_dim) + n_eq
-    zero_sources = alg.group_exp(rng.standard_normal((n_zero, alg.dim_k)))
-    lanes_k.append(zero_sources)
+    eq_idx = b0 * (1 + 2 * t_dim)
+    zero_idx = eq_idx + n_eq
+    lanes_k.append(alg.group_exp(rng.standard_normal((n_zero, alg.dim_k))))
     lanes_z.append(np.zeros((n_zero, dim_p)))
 
-    ks = np.concatenate(lanes_k)
-    zs = np.concatenate(lanes_z)
+    states = [(np.concatenate(lanes_k), np.concatenate(lanes_z))]
+    results = flow_stages(stages, *states[0])
+    states += [(res.k, res.z) for res in results]
+    points = [(geometry.fiber_eig(zs[:b0]), geometry.kappa(ks[:b0])) for ks, zs in states]
 
-    spec0 = geometry.fiber_eig(zs[:b0])
-    kap0 = geometry.kappa(ks[:b0])
-    omega_start = stages[0].family.omega(spec0, kap0, 0.0)
-    moment_start = stages[0].family.moment(spec0, kap0, 0.0)
+    def jacobian(ks, zs):
+        # jac[b, i] is the tangent image of direction i at sample b
+        k_pert = ks[b0:eq_idx].reshape(b0, t_dim, 2, a, a)
+        z_pert = zs[b0:eq_idx].reshape(b0, t_dim, 2, dim_p)
+        rel = alg.group_inverse(ks[:b0])[:, None, None] @ k_pert
+        x_log = _group_log(alg, rel)[..., : alg.dim_k]
+        return np.concatenate(
+            [(x_log[:, :, 0] - x_log[:, :, 1]) @ geometry.complement[: alg.dim_k],
+             z_pert[:, :, 0] - z_pert[:, :, 1]],
+            axis=-1,
+        ) / (2 * eps)
 
-    flowed_k, flowed_z, traces = flow_stages(stages, ks, zs)
+    jacs = [np.eye(t_dim)] + [jacobian(ks, zs) for ks, zs in states[1:]]
 
-    spec1 = geometry.fiber_eig(flowed_z[:b0])
-    kap1 = geometry.kappa(flowed_k[:b0])
-    omega_end = stages[-1].family.omega(spec1, kap1, 1.0)
-    moment_end = stages[-1].family.moment(spec1, kap1, 1.0)
+    def pulled(s, family, t):
+        return jacs[s] @ family.omega(*points[s], t) @ np.swapaxes(jacs[s], -1, -2)
 
-    # central differences of the composite, one group log for every lane:
-    # jac_t[b, i] is the tangent image of direction i at sample b
-    pert = slice(b0, b0 * (1 + 2 * t_dim))
-    k_pert = flowed_k[pert].reshape(b0, t_dim, 2, a, a)
-    z_pert = flowed_z[pert].reshape(b0, t_dim, 2, dim_p)
-    rel = alg.group_inverse(flowed_k[:b0])[:, None, None] @ k_pert
-    x_log = _group_log(alg, rel)[..., : alg.dim_k]
-    jac_t = np.concatenate(
-        [(x_log[:, :, 0] - x_log[:, :, 1]) @ c_k, z_pert[:, :, 0] - z_pert[:, :, 1]],
-        axis=-1,
-    ) / (2 * eps)
-    pulled = jac_t @ omega_end @ np.swapaxes(jac_t, -1, -2)
+    def block(i, j):
+        first, last = stages[i].family, stages[j - 1].family
+        ks, zs = states[j]
+        eq = [np.max([np.abs(ks[eq_idx + p] - kp @ ks[p]).max(),
+                      np.abs(zs[eq_idx + p] - (adk @ alg.embed_p(zs[p]))[alg.dim_k :]).max()])
+              for p, (kp, adk) in enumerate(eq_rot)]
+        zero = np.max([np.linalg.norm(zs[zero_idx:], axis=-1).max(initial=0.0),
+                       np.abs(ks[zero_idx:] - states[i][0][zero_idx:]).max(initial=0.0)])
+        return FlowBlock(
+            pulled(j, last, 1.0) - pulled(i, first, 0.0),
+            last.moment(*points[j], 1.0) - first.moment(*points[i], 0.0),
+            np.array(eq),
+            float(zero),
+            [res.trace for res in results[i:j]],
+        )
 
-    shift = moment_end - moment_start
-    shift_mean = shift.mean(axis=0)
-    shift_spread = float((shift.max(axis=0) - shift.min(axis=0)).max()) if b0 else 0.0
+    def min_separation(ks, zs):
+        flat = np.concatenate(
+            [ks[:b0].reshape(b0, -1).real, ks[:b0].reshape(b0, -1).imag, zs[:b0]], axis=1
+        )
+        d = np.linalg.norm(flat[:, None] - flat[None, :], axis=-1)
+        return float(d[np.triu_indices(b0, 1)].min()) if b0 > 1 else np.inf
 
-    eq_res = []
-    for j, (kp, adk) in enumerate(eq_rot):
-        lane = b0 * (1 + 2 * t_dim) + j
-        target_k = kp @ flowed_k[j]
-        target_z = (adk @ alg.embed_p(flowed_z[j]))[alg.dim_k :]
-        eq_res += [
-            np.abs(flowed_k[lane] - target_k).max(),
-            np.abs(flowed_z[lane] - target_z).max(),
-        ]
-
-    zero_k, zero_z = flowed_k[zero_idx:], flowed_z[zero_idx:]
-    zero_res = np.max(
-        [np.linalg.norm(zero_z, axis=-1).max(initial=0.0),
-         np.abs(zero_k - zero_sources).max(initial=0.0)]
-    )
-
-    flat_src = _flatten_points(ks[:b0], zs[:b0])
-    flat_img = _flatten_points(flowed_k[:b0], flowed_z[:b0])
-
-    def min_pairwise(arr):
-        if len(arr) < 2:
-            return np.inf
-        d = np.linalg.norm(arr[:, None] - arr[None, :], axis=-1)
-        return float(d[np.triu_indices(len(arr), 1)].min())
-
+    composite = block(0, len(stages))
     return {
-        "pullback_residual": float(np.abs(pulled - omega_start).max(initial=0.0)),
-        "moment_shift_mean": shift_mean,
-        "moment_shift_spread": shift_spread,
-        "equivariance_residual": float(np.max(eq_res, initial=0.0)),
-        "zero_section_displacement": float(zero_res),
-        "min_image_separation": min_pairwise(flat_img),
-        "min_source_separation": min_pairwise(flat_src),
-        "min_form_margin": float(np.min([tr.min_form_margin for tr in traces])),
-        "max_group_residual": float(np.max([tr.max_group_residual for tr in traces])),
-        "reprojections": sum(tr.reprojections for tr in traces),
-        # four field evaluations per RK4 step
-        "field_evaluations": sum(4 * tr.steps for tr in traces),
-        "field_lanes": sum(tr.field_lanes for tr in traces),
-        "fiber_sup": float(np.max([tr.fiber_sup.max() for tr in traces])),
+        **composite.values(b0),
+        "min_image_separation": min_separation(*states[-1]),
+        "min_source_separation": min_separation(*states[0]),
+        "block": composite,
+        "stage_blocks": [block(s, s + 1) for s in range(len(stages))],
     }
 
 

@@ -12,8 +12,9 @@ Three entry points, mirrored by the CLI:
   all five families, and linearity of the chamber constants.
 - ``run_theorem_pipeline`` certifies the main pullback statement: it gates
   on the chamber and on delta > b_lambda, checks the deformation hypotheses
-  of every stage, certifies each stage flow and the composite flow against
-  finite-difference differentials, and aggregates one verdict.
+  of every stage, flows the stages once, certifies the composite flow and
+  (at the stage boundaries) each stage against finite-difference
+  differentials, and aggregates one verdict.
 
 Both runners return plain report dicts (see report.render_report); all
 randomness comes from streams spawned off the scenario seed, so reports are
@@ -400,37 +401,28 @@ def _segment_witness(family, rng):
     }
 
 
-# verify_pullback outputs copied unchanged into the stage and composite blocks
-_FLOW_KEYS = (
-    "pullback_residual", "moment_shift_spread", "zero_section_displacement",
-    "equivariance_residual", "min_form_margin", "max_group_residual",
-    "reprojections", "field_evaluations", "field_lanes", "fiber_sup",
-)
-
-
-def _flow_block(out, tol, pullback_tol, expected_shift):
-    """Values and checks of a stage or composite block from verify_pullback."""
-    shift_error = float(np.abs(out["moment_shift_mean"] - expected_shift).max())
+def _flow_block(values, tol, pullback_tol, expected_shift):
+    """Values and checks of a stage or composite block from FlowBlock.values."""
+    shift_error = float(np.abs(values.pop("moment_shift_mean") - expected_shift).max())
     checks = {
-        "pullback": out["pullback_residual"] < tol(pullback_tol),
+        "pullback": values["pullback_residual"] < tol(pullback_tol),
         "moment_shift": _gate(
-            tol("moment_shift"), shift_error, out["moment_shift_spread"]
+            tol("moment_shift"), shift_error, values["moment_shift_spread"]
         ),
-        "zero_section_fixed": out["zero_section_displacement"] < tol("zero_section"),
-        "equivariance": out["equivariance_residual"] < tol("equivariance"),
-        "group_drift": out["max_group_residual"] < tol("group_drift"),
+        "zero_section_fixed": values["zero_section_displacement"] < tol("zero_section"),
+        "equivariance": values["equivariance_residual"] < tol("equivariance"),
+        "group_drift": values["max_group_residual"] < tol("group_drift"),
     }
-    block = {key: out[key] for key in _FLOW_KEYS}
-    return {**block, "moment_shift_error": shift_error, "checks": checks}
+    return {**values, "moment_shift_error": shift_error, "checks": checks}
 
 
-def _stage_report(stage, points, eps, rng, tol):
-    out = verify_pullback([stage], points, eps=eps, rng=rng)
+def _stage_report(stage, block, count, tol):
+    """One stage's block, read off the composite flow at its first count samples."""
     return {
         "name": stage.family.name,
         "steps": stage.steps,
-        "sample_count": len(points),
-        **_flow_block(out, tol, "stage_pullback", stage.family.moment_shift),
+        "sample_count": count,
+        **_flow_block(block.values(count), tol, "stage_pullback", stage.family.moment_shift),
     }
 
 
@@ -477,8 +469,9 @@ def run_theorem_pipeline(scenario):
         )
     tol = scenario.tolerance
 
+    # streams 2-4 drew per-stage samples and are unread; kept so the others keep their seeds
     seeds = np.random.SeedSequence((scenario.seed, 1)).spawn(7)
-    rng_witness, rng_hyp, rng_s1, rng_s2, rng_s3, rng_comp, rng_pts = map(
+    rng_witness, rng_hyp, _, _, _, rng_comp, rng_pts = map(
         np.random.default_rng, seeds
     )
 
@@ -505,19 +498,17 @@ def run_theorem_pipeline(scenario):
     hypotheses = check_hypotheses(stages, rng_hyp)
     hyp_checks = _hypothesis_checks(hypotheses, tol)
 
-    stage_reports = []
-    for stage, rng_s in zip(stages, (rng_s1, rng_s2, rng_s3)):
-        pts = _sample_points(geometry, rng_s, scenario.stage_samples, scenario.radius)
-        stage_reports.append(_stage_report(stage, pts, scenario.eps, rng_s, tol))
-
     comp_pts = _sample_points(geometry, rng_pts, scenario.samples, scenario.radius)
     comp = verify_pullback(stages, comp_pts, eps=scenario.eps, rng=rng_comp)
+    count = min(scenario.stage_samples, scenario.samples)
+    stage_reports = [_stage_report(stage, block, count, tol)
+                     for stage, block in zip(stages, comp["stage_blocks"])]
     composite = {
         "steps": [stage.steps for stage in stages],
         "sample_count": len(comp_pts),
         "min_image_separation": comp["min_image_separation"],
         "min_source_separation": comp["min_source_separation"],
-        **_flow_block(comp, tol, "composite_pullback", 0.0),
+        **_flow_block(comp["block"].values(len(comp_pts)), tol, "composite_pullback", 0.0),
     }
     composite_checks = composite["checks"]
     # the composite's shift gate (expected shift 0) is named moment_preserved
@@ -529,9 +520,7 @@ def run_theorem_pipeline(scenario):
         "segment_witness": witness["min_margin"] > tol("segment_margin")
         and witness["affinity_residual"] < tol("affinity"),
         "hypotheses": all(hyp_checks.values()),
-        "stages": all(
-            all(rep["checks"].values()) for rep in stage_reports
-        ),
+        "stages": all(all(rep["checks"].values()) for rep in stage_reports),
         "composite": all(composite_checks.values()),
     }
 

@@ -362,6 +362,29 @@ def test_flow_converges_at_order_four(su11):
     assert residuals[10] / residuals[20] > 8.0
 
 
+def test_rkmk_flow_converges_at_order_four(su21):
+    # the segment stage at a generic weight moves the base, so this measures
+    # the Runge-Kutta-Munthe-Kaas path; at eps = 1e-5 the integrator error
+    # dominates the residual (1.35e-6 at 10 steps, 8.5e-8 at 20: 15.9x)
+    _, _, geo = su21
+    family = segment_stage(geo, delta_for(geo))
+    assert family.moves_base and geo.dim_c > 0
+    rng = np.random.default_rng(12)
+    pts = []
+    for _ in range(3):
+        k = geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k))
+        z = rng.standard_normal(geo.dim_p)
+        pts.append((k, z / np.linalg.norm(z)))
+    residuals = {}
+    for steps in (10, 20):
+        out = verify_pullback(
+            [MoserStage(family, steps)], pts, eps=1e-5, n_equivariance=0, n_zero=0,
+            rng=np.random.default_rng(0),
+        )
+        residuals[steps] = out["pullback_residual"]
+    assert residuals[10] / residuals[20] > 8.0
+
+
 def test_stage_moment_shifts_match_analytic_constants(su11):
     _, _, geo = su11
     rng = np.random.default_rng(13)
@@ -462,9 +485,9 @@ def test_worst_case_values_keep_a_nan_from_any_lane(su21, monkeypatch):
     second_partner = len(pts) * (1 + 2 * geo.dim_t) + 1
 
     def nan_second_partner(*args):
-        k, z, traces = real_flow(*args)
-        z[second_partner] = np.nan
-        return k, z, traces
+        results = real_flow(*args)
+        results[-1].z[second_partner] = np.nan
+        return results
 
     monkeypatch.setattr(moser, "flow_stages", nan_second_partner)
     out = verify_pullback(stages[:1], pts, rng=np.random.default_rng(0))
@@ -598,7 +621,8 @@ def test_flow_stages_chains_traces(su11):
     families, _ = stage_families(geo)
     stages = [MoserStage(f, 10) for f in families]
     ks, zs = rand_batch(geo, rng, 3, radius=0.5)
-    _, _, traces = flow_stages(stages, ks, zs)
+    results = flow_stages(stages, ks, zs)
+    traces = [res.trace for res in results]
     assert len(traces) == 3
     assert all(tr.steps == 10 for tr in traces)
     assert all(tr.max_group_residual < 1e-10 for tr in traces)

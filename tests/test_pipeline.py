@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from holomoser import (
     run_theorem_pipeline,
     scenario_from_config,
 )
-from holomoser import build_algebra, cli, pipeline
+from holomoser import build_algebra, cli, moser, pipeline
 from holomoser.forms import OrbitGeometry
 from holomoser.pipeline import (
     _CHAMBER_BLOCK,
@@ -209,13 +210,16 @@ def su11_report():
 
 @pytest.mark.parametrize(
     "family,params",
-    [("sp", {"n": 1}), ("sp", {"n": 2}), ("su", {"p": 3, "q": 1}), ("su", {"p": 2, "q": 2})],
-    ids=["sp2", "sp4", "su31", "su22"],
+    [("sp", {"n": 1}), ("sp", {"n": 2}), ("sp", {"n": 2, "lam": (2.0, 1.0)}),
+     ("su", {"p": 3, "q": 1}), ("su", {"p": 2, "q": 2})],
+    ids=["sp2", "sp4", "sp4-generic", "su31", "su22"],
 )
 def test_theorem_pipeline_certifies_across_family(family, params):
     sc = Scenario(family=family, **params, steps=20, samples=3, stage_samples=2,
                   lemma_samples=100, seed=0)
     rep = run_theorem_pipeline(sc)
+    # a generic chamber weight has base directions off the stabilizer
+    assert (rep["constants"]["dim_base_complement"] > 0) == ("lam" in params)
     assert rep["verdict"] == "pass"
 
 
@@ -445,8 +449,10 @@ def test_nan_in_a_later_zero_section_value_fails_the_theorem_verdict(
 def test_stage_and_composite_blocks_report_flow_counters(su11_report):
     const = su11_report["constants"]
     c, t_dim = const["dim_base_complement"], const["dim_total"]
+    comp = su11_report["composite"]
+    b0 = comp["sample_count"]
 
-    def lanes(b0, vertical):
+    def lanes(vertical):
         # centre, 2 dim_t perturbed, min(4, b0) equivariance and 4 zero
         # lanes; a vertical stage flows the 2 dim_c base-perturbed lanes with
         # the centre fiber and the zero section as one lane
@@ -454,18 +460,91 @@ def test_stage_and_composite_blocks_report_flow_counters(su11_report):
             return b0 * (1 + 2 * (t_dim - c)) + min(4, b0) + 1
         return b0 * (1 + 2 * t_dim) + min(4, b0) + 4
 
-    vertical = (True, True, False)
-    for rep, vert in zip(su11_report["stages"], vertical):
+    # every stage block counts the composite flow's lanes through its stage
+    stages = su11_report["stages"]
+    for rep, vert in zip(stages, (True, True, False)):
         assert rep["field_evaluations"] == 4 * rep["steps"], rep["name"]
-        assert rep["field_lanes"] == 4 * rep["steps"] * lanes(
-            rep["sample_count"], vert
-        ), rep["name"]
-    comp = su11_report["composite"]
-    assert comp["field_evaluations"] == 4 * sum(comp["steps"])
-    assert comp["field_lanes"] == sum(
-        4 * steps * lanes(comp["sample_count"], vert)
-        for steps, vert in zip(comp["steps"], vertical)
+        assert rep["field_lanes"] == 4 * rep["steps"] * lanes(vert), rep["name"]
+    assert comp["steps"] == [rep["steps"] for rep in stages]
+    for key in ("field_evaluations", "field_lanes", "reprojections"):
+        assert comp[key] == sum(rep[key] for rep in stages), key
+    assert comp["min_form_margin"] == min(rep["min_form_margin"] for rep in stages)
+    assert comp["fiber_sup"] == max(rep["fiber_sup"] for rep in stages)
+
+
+def test_stage_blocks_are_read_off_the_composite_flow(monkeypatch):
+    # su(2,1) at a generic weight: the segment stage moves the base.  Five
+    # composite samples and four stage samples, so the standalone flow below
+    # draws the same four equivariance partners and zero-section lanes.
+    seen = {}
+    real = pipeline.verify_pullback
+
+    def capture(stages, points, **kwargs):
+        seen.update(stages=stages, points=points, eps=kwargs["eps"],
+                    rng=copy.deepcopy(kwargs["rng"]))
+        seen["out"] = real(stages, points, **kwargs)
+        return seen["out"]
+
+    monkeypatch.setattr(pipeline, "verify_pullback", capture)
+    rep = run_theorem_pipeline(
+        Scenario(family="su", p=2, q=1, lam=(0.8660254037844386, 2.0999999999999996),
+                 steps=10, samples=5, stage_samples=4, lemma_samples=4, seed=0)
     )
+    stages, points, out = seen["stages"], seen["points"], seen["out"]
+    first = rep["stages"][0]
+    assert first["sample_count"] == 4
+
+    # the first block (J_0 = I) is a standalone flow of the first stage;
+    # measured equal to the last bit, the bound allows roundoff
+    alone = real(stages[:1], points[:4], eps=seen["eps"], rng=seen["rng"])
+    assert np.abs(out["stage_blocks"][0].defect[:4] - alone["block"].defect).max() <= 1e-13
+    shift_error = np.abs(alone["moment_shift_mean"] - stages[0].family.moment_shift).max()
+    for key, want in (
+        ("pullback_residual", alone["pullback_residual"]),
+        ("moment_shift_error", shift_error),
+        ("moment_shift_spread", alone["moment_shift_spread"]),
+        ("equivariance_residual", alone["equivariance_residual"]),
+        ("zero_section_displacement", alone["zero_section_displacement"]),
+    ):
+        assert abs(first[key] - want) <= 1e-13, key
+
+    # the stage defects telescope to the composite's pulled - omega_start;
+    # measured within 2.3e-17 of the composite residual
+    total = sum(block.defect for block in out["stage_blocks"])
+    composite = out["block"].defect
+    assert np.abs(total - composite).max() <= 1e-14 * np.abs(composite).max()
+    assert np.abs(composite).max() == rep["composite"]["pullback_residual"]
+
+    # each stage starts at the form the previous one ends at
+    geo = stages[0].family.geometry
+    ks = np.array([k for k, _ in points])
+    zs = np.array([z for _, z in points])
+    results = moser.flow_stages(stages, ks, zs)
+    for s in range(len(stages) - 1):
+        at = geo.fiber_eig(results[s].z), geo.kappa(results[s].k)
+        end = stages[s].family.omega(*at, 1.0)
+        assert np.array_equal(end, stages[s + 1].family.omega(*at, 0.0)), s
+
+
+def test_theorem_run_flows_each_stage_once(monkeypatch):
+    # the stage blocks are read off the composite flow: one verify_pullback
+    # and one integrate_flow per stage
+    calls = {"verify": 0, "flow": 0}
+    real_verify, real_flow = pipeline.verify_pullback, moser.integrate_flow
+
+    def counting_verify(*args, **kwargs):
+        calls["verify"] += 1
+        return real_verify(*args, **kwargs)
+
+    def counting_flow(*args, **kwargs):
+        calls["flow"] += 1
+        return real_flow(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verify_pullback", counting_verify)
+    monkeypatch.setattr(moser, "integrate_flow", counting_flow)
+    rep = run_theorem_pipeline(small_su11())
+    assert rep["verdict"] == "pass"
+    assert calls == {"verify": 1, "flow": 3}
 
 
 def test_cli_inspect(capsys):
