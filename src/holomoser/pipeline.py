@@ -23,6 +23,7 @@ reproducible byte-for-byte outside their timing block.
 
 from __future__ import annotations
 
+import math
 import time
 from functools import partial
 
@@ -64,7 +65,7 @@ from .roots import (
     in_holomorphic_chamber,
 )
 
-# chamber candidates tested per product in _random_chamber_weight
+# chamber candidates tested per product in _random_chamber_weights
 _CHAMBER_BLOCK = 64
 # rows per evaluation chunk in _lemma_block; bounds its peak memory
 _LEMMA_CHUNK = 256
@@ -206,30 +207,39 @@ def inspect_model(family, p=None, q=None, n=None):
 # -- supporting-inequality suite ----------------------------------------------------
 
 
-def _random_chamber_weight(datum, rng, max_draws=10000):
-    """Uniform draw from [-2, 2]^rank, rejected until it lies in the chamber.
+def _random_chamber_weights(datum, rng, count, max_draws=10000):
+    """count successive uniform draws from [-2, 2]^rank that lie in the chamber.
 
-    Candidates are tested _CHAMBER_BLOCK at a time; on a hit the generator is
-    rewound and redrawn up to the first accepted row, so the result and the
-    generator's final state are those of testing one candidate at a time.
+    Each weight has its own budget of max_draws candidates, counted from the
+    previous acceptance.  Candidates are tested _CHAMBER_BLOCK at a time and
+    every hit of a block is used in order; after the last weight PCG64's
+    advance (every stream comes from default_rng) moves the generator back
+    over the unused rows.  A uniform double takes one 64-bit output, so the
+    weights, the final state and a RuntimeError on exhaustion are those of
+    testing one candidate at a time.
     """
     rank = datum.algebra.rank
-    left = max_draws
-    while left > 0:
+    weights, left = [], max_draws
+    while True:
         m = min(_CHAMBER_BLOCK, left)
-        state = rng.bit_generator.state
-        ok, _ = chamber_membership(datum, rng.uniform(-2.0, 2.0, (m, rank)))
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            rng.bit_generator.state = state
-            return ChamberWeight(rng.uniform(-2.0, 2.0, (hits[0] + 1, rank))[-1])
-        left -= m
-    raise RuntimeError("chamber rejection sampling failed")
+        rows = rng.uniform(-2.0, 2.0, (m, rank))
+        used = 0
+        for hit in np.flatnonzero(chamber_membership(datum, rows)[0]):
+            weights.append(ChamberWeight(rows[hit]))
+            used, left = hit + 1, max_draws
+            if len(weights) == count:
+                # a Python int: advance rejects a negative np.int64
+                rng.bit_generator.advance(-int((m - used) * rank))
+                return weights
+        left -= m - used
+        if left == 0:
+            raise RuntimeError("chamber rejection sampling failed")
 
 
 def _unit_fiber(dim_p, rng):
+    # np.linalg.norm of a 1-D float array is sqrt(v.dot(v)); this skips its dispatch
     v = rng.standard_normal(dim_p)
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))
 
 
 def _radial_fiber(dim_p, rng, r_max):
@@ -237,6 +247,12 @@ def _radial_fiber(dim_p, rng, r_max):
 
 
 def _lemma_block(scenario, geometry, delta):
+    """Values and gates of the inequality suite over scenario.lemma_samples.
+
+    Five streams spawned off the seed feed the chi spectrum, growth and the
+    flat pairing, bracket positivity (one _random_chamber_weights call per
+    weight pair), the moment identities, and scaling linearity.
+    """
     alg, datum, weight = geometry.alg, geometry.datum, geometry.weight
     tol = scenario.tolerance
     n = scenario.lemma_samples
@@ -254,8 +270,8 @@ def _lemma_block(scenario, geometry, delta):
     for i in range(n):
         grow_z[i] = _radial_fiber(alg.dim_p, rng_growth, 3.0)
     for i in range(n):
-        h1[i] = _random_chamber_weight(datum, rng_bracket).coords
-        h2[i] = _random_chamber_weight(datum, rng_bracket).coords
+        w1, w2 = _random_chamber_weights(datum, rng_bracket, 2)
+        h1[i], h2[i] = w1.coords, w2.coords
         br_z[i] = _radial_fiber(alg.dim_p, rng_bracket, 2.5)
 
     geo_flat = OrbitGeometry(alg, datum, datum.lambda0)
@@ -310,7 +326,7 @@ def _lemma_block(scenario, geometry, delta):
     constants = measure_convention_constants(geometry, rng_ident)
 
     scale_res = []
-    for w in [weight] + [_random_chamber_weight(datum, rng_scale) for _ in range(3)]:
+    for w in [weight] + _random_chamber_weights(datum, rng_scale, 3):
         m1, b1 = chamber_constants(w, datum)
         m2, b2 = chamber_constants(ChamberWeight(2.0 * w.coords), datum)
         scale_res += [abs(m2 - 2.0 * m1), abs(b2 - 2.0 * b1)]

@@ -24,8 +24,8 @@ from holomoser.moser import (
     verify_pullback,
 )
 from holomoser.operators import FiberSpectrum, f_plus
-from holomoser.pipeline import _random_chamber_weight
-from holomoser.roots import chamber_constants, compute_root_datum
+from holomoser.pipeline import _random_chamber_weights
+from holomoser.roots import ChamberWeight, chamber_constants, compute_root_datum
 
 from oracles import (
     analytic_properness_bound,
@@ -138,7 +138,7 @@ def generic_geometry(family, params):
     datum = compute_root_datum(alg)
     # a generic chamber weight has a torus stabilizer, so base slots exist
     # from rank two on; rank one has only multiples of lambda_0
-    weight = _random_chamber_weight(datum, np.random.default_rng(0))
+    (weight,) = _random_chamber_weights(datum, np.random.default_rng(0), count=1)
     return OrbitGeometry(alg, datum, weight)
 
 
@@ -362,13 +362,10 @@ def test_flow_converges_at_order_four(su11):
     assert residuals[10] / residuals[20] > 8.0
 
 
-def test_rkmk_flow_converges_at_order_four(su21):
-    # the segment stage at a generic weight moves the base, so this measures
-    # the Runge-Kutta-Munthe-Kaas path; at eps = 1e-5 the integrator error
-    # dominates the residual (1.35e-6 at 10 steps, 8.5e-8 at 20: 15.9x)
-    _, _, geo = su21
+def segment_order_residuals(geo):
+    """Pullback residual of the segment stage at 10 and 20 steps (eps = 1e-5)."""
     family = segment_stage(geo, delta_for(geo))
-    assert family.moves_base and geo.dim_c > 0
+    assert family.moves_base
     rng = np.random.default_rng(12)
     pts = []
     for _ in range(3):
@@ -382,6 +379,31 @@ def test_rkmk_flow_converges_at_order_four(su21):
             rng=np.random.default_rng(0),
         )
         residuals[steps] = out["pullback_residual"]
+    return residuals
+
+
+def test_rkmk_flow_converges_at_order_four(su21):
+    # the segment stage at a generic weight moves the base, so this measures
+    # the Runge-Kutta-Munthe-Kaas path; at eps = 1e-5 the integrator error
+    # dominates the residual (1.35e-6 at 10 steps, 8.5e-8 at 20: 15.9x)
+    _, _, geo = su21
+    assert geo.dim_c > 0
+    residuals = segment_order_residuals(geo)
+    assert residuals[10] / residuals[20] > 8.0
+
+
+@pytest.mark.parametrize(
+    "family,params,lam",
+    [("sp", {"n": 2}, (2.0, 1.0)), ("su", {"p": 2, "q": 2}, None)],
+    ids=["sp4-generic", "su22"],
+)
+def test_rkmk_flow_converges_at_order_four_across_families(family, params, lam):
+    # measured 4.50e-6 -> 2.90e-7 (15.5x) on sp(4,R) at lambda = (2, 1), where
+    # dim_c = 2, and 1.43e-8 -> 9.00e-10 (15.9x) on su(2,2) at lambda_0
+    alg = build_algebra(family, **params)
+    datum = compute_root_datum(alg)
+    weight = datum.lambda0 if lam is None else ChamberWeight(np.array(lam))
+    residuals = segment_order_residuals(OrbitGeometry(alg, datum, weight))
     assert residuals[10] / residuals[20] > 8.0
 
 

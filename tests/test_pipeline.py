@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holomoser import (
     ChamberError,
@@ -23,7 +24,8 @@ from holomoser.pipeline import (
     _CHAMBER_BLOCK,
     _hypothesis_checks,
     _lemma_block,
-    _random_chamber_weight,
+    _random_chamber_weights,
+    _unit_fiber,
 )
 from holomoser.roots import chamber_constants, compute_root_datum
 from holomoser.report import (
@@ -276,9 +278,14 @@ def test_block_chamber_sampler_matches_one_at_a_time_loop(sampler_data):
             block_rng = np.random.default_rng(seed)
             for _ in range(50):
                 want = oracles.random_chamber_weight_loop(datum, loop_rng)
-                got = _random_chamber_weight(datum, block_rng)
+                (got,) = _random_chamber_weights(datum, block_rng, count=1)
                 assert np.array_equal(got.coords, want.coords)
             assert block_rng.random() == loop_rng.random()
+
+
+def _one_chamber_weight(datum, rng, max_draws):
+    (weight,) = _random_chamber_weights(datum, rng, count=1, max_draws=max_draws)
+    return weight
 
 
 def _draw_or_raise(sampler, datum, rng, max_draws):
@@ -302,7 +309,7 @@ def test_block_chamber_sampler_exhaustion_matches_loop(sampler_data, max_draws):
                     oracles.random_chamber_weight_loop, datum, loop_rng, max_draws
                 )
                 got = _draw_or_raise(
-                    _random_chamber_weight, datum, block_rng, max_draws
+                    _one_chamber_weight, datum, block_rng, max_draws
                 )
                 assert (got is None) == (want is None)
                 if want is None:
@@ -312,6 +319,63 @@ def test_block_chamber_sampler_exhaustion_matches_loop(sampler_data, max_draws):
                     assert np.array_equal(got, want)
                 assert block_rng.bit_generator.state == loop_rng.bit_generator.state
     assert raised and returned
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    model=st.integers(0, len(SAMPLER_MODELS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    max_draws=st.sampled_from(
+        [1, _CHAMBER_BLOCK - 1, _CHAMBER_BLOCK, _CHAMBER_BLOCK + 1, 10000]
+    ),
+)
+def test_chamber_weights_match_loop_draws(sampler_data, model, seed, count, max_draws):
+    datum = sampler_data[model]
+    loop_rng = np.random.default_rng(seed)
+    block_rng = np.random.default_rng(seed)
+    try:
+        want = [
+            oracles.random_chamber_weight_loop(datum, loop_rng, max_draws=max_draws)
+            for _ in range(count)
+        ]
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            _random_chamber_weights(datum, block_rng, count, max_draws)
+    else:
+        got = _random_chamber_weights(datum, block_rng, count, max_draws)
+        assert len(got) == count
+        for g, w in zip(got, want):
+            assert np.array_equal(g.coords, w.coords)
+    assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_unit_fiber_matches_linalg_norm(sampler_data):
+    for dim_p in sorted({datum.algebra.dim_p for datum in sampler_data}):
+        rng = np.random.default_rng(dim_p)
+        ref = np.random.default_rng(dim_p)
+        for _ in range(1000):
+            v = ref.standard_normal(dim_p)
+            assert np.array_equal(_unit_fiber(dim_p, rng), v / np.linalg.norm(v))
+
+
+def test_lemma_block_chamber_test_count(monkeypatch):
+    # the bracket pairs and the scaling weights share candidate blocks; 447 is
+    # the count measured with that sharing (blocks drawn per weight make 676)
+    calls = []
+    membership = pipeline.chamber_membership
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return membership(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "chamber_membership", counted)
+    sc = Scenario(family="su", p=2, q=2, lemma_samples=300, seed=4)
+    alg = build_algebra("su", p=2, q=2)
+    datum = compute_root_datum(alg)
+    delta = 1.5 * chamber_constants(datum.lambda0, datum)[1]
+    _lemma_block(sc, OrbitGeometry(alg, datum, datum.lambda0), delta)
+    assert len(calls) <= 447
 
 
 @pytest.mark.parametrize(
