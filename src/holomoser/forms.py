@@ -23,7 +23,8 @@ each block is a matmul chain W^T M W over that shape.  The spectrum is the
 half-size operators.FiberSpectrum: ad(Z) = [[0, A], [A^T, 0]], so every
 block is a function of s = nu^2 from one eigh of A^T A, clipped at 0.  The
 fiber columns of the even Psi_Z^+ are the p-p block even(f_plus) (zero k
-rows), those of the odd Psi_Z^- = -nu G the k-p block -odd(G) (zero p rows);
+rows), those of the odd Psi_Z^- = -nu G the k-p block -A even(G) (zero p
+rows); both blocks are formed once per spectrum (psi_plus, even_g);
 the moments apply k-k blocks to k* vectors, and the flat display
 A A^T lambda_0 needs only A.  The homotopy primitive in moser.py is a closed
 form in s; only its quadrature oracle in the tests evaluates the blocks at
@@ -113,7 +114,7 @@ class OrbitGeometry:
     def pullback_blocks(self, spec, kap):
         """Form matrices (..., T, T) of Gamma^* Omega at the points (k, Z)."""
         m_kl = self.pairing_klam(kap)
-        psim = -spec.odd(G)  # the k rows of Psi_Z^-; its p rows vanish
+        psim = -(spec.a @ spec.even_g)  # the k rows of Psi_Z^-; its p rows vanish
         psip = spec.psi_plus  # the p rows of Psi_Z^+; its k rows vanish
         w_p = kap[..., : self.alg.dim_k] @ psim
         w_c = np.broadcast_to(self.complement, w_p.shape[:-1] + (self.dim_c,))
@@ -154,10 +155,11 @@ class OrbitGeometry:
 
         k lambda lies in k*, where the k-k block of e^{-ad Z} is cosh(A A^T).
         """
-        return self.alg.embed_k(spec.apply_k(1.0, G, kl[..., : self.alg.dim_k]))
+        kl_k = kl[..., : self.alg.dim_k]
+        return self.alg.embed_k(spec.apply_k(1.0, spec.even_g, kl_k))
 
     def moment_delta(self, spec, kl, delta):
-        cosh = spec.apply_k(1.0, G, self.lam0_k)
+        cosh = spec.apply_k(1.0, spec.even_g, self.lam0_k)
         return self.alg.embed_k(kl[..., : self.alg.dim_k] + delta * cosh)
 
     def moment_segment(self, spec, kl, t, delta):
@@ -181,7 +183,7 @@ class OrbitGeometry:
 
         On k that is A G(t^2 A^T A) A^T lambda_0, continuous through t = 0.
         """
-        out = spec.apply_k(0.0, lambda s: G(t * t * s), self.lam0_k)
+        out = spec.apply_k(0.0, spec.even(lambda s: G(t * t * s)), self.lam0_k)
         return self.alg.embed_k(kl[..., : self.alg.dim_k] + out)
 
     # -- tangent utilities ------------------------------------------------------

@@ -38,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from .forms import OrbitGeometry, difference_lanes
-from .operators import G, hermitian_radial
+from .operators import hermitian_radial
 from .roots import ChamberWeight, in_holomorphic_chamber
 
 # degree-5 symmetric triangle rule (barycentric nodes, weights sum to 1)
@@ -95,7 +95,8 @@ class FormFamily:
     moves_base is False for the families of the form base block + fiber(Z)
     whose primitive has no base part (hermitian, scaling): their omega and
     primitive never read kap, and their Moser field is exactly vertical, so
-    moser_field skips kappa and integrate_flow flows only the fiber.
+    moser_field and the chart checks skip kappa (the chart checks also the
+    group points of their nodes) and integrate_flow flows only the fiber.
     """
 
     name: str
@@ -119,15 +120,16 @@ def _z0_direction(geometry):
     return lambda t: z0 / np.linalg.norm(z0)
 
 
-def _radial_row(geometry, spec, row_p, fn):
+def _radial_row(geometry, row_p, block):
     """Primitive (B, T): zero base part, fiber part row_p . even(F).
 
     F(nu) = int_0^1 r f(r nu) dr is even, so only its p-p block acts on the
-    p-part row_p (B, P) of the row.  fn is F in closed form as a function of
-    s = nu^2: G for f = f_plus, hermitian_radial for f(nu) = nu f_plus'(t nu).
+    p-part row_p (B, P) of the row.  block is that p-p block even(F), F in
+    closed form as a function of s = nu^2: G (FiberSpectrum.even_g) for
+    f = f_plus, hermitian_radial for f(nu) = nu f_plus'(t nu).
     """
     out = np.zeros(row_p.shape[:-1] + (geometry.dim_t,))
-    out[..., geometry.dim_c :] = (row_p[..., None, :] @ spec.even(fn))[..., 0, :]
+    out[..., geometry.dim_c :] = (row_p[..., None, :] @ block)[..., 0, :]
     return out
 
 
@@ -138,7 +140,7 @@ def hermitian_stage(geometry):
         # m_lambda_0 is antisymmetric, so the surviving term of
         # cross - cross^T contracts to +Z^T m_lambda_0
         row = zp @ geometry.m_lam0_pp
-        return _radial_row(geometry, spec, row, lambda s: hermitian_radial(s, t))
+        return _radial_row(geometry, row, spec.even(lambda s: hermitian_radial(s, t)))
 
     return FormFamily(
         "hermitian",
@@ -163,7 +165,8 @@ def scaling_stage(geometry, delta):
         return out
 
     def primitive(spec, kap, zp, t):
-        return _radial_row(geometry, spec, (delta - 1.0) * (zp @ geometry.m_lam0_pp), G)
+        row = (delta - 1.0) * (zp @ geometry.m_lam0_pp)
+        return _radial_row(geometry, row, spec.even_g)
 
     return FormFamily(
         "scaling",
@@ -195,7 +198,7 @@ def segment_stage(geometry, delta):
     def primitive(spec, kap, zp, t):
         row = (zp[:, None, :] @ geometry.pairing_klam(kap))[:, 0]
         row -= delta * (zp @ geometry.m_lam0_pp)
-        return _radial_row(geometry, spec, row, G)
+        return _radial_row(geometry, row, spec.even_g)
 
     def direction(t):
         coords = segment_weight_coords(geometry, delta, 1.0 - t)
@@ -421,17 +424,18 @@ def _dexp_matrix(alg, u_k):
     return out
 
 
-def _chart_frames(geometry, k0, z0, pts):
+def _chart_frames(geometry, k0, z0, pts, moves_base):
     """Points and frame correction for the chart (x, w) -> (k0 exp(Cx), z0 + w).
 
     pts: (Q, T) chart coordinates, each node with its own base point k0
-    (Q, a, a), z0 (Q, P).
+    (Q, a, a), z0 (Q, P).  With moves_base False (a family that never reads
+    Ad(k^{-1})) the group points are not formed and ks is None.
     """
     alg = geometry.alg
     c = geometry.dim_c
     c_k = geometry.complement[: alg.dim_k]
     u_k = pts[:, :c] @ c_k.T
-    ks = k0 @ alg.group_exp(u_k)
+    ks = k0 @ alg.group_exp(u_k) if moves_base else None
     zs = z0 + pts[:, c:]
     jacs = np.zeros((len(pts), geometry.dim_t, geometry.dim_t))
     jacs[:, :c, :c] = c_k.T @ _dexp_matrix(alg, u_k) @ c_k
@@ -439,10 +443,10 @@ def _chart_frames(geometry, k0, z0, pts):
     return ks, zs, jacs
 
 
-def _chart_form_matrices(geometry, omega_at, k0, z0, pts):
-    ks, zs, jacs = _chart_frames(geometry, k0, z0, pts)
+def _chart_form_matrices(geometry, omega_at, k0, z0, pts, moves_base):
+    ks, zs, jacs = _chart_frames(geometry, k0, z0, pts, moves_base)
     spec = geometry.fiber_eig(zs)
-    kap = geometry.kappa(ks)
+    kap = geometry.kappa(ks) if moves_base else None
     mats = omega_at(spec, kap)
     return np.swapaxes(jacs, -1, -2) @ mats @ jacs
 
@@ -458,10 +462,13 @@ def _per_node(k0, z0, pts):
 _TET_FACES = ((1.0, (1, 2, 3)), (-1.0, (0, 2, 3)), (1.0, (0, 1, 3)), (-1.0, (0, 1, 2)))
 
 
-def stokes_closedness_residual(geometry, omega_at, k0, z0, frames, diameter):
+def stokes_closedness_residual(
+    geometry, omega_at, k0, z0, frames, diameter, moves_base=True
+):
     """Relative boundary-integral defect of omega over small 3-simplices.
 
-    omega_at(spec, kap) -> (Q, T, T).  k0 (B, a, a) and z0 (B, P) are base
+    omega_at(spec, kap) -> (Q, T, T); with moves_base False it is handed
+    kap = None (FormFamily.moves_base).  k0 (B, a, a) and z0 (B, P) are base
     points; frames (B, n, T, 3) hold orthonormal edge directions of n
     tetrahedra at each, with vertices 0 and diameter times the columns in
     the exponential chart at the base point.  The form is integrated over
@@ -478,8 +485,9 @@ def stokes_closedness_residual(geometry, omega_at, k0, z0, frames, diameter):
     verts[:, :, 1:] = diameter * np.swapaxes(frames, -1, -2)
     tri = verts[:, :, [face for _, face in _TET_FACES]]  # (B, n, 4, 3, T)
     pts = _TRI_BARY @ tri
-    mats = _chart_form_matrices(geometry, omega_at, *_per_node(k0, z0, pts))
-    mats = mats.reshape(pts.shape + (t_dim,))
+    mats = _chart_form_matrices(
+        geometry, omega_at, *_per_node(k0, z0, pts), moves_base
+    ).reshape(pts.shape + (t_dim,))
     vals = np.einsum(
         "...i,...qij,...j->...q", tri[..., 1, :] - tri[..., 0, :], mats,
         tri[..., 2, :] - tri[..., 0, :],
@@ -500,9 +508,11 @@ def primitive_exactness_residual(family, k0, z0, t, frames):
     edge, all B 3 8 edge nodes in one primitive evaluation) with the flux of
     the claimed derivative through it (degree-5 triangle rule, all B 7 nodes
     in one form evaluation); both are O(h^2), and the returned (B,) values
-    are their relative mismatch.
+    are their relative mismatch.  A family that does not move the base is
+    evaluated without Ad(k^{-1}) and without the group points of the nodes.
     """
     geometry = family.geometry
+    moves = family.moves_base
     h = 1e-2
     corners = np.zeros((len(z0), 3, geometry.dim_t))
     corners[:, 1:] = h * np.swapaxes(frames, -1, -2)
@@ -511,15 +521,16 @@ def primitive_exactness_residual(family, k0, z0, t, frames):
     nodes, weights = _edge_rule()
     pts = corners[:, :, None] + nodes[:, None] * edges[:, :, None]
 
-    ks, zs, jacs = _chart_frames(geometry, *_per_node(k0, z0, pts))
-    mu = homotopy_primitive(family, geometry.fiber_eig(zs), geometry.kappa(ks), zs, t)
+    ks, zs, jacs = _chart_frames(geometry, *_per_node(k0, z0, pts), moves)
+    kap = geometry.kappa(ks) if moves else None
+    mu = homotopy_primitive(family, geometry.fiber_eig(zs), kap, zs, t)
     mu = np.einsum("qji,qj->qi", jacs, mu).reshape(pts.shape)
     circulation = np.einsum("benj,bej,n->b", mu, edges, weights)
 
     quad_pts = _TRI_BARY @ corners
     sigma = _chart_form_matrices(
         geometry, lambda spec, kap: family.domega_dt(spec, kap, t),
-        *_per_node(k0, z0, quad_pts),
+        *_per_node(k0, z0, quad_pts), moves,
     ).reshape(quad_pts.shape + (geometry.dim_t,))
     vals = np.einsum("bi,bqij,bj->bq", corners[:, 1], sigma, corners[:, 2])
     flux = 0.5 * (vals @ _TRI_W)
@@ -823,7 +834,7 @@ def check_hypotheses(stages, rng):
 
             k0, z0, tet_frames, tri_frames = _draw_chart_points(geometry, rng, 2, 2)
             worst["closedness_rel_residual"].append(stokes_closedness_residual(
-                geometry, omega_at, k0, z0, tet_frames, 1e-2
+                geometry, omega_at, k0, z0, tet_frames, 1e-2, fam.moves_base
             ).max())
             worst["primitive_exactness_residual"].append(primitive_exactness_residual(
                 fam, k0, z0, t, tri_frames

@@ -12,13 +12,15 @@ squared singular values of A clipped at 0 against roundoff (the eigenvalues
 of ad(Z) are +-sigma and zeros):
 
     even(g)      p-p block of g:        V g(s) V^T
-    odd(h)       k-p block of nu h:     A V h(s) V^T
-    apply_k      k-k block of g on xi:  g(0) xi + A phi(A^T A) A^T xi,
+    A even(h)    k-p block of nu h:     A V h(s) V^T
+    apply_k      k-k block of g on xi:  g(0) xi + A even(phi) A^T xi,
                                         phi(s) = (g(s) - g(0)) / s
 
 The scalar functions are functions of s = nu^2 >= 0: f_plus = sinh(nu)/nu
 (Psi_Z^+), its s-derivative f_plus_prime, and G = (cosh(nu) - 1)/nu^2, which
-gives Psi_Z^- = -nu G, the phi of cosh and int_0^1 r f_plus(r nu) dr.
+gives Psi_Z^- = -nu G, the phi of cosh and int_0^1 r f_plus(r nu) dr.  The
+blocks even(f_plus) and even(G) are read several times per spectrum, so each
+is formed once (psi_plus, even_g).
 chi_spectrum_check certifies the spectrum lemma independently, with its own
 full-size eigh of ad(Z) and chi_Z = -tanh(nu/2) on its eigenvalues nu.
 """
@@ -107,13 +109,24 @@ class FiberSpectrum:
         out.flags.writeable = False
         return out
 
-    def odd(self, h):
-        """The k-p block A V h(s) V^T of ad(Z) h(ad(Z)^2), (..., K, P)."""
-        return self.a @ self.even(h)
+    @cached_property
+    def even_g(self):
+        """even(G), computed once and read-only.
 
-    def apply_k(self, g0, phi, xi):
-        """The k-k block of g(ad(Z)^2) on k-coordinates xi: g0 xi + A phi A^T xi."""
-        y = self.even(phi) @ (_mT(self.a) @ xi[..., None])
+        It serves the k rows A even(G) of Psi_Z^- = -nu G in pullback_blocks,
+        the radial primitives of the scaling and segment stages, and the
+        cosh moments (apply_k with phi = G).
+        """
+        out = self.even(G)
+        out.flags.writeable = False
+        return out
+
+    def apply_k(self, g0, phi_block, xi):
+        """The k-k block of g(ad(Z)^2) on k-coordinates xi: g0 xi + A phi A^T xi.
+
+        phi_block is the p-p block even(phi) of phi(s) = (g(s) - g0) / s.
+        """
+        y = phi_block @ (_mT(self.a) @ xi[..., None])
         return g0 * xi + (self.a @ y)[..., 0]
 
 

@@ -39,6 +39,7 @@ DEFAULT_TOLERANCES = {
     "properness_high": 1.05,
     "gamma_deviation": 0.1,
     "segment_margin": 0.0,
+    "segment_pencil": 1e-6,
     "affinity": 1e-12,
     "stage_pullback": 1e-3,
     "composite_pullback": 1e-3,

@@ -26,7 +26,8 @@ None of this runs in the certification pipeline:
   sampled and zero-fiber moments as separate calls, and the analytic
   properness constant of each stage by name (analytic_properness_bound);
 - the Moser flow with the full RKMK group update for every family and
-  every lane, the Moser field evaluating Ad(k^{-1}) at every stage point.
+  every lane, the Moser field evaluating Ad(k^{-1}) at every stage point;
+- the segment witness as a sweep of sampled times, one svd per time.
 """
 
 from __future__ import annotations
@@ -892,3 +893,30 @@ def integrate_flow_rkmk(family, k0, z0, steps, t0=0.0, t1=1.0, project_tol=1e-12
         steps, float(min_margin), max_res, reproj, fiber_sup, 4 * steps * len(zs)
     )
     return FlowResult(ks, zs, trace)
+
+
+# -- the segment witness sampled at fixed times --------------------------------------
+
+
+def segment_witness_sweep(family, rng, t_count=21, points=200):
+    """Least singular value of the family's forms at t_count even times in [0, 1].
+
+    The points are drawn as pipeline._segment_witness draws them, so the same
+    generator state gives the same points.  Returns the per-time minima over
+    the points (t_count,) and the worst affinity residual: the distance of
+    each form from the chord of the endpoint evaluations.
+    """
+    geometry = family.geometry
+    ks = geometry.alg.group_exp(rng.standard_normal((points, geometry.alg.dim_k)))
+    zs = rng.standard_normal((points, geometry.dim_p))
+    zs *= (rng.uniform(0.1, 1.5, points) / np.linalg.norm(zs, axis=1))[:, None]
+    spec = geometry.fiber_eig(zs)
+    kap = geometry.kappa(ks)
+    end0 = family.omega(spec, kap, 0.0)
+    end1 = family.omega(spec, kap, 1.0)
+    margins, affinity = [], []
+    for t in np.linspace(0.0, 1.0, t_count):
+        omega = family.omega(spec, kap, t)
+        margins.append(np.linalg.svd(omega, compute_uv=False)[..., -1].min())
+        affinity.append(np.abs(omega - ((1 - t) * end0 + t * end1)).max())
+    return np.array(margins), float(np.max(affinity))

@@ -156,14 +156,18 @@ def test_criterion_06_segment_nondegeneracy_witness(su21_report):
     delta = su21_report["constants"]["delta"]
     b_lam = su21_report["constants"]["b_lambda"]
     assert delta == pytest.approx(1.5 * b_lam)
-    assert witness["t_count"] == 21
+    assert witness["t_count"] == 3
     assert witness["point_count"] == 200
     assert witness["min_margin"] > 0.0
+    assert witness["pencil_distance"] > 1e-6
     assert witness["affinity_residual"] == 0.0
+    assert su21_report["checks"]["segment_witness"]
     _line(
         6,
-        f"delta = 1.5 b_lambda = {delta:.4f}: min segment margin "
-        f"{witness['min_margin']:.4f} > 0 over 21 x 200 grid; affinity exact",
+        f"delta = 1.5 b_lambda = {delta:.4f}: pencil spectra "
+        f"{witness['pencil_distance']:.4f} > 1e-6 from (-inf, -1] at 200 points "
+        f"(every t in [0, 1]); endpoint margin {witness['min_margin']:.4f} > 0; "
+        "affinity exact at t = 1/2",
     )
 
 

@@ -23,7 +23,8 @@ from holomoser.moser import (
     stokes_closedness_residual,
     verify_pullback,
 )
-from holomoser.operators import FiberSpectrum, f_plus
+from holomoser.algebra import MatrixLieAlgebra
+from holomoser.operators import G, FiberSpectrum, f_plus
 from holomoser.pipeline import _random_chamber_weights
 from holomoser.roots import ChamberWeight, chamber_constants, compute_root_datum
 
@@ -611,6 +612,47 @@ def test_segment_form_builds_psi_plus_once(su21, monkeypatch):
     omega = segment_stage(geo, d).omega(geo.fiber_eig(zs), kap, t)
     assert sum(g is f_plus for g in calls) == 1
     assert np.array_equal(omega, ref)
+
+
+def _count_calls(monkeypatch, owner, attr, calls, key=lambda *args: True):
+    """Wrap owner.attr so each call whose arguments satisfy key is listed."""
+    real = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        if key(*args, **kwargs):
+            calls.append(attr)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+def test_vertical_chart_checks_skip_group_points_and_kappa(su21, monkeypatch):
+    # per vertical stage: one group_exp per t for the chart draws and one for
+    # the properness points; kappa for the three zero-section blocks, the
+    # properness fit and the growth exponent.  The Stokes, circulation and
+    # flux nodes (three more of each per t) need neither.
+    _, _, geo = su21
+    assert geo.dim_t >= 3 and geo.dim_c > 0
+    families, _ = stage_families(geo)
+    stages = [MoserStage(fam, 5) for fam in families[:2]]
+    calls = []
+    _count_calls(monkeypatch, MatrixLieAlgebra, "group_exp", calls)
+    _count_calls(monkeypatch, OrbitGeometry, "kappa", calls)
+    check_hypotheses(stages, np.random.default_rng(0))
+    assert calls.count("group_exp") == 2 * (3 + 1)
+    assert calls.count("kappa") == 2 * (3 + 1 + 1)
+
+
+def test_segment_field_forms_even_g_once(su21, monkeypatch):
+    # the pullback block's Psi_Z^- and the radial primitive share even(G)
+    _, _, geo = su21
+    ks, zs = rand_batch(geo, np.random.default_rng(27), 4)
+    calls = []
+    _count_calls(monkeypatch, OrbitGeometry, "fiber_eig", calls)
+    _count_calls(monkeypatch, FiberSpectrum, "even", calls, lambda self, g: g is G)
+    moser_field(segment_stage(geo, delta_for(geo)), ks, zs, 0.3)
+    assert calls.count("fiber_eig") == 1
+    assert calls.count("even") == 1
 
 
 def test_three_stage_composite_certifies(su11):

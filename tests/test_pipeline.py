@@ -20,12 +20,15 @@ from holomoser import (
 )
 from holomoser import build_algebra, cli, moser, pipeline
 from holomoser.forms import OrbitGeometry
+from holomoser.moser import segment_stage
 from holomoser.pipeline import (
     _CHAMBER_BLOCK,
     _hypothesis_checks,
     _lemma_block,
     _random_chamber_weights,
+    _segment_witness,
     _unit_fiber,
+    _witness_passes,
 )
 from holomoser.roots import chamber_constants, compute_root_datum
 from holomoser.report import (
@@ -205,6 +208,11 @@ def test_su11_pipeline_passes(su11_report):
     assert rep["constants"]["delta"] == pytest.approx(1.5)
 
 
+# the first _random_chamber_weights draw on su(2,2) at default_rng(0):
+# dim_c = 4, dim_t = 12
+SU22_GENERIC = (0.42654310306871945, 0.9179862439359936, 0.17449996586169148)
+
+
 @pytest.fixture(scope="module")
 def su11_report():
     return run_theorem_pipeline(small_su11())
@@ -213,8 +221,9 @@ def su11_report():
 @pytest.mark.parametrize(
     "family,params",
     [("sp", {"n": 1}), ("sp", {"n": 2}), ("sp", {"n": 2, "lam": (2.0, 1.0)}),
-     ("su", {"p": 3, "q": 1}), ("su", {"p": 2, "q": 2})],
-    ids=["sp2", "sp4", "sp4-generic", "su31", "su22"],
+     ("su", {"p": 3, "q": 1}), ("su", {"p": 2, "q": 2}),
+     ("su", {"p": 2, "q": 2, "lam": SU22_GENERIC})],
+    ids=["sp2", "sp4", "sp4-generic", "su31", "su22", "su22-generic"],
 )
 def test_theorem_pipeline_certifies_across_family(family, params):
     sc = Scenario(family=family, **params, steps=20, samples=3, stage_samples=2,
@@ -223,6 +232,85 @@ def test_theorem_pipeline_certifies_across_family(family, params):
     # a generic chamber weight has base directions off the stabilizer
     assert (rep["constants"]["dim_base_complement"] > 0) == ("lam" in params)
     assert rep["verdict"] == "pass"
+
+
+WITNESS_MODELS = [
+    ("su", dict(p=1, q=1)), ("su", dict(p=2, q=1)), ("sp", dict(n=1)),
+    ("sp", dict(n=2)), ("su", dict(p=2, q=2)), ("su", dict(p=3, q=1)),
+]
+
+
+def _witness_geometry(family, params, generic):
+    alg = build_algebra(family, **params)
+    datum = compute_root_datum(alg)
+    weight = datum.lambda0
+    if generic:
+        (weight,) = _random_chamber_weights(datum, np.random.default_rng(0), count=1)
+    return OrbitGeometry(alg, datum, weight)
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["lambda0", "generic"])
+@pytest.mark.parametrize("family, params", WITNESS_MODELS,
+                         ids=["su11", "su21", "sp2", "sp4", "su22", "su31"])
+def test_pencil_witness_agrees_with_the_sampled_sweep(family, params, generic):
+    # the same generator state gives the pencil and the 21-time sweep the
+    # same 200 points; the endpoint margins are the sweep's first and last
+    geo = _witness_geometry(family, params, generic)
+    delta = 1.5 * chamber_constants(geo.weight, geo.datum)[1]
+    fam = segment_stage(geo, delta)
+    witness = _segment_witness(fam, np.random.default_rng(7))
+    margins, affinity = oracles.segment_witness_sweep(fam, np.random.default_rng(7))
+    assert witness["t_count"] == 3 and witness["point_count"] == 200
+    assert witness["min_margin"] == min(margins[0], margins[-1])
+    assert witness["affinity_residual"] == affinity == 0.0
+    tol = small_su11().tolerance
+    assert (witness["pencil_distance"] > tol("segment_pencil")) == (margins.min() > 0.0)
+    assert _witness_passes(witness, tol)
+
+
+class AffineForms:
+    """A family given by its endpoint forms (B, T, T), read at every point."""
+
+    def __init__(self, geometry, w0, w1):
+        self.geometry, self.w0, self.w1 = geometry, w0, w1
+
+    def omega(self, spec, kap, t):
+        return (1 - t) * self.w0 + t * self.w1
+
+
+def _antisymmetric(rng, n):
+    x = rng.standard_normal((n, n))
+    return x - x.T
+
+
+def test_pencil_witness_fails_a_family_singular_inside_the_segment():
+    # omega(1/2) = X J X^T has rank 4 of 6: its Pfaffian, a cubic in t, has a
+    # simple root at t = 1/2, which perturbations of the endpoints move but
+    # do not remove.  A sweep of 2,001 times misses the perturbed roots.
+    tol = small_su11().tolerance
+    assert tol("segment_pencil") == 1e-6
+    geo = _witness_geometry("su", dict(p=1, q=1), generic=False)
+    j4 = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((6, 4))
+        mid = x @ j4 @ x.T
+        step = _antisymmetric(rng, 6)
+        w0, w1 = mid - 0.5 * step, mid + 0.5 * step
+        for size in (0.0, 1e-3, 1e-6):
+            forms = AffineForms(
+                geo, (w0 + size * _antisymmetric(rng, 6))[None],
+                (w1 + size * _antisymmetric(rng, 6))[None],
+            )
+            witness = _segment_witness(forms, np.random.default_rng(0))
+            assert witness["min_margin"] > 1e-3, (seed, size)
+            assert witness["pencil_distance"] < 1e-6, (seed, size)
+            assert not _witness_passes(witness, tol), (seed, size)
+            if size > 0.0:
+                margins, _ = oracles.segment_witness_sweep(
+                    forms, np.random.default_rng(0), t_count=2001
+                )
+                assert margins.min() > 0.0, (seed, size)
 
 
 def test_report_is_deterministic_modulo_timing(su11_report):
