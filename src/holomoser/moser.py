@@ -15,8 +15,9 @@ Three concrete stages compose to the full isotopy:
     segment     delta form    ->  pullback of the orbit form
                 (the segment family traversed from the delta end).
 
-The hermitian and scaling fields are vertical (FormFamily.moves_base is
-False): their flows step the fiber alone, once per distinct fiber vector.
+The hermitian and scaling fields are vertical and K-equivariant, so their
+time-one maps are radial maps fixed by equal areas (McDuff, J. Differential
+Geom. 28 (1988)), which flow_stages applies exactly (FormFamily.time_one).
 
 The verification drivers flow perturbed initial points through the stages
 once and compare central-difference differentials at every stage boundary
@@ -31,6 +32,7 @@ simplex in one batched call, each node carrying its own base point.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
@@ -96,7 +98,8 @@ class FormFamily:
     whose primitive has no base part (hermitian, scaling): their omega and
     primitive never read kap, and their Moser field is exactly vertical, so
     moser_field and the chart checks skip kappa (the chart checks also the
-    group points of their nodes) and integrate_flow flows only the fiber.
+    group points of their nodes).  time_one, their exact time-one map on
+    fibers (_radial_time_one), replaces integrate_flow; None for the segment.
     """
 
     name: str
@@ -109,6 +112,7 @@ class FormFamily:
     moment_shift: np.ndarray
     properness_bound: float
     moves_base: bool = True
+    time_one: Callable | None = None
 
 
 # family times of the properness fit and of the segment stage's analytic bound
@@ -133,6 +137,30 @@ def _radial_row(geometry, row_p, block):
     return out
 
 
+def _radial_time_one(geometry, radial):
+    """Exact time-one map (B, P) -> (B, P) of a vertical K-equivariant family.
+
+    On a ray r E, E a unit root-plane vector, the flow moves r to the rho with
+    F_1(rho) = F_0(r), F_t(r) = int_0^r omega_t(E, JE)|_{uE} u du; radial maps
+    x = sqrt(c) r / 2 to sqrt(c) rho / 2, c the top eigenvalue of A^T A at E.
+    Z is Ad(k) of strongly orthogonal root-plane vectors (Helgason, ch. V), so
+    the map is W diag(kappa rho(|l| / kappa) sign l) W^H on Z's Hermitian
+    ambient matrix W diag(l) W^H, kappa the top eigenvalue of E's.
+    """
+    alg = geometry.alg
+    e = _root_probe_fibers(geometry, radii=(1.0,))[0]
+    c = geometry.fiber_eig(e[None]).s.max()
+    kappa = np.linalg.eigvalsh(alg.matrix(alg.embed_p(e))).max()
+    scale = 0.5 * math.sqrt(c) / kappa
+
+    def time_one(zs):
+        lam, w = np.linalg.eigh(alg.matrix(alg.embed_p(zs)))
+        lam = np.sign(lam) * radial(scale * np.abs(lam)) / scale
+        return alg.coords((w * lam[..., None, :]) @ alg.group_inverse(w))[..., alg.dim_k :]
+
+    return time_one
+
+
 def hermitian_stage(geometry):
     """Product form to the delta = 1 form through the scaled fiber family."""
 
@@ -153,6 +181,8 @@ def hermitian_stage(geometry):
         0.0 * geometry.lam0,
         1.0 / (2.0 * float(np.linalg.norm(geometry.z0))),
         moves_base=False,
+        # F_0(r) = r^2 / 2 and F_1(r) = 2 sinh(sqrt(c) r / 2)^2 / c
+        time_one=_radial_time_one(geometry, np.arcsinh),
     )
 
 
@@ -168,6 +198,14 @@ def scaling_stage(geometry, delta):
         row = (delta - 1.0) * (zp @ geometry.m_lam0_pp)
         return _radial_row(geometry, row, spec.even_g)
 
+    def radial(x):
+        # F_t = (1 + t (delta - 1)) 2 sinh(x)^2 / c: sinh(y) = sinh(x) / sqrt(delta),
+        # so y = x + log(a + sqrt(a^2 + e^{-2x})), a = (1 - e^{-2x}) / (2 sqrt(delta)),
+        # finite at every x >= 0; log1p keeps small x to relative roundoff
+        m = np.expm1(-2.0 * x)
+        a = -m / (2.0 * math.sqrt(delta))
+        return x + np.log1p(a + (a * a + m) / (np.sqrt(a * a + 1.0 + m) + 1.0))
+
     return FormFamily(
         "scaling",
         geometry,
@@ -181,6 +219,7 @@ def scaling_stage(geometry, delta):
         (delta - 1.0) * geometry.lam0,
         min(1.0, delta) / (2.0 * float(np.linalg.norm(geometry.z0))),
         moves_base=False,
+        time_one=_radial_time_one(geometry, radial),
     )
 
 
@@ -258,30 +297,47 @@ def homotopy_primitive(family, spec, kap, zp, t):
     return family.primitive(spec, kap, zp, t)
 
 
-def moser_field(family, ks, zs, t):
+def _form_margin(family, omega, t, margin_ref=None):
+    """Least singular value of the forms omega (B, T, T) on the margin lanes.
+
+    margin_ref (B,) maps each lane to the margin lane bounding it (None: each
+    lane itself); only margin lanes take an svd.  Every lane is guarded by
+    Weyl's sigma_min(w) >= sigma_min(w_ref) - ||w - w_ref||_F (Horn and
+    Johnson, Matrix Analysis, 7.3): a bound below 1e-10 or NaN raises
+    RuntimeError, as does an svd that does not converge (naming the family,
+    t and whether the form had non-finite entries).
+    """
+    ref = np.arange(len(omega)) if margin_ref is None else margin_ref
+    rows = ref == np.arange(len(omega))
+    sigma = np.zeros(len(omega))
+    try:
+        sigma[rows] = np.linalg.svd(omega[rows], compute_uv=False)[..., -1]
+    except np.linalg.LinAlgError as exc:
+        entries = "finite" if np.isfinite(omega[rows]).all() else "non-finite"
+        raise RuntimeError(
+            f"{exc} ({family.name} form at t = {t:.4f}; form has {entries} entries)"
+        ) from exc
+    gap = omega - omega[ref]
+    bound = float((sigma[ref] - np.sqrt(np.einsum("bij,bij->b", gap, gap))).min())
+    if not bound >= 1e-10:
+        raise RuntimeError(
+            f"{family.name} family degenerates along the flow "
+            f"(margin {bound:.3e} at t = {t:.4f})"
+        )
+    return float(sigma[rows].min())
+
+
+def moser_field(family, ks, zs, t, margin_ref=None):
     """Moser field xi_t with iota(xi) omega_t = -mu_t; (B, T) tangent coords.
 
     A family that does not move the base never reads Ad(k^{-1}), so its ks
-    are not read (they may be None).  An svd that does not converge (an
-    overflowing form) raises RuntimeError naming the family, t and whether
-    the form had non-finite entries.
+    are not read (they may be None).  Returns xi and _form_margin's margin.
     """
     geo = family.geometry
     spec = geo.fiber_eig(zs)
     kap = geo.kappa(ks) if family.moves_base else None
     omega = family.omega(spec, kap, t)
-    try:
-        margin = float(np.linalg.svd(omega, compute_uv=False)[..., -1].min())
-    except np.linalg.LinAlgError as exc:
-        entries = "finite" if np.isfinite(omega).all() else "non-finite"
-        raise RuntimeError(
-            f"{exc} ({family.name} form at t = {t:.4f}; form has {entries} entries)"
-        ) from exc
-    if margin < 1e-10:
-        raise RuntimeError(
-            f"{family.name} family degenerates along the flow "
-            f"(margin {margin:.3e} at t = {t:.4f})"
-        )
+    margin = _form_margin(family, omega, t, margin_ref)
     mu = homotopy_primitive(family, spec, kap, zs, t)
     xi = np.linalg.solve(omega, mu[..., None])[..., 0]
     return xi, margin
@@ -318,21 +374,17 @@ def _dexpinv(alg, u, y):
     return y + 0.5 * uy + _bracket_k(alg, u, uy) / 12.0
 
 
-def integrate_flow(family, k0, z0, steps, z_ceiling=None):
+def integrate_flow(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
     """Flow the Moser field of the family from t = 0 to 1 (RKMK order four).
 
     k0: (B, a, a) group elements (one matrix is promoted to a batch), z0:
     (B, dim_p).  The group chart is k exp(u) with the truncated dexpinv;
     drift off K beyond 1e-12 triggers a polar reprojection.  A fiber
     norm ceiling (default ten times the initial bound) aborts escaping flows.
-
-    A family with moves_base False has a vertical field that does not read
-    k: the same RK4 update runs on Z alone, once per distinct row of z0,
-    and k leaves as it came, its drift checked (and reprojected) once.
+    margin_ref picks the lanes whose form margins take an svd (_form_margin).
     """
     geo = family.geometry
     alg = geo.alg
-    moves = family.moves_base
     ks = np.asarray(k0, dtype=complex)
     zs = np.asarray(z0, dtype=float).copy()
     if ks.ndim == 2:
@@ -340,8 +392,6 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None):
     if zs.ndim == 1:
         zs = zs[None]
     ks = ks.copy()
-    if not moves:
-        zs, lane_rows = np.unique(zs, axis=0, return_inverse=True)
     fiber_sup = np.linalg.norm(zs, axis=-1)
     if z_ceiling is None:
         z_ceiling = 10.0 * max(1.0, float(fiber_sup.max()))
@@ -353,17 +403,13 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None):
 
     def field(t_arg, z_arg, scale=0.0, x_prev=None):
         # velocities at (ks exp(u), z_arg), u = scale x_prev: the k-chart one
-        # corrected by dexpinv (None for a vertical family), the fiber one
+        # corrected by dexpinv, and the fiber one
         nonlocal min_margin, field_lanes
         u = None if x_prev is None else scale * x_prev
-        k_arg = None
-        if moves:
-            k_arg = ks if u is None else ks @ alg.group_exp(u)
-        xi, margin = moser_field(family, k_arg, z_arg, t_arg)
+        k_arg = ks if u is None else ks @ alg.group_exp(u)
+        xi, margin = moser_field(family, k_arg, z_arg, t_arg, margin_ref)
         min_margin = min(min_margin, margin)
         field_lanes += len(z_arg)
-        if not moves:
-            return None, xi[:, geo.dim_c :]
         x = xi[:, : geo.dim_c] @ geo.complement[: alg.dim_k].T
         return (x if u is None else _dexpinv(alg, u, x)), xi[:, geo.dim_c :]
 
@@ -373,8 +419,7 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None):
         x2, a2 = field(t + 0.5 * h, zs + 0.5 * h * a1, 0.5 * h, x1)
         x3, a3 = field(t + 0.5 * h, zs + 0.5 * h * a2, 0.5 * h, x2)
         x4, a4 = field(t + h, zs + h * a3, h, x3)
-        if moves:
-            ks = ks @ alg.group_exp((h / 6.0) * (x1 + 2 * x2 + 2 * x3 + x4))
+        ks = ks @ alg.group_exp((h / 6.0) * (x1 + 2 * x2 + 2 * x3 + x4))
         zs = zs + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
         norms = np.linalg.norm(zs, axis=-1)
         fiber_sup = np.maximum(fiber_sup, norms)
@@ -383,24 +428,36 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None):
                 f"{family.name} flow escaped the fiber ceiling "
                 f"{z_ceiling:.2f} at t = {t + h:.4f}"
             )
-        # a vertical flow never updates ks, so its first check covers every step
-        if moves or n == 0:
-            res = float(alg.group_residual(ks).max())
-            max_res = max(max_res, res)
-            if res > 1e-12:
-                ks = alg.group_project(ks)
-                reproj += 1
-    if not moves:
-        zs, fiber_sup = zs[lane_rows], fiber_sup[lane_rows]
+        res = float(alg.group_residual(ks).max())
+        max_res = max(max_res, res)
+        if res > 1e-12:
+            ks = alg.group_project(ks)
+            reproj += 1
     trace = FlowTrace(steps, float(min_margin), max_res, reproj, fiber_sup, field_lanes)
     return FlowResult(ks, zs, trace)
 
 
-def flow_stages(stages, k0, z0):
-    """Chain the stage flows; one FlowResult (the states after it) per stage."""
+def _map_stage(family, ks, zs, margin_ref=None):
+    """FlowResult of the exact time_one map: no steps, k passed through, the
+    form margin read at both boundary states on the margin lanes."""
+    geo = family.geometry
+    out = family.time_one(zs)
+    rows = slice(None) if margin_ref is None else margin_ref == np.arange(len(zs))
+    margin = min(_form_margin(family, family.omega(geo.fiber_eig(z[rows]), None, t), t)
+                 for z, t in ((zs, 0.0), (out, 1.0)))
+    sup = np.maximum(np.linalg.norm(zs, axis=-1), np.linalg.norm(out, axis=-1))
+    res = float(geo.alg.group_residual(ks).max())
+    return FlowResult(ks, out, FlowTrace(0, margin, res, 0, sup, 0))
+
+
+def flow_stages(stages, k0, z0, margin_ref=None):
+    """Chain the stages, mapping those with a time_one map and flowing the rest;
+    one FlowResult (the states after it) per stage, margin_ref as in _form_margin."""
     results = []
     for stage in stages:
-        results.append(integrate_flow(stage.family, k0, z0, stage.steps))
+        fam = stage.family
+        results.append(integrate_flow(fam, k0, z0, stage.steps, margin_ref=margin_ref)
+                       if fam.time_one is None else _map_stage(fam, k0, z0, margin_ref))
         k0, z0 = results[-1].k, results[-1].z
     return results
 
@@ -629,7 +686,10 @@ def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *
     lanes_z.append(np.zeros((n_zero, dim_p)))
 
     states = [(np.concatenate(lanes_k), np.concatenate(lanes_z))]
-    results = flow_stages(stages, *states[0])
+    # only centres, partners and zero-section lanes take an exact form margin
+    margin_ref = np.arange(zero_idx + n_zero)
+    margin_ref[b0:eq_idx] = np.repeat(np.arange(b0), 2 * t_dim)
+    results = flow_stages(stages, *states[0], margin_ref)
     states += [(res.k, res.z) for res in results]
     points = [(geometry.fiber_eig(zs[:b0]), geometry.kappa(ks[:b0])) for ks, zs in states]
 

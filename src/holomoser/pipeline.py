@@ -506,9 +506,10 @@ def run_theorem_pipeline(scenario):
         np.random.default_rng, seeds
     )
 
+    # the vertical stages are mapped exactly (FormFamily.time_one): no steps
     stages = [
-        MoserStage(hermitian_stage(geometry), max(scenario.steps // 2, 5)),
-        MoserStage(scaling_stage(geometry, delta), max(scenario.steps // 2, 5)),
+        MoserStage(hermitian_stage(geometry), 0),
+        MoserStage(scaling_stage(geometry, delta), 0),
         MoserStage(segment_stage(geometry, delta), scenario.steps),
     ]
 

@@ -61,8 +61,8 @@ class Scenario:
     `lam` holds torus coordinates of the orbit weight against the dual torus
     basis (None selects the distinguished weight lambda_0).  `delta_abs`
     overrides the `delta_mult` multiplier of b_lambda when set.  `steps`
-    drives the final deformation stage; the two product-side stages use half
-    as many.  All randomness is drawn from streams derived from `seed`.
+    drives the final deformation stage; the two product-side stages are
+    exact maps.  All randomness is drawn from streams derived from `seed`.
     """
 
     family: str = "su"

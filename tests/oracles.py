@@ -27,7 +27,9 @@ None of this runs in the certification pipeline:
   properness constant of each stage by name (analytic_properness_bound);
 - the Moser flow with the full RKMK group update for every family and
   every lane, the Moser field evaluating Ad(k^{-1}) at every stage point;
-- the segment witness as a sweep of sampled times, one svd per time.
+- the segment witness as a sweep of sampled times, one svd per time;
+- the radius a vertical family's time-one map gives a point on a ray, by
+  equal areas: quadrature of its forms and root-finding.
 """
 
 from __future__ import annotations
@@ -920,3 +922,36 @@ def segment_witness_sweep(family, rng, t_count=21, points=200):
         margins.append(np.linalg.svd(omega, compute_uv=False)[..., -1].min())
         affinity.append(np.abs(omega - ((1 - t) * end0 + t * end1)).max())
     return np.array(margins), float(np.max(affinity))
+
+
+# -- the vertical time-one maps by equal areas ------------------------------------
+
+
+def equal_area_radius(family, direction, r, nodes=48):
+    """rho(r) with F_1(rho) = F_0(r) on the ray r E, E the unit direction.
+
+    F_t(s) = int_0^s omega_t(E, JE)|_{uE} u du, J = ad(z0) on p, by
+    Gauss-Legendre quadrature of the family's forms at the points uE, and
+    rho by brentq.  A vertical K-equivariant family keeps the complex line of
+    E and moves it radially, so its time-one map pulls the area F_1 back to
+    F_0 there.  The independent oracle for FormFamily.time_one: no closed form
+    of the areas or of rho is used.
+    """
+    from scipy.optimize import brentq
+
+    geo = family.geometry
+    e = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+    k, c = geo.alg.dim_k, geo.dim_c
+    je = geo.ad_z0[k:, k:] @ e
+    x, w = np.polynomial.legendre.leggauss(nodes)
+
+    def area(t, s):
+        u = 0.5 * s * (x + 1.0)
+        forms = family.omega(geo.fiber_eig(u[:, None] * e), None, t)[:, c:, c:]
+        return 0.5 * s * float(w @ (u * (forms @ je @ e)))
+
+    target = area(0.0, r)
+    hi = r
+    while abs(area(1.0, hi)) < abs(target):
+        hi *= 2.0
+    return brentq(lambda s: area(1.0, s) - target, 0.0, hi, xtol=1e-15, rtol=1e-15)

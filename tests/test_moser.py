@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from holomoser import build_algebra, moser
-from holomoser.forms import OrbitGeometry
+from holomoser.forms import OrbitGeometry, difference_lanes
 from holomoser.moser import (
     MoserStage,
     _dexp_matrix,
+    _form_margin,
+    _root_probe_fibers,
     check_hypotheses,
     flow_stages,
     hermitian_stage,
@@ -32,6 +34,7 @@ from oracles import (
     analytic_properness_bound,
     check_hypotheses_loop,
     constant_stage,
+    equal_area_radius,
     gauge_fix,
     integrate_flow_rkmk,
     primitive_exactness_loop,
@@ -345,22 +348,17 @@ def test_hermitian_stage_certifies_pullback(su11):
 
 
 def test_flow_converges_at_order_four(su11):
+    # the true error of integrate_flow against the hermitian stage's exact
+    # time-one map, which the stage itself now applies
     _, _, geo = su11
     rng = np.random.default_rng(12)
-    pts = []
-    for _ in range(3):
-        k = geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k))
-        z = rng.standard_normal(geo.dim_p)
-        pts.append((k, z / np.linalg.norm(z)))
-    residuals = {}
-    for steps in (10, 20):
-        stages = [MoserStage(hermitian_stage(geo), steps)]
-        out = verify_pullback(
-            stages, pts, eps=1e-5, n_equivariance=0, n_zero=0,
-            rng=np.random.default_rng(0),
-        )
-        residuals[steps] = out["pullback_residual"]
-    assert residuals[10] / residuals[20] > 8.0
+    ks, zs = rand_batch(geo, rng, 3)
+    zs /= np.linalg.norm(zs, axis=1)[:, None]
+    fam = hermitian_stage(geo)
+    exact = fam.time_one(zs)
+    errors = {steps: np.abs(integrate_flow(fam, ks, zs, steps).z - exact).max()
+              for steps in (10, 20)}
+    assert errors[10] / errors[20] > 8.0
 
 
 def segment_order_residuals(geo):
@@ -507,13 +505,17 @@ def test_worst_case_values_keep_a_nan_from_any_lane(su21, monkeypatch):
             0.5 * rng.standard_normal(geo.dim_p)) for _ in range(2)]
     second_partner = len(pts) * (1 + 2 * geo.dim_t) + 1
 
-    def nan_second_partner(*args):
-        results = real_flow(*args)
+    def nan_second_partner(stages_arg, k0, z0, margin_ref):
+        # the exact form margins are taken on the centres, the two partners
+        # and the four zero-section lanes
+        assert (margin_ref == np.arange(len(z0))).sum() == len(pts) + 2 + 4
+        results = real_flow(stages_arg, k0, z0, margin_ref)
         results[-1].z[second_partner] = np.nan
         return results
 
+    # two mapped stages, then the segment flow whose partner lane turns NaN
     monkeypatch.setattr(moser, "flow_stages", nan_second_partner)
-    out = verify_pullback(stages[:1], pts, rng=np.random.default_rng(0))
+    out = verify_pullback(stages, pts, rng=np.random.default_rng(0))
     assert np.isnan(out["equivariance_residual"])
 
 
@@ -680,6 +682,8 @@ def test_three_stage_composite_certifies(su11):
 
 
 def test_flow_stages_chains_traces(su11):
+    # the vertical stages are mapped (no steps, k passed through), the
+    # segment stage is flowed from where they leave the fibers
     _, _, geo = su11
     rng = np.random.default_rng(17)
     families, _ = stage_families(geo)
@@ -687,9 +691,15 @@ def test_flow_stages_chains_traces(su11):
     ks, zs = rand_batch(geo, rng, 3, radius=0.5)
     results = flow_stages(stages, ks, zs)
     traces = [res.trace for res in results]
-    assert len(traces) == 3
-    assert all(tr.steps == 10 for tr in traces)
+    assert [tr.steps for tr in traces] == [0, 0, 10]
+    assert [tr.field_lanes for tr in traces] == [0, 0, 4 * 10 * 3]
+    assert all(tr.reprojections == 0 for tr in traces)
     assert all(tr.max_group_residual < 1e-10 for tr in traces)
+    assert results[0].k is ks and results[1].k is ks
+    assert np.array_equal(results[1].z, families[1].time_one(families[0].time_one(zs)))
+    alone = integrate_flow(families[2], ks, results[1].z, 10)
+    assert np.array_equal(results[2].z, alone.z)
+    assert np.array_equal(results[2].k, alone.k)
 
 
 @ALGEBRAS
@@ -704,8 +714,8 @@ def test_properness_fit_matches_loop_oracle(family, params):
 
 
 def repeated_fiber_batch(geo, rng):
-    """Nine lanes with four distinct fibers: three random, one repeated
-    under other k twice, one once, and three zero-section lanes."""
+    """Nine lanes: three random fibers, one repeated under other k twice,
+    one once, and three zero-section lanes."""
     ks, zs = rand_batch(geo, rng, 9, radius=0.4)
     zs[3:5] = zs[0]
     zs[5] = zs[1]
@@ -729,7 +739,8 @@ def test_vertical_flows_keep_k_and_match_rkmk_oracle(family, params):
         assert np.array_equal(got.trace.fiber_sup, ref.trace.fiber_sup), fam.name
         for key in ("min_form_margin", "max_group_residual", "reprojections"):
             assert getattr(got.trace, key) == getattr(ref.trace, key), (fam.name, key)
-        assert got.trace.field_lanes == 4 * steps * 4, fam.name
+        # integrate_flow flows every lane of a vertical family, like any other
+        assert got.trace.field_lanes == 4 * steps * len(zs), fam.name
 
 
 def test_vertical_flow_reprojects_drifted_k_once(su21):
@@ -749,11 +760,11 @@ def test_vertical_flow_reprojects_drifted_k_once(su21):
     assert np.array_equal(got.z, ref.z)
 
 
-def test_vertical_stages_flow_each_distinct_fiber_once(su21):
+def test_vertical_stages_are_mapped_without_field_evaluations(su21):
     # one sample: a centre lane, 2 dim_t perturbed lanes, one equivariance
-    # partner and four zero-section lanes.  The vertical stages flow the
-    # 2 dim_c base-perturbed lanes with the centre fiber and the zero
-    # section as one lane.
+    # partner and four zero-section lanes.  The vertical stages are mapped
+    # exactly, so they report no steps, field evaluations or lanes; the
+    # segment stage flows every lane.
     _, _, geo = su21
     assert geo.dim_c > 0
     families, _ = stage_families(geo)
@@ -761,11 +772,149 @@ def test_vertical_stages_flow_each_distinct_fiber_once(su21):
     ks, zs = rand_batch(geo, rng, 1, radius=0.5)
     pts = [(ks[0], zs[0])]
     every = 1 + 2 * geo.dim_t + 1 + 4
-    distinct = 1 + 2 * geo.dim_p + 1 + 1
-    for fam, lanes in zip(families, (distinct, distinct, every)):
+    for fam, evals in zip(families, (0, 0, 20)):
         out = verify_pullback([MoserStage(fam, 5)], pts, rng=np.random.default_rng(0))
-        assert out["field_evaluations"] == 20, fam.name
-        assert out["field_lanes"] == 20 * lanes, fam.name
+        assert out["field_evaluations"] == evals, fam.name
+        assert out["field_lanes"] == evals * every, fam.name
+        assert out["reprojections"] == 0, fam.name
         if not fam.moves_base:
-            # k leaves as it came and the field vanishes on the zero section
+            # k leaves as it came and the map fixes the zero section exactly
             assert out["zero_section_displacement"] == 0.0, fam.name
+            assert out["pullback_residual"] < 1e-8, fam.name
+
+
+def oracle_geometries():
+    return pytest.mark.parametrize(
+        "family,params",
+        [("su", {"p": 1, "q": 1}), ("su", {"p": 2, "q": 1}), ("sp", {"n": 2}),
+         ("su", {"p": 2, "q": 2}), ("su", {"p": 3, "q": 1})],
+        ids=["su11", "su21", "sp4", "su22", "su31"],
+    )
+
+
+@oracle_geometries()
+def test_time_one_maps_match_the_integrated_flows(family, params, monkeypatch):
+    # six fibers with |Z| in [0.1, 2] at delta = 1.5; the flows' error falls
+    # 15.9-16.2x per doubling on every algebra (20 steps: 3.3e-11 to 9.2e-10)
+    geo = generic_geometry(family, params)
+    herm, scal = hermitian_stage(geo), scaling_stage(geo, 1.5)
+    rng = np.random.default_rng(31)
+    ks, zs = rand_batch(geo, rng, 6)
+    zs *= (rng.uniform(0.1, 2.0, 6) / np.linalg.norm(zs, axis=1))[:, None]
+    mapped = {"hermitian": herm.time_one(zs), "scaling": scal.time_one(zs)}
+    mapped["composed"] = scal.time_one(mapped["hermitian"])
+    errors = {}
+    for steps in (20, 40, 80):
+        first = integrate_flow(herm, ks, zs, steps)
+        # the scaling flow of zs and of the hermitian images, in one batch
+        second = integrate_flow(scal, np.concatenate([ks, first.k]),
+                                np.concatenate([zs, first.z]), steps).z
+        flowed = {"hermitian": first.z, "scaling": second[:6], "composed": second[6:]}
+        errors[steps] = {key: np.abs(flowed[key] - mapped[key]).max() for key in mapped}
+    for key in mapped:
+        assert errors[20][key] < 2e-9, key
+        assert errors[20][key] / errors[40][key] > 12.0, key
+        assert errors[40][key] / errors[80][key] > 12.0, key
+
+    # the Hermitian matrix the map forms lies in p: its k coordinates vanish
+    seen = []
+    real_coords = type(geo.alg).coords
+
+    def capture(self, mat):
+        seen.append(real_coords(self, mat))
+        return seen[-1]
+
+    monkeypatch.setattr(type(geo.alg), "coords", capture)
+    herm.time_one(zs)
+    scal.time_one(zs)
+    assert len(seen) == 2
+    assert max(np.abs(x[:, : geo.alg.dim_k]).max() for x in seen) <= 1e-15
+
+
+@oracle_geometries()
+def test_time_one_maps_keep_equal_areas_on_root_rays(family, params):
+    # measured within 3.2e-15 of the quadrature oracle, short roots of
+    # sp(4,R) included
+    geo = generic_geometry(family, params)
+    herm, scal = hermitian_stage(geo), scaling_stage(geo, 1.5)
+    for e in _root_probe_fibers(geo, radii=(1.0,))[::2]:
+        for r in (0.3, 0.8, 1.5, 2.5):
+            rho_h = equal_area_radius(herm, e, r)
+            want = {"hermitian": rho_h, "scaling": equal_area_radius(scal, e, r),
+                    "composed": equal_area_radius(scal, e, rho_h)}
+            got = {"hermitian": herm.time_one(r * e[None])[0],
+                   "scaling": scal.time_one(r * e[None])[0]}
+            got["composed"] = scal.time_one(got["hermitian"][None])[0]
+            for key, rho in want.items():
+                assert np.abs(got[key] - rho * e).max() <= 1e-13, (key, r)
+
+
+def test_scaling_map_is_finite_and_accurate_at_any_radius(su11):
+    # sinh(x) overflows past x = 710 and arcsinh(sinh(x) / sqrt(delta))
+    # cancels near 0; the map's written form does neither (measured within
+    # 9.2e-16 relative of the direct form, or of its asymptote y = x -
+    # log(sqrt(delta)) far out, from r = 1e-12 to 1e6)
+    _, _, geo = su11
+    e = _root_probe_fibers(geo, radii=(1.0,))[0]
+    half_root_c = 0.5 * np.sqrt(geo.fiber_eig(e[None]).s.max())
+    radii = np.array([1e-12, 1e-8, 1e-4, 1.0, 30.0, 1e3, 1e6])
+    x = half_root_c * radii
+    for delta in (0.3, 1.5, 40.0):
+        fam = scaling_stage(geo, delta)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = fam.time_one(radii[:, None] * e)
+            zero = fam.time_one(np.zeros((1, geo.dim_p)))
+        direct = np.arcsinh(np.sinh(np.minimum(x, 700.0)) / np.sqrt(delta))
+        want = np.where(x < 700.0, direct, x - np.log(np.sqrt(delta))) / half_root_c
+        rho = np.linalg.norm(out, axis=1)
+        assert np.abs(rho / want - 1.0).max() < 1e-14, delta
+        assert np.abs(out - rho[:, None] * e).max() <= 1e-15 * rho.max(), delta
+        assert np.array_equal(zero, np.zeros_like(zero))
+
+
+def test_map_stage_residuals_are_second_order_in_eps(su21):
+    # with no integrator error left, a map stage's pullback residual is the
+    # central differences' O(eps^2): measured 3.95-3.98x per halving from
+    # 2e-4 to 1e-4 and 3.37-3.54x from 1e-4 to 5e-5, where roundoff / eps
+    # begins to show
+    _, _, geo = su21
+    families, _ = stage_families(geo)
+    rng = np.random.default_rng(12)
+    ks, zs = rand_batch(geo, rng, 3)
+    pts = list(zip(ks, zs / np.linalg.norm(zs, axis=1)[:, None]))
+    for fam in families[:2]:
+        res = [verify_pullback([MoserStage(fam, 0)], pts, eps=eps, n_equivariance=0,
+                               n_zero=0, rng=np.random.default_rng(0))["pullback_residual"]
+               for eps in (2e-4, 1e-4, 5e-5)]
+        assert res[0] / res[1] > 3.0, fam.name
+        assert res[1] / res[2] > 3.0, fam.name
+
+
+def test_degenerate_difference_lane_raises_through_the_weyl_guard(su21):
+    # the difference lanes take no svd of their own; a lane whose form is
+    # singular while its centre's is not still stops the flow, through
+    # sigma_min(w) >= sigma_min(w_centre) - ||w - w_centre||_F
+    _, _, geo = su21
+    base = constant_stage(geo)
+    rng = np.random.default_rng(28)
+    ks, zs = rand_batch(geo, rng, 2, radius=0.5)
+    eps = 1e-4
+    target = geo.fiber_block(zs[1] + eps * np.eye(geo.dim_p)[0])
+
+    def omega(spec, kap, t):
+        out = base.omega(spec, kap, t)
+        out[np.abs(spec.a - target).max(axis=(-2, -1)) < 1e-9] = 0.0
+        return out
+
+    singular = dataclasses.replace(base, name="singular-lane", omega=omega)
+    pts = list(zip(ks, zs))
+    with pytest.raises(RuntimeError, match="singular-lane family degenerates along the flow"):
+        verify_pullback([MoserStage(singular, 4)], pts, eps=eps, rng=np.random.default_rng(0))
+    # the centres' forms pass the svd; the one singular lane is a difference lane
+    _, diff_z = difference_lanes(geo, ks, zs, eps)
+    forms = omega(geo.fiber_eig(np.concatenate([zs, diff_z])), None, 0.0)
+    assert (np.abs(forms).max(axis=(-2, -1)) == 0.0).sum() == 1
+    assert _form_margin(singular, forms[:2], 0.0) > 0.1
+    ref = np.concatenate([np.arange(2), np.repeat(np.arange(2), 2 * geo.dim_t)])
+    with pytest.raises(RuntimeError, match=r"margin -"):
+        _form_margin(singular, forms, 0.0, ref)

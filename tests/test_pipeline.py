@@ -1,8 +1,10 @@
 import copy
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +200,8 @@ def test_su11_pipeline_passes(su11_report):
         "scaling",
         "segment",
     ]
-    assert [st["steps"] for st in rep["stages"]] == [10, 10, 20]
+    # the vertical stages are mapped exactly: no steps
+    assert [st["steps"] for st in rep["stages"]] == [0, 0, 20]
     for st in rep["stages"]:
         assert st["moment_shift_error"] < 1e-6, st["name"]
         assert all(st["checks"].values()), st["name"]
@@ -604,19 +607,20 @@ def test_stage_and_composite_blocks_report_flow_counters(su11_report):
     comp = su11_report["composite"]
     b0 = comp["sample_count"]
 
-    def lanes(vertical):
-        # centre, 2 dim_t perturbed, min(4, b0) equivariance and 4 zero
-        # lanes; a vertical stage flows the 2 dim_c base-perturbed lanes with
-        # the centre fiber and the zero section as one lane
-        if vertical:
-            return b0 * (1 + 2 * (t_dim - c)) + min(4, b0) + 1
-        return b0 * (1 + 2 * t_dim) + min(4, b0) + 4
+    # centre, 2 dim_t perturbed, min(4, b0) equivariance and 4 zero lanes
+    lanes = b0 * (1 + 2 * t_dim) + min(4, b0) + 4
 
-    # every stage block counts the composite flow's lanes through its stage
+    # the mapped vertical stages report no steps, evaluations, lanes or
+    # reprojections; the segment block counts the composite flow's lanes
     stages = su11_report["stages"]
-    for rep, vert in zip(stages, (True, True, False)):
-        assert rep["field_evaluations"] == 4 * rep["steps"], rep["name"]
-        assert rep["field_lanes"] == 4 * rep["steps"] * lanes(vert), rep["name"]
+    assert c == 0
+    for rep in stages[:2]:
+        for key in ("steps", "field_evaluations", "field_lanes", "reprojections"):
+            assert rep[key] == 0, (rep["name"], key)
+    segment = stages[2]
+    assert segment["steps"] == 20
+    assert segment["field_evaluations"] == 4 * segment["steps"]
+    assert segment["field_lanes"] == 4 * segment["steps"] * lanes
     assert comp["steps"] == [rep["steps"] for rep in stages]
     for key in ("field_evaluations", "field_lanes", "reprojections"):
         assert comp[key] == sum(rep[key] for rep in stages), key
@@ -679,24 +683,22 @@ def test_stage_blocks_are_read_off_the_composite_flow(monkeypatch):
 
 
 def test_theorem_run_flows_each_stage_once(monkeypatch):
-    # the stage blocks are read off the composite flow: one verify_pullback
-    # and one integrate_flow per stage
-    calls = {"verify": 0, "flow": 0}
-    real_verify, real_flow = pipeline.verify_pullback, moser.integrate_flow
+    # the stage blocks are read off the composite flow: one verify_pullback,
+    # one exact map per vertical stage and one integrate_flow, the segment's
+    calls = {"verify": 0, "map": 0, "flow": 0}
 
-    def counting_verify(*args, **kwargs):
-        calls["verify"] += 1
-        return real_verify(*args, **kwargs)
+    def counting(key, real):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return counted
 
-    def counting_flow(*args, **kwargs):
-        calls["flow"] += 1
-        return real_flow(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "verify_pullback", counting_verify)
-    monkeypatch.setattr(moser, "integrate_flow", counting_flow)
+    monkeypatch.setattr(pipeline, "verify_pullback", counting("verify", pipeline.verify_pullback))
+    monkeypatch.setattr(moser, "_map_stage", counting("map", moser._map_stage))
+    monkeypatch.setattr(moser, "integrate_flow", counting("flow", moser.integrate_flow))
     rep = run_theorem_pipeline(small_su11())
     assert rep["verdict"] == "pass"
-    assert calls == {"verify": 1, "flow": 3}
+    assert calls == {"verify": 1, "map": 2, "flow": 1}
 
 
 def test_cli_inspect(capsys):
@@ -781,36 +783,63 @@ def test_cli_numerical_failure_exit_code_one(tmp_path, capsys):
     assert "error: chamber rejection sampling failed" in captured.err
 
 
-def test_cli_linear_algebra_failure_exit_code_one(tmp_path, capsys):
-    # at radius 900 the form blocks overflow and moser_field's svd does not
-    # converge; LinAlgError subclasses ValueError, yet it is a numerical
-    # failure, not invalid input
-    path = tmp_path / "far.cfg"
-    path.write_text(
-        "family = su\np = 1\nq = 1\nradius = 900\nsteps = 10\nsamples = 2\n"
-        "stage_samples = 1\nlemma_samples = 50\n",
-        encoding="utf-8",
-    )
-    rc = cli.main(["theorem", "--config", str(path)])
+def _non_finite_segment(monkeypatch):
+    """Run the CLI's theorem pipeline with a segment family whose form has a
+    row of NaN near t = 0.7: reached only inside the flow, which evaluates
+    t = 0.7 at the end of its 14th of 20 steps (the witness and the
+    hypothesis checks read t = 0, 0.5 and 1)."""
+    def non_finite_stage(geometry, delta):
+        fam = segment_stage(geometry, delta)
+
+        def omega(spec, kap, t):
+            out = fam.omega(spec, kap, t)
+            if abs(t - 0.7) < 0.01:
+                out[..., 0, :] = np.nan
+            return out
+
+        return dataclasses.replace(fam, name="non-finite-segment", omega=omega)
+
+    monkeypatch.setattr(pipeline, "segment_stage", non_finite_stage)
+
+
+def test_cli_linear_algebra_failure_exit_code_one(tmp_path, capsys, monkeypatch):
+    # the non-finite form makes moser_field's svd fail to converge; that is a
+    # numerical failure (exit 1), not invalid input
+    _non_finite_segment(monkeypatch)
+    rc = cli.main(["theorem", "--config", _write_config(tmp_path)])
     captured = capsys.readouterr()
     assert rc == 1
     assert "error: SVD did not converge" in captured.err
 
 
-def test_svd_failure_names_stage_and_time(tmp_path, capsys):
-    # the radius-900 run of the test above stops in the hermitian stage at
-    # its step midpoint t = 0.7, where the form has overflowed
+def test_svd_failure_names_stage_and_time(tmp_path, capsys, monkeypatch):
+    _non_finite_segment(monkeypatch)
+    assert cli.main(["theorem", "--config", _write_config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite-segment" in err
+    assert "t = 0.7000" in err
+    assert "non-finite entries" in err
+
+
+def test_far_samples_end_in_a_report_without_warnings(tmp_path, capsys):
+    # su(1,1) at radius 900 once overflowed the hermitian flow's forms
+    # (numpy RuntimeWarning, then an svd error); the exact map takes those
+    # fibers to radius 2 arcsinh(r / 2) < 15 without forming them.  At 10
+    # segment steps the run is under-resolved, and reads fail in a report.
     path = tmp_path / "far.cfg"
     path.write_text(
         "family = su\np = 1\nq = 1\nradius = 900\nsteps = 10\nsamples = 2\n"
         "stage_samples = 1\nlemma_samples = 50\n",
         encoding="utf-8",
     )
-    assert cli.main(["theorem", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "hermitian" in err
-    assert "t = 0.7000" in err
-    assert "non-finite entries" in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["theorem", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert rc == 1 and report["verdict"] == "fail"
+    assert report["checks"]["lemmas"] and report["checks"]["hypotheses"]
 
 
 def test_theorem_run_builds_each_geometry_once(monkeypatch):
