@@ -303,20 +303,20 @@ def _form_margin(family, omega, t, margin_ref=None):
     margin_ref (B,) maps each lane to the margin lane bounding it (None: each
     lane itself); only margin lanes take an svd.  Every lane is guarded by
     Weyl's sigma_min(w) >= sigma_min(w_ref) - ||w - w_ref||_F (Horn and
-    Johnson, Matrix Analysis, 7.3): a bound below 1e-10 or NaN raises
-    RuntimeError, as does an svd that does not converge (naming the family,
-    t and whether the form had non-finite entries).
+    Johnson, Matrix Analysis, 7.3): a bound below 1e-10 raises RuntimeError,
+    as do a form with non-finite entries (checked before LAPACK sees it) and
+    an svd that does not converge, each naming the family and t.
     """
+    where = f"{family.name} form at t = {t:.4f}"
+    if not np.isfinite(omega).all():
+        raise RuntimeError(f"{where} has non-finite entries")
     ref = np.arange(len(omega)) if margin_ref is None else margin_ref
     rows = ref == np.arange(len(omega))
     sigma = np.zeros(len(omega))
     try:
         sigma[rows] = np.linalg.svd(omega[rows], compute_uv=False)[..., -1]
     except np.linalg.LinAlgError as exc:
-        entries = "finite" if np.isfinite(omega[rows]).all() else "non-finite"
-        raise RuntimeError(
-            f"{exc} ({family.name} form at t = {t:.4f}; form has {entries} entries)"
-        ) from exc
+        raise RuntimeError(f"{exc} ({where})") from exc
     gap = omega - omega[ref]
     bound = float((sigma[ref] - np.sqrt(np.einsum("bij,bij->b", gap, gap))).min())
     if not bound >= 1e-10:

@@ -21,8 +21,8 @@ The scalar functions are functions of s = nu^2 >= 0: f_plus = sinh(nu)/nu
 gives Psi_Z^- = -nu G, the phi of cosh and int_0^1 r f_plus(r nu) dr.  The
 blocks even(f_plus) and even(G) are read several times per spectrum, so each
 is formed once (psi_plus, even_g).
-chi_spectrum_check certifies the spectrum lemma independently, with its own
-full-size eigh of ad(Z) and chi_Z = -tanh(nu/2) on its eigenvalues nu.
+chi_spectrum_check certifies the spectrum lemma apart from FiberSpectrum: one
+svd of A builds the full-size chi_Z, and one eigvalsh of chi_Z is checked.
 """
 
 from __future__ import annotations
@@ -135,15 +135,22 @@ def chi_spectrum_check(alg, z):
 
     z holds the p-coordinates of Z, with any leading batch shape (..., P).
     Returns (multiset deviation, max |eigenvalue of chi|), arrays of the
-    batch shape, or two floats for a single Z.  The per-vector spectral rule
-    gives -tanh(nu/2); written as the multiset {tanh(nu/2)} it is the same
-    set because spec(ad Z) is symmetric about zero.
+    batch shape, or two floats for a single Z.  ad(Z) is the Jordan-Wielandt
+    matrix of A = U diag(sigma) V^T, so its eigenvalues nu are +-sigma and
+    |dim_k - dim_p| zeros (Golub and Van Loan, Matrix Computations, 4th ed.,
+    8.6), and the odd chi_Z = -tanh(ad(Z)/2) is [[0, B], [B^T, 0]] with
+    B = U diag(-tanh(sigma/2)) V^T.  One eigvalsh of that chi certifies it.
     """
     z = np.asarray(z, dtype=float)
-    w, v = np.linalg.eigh(alg.ad(alg.embed_p(z)))
-    chi = (v * -np.tanh(0.5 * w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-    chi_eigs = np.sort(np.linalg.eigvalsh(chi), axis=-1)
-    predicted = np.sort(np.expm1(w) / (np.exp(w) + 1.0), axis=-1)
+    k = alg.dim_k
+    u, sigma, vt = np.linalg.svd(alg.ad(alg.embed_p(z))[..., :k, k:], full_matrices=False)
+    chi = np.zeros(z.shape[:-1] + (alg.dim, alg.dim))
+    chi[..., :k, k:] = (u * -np.tanh(0.5 * sigma)[..., None, :]) @ vt
+    chi[..., k:, :k] = _mT(chi[..., :k, k:])
+    chi_eigs = np.linalg.eigvalsh(chi)
+    tau = np.expm1(sigma) / (np.exp(sigma) + 1.0)
+    zeros = np.zeros(z.shape[:-1] + (alg.dim - 2 * sigma.shape[-1],))
+    predicted = np.sort(np.concatenate([-tau, zeros, tau], axis=-1), axis=-1)
     dev = np.abs(chi_eigs - predicted).max(axis=-1)
     peak = np.abs(chi_eigs).max(axis=-1)
     if z.ndim == 1:

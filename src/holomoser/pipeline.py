@@ -60,7 +60,7 @@ from .report import SCHEMA_VERSION
 from .roots import (
     ChamberWeight,
     chamber_constants,
-    chamber_membership,
+    chamber_hits,
     compute_root_datum,
     in_holomorphic_chamber,
 )
@@ -136,29 +136,17 @@ def inspect_model(family, p=None, q=None, n=None):
     rank = alg.rank
     z0_torus = datum.z0[:rank]
 
-    ad_z0 = alg.ad(datum.z0)
-    square = ad_z0 @ ad_z0
-    cert = float(
-        np.abs(square[alg.dim_k :, alg.dim_k :] + np.eye(alg.dim_p)).max()
-    )
-
-    roots = []
-    worst_compact = 0.0
-    worst_noncompact = 0.0
-    for root in datum.roots:
-        value = float(root.value(z0_torus))
-        roots.append(
-            {
-                "coords": [float(c) for c in root.coords],
-                "compact": bool(root.compact),
-                "positive": bool(root.positive),
-                "value_on_z0": value,
-            }
-        )
-        if root.compact:
-            worst_compact = max(worst_compact, abs(value))
-        elif root.positive:
-            worst_noncompact = max(worst_noncompact, abs(value - 1.0))
+    res = datum.validate()
+    cert = res["z0_squares_to_minus_id_on_p"]
+    roots = [
+        {
+            "coords": [float(c) for c in root.coords],
+            "compact": bool(root.compact),
+            "positive": bool(root.positive),
+            "value_on_z0": float(root.value(z0_torus)),
+        }
+        for root in datum.roots
+    ]
 
     z0_norm_sq = float(datum.z0 @ datum.z0)
     pairing = datum.lambda0.pair(alg, datum.z0)
@@ -166,8 +154,8 @@ def inspect_model(family, p=None, q=None, n=None):
 
     checks = {
         "z0_squares_to_minus_id_on_p": cert < 1e-10,
-        "compact_roots_vanish_on_z0": worst_compact < 1e-10,
-        "positive_noncompact_roots_are_one_on_z0": worst_noncompact < 1e-10,
+        "compact_roots_vanish_on_z0": res["compact_z0_eigenvalue"] < 1e-10,
+        "positive_noncompact_roots_are_one_on_z0": res["noncompact_z0_eigenvalue"] < 1e-10,
         "lambda0_pairs_to_norm_squared": abs(pairing - z0_norm_sq) < 1e-12,
     }
     return {
@@ -190,9 +178,7 @@ def inspect_model(family, p=None, q=None, n=None):
             "total": len(roots),
             "compact": sum(1 for r in roots if r["compact"]),
             "noncompact": sum(1 for r in roots if not r["compact"]),
-            "positive_noncompact": sum(
-                1 for r in roots if r["positive"] and not r["compact"]
-            ),
+            "positive_noncompact": len(datum.positive_noncompact()),
         },
         "z0": [float(v) for v in z0_torus],
         "z0_norm_squared": z0_norm_sq,
@@ -210,27 +196,27 @@ def inspect_model(family, p=None, q=None, n=None):
 def _random_chamber_weights(datum, rng, count, max_draws=10000):
     """count successive uniform draws from [-2, 2]^rank that lie in the chamber.
 
-    Each weight has its own budget of max_draws candidates, counted from the
-    previous acceptance.  Candidates are tested _CHAMBER_BLOCK at a time and
-    every hit of a block is used in order; after the last weight PCG64's
-    advance (every stream comes from default_rng) moves the generator back
-    over the unused rows.  A uniform double takes one 64-bit output, so the
-    weights, the final state and a RuntimeError on exhaustion are those of
-    testing one candidate at a time.
+    Returns their torus coordinates as rows, (count, rank).  Each weight has
+    its own budget of max_draws candidates, counted from the previous
+    acceptance.  Candidates are tested _CHAMBER_BLOCK at a time, one
+    chamber_hits call each, and every hit of a block is used in order; after
+    the last weight PCG64's advance (every stream comes from default_rng)
+    moves the generator back over the unused rows.  A uniform double takes
+    one 64-bit output, so the weights, the final state and a RuntimeError on
+    exhaustion are those of testing one candidate at a time.
     """
     rank = datum.algebra.rank
     weights, left = [], max_draws
     while True:
         m = min(_CHAMBER_BLOCK, left)
         rows = rng.uniform(-2.0, 2.0, (m, rank))
-        used = 0
-        for hit in np.flatnonzero(chamber_membership(datum, rows)[0]):
-            weights.append(ChamberWeight(rows[hit]))
-            used, left = hit + 1, max_draws
-            if len(weights) == count:
-                # a Python int: advance rejects a negative np.int64
-                rng.bit_generator.advance(-int((m - used) * rank))
-                return weights
+        hits = chamber_hits(datum, rows)[: count - len(weights)]
+        weights.extend(rows[hits])
+        used, left = (hits[-1] + 1, max_draws) if len(hits) else (0, left)
+        if len(weights) == count:
+            # a Python int: advance rejects a negative np.int64
+            rng.bit_generator.advance(-int((m - used) * rank))
+            return np.array(weights)
         left -= m - used
         if left == 0:
             raise RuntimeError("chamber rejection sampling failed")
@@ -243,7 +229,8 @@ def _unit_fiber(dim_p, rng):
 
 
 def _radial_fiber(dim_p, rng, r_max):
-    return rng.uniform(0.05, r_max) * _unit_fiber(dim_p, rng)
+    # lo + (hi - lo) * random() is rng.uniform(lo, hi) bit for bit, and cheaper
+    return (0.05 + (r_max - 0.05) * rng.random()) * _unit_fiber(dim_p, rng)
 
 
 def _lemma_block(scenario, geometry, delta):
@@ -270,8 +257,7 @@ def _lemma_block(scenario, geometry, delta):
     for i in range(n):
         grow_z[i] = _radial_fiber(alg.dim_p, rng_growth, 3.0)
     for i in range(n):
-        w1, w2 = _random_chamber_weights(datum, rng_bracket, 2)
-        h1[i], h2[i] = w1.coords, w2.coords
+        h1[i], h2[i] = _random_chamber_weights(datum, rng_bracket, 2)
         br_z[i] = _radial_fiber(alg.dim_p, rng_bracket, 2.5)
 
     geo_flat = OrbitGeometry(alg, datum, datum.lambda0)
@@ -326,9 +312,9 @@ def _lemma_block(scenario, geometry, delta):
     constants = measure_convention_constants(geometry, rng_ident)
 
     scale_res = []
-    for w in [weight] + _random_chamber_weights(datum, rng_scale, 3):
-        m1, b1 = chamber_constants(w, datum)
-        m2, b2 = chamber_constants(ChamberWeight(2.0 * w.coords), datum)
+    for h in [weight.coords, *_random_chamber_weights(datum, rng_scale, 3)]:
+        m1, b1 = chamber_constants(ChamberWeight(h), datum)
+        m2, b2 = chamber_constants(ChamberWeight(2.0 * h), datum)
         scale_res += [abs(m2 - 2.0 * m1), abs(b2 - 2.0 * b1)]
     scale_res = float(np.max(scale_res))
 

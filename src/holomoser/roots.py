@@ -71,6 +71,12 @@ class RootDatum:
         self.compact_coords = np.array(
             [r.coords for r in self.positive_compact()]
         ).reshape(-1, rank)
+        # both stacked (rank, P + C) for chamber_hits, with the floor to exceed:
+        # in_holomorphic_chamber's 1e-12, and -1e-12's predecessor for compact
+        # roots, so that > means >= -1e-12
+        self.chamber_roots = np.vstack([self.noncompact_coords, self.compact_coords]).T
+        self.chamber_floor = np.repeat([1e-12, np.nextafter(-1e-12, -np.inf)],
+                                       [len(self.noncompact_coords), len(self.compact_coords)])
 
     @property
     def rank(self):
@@ -244,23 +250,20 @@ def _distinguished_central_element(alg, tol):
 # -- chamber ------------------------------------------------------------------
 
 
-def chamber_membership(datum, h, strict_margin=1e-12):
-    """(membership, margin over positive noncompact roots) of torus coords h.
-
-    h has any leading batch shape, (..., rank); both results have that
-    shape.  One matmul per root set against the datum's coordinate arrays.
-    """
-    h = np.asarray(h, dtype=float)
-    margin = (h @ datum.noncompact_coords.T).min(axis=-1)
-    ok = margin > strict_margin
-    if len(datum.compact_coords):
-        ok = ok & ((h @ datum.compact_coords.T).min(axis=-1) >= -strict_margin)
-    return ok, margin
+def chamber_hits(datum, h):
+    """Indices of the rows of h (m, rank) in the chamber: one product, one comparison."""
+    return (h @ datum.chamber_roots > datum.chamber_floor).all(axis=1).nonzero()[0]
 
 
 def in_holomorphic_chamber(weight, datum, strict_margin=1e-12):
-    """Membership test; returns (bool, margin over noncompact positive roots)."""
-    ok, margin = chamber_membership(datum, weight.coords, strict_margin)
+    """Membership test; returns (bool, margin over noncompact positive roots).
+
+    One product per root set against the datum's coordinate arrays.
+    """
+    margin = (weight.coords @ datum.noncompact_coords.T).min()
+    ok = margin > strict_margin
+    if len(datum.compact_coords):
+        ok = ok and (weight.coords @ datum.compact_coords.T).min() >= -strict_margin
     return bool(ok), float(margin)
 
 

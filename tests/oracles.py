@@ -5,7 +5,8 @@ None of this runs in the certification pipeline:
 - structure residuals of the algebra (closure, Jacobi, ad-invariance,
   membership), the Killing form and torus weights from matrices;
 - Ad(g) by a three-operand einsum, and the coadjoint action of K;
-- the operator bundle Psi_Z, Psi_Z^{+-}, chi_Z, cosh, e^{-ad Z} at one Z;
+- the operator bundle Psi_Z, Psi_Z^{+-}, chi_Z, cosh, e^{-ad Z} at one Z,
+  and the chi spectrum check from one eigh of the full-size ad(Z);
 - the full-size spectral path: one eigh of the N x N matrix ad(Z) and
   functions of its eigenvalues nu, for every form block, moment map and
   stage primitive;
@@ -267,6 +268,20 @@ def psi_operators(alg, z):
     assert np.abs(s - s.T).max() < 1e-10, "ad(Z) not symmetric; Z not in p?"
     w, v = np.linalg.eigh(s)
     return OperatorAtZ(z=full, eigvals=w, eigvecs=v)
+
+
+def chi_spectrum_full(alg, z):
+    """chi_spectrum_check from one eigh of the N x N matrix ad(Z).
+
+    chi_Z = V f_chi(nu) V^T over the eigenpairs (nu, V) of ad(Z); the
+    multiset deviation of eigvalsh(chi_Z) from {(e^nu - 1)/(e^nu + 1)} and
+    the largest |eigenvalue|, arrays of the batch shape of z (..., P).
+    """
+    w, v = np.linalg.eigh(alg.ad(alg.embed_p(np.asarray(z, dtype=float))))
+    chi = (v * f_chi(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    chi_eigs = np.sort(np.linalg.eigvalsh(chi), axis=-1)
+    predicted = np.sort(np.expm1(w) / (np.exp(w) + 1.0), axis=-1)
+    return np.abs(chi_eigs - predicted).max(axis=-1), np.abs(chi_eigs).max(axis=-1)
 
 
 # -- the chart Gamma ---------------------------------------------------------------

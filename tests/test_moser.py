@@ -142,8 +142,8 @@ def generic_geometry(family, params):
     datum = compute_root_datum(alg)
     # a generic chamber weight has a torus stabilizer, so base slots exist
     # from rank two on; rank one has only multiples of lambda_0
-    (weight,) = _random_chamber_weights(datum, np.random.default_rng(0), count=1)
-    return OrbitGeometry(alg, datum, weight)
+    (row,) = _random_chamber_weights(datum, np.random.default_rng(0), count=1)
+    return OrbitGeometry(alg, datum, ChamberWeight(row))
 
 
 @ALGEBRAS

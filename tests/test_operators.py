@@ -6,6 +6,7 @@ from holomoser.operators import chi_spectrum_check
 from holomoser.roots import compute_root_datum
 
 from oracles import (
+    chi_spectrum_full,
     coadjoint_group_matrix,
     d_gamma,
     gamma_map,
@@ -120,6 +121,40 @@ def test_batched_chi_check_matches_row_loop(models, batch):
             assert abs(peak[idx] - want_peak) <= 1e-14
     one = chi_spectrum_check(alg, zs.reshape(-1, alg.dim_p)[0])
     assert all(type(v) is float for v in one)
+
+
+CHI_MODELS = [
+    ("su", dict(p=1, q=1)),
+    ("sp", dict(n=1)),
+    ("su", dict(p=2, q=1)),
+    ("sp", dict(n=2)),
+    ("su", dict(p=2, q=2)),
+    ("su", dict(p=3, q=1)),
+]
+
+
+@pytest.mark.parametrize(
+    "family, params", CHI_MODELS, ids=["su11", "sp2", "su21", "sp4", "su22", "su31"]
+)
+def test_chi_check_from_svd_matches_full_size_eigh(family, params):
+    # dim_k < dim_p (su(1,1), sp(2,R), sp(4,R), su(2,2)), dim_k = dim_p
+    # (su(2,1)) and dim_k > dim_p (su(3,1)); Z = 0, a root-plane Z, whose
+    # singular values repeat from rank two on, and 256 random Z
+    alg = build_algebra(family, **params)
+    datum = compute_root_datum(alg)
+    root_plane = datum.positive_noncompact()[0].vector.real[alg.dim_k :]
+    rng = np.random.default_rng(31)
+    zs = rng.standard_normal((256, alg.dim_p))
+    zs *= rng.uniform(0.05, 3.0, (256, 1)) / np.linalg.norm(zs, axis=1, keepdims=True)
+    zs = np.vstack([np.zeros(alg.dim_p), 1.3 * root_plane / np.linalg.norm(root_plane), zs])
+    sigma = np.linalg.svd(alg.ad(alg.embed_p(zs[1]))[: alg.dim_k, alg.dim_k :],
+                          compute_uv=False)
+    assert alg.rank == 1 or np.isclose(sigma[1], sigma[2])
+    dev, peak = chi_spectrum_check(alg, zs)
+    want_dev, want_peak = chi_spectrum_full(alg, zs)
+    assert dev[0] == peak[0] == 0.0
+    assert dev.max() <= 1e-13 and want_dev.max() <= 1e-13
+    assert np.abs(peak - want_peak).max() <= 1e-14
 
 
 def test_chi_factorization(models):

@@ -27,12 +27,13 @@ from holomoser.pipeline import (
     _CHAMBER_BLOCK,
     _hypothesis_checks,
     _lemma_block,
+    _radial_fiber,
     _random_chamber_weights,
     _segment_witness,
     _unit_fiber,
     _witness_passes,
 )
-from holomoser.roots import chamber_constants, compute_root_datum
+from holomoser.roots import ChamberWeight, chamber_constants, compute_root_datum
 from holomoser.report import (
     DEFAULT_TOLERANCES,
     load_scenario,
@@ -248,7 +249,8 @@ def _witness_geometry(family, params, generic):
     datum = compute_root_datum(alg)
     weight = datum.lambda0
     if generic:
-        (weight,) = _random_chamber_weights(datum, np.random.default_rng(0), count=1)
+        (row,) = _random_chamber_weights(datum, np.random.default_rng(0), count=1)
+        weight = ChamberWeight(row)
     return OrbitGeometry(alg, datum, weight)
 
 
@@ -370,13 +372,13 @@ def test_block_chamber_sampler_matches_one_at_a_time_loop(sampler_data):
             for _ in range(50):
                 want = oracles.random_chamber_weight_loop(datum, loop_rng)
                 (got,) = _random_chamber_weights(datum, block_rng, count=1)
-                assert np.array_equal(got.coords, want.coords)
+                assert np.array_equal(got, want.coords)
             assert block_rng.random() == loop_rng.random()
 
 
 def _one_chamber_weight(datum, rng, max_draws):
-    (weight,) = _random_chamber_weights(datum, rng, count=1, max_draws=max_draws)
-    return weight
+    (row,) = _random_chamber_weights(datum, rng, count=1, max_draws=max_draws)
+    return ChamberWeight(row)
 
 
 def _draw_or_raise(sampler, datum, rng, max_draws):
@@ -416,9 +418,9 @@ def test_block_chamber_sampler_exhaustion_matches_loop(sampler_data, max_draws):
 @given(
     model=st.integers(0, len(SAMPLER_MODELS) - 1),
     seed=st.integers(0, 2**32 - 1),
-    count=st.integers(1, 4),
+    count=st.integers(1, 5),
     max_draws=st.sampled_from(
-        [1, _CHAMBER_BLOCK - 1, _CHAMBER_BLOCK, _CHAMBER_BLOCK + 1, 10000]
+        [1, 7, _CHAMBER_BLOCK - 1, _CHAMBER_BLOCK, _CHAMBER_BLOCK + 1, 200, 10000]
     ),
 )
 def test_chamber_weights_match_loop_draws(sampler_data, model, seed, count, max_draws):
@@ -437,8 +439,25 @@ def test_chamber_weights_match_loop_draws(sampler_data, model, seed, count, max_
         got = _random_chamber_weights(datum, block_rng, count, max_draws)
         assert len(got) == count
         for g, w in zip(got, want):
-            assert np.array_equal(g.coords, w.coords)
+            assert np.array_equal(g, w.coords)
     assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(
+    model=st.integers(0, len(SAMPLER_MODELS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    r_max=st.sampled_from([2.5, 3.0]),
+)
+def test_radial_fiber_matches_uniform_draws(sampler_data, model, seed, r_max):
+    # 1,000 draws per example, 10,000 over the ten examples
+    dim_p = sampler_data[model].algebra.dim_p
+    rng = np.random.default_rng(seed)
+    ref = np.random.default_rng(seed)
+    for _ in range(1000):
+        want = ref.uniform(0.05, r_max) * _unit_fiber(dim_p, ref)
+        assert np.array_equal(_radial_fiber(dim_p, rng, r_max), want)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_unit_fiber_matches_linalg_norm(sampler_data):
@@ -454,19 +473,44 @@ def test_lemma_block_chamber_test_count(monkeypatch):
     # the bracket pairs and the scaling weights share candidate blocks; 447 is
     # the count measured with that sharing (blocks drawn per weight make 676)
     calls = []
-    membership = pipeline.chamber_membership
+    hits = pipeline.chamber_hits
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return membership(*args, **kwargs)
+        return hits(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "chamber_membership", counted)
+    monkeypatch.setattr(pipeline, "chamber_hits", counted)
     sc = Scenario(family="su", p=2, q=2, lemma_samples=300, seed=4)
     alg = build_algebra("su", p=2, q=2)
     datum = compute_root_datum(alg)
     delta = 1.5 * chamber_constants(datum.lambda0, datum)[1]
     _lemma_block(sc, OrbitGeometry(alg, datum, datum.lambda0), delta)
     assert len(calls) <= 447
+
+
+def test_lemma_block_chi_check_takes_one_svd_per_chunk(monkeypatch):
+    # the chi check reads its spectrum off one svd of the k-p blocks and
+    # certifies it with one eigvalsh of chi per 256-row chunk; the suite
+    # makes no eigh of an N x N matrix
+    alg = build_algebra("su", p=2, q=2)
+    datum = compute_root_datum(alg)
+    shapes = {"svd": (alg.dim_k, alg.dim_p), "eigvalsh": (alg.dim,) * 2,
+              "eigh": (alg.dim,) * 2}
+    calls = []
+    for name, shape in shapes.items():
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _shape=shape, _real=real, **kwargs):
+            if np.shape(a)[-2:] == _shape:
+                calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    sc = Scenario(family="su", p=2, q=2, lemma_samples=2000, seed=4)
+    delta = 1.5 * chamber_constants(datum.lambda0, datum)[1]
+    _lemma_block(sc, OrbitGeometry(alg, datum, datum.lambda0), delta)
+    assert calls.count("svd") == calls.count("eigvalsh") == 8
+    assert calls.count("eigh") == 0
 
 
 @pytest.mark.parametrize(
@@ -783,33 +827,53 @@ def test_cli_numerical_failure_exit_code_one(tmp_path, capsys):
     assert "error: chamber rejection sampling failed" in captured.err
 
 
-def _non_finite_segment(monkeypatch):
-    """Run the CLI's theorem pipeline with a segment family whose form has a
-    row of NaN near t = 0.7: reached only inside the flow, which evaluates
-    t = 0.7 at the end of its 14th of 20 steps (the witness and the
+def _edited_segment(monkeypatch, name, edit):
+    """Run the theorem pipeline with a segment family (named name) whose form
+    near t = 0.7 goes through edit: reached only inside the flow, which
+    evaluates t = 0.7 at the end of its 14th of 20 steps (the witness and the
     hypothesis checks read t = 0, 0.5 and 1)."""
-    def non_finite_stage(geometry, delta):
+    def edited_stage(geometry, delta):
         fam = segment_stage(geometry, delta)
 
         def omega(spec, kap, t):
             out = fam.omega(spec, kap, t)
             if abs(t - 0.7) < 0.01:
-                out[..., 0, :] = np.nan
+                edit(out)
             return out
 
-        return dataclasses.replace(fam, name="non-finite-segment", omega=omega)
+        return dataclasses.replace(fam, name=name, omega=omega)
 
-    monkeypatch.setattr(pipeline, "segment_stage", non_finite_stage)
+    monkeypatch.setattr(pipeline, "segment_stage", edited_stage)
+
+
+def _non_finite_segment(monkeypatch, value=np.nan):
+    def fill_first_row(out):
+        out[..., 0, :] = value
+
+    _edited_segment(monkeypatch, "non-finite-segment", fill_first_row)
 
 
 def test_cli_linear_algebra_failure_exit_code_one(tmp_path, capsys, monkeypatch):
-    # the non-finite form makes moser_field's svd fail to converge; that is a
-    # numerical failure (exit 1), not invalid input
-    _non_finite_segment(monkeypatch)
+    # an svd that does not converge is a numerical failure (exit 1), not
+    # invalid input.  A finite form practically never makes LAPACK fail, so
+    # the segment form at t = 0.7 arms a failure of the svd that follows it
+    armed = []
+    real_svd = np.linalg.svd
+
+    def failing_svd(*args, **kwargs):
+        if armed:
+            armed.clear()
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    _edited_segment(monkeypatch, "armed-segment", lambda out: armed.append(True))
     rc = cli.main(["theorem", "--config", _write_config(tmp_path)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "error: SVD did not converge" in captured.err
+    assert (
+        "error: SVD did not converge (armed-segment form at t = 0.7000)" in captured.err
+    )
 
 
 def test_svd_failure_names_stage_and_time(tmp_path, capsys, monkeypatch):
@@ -819,6 +883,23 @@ def test_svd_failure_names_stage_and_time(tmp_path, capsys, monkeypatch):
     assert "non-finite-segment" in err
     assert "t = 0.7000" in err
     assert "non-finite entries" in err
+
+
+def test_infinite_form_entries_fail_without_lapack_noise(capfd, monkeypatch):
+    # unchecked, an inf entry reaches LAPACK's svd, which prints a DLASCL
+    # complaint on stderr and returns NaN, omega - omega[ref] warns, and the
+    # run reads "degenerates (margin nan)"
+    _non_finite_segment(monkeypatch, np.inf)
+    scenario = Scenario(family="su", p=1, q=1, steps=20, samples=4,
+                        stage_samples=3, lemma_samples=40, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError) as info:
+            run_theorem_pipeline(scenario)
+    assert str(info.value) == (
+        "non-finite-segment form at t = 0.7000 has non-finite entries"
+    )
+    assert capfd.readouterr().err == ""
 
 
 def test_far_samples_end_in_a_report_without_warnings(tmp_path, capsys):

@@ -14,7 +14,7 @@ from holomoser.moser import (
 )
 from holomoser.operators import G, hermitian_radial
 from holomoser.pipeline import _random_chamber_weights
-from holomoser.roots import chamber_constants, compute_root_datum
+from holomoser.roots import ChamberWeight, chamber_constants, compute_root_datum
 
 from oracles import FullSizeReference, f_plus, f_plus_prime
 
@@ -38,7 +38,8 @@ def _close(got, want, tol=1e-12):
 def test_half_size_layer_matches_full_size_reference(family, params):
     alg = build_algebra(family, **params)
     datum = compute_root_datum(alg)
-    (weight,) = _random_chamber_weights(datum, np.random.default_rng(0), count=1)
+    (row,) = _random_chamber_weights(datum, np.random.default_rng(0), count=1)
+    weight = ChamberWeight(row)
     geo = OrbitGeometry(alg, datum, weight)
     _, b_lam = chamber_constants(weight, datum)
     delta = 1.5 * b_lam
