@@ -5,7 +5,7 @@ Points are pairs (k lambda, Z) with k in K and Z in p.  Tangent vectors are
 in p; all forms are returned as matrices against this basis, so the tangent
 coordinate layout is always (complement slots, fiber slots).
 
-The five forms:
+The five forms, which the stage families of moser.py evaluate:
   * pullback       Gamma^* of the KKS form of G.lambda (split formula),
   * product        Omega_{K.lambda} (+) Omega_p,  Omega_p(A,B) = B_theta(A,[z0,B]),
   * delta          Omega_{K.lambda} (+) delta * (Gamma_0^* KKS of G.lambda_0),
@@ -28,11 +28,11 @@ rows); both blocks are formed once per spectrum (psi_plus, even_g);
 the moments apply k-k blocks to k* vectors, and the flat display
 A A^T lambda_0 needs only A.  The homotopy primitive in moser.py is a closed
 form in s; only its quadrature oracle in the tests evaluates the blocks at
-scaled points (k, sZ).  The form_* and moment_* functions evaluate them at
-points (ks, zs).  moment_identity_residual checks each (form, moment) pair
-on a batch of B points: its 2 T finite-difference lanes per point go
-through one moment call of B 2 T rows.  difference_lanes lays those lanes
-out, for it and for moser.verify_pullback.
+scaled points (k, sZ).  The moment_* functions evaluate the moments at
+points (ks, zs).  moment_identity_residual checks a (form, moment) pair on a
+batch of B points: its 2 T finite-difference lanes per point go through one
+moment call of B 2 T rows.  difference_lanes lays those lanes out, for it
+and for moser.verify_pullback.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class OrbitGeometry:
         self.alg = alg
         self.datum = datum
         self.weight = weight
-        self.chamber_margin = margin
         self.lam = weight.full(alg)
         self.lam0 = datum.lambda0.full(alg)
         self.z0 = datum.z0
@@ -79,10 +78,6 @@ class OrbitGeometry:
         self._ad_kp = c[k:, k:, :k].transpose(0, 2, 1).reshape(p, k * p)
         self._structure_pp = c[k:, k:, :].transpose(2, 0, 1).reshape(alg.dim, p * p)
         self.base_block = comp.T @ self.m_lam @ comp  # (c, c), point-independent
-        prod = np.zeros((self.dim_t, self.dim_t))
-        prod[: self.dim_c, : self.dim_c] = self.base_block
-        prod[self.dim_c :, self.dim_c :] = self.ad_z0[alg.dim_k :, alg.dim_k :]
-        self.product_matrix = prod
 
     # -- batched building blocks (any leading batch shape) ----------------------
 
@@ -207,31 +202,7 @@ def _mT(a):
     return np.swapaxes(a, -1, -2)
 
 
-# -- forms and moments at points (ks, zs): (B, T, T) and (B, N) arrays -------------
-
-
-def form_pullback(geometry, ks, zs):
-    return geometry.pullback_blocks(geometry.fiber_eig(zs), geometry.kappa(ks))
-
-
-def form_product(geometry, ks, zs):
-    shape = (len(zs),) + geometry.product_matrix.shape
-    return np.broadcast_to(geometry.product_matrix, shape).copy()
-
-
-def form_delta(geometry, ks, zs, delta):
-    return geometry.delta_blocks(geometry.fiber_eig(zs), delta)
-
-
-def form_segment(geometry, ks, zs, t, delta):
-    spec = geometry.fiber_eig(zs)
-    pull = geometry.pullback_blocks(spec, geometry.kappa(ks))
-    dl = geometry.delta_blocks(spec, delta)
-    return t * dl + (1.0 - t) * pull
-
-
-def form_hermitian(geometry, ks, zs, t):
-    return geometry.hermitian_blocks(geometry.fiber_eig(zs), t)
+# -- moments at points (ks, zs): (B, N) arrays -------------------------------------
 
 
 def _spectrum_klam(geometry, ks, zs):
@@ -323,10 +294,8 @@ def _moment_identity_sides(geometry, form_at, moment_at, ks, zs, gens, eps):
     return (vals[..., 0] - vals[..., 1]) / (2 * eps), rhs
 
 
-def moment_identity_residual(
-    geometry, form_at, moment_at, ks, zs, gens, eps=1e-5, constant=1.0
-):
-    """max |FD d<Phi,X>(u) - constant * Omega(X_M, u)| over points and basis u.
+def moment_identity_residual(geometry, form_at, moment_at, ks, zs, gens, eps=1e-5):
+    """max |FD d<Phi,X>(u) - Omega(X_M, u)| over points and basis u.
 
     form_at(ks, zs) -> (B, T, T) matrices; moment_at(ks, zs) -> (B, N)
     k*-coordinates, both batched over points.  ks (B, a, a), zs (B, P) and
@@ -334,7 +303,7 @@ def moment_identity_residual(
     differences are _moment_identity_sides.
     """
     lhs, rhs = _moment_identity_sides(geometry, form_at, moment_at, ks, zs, gens, eps)
-    return float(np.abs(lhs - constant * rhs).max())
+    return float(np.abs(lhs - rhs).max())
 
 
 def measure_convention_constants(geometry, rng):

@@ -94,12 +94,12 @@ class FormFamily:
     scaling, and for the segment the minimum over _PROPERNESS_GRID of the
     interpolated m_{lambda_t}^2 / (2 ||H_{lambda_t}||), m the chamber margin.
 
-    moves_base is False for the families of the form base block + fiber(Z)
-    whose primitive has no base part (hermitian, scaling): their omega and
-    primitive never read kap, and their Moser field is exactly vertical, so
-    moser_field and the chart checks skip kappa (the chart checks also the
-    group points of their nodes).  time_one, their exact time-one map on
-    fibers (_radial_time_one), replaces integrate_flow; None for the segment.
+    time_one, the exact time-one map on fibers (_radial_time_one) of the
+    families of the form base block + fiber(Z) whose primitive has no base
+    part (hermitian, scaling), replaces integrate_flow; None for the segment.
+    Such families do not move the base (moves_base): omega and primitive
+    never read kap and the Moser field is exactly vertical, so moser_field
+    and the chart checks skip kappa and the group points of the chart nodes.
     """
 
     name: str
@@ -111,8 +111,11 @@ class FormFamily:
     pairing_direction: Callable
     moment_shift: np.ndarray
     properness_bound: float
-    moves_base: bool = True
     time_one: Callable | None = None
+
+    @property
+    def moves_base(self):
+        return self.time_one is None
 
 
 # family times of the properness fit and of the segment stage's analytic bound
@@ -180,7 +183,6 @@ def hermitian_stage(geometry):
         _z0_direction(geometry),
         0.0 * geometry.lam0,
         1.0 / (2.0 * float(np.linalg.norm(geometry.z0))),
-        moves_base=False,
         # F_0(r) = r^2 / 2 and F_1(r) = 2 sinh(sqrt(c) r / 2)^2 / c
         time_one=_radial_time_one(geometry, np.arcsinh),
     )
@@ -218,7 +220,6 @@ def scaling_stage(geometry, delta):
         _z0_direction(geometry),
         (delta - 1.0) * geometry.lam0,
         min(1.0, delta) / (2.0 * float(np.linalg.norm(geometry.z0))),
-        moves_base=False,
         time_one=_radial_time_one(geometry, radial),
     )
 
@@ -247,7 +248,7 @@ def segment_stage(geometry, delta):
     for t in _PROPERNESS_GRID:
         coords = segment_weight_coords(geometry, delta, 1.0 - t)
         weight = ChamberWeight(coords[: geometry.alg.rank])
-        _, m = in_holomorphic_chamber(weight, geometry.datum, -np.inf)
+        _, m = in_holomorphic_chamber(weight, geometry.datum)
         bounds.append(m * m / (2.0 * np.linalg.norm(coords)))
     return FormFamily(
         "segment",

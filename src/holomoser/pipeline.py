@@ -33,11 +33,6 @@ from .algebra import build_algebra
 from .forms import (
     OrbitGeometry,
     bracket_positivity_slack,
-    form_delta,
-    form_hermitian,
-    form_product,
-    form_pullback,
-    form_segment,
     measure_convention_constants,
     moment_delta,
     moment_flat,
@@ -292,22 +287,27 @@ def _lemma_block(scenario, geometry, delta):
     ks = alg.group_exp(np.array([x for x, _ in draws]))
     zs = np.array([z for _, z in draws])
     gens = rng_ident.standard_normal((5, alg.dim_k))
-    # (form, moment, keyword arguments) per identity; the form_* and moment_*
-    # names are read here at call time, so wrappers installed on this module
-    # (the perfbench tracer) see every call
+    # (stage family, its time, moment, keyword arguments) per identity; the
+    # moment_* and stage names are read here at call time, so wrappers
+    # installed on this module (the perfbench tracer) see every call
+    segment, hermitian = segment_stage(geometry, delta), hermitian_stage(geometry)
     cases = {
-        "pullback": (form_pullback, moment_pullback, {}),
-        "product": (form_product, moment_product, {}),
-        "delta": (form_delta, moment_delta, {"delta": delta}),
-        "segment": (form_segment, moment_segment, {"t": 0.4, "delta": delta}),
-        "hermitian": (form_hermitian, moment_hermitian, {"t": 0.7}),
+        "pullback": (segment, 1.0, moment_pullback, {}),
+        "product": (hermitian, 0.0, moment_product, {}),
+        "delta": (segment, 0.0, moment_delta, {"delta": delta}),
+        "segment": (segment, 0.6, moment_segment, {"t": 0.4, "delta": delta}),
+        "hermitian": (hermitian, 0.7, moment_hermitian, {"t": 0.7}),
     }
+
+    def form_at(family, t):
+        return lambda ks, zs: family.omega(geometry.fiber_eig(zs), geometry.kappa(ks), t)
+
     identity_res = {
         name: moment_identity_residual(
-            geometry, partial(form_fn, geometry, **kw),
-            partial(mom_fn, geometry, **kw), ks, zs, gens, eps=1e-5,
+            geometry, form_at(family, t), partial(mom_fn, geometry, **kw),
+            ks, zs, gens, eps=1e-5,
         )
-        for name, (form_fn, mom_fn, kw) in cases.items()
+        for name, (family, t, mom_fn, kw) in cases.items()
     }
     constants = measure_convention_constants(geometry, rng_ident)
 

@@ -172,6 +172,8 @@ def scenario_from_config(text, **overrides):
         kwargs["tolerances"] = tolerances
     scenario = Scenario(**kwargs)
     overrides = {k: v for k, v in overrides.items() if v is not None}
+    if "delta_mult" in overrides:  # else the file's delta_abs would outrank it
+        overrides.setdefault("delta_abs", None)
     if overrides:
         scenario = replace(scenario, **overrides)
     return scenario

@@ -255,15 +255,15 @@ def chamber_hits(datum, h):
     return (h @ datum.chamber_roots > datum.chamber_floor).all(axis=1).nonzero()[0]
 
 
-def in_holomorphic_chamber(weight, datum, strict_margin=1e-12):
+def in_holomorphic_chamber(weight, datum):
     """Membership test; returns (bool, margin over noncompact positive roots).
 
     One product per root set against the datum's coordinate arrays.
     """
     margin = (weight.coords @ datum.noncompact_coords.T).min()
-    ok = margin > strict_margin
+    ok = margin > 1e-12
     if len(datum.compact_coords):
-        ok = ok and (weight.coords @ datum.compact_coords.T).min() >= -strict_margin
+        ok = ok and (weight.coords @ datum.compact_coords.T).min() >= -1e-12
     return bool(ok), float(margin)
 
 
@@ -274,7 +274,7 @@ def chamber_constants(weight, datum):
     g, an upper bound for the supremum in the nondegeneracy threshold.
     """
     alg = datum.algebra
-    _, m = in_holomorphic_chamber(weight, datum, strict_margin=-np.inf)
+    _, m = in_holomorphic_chamber(weight, datum)
     mat = pairing_matrix(alg, weight.full(alg))
     b = float(np.linalg.norm(mat, ord=2))
     return m, b

@@ -14,6 +14,8 @@ None of this runs in the certification pipeline:
 
       dGamma(k lambda, Z)([k,X], A) = [e^Z k, X + Ad(k^{-1}) Psi_Z(A)];
 
+- the five forms at points (ks, zs) from the OrbitGeometry blocks, and the
+  product form matrix;
 - the unsplit single-bracket formula for the pullback form;
 - the radial homotopy primitive by Gauss-Legendre quadrature over the full
   time derivative of the forms at the scaled points (k, sZ);
@@ -438,6 +440,42 @@ class FullSizeReference:
         return self._radial_row(row, f_plus)
 
 
+def product_matrix(geometry):
+    """The product form Omega_{K.lambda} (+) Omega_p, (T, T): base block and ad(z0)|_p."""
+    k, c = geometry.alg.dim_k, geometry.dim_c
+    prod = np.zeros((geometry.dim_t, geometry.dim_t))
+    prod[:c, :c] = geometry.base_block
+    prod[c:, c:] = geometry.ad_z0[k:, k:]
+    return prod
+
+
+# the five forms at points (ks, zs), (B, T, T), each written out from the
+# OrbitGeometry blocks; the pipeline takes them from the stage families
+
+
+def form_pullback(geometry, ks, zs):
+    return geometry.pullback_blocks(geometry.fiber_eig(zs), geometry.kappa(ks))
+
+
+def form_product(geometry, ks, zs):
+    prod = product_matrix(geometry)
+    return np.broadcast_to(prod, (len(zs),) + prod.shape).copy()
+
+
+def form_delta(geometry, ks, zs, delta):
+    return geometry.delta_blocks(geometry.fiber_eig(zs), delta)
+
+
+def form_segment(geometry, ks, zs, t, delta):
+    spec = geometry.fiber_eig(zs)
+    pull = geometry.pullback_blocks(spec, geometry.kappa(ks))
+    return t * geometry.delta_blocks(spec, delta) + (1.0 - t) * pull
+
+
+def form_hermitian(geometry, ks, zs, t):
+    return geometry.hermitian_blocks(geometry.fiber_eig(zs), t)
+
+
 def unsplit_pullback_blocks(geometry, zs, kap):
     """Gamma^* Omega through the single-bracket expression with Psi_Z.
 
@@ -510,10 +548,11 @@ def gauge_fix(geometry, mu_eval, eps=1e-6):
 
 def constant_stage(geometry):
     """The product form at every t; its Moser flow is the identity."""
-    shape = (geometry.dim_t, geometry.dim_t)
+    prod = product_matrix(geometry)
+    shape = prod.shape
 
     def product(spec, kap, t):
-        return np.broadcast_to(geometry.product_matrix, spec.s.shape[:-1] + shape).copy()
+        return np.broadcast_to(prod, spec.s.shape[:-1] + shape).copy()
 
     def zero(spec, kap, t):
         return np.zeros(spec.s.shape[:-1] + shape)

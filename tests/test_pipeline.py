@@ -22,7 +22,7 @@ from holomoser import (
 )
 from holomoser import build_algebra, cli, moser, pipeline
 from holomoser.forms import OrbitGeometry
-from holomoser.moser import segment_stage
+from holomoser.moser import hermitian_stage, segment_stage
 from holomoser.pipeline import (
     _CHAMBER_BLOCK,
     _hypothesis_checks,
@@ -215,6 +215,8 @@ def test_su11_pipeline_passes(su11_report):
 # the first _random_chamber_weights draw on su(2,2) at default_rng(0):
 # dim_c = 4, dim_t = 12
 SU22_GENERIC = (0.42654310306871945, 0.9179862439359936, 0.17449996586169148)
+# the same draw on su(3,1): dim_c = 6
+SU31_GENERIC = (1.0318040094257124, 0.05103489304831221, 1.7164168831880247)
 
 
 @pytest.fixture(scope="module")
@@ -225,9 +227,9 @@ def su11_report():
 @pytest.mark.parametrize(
     "family,params",
     [("sp", {"n": 1}), ("sp", {"n": 2}), ("sp", {"n": 2, "lam": (2.0, 1.0)}),
-     ("su", {"p": 3, "q": 1}), ("su", {"p": 2, "q": 2}),
-     ("su", {"p": 2, "q": 2, "lam": SU22_GENERIC})],
-    ids=["sp2", "sp4", "sp4-generic", "su31", "su22", "su22-generic"],
+     ("su", {"p": 3, "q": 1}), ("su", {"p": 3, "q": 1, "lam": SU31_GENERIC}),
+     ("su", {"p": 2, "q": 2}), ("su", {"p": 2, "q": 2, "lam": SU22_GENERIC})],
+    ids=["sp2", "sp4", "sp4-generic", "su31", "su31-generic", "su22", "su22-generic"],
 )
 def test_theorem_pipeline_certifies_across_family(family, params):
     sc = Scenario(family=family, **params, steps=20, samples=3, stage_samples=2,
@@ -271,6 +273,32 @@ def test_pencil_witness_agrees_with_the_sampled_sweep(family, params, generic):
     tol = small_su11().tolerance
     assert (witness["pencil_distance"] > tol("segment_pencil")) == (margins.min() > 0.0)
     assert _witness_passes(witness, tol)
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["lambda0", "generic"])
+@pytest.mark.parametrize("family, params", WITNESS_MODELS,
+                         ids=["su11", "su21", "sp2", "sp4", "su22", "su31"])
+def test_stage_families_give_the_point_forms_of_the_moment_identities(
+    family, params, generic
+):
+    # the lemma suite's identity forms are the stage families at these times
+    geo = _witness_geometry(family, params, generic)
+    delta = 1.5 * chamber_constants(geo.weight, geo.datum)[1]
+    rng = np.random.default_rng(5)
+    ks = geo.alg.group_exp(rng.standard_normal((5, geo.alg.dim_k)))
+    zs = rng.standard_normal((5, geo.dim_p))
+    spec, kap = geo.fiber_eig(zs), geo.kappa(ks)
+    seg, her = segment_stage(geo, delta), hermitian_stage(geo)
+    exact = [
+        (seg, 1.0, oracles.form_pullback(geo, ks, zs)),
+        (seg, 0.0, oracles.form_delta(geo, ks, zs, delta)),
+        (seg, 0.6, oracles.form_segment(geo, ks, zs, 0.4, delta)),
+        (her, 0.7, oracles.form_hermitian(geo, ks, zs, 0.7)),
+    ]
+    for fam, t, form in exact:
+        assert np.array_equal(fam.omega(spec, kap, t), form), (fam.name, t)
+    product = oracles.form_product(geo, ks, zs)
+    assert np.abs(her.omega(spec, kap, 0.0) - product).max() <= 1e-14
 
 
 class AffineForms:
@@ -613,13 +641,32 @@ def test_nan_in_a_later_moment_identity_fails_the_lemma_verdict(monkeypatch):
 
     def nan_for_product(geo, form_at, moment_at, *args, **kwargs):
         value = real(geo, form_at, moment_at, *args, **kwargs)
-        return np.nan if form_at.func is pipeline.form_product else value
+        return np.nan if moment_at.func is pipeline.moment_product else value
 
     monkeypatch.setattr(pipeline, "moment_identity_residual", nan_for_product)
     rep = run_lemma_suite(small_su11(seed=8))
     residuals = rep["lemmas"]["moment_identity_residuals"]
     assert list(residuals).index("product") > 0
     assert np.isnan(residuals["product"])
+    assert rep["lemmas"]["checks"]["moment_identities"] is False
+    assert rep["verdict"] == "fail"
+
+
+def test_moment_identities_check_the_segment_family_the_flow_integrates(monkeypatch):
+    # the pullback, delta and segment identities read their forms off
+    # pipeline.segment_stage, so a 1 % error in that family's form fails them
+    def scaled_segment(geometry, delta):
+        fam = segment_stage(geometry, delta)
+        return dataclasses.replace(
+            fam, omega=lambda spec, kap, t: 1.01 * fam.omega(spec, kap, t)
+        )
+
+    monkeypatch.setattr(pipeline, "segment_stage", scaled_segment)
+    rep = run_lemma_suite(small_su11(seed=8))
+    residuals = rep["lemmas"]["moment_identity_residuals"]
+    tol = small_su11().tolerance("moment_identity")
+    assert min(residuals[name] for name in ("pullback", "delta", "segment")) > tol
+    assert max(residuals["product"], residuals["hermitian"]) < tol
     assert rep["lemmas"]["checks"]["moment_identities"] is False
     assert rep["verdict"] == "fail"
 
@@ -788,6 +835,18 @@ def test_cli_override_flags(tmp_path, capsys):
     assert data["scenario"]["samples"] == 5
     assert data["scenario"]["eps"] == 2e-4
     assert data["composite"]["sample_count"] == 5
+
+
+def test_cli_delta_mult_overrides_the_config_delta_abs(tmp_path, capsys):
+    cfg = _write_config(tmp_path, delta_abs="1.2")
+    assert load_scenario(cfg).delta_abs == 1.2
+    assert load_scenario(cfg, delta_mult=3.0, delta_abs=1.4).delta_abs == 1.4
+    rc = cli.main(["theorem", "--config", cfg, "--delta-mult", "3.0"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert data["scenario"]["delta_mult"] == 3.0
+    assert data["scenario"]["delta_abs"] is None
+    assert data["constants"]["delta"] == 3.0 * data["constants"]["b_lambda"]
 
 
 def test_cli_lemmas(tmp_path, capsys):
