@@ -5,8 +5,8 @@ with its time derivative and a compatible family of moment maps.  The Moser
 construction turns each family into a flow: the time derivative is made
 exact by the radial homotopy primitive (fiber scaling (k, Z) -> (k, sZ)),
 the Moser field solves iota(xi) omega_t = -mu_t, and a fourth-order
-Runge-Kutta-Munthe-Kaas integrator transports points so that the time-one
-map pulls the final form back to the initial one.
+integrator in body coordinates (integrate_flow) transports points so that
+the time-one map pulls the final form back to the initial one.
 
 Three concrete stages compose to the full isotopy:
 
@@ -94,12 +94,13 @@ class FormFamily:
     scaling, and for the segment the minimum over _PROPERNESS_GRID of the
     interpolated m_{lambda_t}^2 / (2 ||H_{lambda_t}||), m the chamber margin.
 
-    time_one, the exact time-one map on fibers (_radial_time_one) of the
-    families of the form base block + fiber(Z) whose primitive has no base
-    part (hermitian, scaling), replaces integrate_flow; None for the segment.
-    Such families do not move the base (moves_base): omega and primitive
-    never read kap and the Moser field is exactly vertical, so moser_field
-    and the chart checks skip kappa and the group points of the chart nodes.
+    omega, domega_dt and primitive are K-invariant (integrate_flow's
+    precondition).  time_one, the exact time-one map on fibers
+    (_radial_time_one) of the families of the form base block + fiber(Z)
+    whose primitive has no base part (hermitian, scaling), replaces
+    integrate_flow; None for the segment.  Such families do not move the base
+    (moves_base): omega and primitive never read kap and the Moser field is
+    exactly vertical, so the chart checks skip kappa and the group points.
     """
 
     name: str
@@ -328,15 +329,14 @@ def _form_margin(family, omega, t, margin_ref=None):
     return float(sigma[rows].min())
 
 
-def moser_field(family, ks, zs, t, margin_ref=None):
+def moser_field(family, kap, zs, t, margin_ref=None):
     """Moser field xi_t with iota(xi) omega_t = -mu_t; (B, T) tangent coords.
 
-    A family that does not move the base never reads Ad(k^{-1}), so its ks
-    are not read (they may be None).  Returns xi and _form_margin's margin.
+    kap: the points' Ad(k^{-1}) matrices, or one for all (integrate_flow
+    passes the identity).  Returns xi and _form_margin's margin.
     """
     geo = family.geometry
     spec = geo.fiber_eig(zs)
-    kap = geo.kappa(ks) if family.moves_base else None
     omega = family.omega(spec, kap, t)
     margin = _form_margin(family, omega, t, margin_ref)
     mu = homotopy_primitive(family, spec, kap, zs, t)
@@ -376,53 +376,54 @@ def _dexpinv(alg, u, y):
 
 
 def integrate_flow(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
-    """Flow the Moser field of the family from t = 0 to 1 (RKMK order four).
+    """Flow the Moser field of the family from t = 0 to 1 (order four).
 
-    k0: (B, a, a) group elements (one matrix is promoted to a batch), z0:
-    (B, dim_p).  The group chart is k exp(u) with the truncated dexpinv;
-    drift off K beyond 1e-12 triggers a polar reprojection.  A fiber
-    norm ceiling (default ten times the initial bound) aborts escaping flows.
-    margin_ref picks the lanes whose form margins take an svd (_form_margin).
+    Precondition: K-invariant forms and primitive (at (k, Ad(k) W) they are R^T
+    (value at (e, W)) R, R = diag(I_c, Ad(k^{-1})|_p)), so W = Ad(k^{-1}) Z
+    obeys W' = A(e, W) - [X(e, W), W], X and A the field's base and fiber
+    parts (symmetry reduction).  W takes plain RK4 steps; k' = k X(e, W) is
+    rebuilt in the chart k exp(u) with the truncated dexpinv (RKMK, one
+    group_exp per step), and Z = Ad(k) W.  k0: (B, a, a) group elements, z0:
+    (B, dim_p).  Drift off K beyond 1e-12, at entry or after a step, triggers
+    a polar reprojection.  A fiber norm ceiling (default ten times the
+    initial bound) aborts escaping flows.  margin_ref picks the lanes whose
+    form margins take an svd (_form_margin).
     """
     geo = family.geometry
     alg = geo.alg
+    dk = alg.dim_k
     ks = np.asarray(k0, dtype=complex)
-    zs = np.asarray(z0, dtype=float).copy()
-    if ks.ndim == 2:
-        ks = ks[None]
-    if zs.ndim == 1:
-        zs = zs[None]
-    ks = ks.copy()
-    fiber_sup = np.linalg.norm(zs, axis=-1)
+    max_res = float(alg.group_residual(ks).max())
+    reproj = int(max_res > 1e-12)
+    ks = alg.group_project(ks) if reproj else ks
+    ws = (geo.kappa(ks)[:, dk:, dk:] @ z0[..., None])[..., 0]
+    fiber_sup = np.linalg.norm(ws, axis=-1)
     if z_ceiling is None:
         z_ceiling = 10.0 * max(1.0, float(fiber_sup.max()))
     h = 1.0 / steps
+    identity = np.eye(alg.dim)
     min_margin = np.inf
-    max_res = 0.0
-    reproj = 0
-    field_lanes = 0
 
-    def field(t_arg, z_arg, scale=0.0, x_prev=None):
-        # velocities at (ks exp(u), z_arg), u = scale x_prev: the k-chart one
-        # corrected by dexpinv, and the fiber one
-        nonlocal min_margin, field_lanes
-        u = None if x_prev is None else scale * x_prev
-        k_arg = ks if u is None else ks @ alg.group_exp(u)
-        xi, margin = moser_field(family, k_arg, z_arg, t_arg, margin_ref)
+    def field(t_arg, w):
+        # the base velocity X(e, W) in k and the body velocity of W
+        nonlocal min_margin
+        xi, margin = moser_field(family, identity, w, t_arg, margin_ref)
         min_margin = min(min_margin, margin)
-        field_lanes += len(z_arg)
-        x = xi[:, : geo.dim_c] @ geo.complement[: alg.dim_k].T
-        return (x if u is None else _dexpinv(alg, u, x)), xi[:, geo.dim_c :]
+        x = xi[:, : geo.dim_c] @ geo.complement[:dk].T
+        return x, xi[:, geo.dim_c :] - alg.bracket(alg.embed_k(x), alg.embed_p(w))[:, dk:]
 
     for n in range(steps):
         t = n * h
-        x1, a1 = field(t, zs)
-        x2, a2 = field(t + 0.5 * h, zs + 0.5 * h * a1, 0.5 * h, x1)
-        x3, a3 = field(t + 0.5 * h, zs + 0.5 * h * a2, 0.5 * h, x2)
-        x4, a4 = field(t + h, zs + h * a3, h, x3)
+        x1, a1 = field(t, ws)
+        x2, a2 = field(t + 0.5 * h, ws + 0.5 * h * a1)
+        x3, a3 = field(t + 0.5 * h, ws + 0.5 * h * a2)
+        x4, a4 = field(t + h, ws + h * a3)
+        x2 = _dexpinv(alg, 0.5 * h * x1, x2)
+        x3 = _dexpinv(alg, 0.5 * h * x2, x3)
+        x4 = _dexpinv(alg, h * x3, x4)
         ks = ks @ alg.group_exp((h / 6.0) * (x1 + 2 * x2 + 2 * x3 + x4))
-        zs = zs + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-        norms = np.linalg.norm(zs, axis=-1)
+        ws = ws + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+        norms = np.linalg.norm(ws, axis=-1)
         fiber_sup = np.maximum(fiber_sup, norms)
         if norms.max() > z_ceiling:
             raise RuntimeError(
@@ -434,7 +435,9 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
         if res > 1e-12:
             ks = alg.group_project(ks)
             reproj += 1
-    trace = FlowTrace(steps, float(min_margin), max_res, reproj, fiber_sup, field_lanes)
+    zs = (alg.adjoint_group_matrix(ks)[:, dk:, dk:] @ ws[..., None])[..., 0]
+    lanes = 4 * steps * len(ws)  # every field evaluation takes every lane
+    trace = FlowTrace(steps, float(min_margin), max_res, reproj, fiber_sup, lanes)
     return FlowResult(ks, zs, trace)
 
 
@@ -811,14 +814,9 @@ def properness_gamma(family):
     """
     t, radii = 0.5, np.geomspace(0.05, 0.4, 6)
     geometry = family.geometry
-    alg = geometry.alg
     direction = _root_probe_fibers(geometry, radii=(1.0,))[0]
     zs = np.stack([r * direction for r in radii])
-    ks = np.broadcast_to(
-        np.eye(alg.ambient, dtype=complex),
-        (len(radii), alg.ambient, alg.ambient),
-    )
-    kap = geometry.kappa(ks)
+    kap = np.eye(geometry.alg.dim)  # Ad(e^{-1})
     gap = family.moment(geometry.fiber_eig(zs), kap, t) - family.moment(
         geometry.fiber_eig(np.zeros_like(zs)), kap, t
     )

@@ -228,13 +228,15 @@ def _radial_fiber(dim_p, rng, r_max):
     return (0.05 + (r_max - 0.05) * rng.random()) * _unit_fiber(dim_p, rng)
 
 
-def _lemma_block(scenario, geometry, delta):
+def _lemma_block(scenario, delta, segment, hermitian):
     """Values and gates of the inequality suite over scenario.lemma_samples.
 
-    Five streams spawned off the seed feed the chi spectrum, growth and the
-    flat pairing, bracket positivity (one _random_chamber_weights call per
-    weight pair), the moment identities, and scaling linearity.
+    The moment identities read the run's segment and hermitian families.  Five
+    streams spawned off the seed feed the chi spectrum, growth and the flat
+    pairing, bracket positivity (one _random_chamber_weights call per weight
+    pair), the moment identities, and scaling linearity.
     """
+    geometry = segment.geometry
     alg, datum, weight = geometry.alg, geometry.datum, geometry.weight
     tol = scenario.tolerance
     n = scenario.lemma_samples
@@ -288,9 +290,7 @@ def _lemma_block(scenario, geometry, delta):
     zs = np.array([z for _, z in draws])
     gens = rng_ident.standard_normal((5, alg.dim_k))
     # (stage family, its time, moment, keyword arguments) per identity; the
-    # moment_* and stage names are read here at call time, so wrappers
-    # installed on this module (the perfbench tracer) see every call
-    segment, hermitian = segment_stage(geometry, delta), hermitian_stage(geometry)
+    # moment_* names are read at call time, so wrappers on this module see them
     cases = {
         "pullback": (segment, 1.0, moment_pullback, {}),
         "product": (hermitian, 0.0, moment_product, {}),
@@ -353,7 +353,9 @@ def run_lemma_suite(scenario):
     t_start = time.perf_counter()
     geometry, margin = _build_model(scenario)
     m_lam, b_lam = chamber_constants(geometry.weight, geometry.datum)
-    lemmas = _lemma_block(scenario, geometry, _delta(scenario, b_lam))
+    delta = _delta(scenario, b_lam)
+    lemmas = _lemma_block(scenario, delta, segment_stage(geometry, delta),
+                          hermitian_stage(geometry))
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "lemmas",
@@ -511,7 +513,7 @@ def run_theorem_pipeline(scenario):
         "z0_norm": float(np.linalg.norm(geometry.z0)),
     }
 
-    lemmas = _lemma_block(scenario, geometry, delta)
+    lemmas = _lemma_block(scenario, delta, stages[2].family, stages[0].family)
     witness = _segment_witness(stages[-1].family, rng_witness)
     hypotheses = check_hypotheses(stages, rng_hyp)
     hyp_checks = _hypothesis_checks(hypotheses, tol)

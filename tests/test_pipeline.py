@@ -497,6 +497,11 @@ def test_unit_fiber_matches_linalg_norm(sampler_data):
             assert np.array_equal(_unit_fiber(dim_p, rng), v / np.linalg.norm(v))
 
 
+def lemma_block_at_lambda0(sc, alg, datum, delta):
+    geo = OrbitGeometry(alg, datum, datum.lambda0)
+    return _lemma_block(sc, delta, segment_stage(geo, delta), hermitian_stage(geo))
+
+
 def test_lemma_block_chamber_test_count(monkeypatch):
     # the bracket pairs and the scaling weights share candidate blocks; 447 is
     # the count measured with that sharing (blocks drawn per weight make 676)
@@ -512,7 +517,7 @@ def test_lemma_block_chamber_test_count(monkeypatch):
     alg = build_algebra("su", p=2, q=2)
     datum = compute_root_datum(alg)
     delta = 1.5 * chamber_constants(datum.lambda0, datum)[1]
-    _lemma_block(sc, OrbitGeometry(alg, datum, datum.lambda0), delta)
+    lemma_block_at_lambda0(sc, alg, datum, delta)
     assert len(calls) <= 447
 
 
@@ -536,7 +541,7 @@ def test_lemma_block_chi_check_takes_one_svd_per_chunk(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     sc = Scenario(family="su", p=2, q=2, lemma_samples=2000, seed=4)
     delta = 1.5 * chamber_constants(datum.lambda0, datum)[1]
-    _lemma_block(sc, OrbitGeometry(alg, datum, datum.lambda0), delta)
+    lemma_block_at_lambda0(sc, alg, datum, delta)
     assert calls.count("svd") == calls.count("eigvalsh") == 8
     assert calls.count("eigh") == 0
 
@@ -549,7 +554,7 @@ def test_chunked_lemma_values_match_point_loops(family, params):
     alg = build_algebra(family, **params)
     datum = compute_root_datum(alg)
     delta = 1.5 * chamber_constants(datum.lambda0, datum)[1]
-    block = _lemma_block(sc, OrbitGeometry(alg, datum, datum.lambda0), delta)
+    block = lemma_block_at_lambda0(sc, alg, datum, delta)
     want = oracles.lemma_point_loops(sc, alg, datum)
     for key, value in want.items():
         assert abs(block[key] - value) <= 1e-14, key
