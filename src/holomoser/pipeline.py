@@ -193,17 +193,17 @@ def _random_chamber_weights(datum, rng, count, max_draws=10000):
 
     Returns their torus coordinates as rows, (count, rank).  Each weight has
     its own budget of max_draws candidates, counted from the previous
-    acceptance.  Candidates are tested _CHAMBER_BLOCK at a time, one
-    chamber_hits call each, and every hit of a block is used in order; after
-    the last weight PCG64's advance (every stream comes from default_rng)
-    moves the generator back over the unused rows.  A uniform double takes
-    one 64-bit output, so the weights, the final state and a RuntimeError on
-    exhaustion are those of testing one candidate at a time.
+    acceptance.  A block of _CHAMBER_BLOCK candidates per weight still
+    wanted, at most the budget left, is tested with one chamber_hits call and
+    every hit is used in order; after the last weight PCG64's advance (every
+    stream comes from default_rng) moves the generator back over the unused
+    rows.  A uniform double takes one 64-bit output, so the weights, the final
+    state and a RuntimeError on exhaustion are those of one-at-a-time tests.
     """
     rank = datum.algebra.rank
     weights, left = [], max_draws
     while True:
-        m = min(_CHAMBER_BLOCK, left)
+        m = min(_CHAMBER_BLOCK * (count - len(weights)), left)
         rows = rng.uniform(-2.0, 2.0, (m, rank))
         hits = chamber_hits(datum, rows)[: count - len(weights)]
         weights.extend(rows[hits])
@@ -223,9 +223,11 @@ def _unit_fiber(dim_p, rng):
     return v / math.sqrt(v.dot(v))
 
 
-def _radial_fiber(dim_p, rng, r_max):
-    # lo + (hi - lo) * random() is rng.uniform(lo, hi) bit for bit, and cheaper
-    return (0.05 + (r_max - 0.05) * rng.random()) * _unit_fiber(dim_p, rng)
+def _radial_fibers(dim_p, rng, n, r_max):
+    """n fibers: all n radii uniform in [0.05, r_max), then all n directions."""
+    r = rng.uniform(0.05, r_max, n)
+    v = rng.standard_normal((n, dim_p))
+    return v * (r / np.linalg.norm(v, axis=1))[:, None]
 
 
 def _lemma_block(scenario, delta, segment, hermitian):
@@ -233,8 +235,10 @@ def _lemma_block(scenario, delta, segment, hermitian):
 
     The moment identities read the run's segment and hermitian families.  Five
     streams spawned off the seed feed the chi spectrum, growth and the flat
-    pairing, bracket positivity (one _random_chamber_weights call per weight
-    pair), the moment identities, and scaling linearity.
+    pairing, bracket positivity, the moment identities, and scaling
+    linearity.  The sampled streams are drawn in blocks: chi and growth take
+    n radii, then n directions; bracket takes 2n chamber weights (pair i is
+    rows 2i and 2i + 1), then n radii, n directions and the lambda_0 fiber.
     """
     geometry = segment.geometry
     alg, datum, weight = geometry.alg, geometry.datum, geometry.weight
@@ -245,17 +249,12 @@ def _lemma_block(scenario, delta, segment, hermitian):
         np.random.default_rng, seeds
     )
 
-    # The draws interleave uniform and standard_normal calls, so they stay in
-    # one Python loop per stream; the evaluation runs on _LEMMA_CHUNK rows.
-    chi_z, grow_z, br_z = np.empty((3, n, alg.dim_p))
-    h1, h2 = np.empty((2, n, alg.rank))
-    for i in range(n):
-        chi_z[i] = _radial_fiber(alg.dim_p, rng_chi, 3.0)
-    for i in range(n):
-        grow_z[i] = _radial_fiber(alg.dim_p, rng_growth, 3.0)
-    for i in range(n):
-        h1[i], h2[i] = _random_chamber_weights(datum, rng_bracket, 2)
-        br_z[i] = _radial_fiber(alg.dim_p, rng_bracket, 2.5)
+    # every sample is drawn up front; the evaluation runs on _LEMMA_CHUNK rows
+    chi_z = _radial_fibers(alg.dim_p, rng_chi, n, 3.0)
+    grow_z = _radial_fibers(alg.dim_p, rng_growth, n, 3.0)
+    pairs = _random_chamber_weights(datum, rng_bracket, 2 * n)
+    h1, h2 = pairs[0::2], pairs[1::2]
+    br_z = _radial_fibers(alg.dim_p, rng_bracket, n, 2.5)
 
     geo_flat = OrbitGeometry(alg, datum, datum.lambda0)
     eye = np.eye(alg.ambient, dtype=complex)[None]

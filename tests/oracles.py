@@ -587,9 +587,11 @@ def random_chamber_weight_loop(datum, rng, box=2.0, max_draws=10000):
     raise RuntimeError("chamber rejection sampling failed")
 
 
-def _unit_fiber(dim_p, rng):
-    v = rng.standard_normal(dim_p)
-    return v / np.linalg.norm(v)
+def radial_fiber_rows(dim_p, rng, n, r_max):
+    """n fibers by the lemma suite's layout: all n radii, then all n directions."""
+    radii = rng.uniform(0.05, r_max, n)
+    dirs = rng.standard_normal((n, dim_p))
+    return np.array([r * (v / np.linalg.norm(v)) for r, v in zip(radii, dirs)])
 
 
 def bracket_slack_point(datum, w1, w2, zp):
@@ -606,7 +608,7 @@ def bracket_slack_point(datum, w1, w2, zp):
 def lemma_point_loops(scenario, alg, datum):
     """Growth slack, flat residual and bracket slack of the lemma suite.
 
-    Draws from the same streams, in the same order, as the pipeline's
+    Draws from the same streams, by the same layout, as the pipeline's
     _lemma_block, and evaluates every sample as its own one-point call.
     """
     n = scenario.lemma_samples
@@ -617,8 +619,7 @@ def lemma_point_loops(scenario, alg, datum):
     eye = np.eye(alg.ambient, dtype=complex)[None]
     growth_slack = np.inf
     flat_res = 0.0
-    for _ in range(n):
-        zp = rng_growth.uniform(0.05, 3.0) * _unit_fiber(alg.dim_p, rng_growth)
+    for zp in radial_fiber_rows(alg.dim_p, rng_growth, n, 3.0):
         phi = moment_hermitian(geo_flat, eye, zp[None], 1.0)[0]
         growth_slack = min(
             growth_slack,
@@ -627,11 +628,10 @@ def lemma_point_loops(scenario, alg, datum):
         val = moment_flat(geo_flat, zp[None])[0] @ geo_flat.z0
         flat_res = max(flat_res, abs(val - zp @ zp) / max(1.0, zp @ zp))
 
+    weights = [random_chamber_weight_loop(datum, rng_bracket) for _ in range(2 * n)]
     bracket_slack = np.inf
-    for _ in range(n):
-        w1 = random_chamber_weight_loop(datum, rng_bracket)
-        w2 = random_chamber_weight_loop(datum, rng_bracket)
-        zp = rng_bracket.uniform(0.05, 2.5) * _unit_fiber(alg.dim_p, rng_bracket)
+    for i, zp in enumerate(radial_fiber_rows(alg.dim_p, rng_bracket, n, 2.5)):
+        w1, w2 = weights[2 * i], weights[2 * i + 1]
         bracket_slack = min(bracket_slack, bracket_slack_point(datum, w1, w2, zp))
     return {
         "pullback_growth_min_slack": growth_slack,

@@ -27,7 +27,7 @@ from holomoser.pipeline import (
     _CHAMBER_BLOCK,
     _hypothesis_checks,
     _lemma_block,
-    _radial_fiber,
+    _radial_fibers,
     _random_chamber_weights,
     _segment_witness,
     _unit_fiber,
@@ -217,6 +217,8 @@ def test_su11_pipeline_passes(su11_report):
 SU22_GENERIC = (0.42654310306871945, 0.9179862439359936, 0.17449996586169148)
 # the same draw on su(3,1): dim_c = 6
 SU31_GENERIC = (1.0318040094257124, 0.05103489304831221, 1.7164168831880247)
+# on the su(2,2) compact wall (one compact root vanishes on it): dim_c = 2
+SU22_WALL = (0.0, 2.6, 1.4)
 
 
 @pytest.fixture(scope="module")
@@ -228,8 +230,11 @@ def su11_report():
     "family,params",
     [("sp", {"n": 1}), ("sp", {"n": 2}), ("sp", {"n": 2, "lam": (2.0, 1.0)}),
      ("su", {"p": 3, "q": 1}), ("su", {"p": 3, "q": 1, "lam": SU31_GENERIC}),
-     ("su", {"p": 2, "q": 2}), ("su", {"p": 2, "q": 2, "lam": SU22_GENERIC})],
-    ids=["sp2", "sp4", "sp4-generic", "su31", "su31-generic", "su22", "su22-generic"],
+     ("su", {"p": 2, "q": 2}), ("su", {"p": 2, "q": 2, "lam": SU22_GENERIC}),
+     ("su", {"p": 2, "q": 2, "lam": SU22_WALL}),
+     ("su", {"p": 2, "q": 2, "lam": SU22_WALL, "delta_mult": 1.01})],
+    ids=["sp2", "sp4", "sp4-generic", "su31", "su31-generic", "su22", "su22-generic",
+         "su22-wall", "su22-wall-delta1.01"],
 )
 def test_theorem_pipeline_certifies_across_family(family, params):
     sc = Scenario(family=family, **params, steps=20, samples=3, stage_samples=2,
@@ -442,17 +447,7 @@ def test_block_chamber_sampler_exhaustion_matches_loop(sampler_data, max_draws):
     assert raised and returned
 
 
-@settings(derandomize=True, deadline=None, database=None)
-@given(
-    model=st.integers(0, len(SAMPLER_MODELS) - 1),
-    seed=st.integers(0, 2**32 - 1),
-    count=st.integers(1, 5),
-    max_draws=st.sampled_from(
-        [1, 7, _CHAMBER_BLOCK - 1, _CHAMBER_BLOCK, _CHAMBER_BLOCK + 1, 200, 10000]
-    ),
-)
-def test_chamber_weights_match_loop_draws(sampler_data, model, seed, count, max_draws):
-    datum = sampler_data[model]
+def _assert_chamber_weights_match_loop(datum, seed, count, max_draws):
     loop_rng = np.random.default_rng(seed)
     block_rng = np.random.default_rng(seed)
     try:
@@ -465,10 +460,43 @@ def test_chamber_weights_match_loop_draws(sampler_data, model, seed, count, max_
             _random_chamber_weights(datum, block_rng, count, max_draws)
     else:
         got = _random_chamber_weights(datum, block_rng, count, max_draws)
-        assert len(got) == count
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w.coords)
+        assert got.shape == (count, datum.algebra.rank)
+        assert np.array_equal(got, [w.coords for w in want])
     assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    model=st.integers(0, len(SAMPLER_MODELS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.one_of(st.integers(1, 5), st.sampled_from([64, 65, 400])),
+    max_draws=st.sampled_from(
+        [1, 7, _CHAMBER_BLOCK - 1, _CHAMBER_BLOCK, _CHAMBER_BLOCK + 1, 200, 10000]
+    ),
+)
+def test_chamber_weights_match_loop_draws(sampler_data, model, seed, count, max_draws):
+    _assert_chamber_weights_match_loop(sampler_data[model], seed, count, max_draws)
+
+
+@pytest.mark.parametrize(
+    "max_draws",
+    [1, _CHAMBER_BLOCK - 1, _CHAMBER_BLOCK, _CHAMBER_BLOCK + 1, 200, 10000],
+)
+@pytest.mark.parametrize("count", [_CHAMBER_BLOCK, _CHAMBER_BLOCK + 1, 400])
+def test_chamber_weight_blocks_match_loop_where_the_budget_binds(
+    sampler_data, count, max_draws
+):
+    # a block holds _CHAMBER_BLOCK rows per weight still wanted, so at these
+    # counts every block is cut to the budget left
+    for datum in sampler_data:
+        for seed in (0, 5):
+            _assert_chamber_weights_match_loop(datum, seed, count, max_draws)
+
+
+def test_chamber_weights_match_loop_at_4000_su22_weights(sampler_data):
+    # the bracket draw of a 2,000-sample su(2,2) lemma suite
+    datum = sampler_data[SAMPLER_MODELS.index(("su", dict(p=2, q=2)))]
+    _assert_chamber_weights_match_loop(datum, 2000, 4000, 10000)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=10)
@@ -477,14 +505,16 @@ def test_chamber_weights_match_loop_draws(sampler_data, model, seed, count, max_
     seed=st.integers(0, 2**32 - 1),
     r_max=st.sampled_from([2.5, 3.0]),
 )
-def test_radial_fiber_matches_uniform_draws(sampler_data, model, seed, r_max):
-    # 1,000 draws per example, 10,000 over the ten examples
+def test_radial_fibers_match_row_oracle(sampler_data, model, seed, r_max):
+    # 1,000 rows per example; the batched row norms may round apart from the
+    # one-row norms, so values agree to 1e-15 relative and the draws exactly
     dim_p = sampler_data[model].algebra.dim_p
     rng = np.random.default_rng(seed)
     ref = np.random.default_rng(seed)
-    for _ in range(1000):
-        want = ref.uniform(0.05, r_max) * _unit_fiber(dim_p, ref)
-        assert np.array_equal(_radial_fiber(dim_p, rng, r_max), want)
+    got = _radial_fibers(dim_p, rng, 1000, r_max)
+    want = oracles.radial_fiber_rows(dim_p, ref, 1000, r_max)
+    assert got.shape == want.shape == (1000, dim_p)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -502,23 +532,42 @@ def lemma_block_at_lambda0(sc, alg, datum, delta):
     return _lemma_block(sc, delta, segment_stage(geo, delta), hermitian_stage(geo))
 
 
-def test_lemma_block_chamber_test_count(monkeypatch):
-    # the bracket pairs and the scaling weights share candidate blocks; 447 is
-    # the count measured with that sharing (blocks drawn per weight make 676)
+def _counting(monkeypatch, name):
     calls = []
-    hits = pipeline.chamber_hits
+    real = getattr(pipeline, name)
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return hits(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "chamber_hits", counted)
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def _su22_lemma_block():
     sc = Scenario(family="su", p=2, q=2, lemma_samples=300, seed=4)
     alg = build_algebra("su", p=2, q=2)
     datum = compute_root_datum(alg)
     delta = 1.5 * chamber_constants(datum.lambda0, datum)[1]
-    lemma_block_at_lambda0(sc, alg, datum, delta)
-    assert len(calls) <= 447
+    return lemma_block_at_lambda0(sc, alg, datum, delta)
+
+
+def test_lemma_block_chamber_test_count(monkeypatch):
+    # the 600 bracket weights fill two blocks of at most 10,000 candidates
+    # and the 3 scaling weights one of 192
+    calls = _counting(monkeypatch, "chamber_hits")
+    _su22_lemma_block()
+    assert len(calls) <= 3
+
+
+def test_lemma_block_draws_without_a_per_sample_loop(monkeypatch):
+    # one chamber draw for the bracket weights and one for scaling, and one
+    # unit fiber (the equality check at lambda_0), whatever the sample count
+    weight_calls = _counting(monkeypatch, "_random_chamber_weights")
+    fiber_calls = _counting(monkeypatch, "_unit_fiber")
+    _su22_lemma_block()
+    assert len(weight_calls) == 2
+    assert len(fiber_calls) == 1
 
 
 def test_lemma_block_chi_check_takes_one_svd_per_chunk(monkeypatch):
