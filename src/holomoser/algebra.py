@@ -186,8 +186,9 @@ class MatrixLieAlgebra:
         g = np.asarray(g, dtype=complex)
         batch, a, n = g.shape[:-2], self.ambient, self.dim
         g = g.reshape(-1, a, a)
-        left = (g.reshape(-1, a) @ self._basis_row).reshape(-1, a * n, a)
-        conj = (left @ _dagger(g)).reshape(-1, a, n, a)  # [b, x, j, w]
+        # one name for both products, so g e_j is freed before the projection
+        conj = (g.reshape(-1, a) @ self._basis_row).reshape(-1, a * n, a)
+        conj = (conj @ _dagger(g)).reshape(-1, a, n, a)  # [b, x, j, w]
         cols = self.coords(np.swapaxes(conj, 1, 2))  # (B, N, N) rows indexed by j
         return np.swapaxes(cols, -1, -2).reshape(batch + (n, n))
 

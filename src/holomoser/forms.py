@@ -19,9 +19,12 @@ fiber sign) are measured at run time by measure_convention_constants.
 
 OrbitGeometry's evaluators take the spectrum of ad(Z) (fiber_eig) and the
 Ad(k^{-1}) matrices of a batch of points and accept any leading batch shape;
-each block is a matmul chain W^T M W over that shape.  The spectrum is the
-half-size operators.FiberSpectrum: ad(Z) = [[0, A], [A^T, 0]], so every
-block is a function of s = nu^2 from one eigh of A^T A, clipped at 0.  The
+each block is a matmul chain W^T M W over that shape.  A t or delta argument
+is a scalar or an array that broadcasts against that shape (one value per
+lane, or a time axis in front of the lanes); each evaluator appends the
+trailing axes it scales.  The spectrum is the half-size
+operators.FiberSpectrum: ad(Z) = [[0, A], [A^T, 0]], so every block is a
+function of s = nu^2 from one eigh of A^T A, clipped at 0.  The
 fiber columns of the even Psi_Z^+ are the p-p block even(f_plus) (zero k
 rows), those of the odd Psi_Z^- = -nu G the k-p block -A even(G) (zero p
 rows); both blocks are formed once per spectrum (psi_plus, even_g);
@@ -120,16 +123,18 @@ class OrbitGeometry:
 
     def delta_blocks(self, spec, delta):
         """Omega^delta at (k, Z): base block plus delta-scaled flat pullback."""
-        psip = spec.psi_plus
+        psip, delta = spec.psi_plus, np.expand_dims(delta, (-2, -1))
         return self._assemble(delta * (_mT(psip) @ (self.m_lam0_pp @ psip)))
 
     def hermitian_blocks(self, spec, t):
         """The scaled family Omega_t: fiber block (Gamma_0^* Omega)|_{tZ}."""
+        t = np.expand_dims(t, -1)
         psip = spec.even(lambda s: f_plus(t * t * s))
         return self._assemble(_mT(psip) @ (self.m_lam0_pp @ psip))
 
     def hermitian_dt_blocks(self, spec, t):
         """d/dt of hermitian_blocks: commuting path, so a scalar derivative."""
+        t = np.expand_dims(t, -1)
         psip = spec.even(lambda s: f_plus(t * t * s))
         dpsi = spec.even(lambda s: 2.0 * t * s * f_plus_prime(t * t * s))
         cross = _mT(dpsi) @ (self.m_lam0_pp @ psip)
@@ -154,12 +159,13 @@ class OrbitGeometry:
         return self.alg.embed_k(spec.apply_k(1.0, spec.even_g, kl_k))
 
     def moment_delta(self, spec, kl, delta):
+        delta = np.expand_dims(delta, -1)
         cosh = spec.apply_k(1.0, spec.even_g, self.lam0_k)
         return self.alg.embed_k(kl[..., : self.alg.dim_k] + delta * cosh)
 
     def moment_segment(self, spec, kl, t, delta):
         """t * Phi^delta + (1-t) * Phi_pullback, matching the segment form."""
-        pull = self.moment_pullback(spec, kl)
+        pull, t = self.moment_pullback(spec, kl), np.expand_dims(t, -1)
         return t * self.moment_delta(spec, kl, delta) + (1.0 - t) * pull
 
     def moment_flat(self, a):
@@ -178,6 +184,7 @@ class OrbitGeometry:
 
         On k that is A G(t^2 A^T A) A^T lambda_0, continuous through t = 0.
         """
+        t = np.expand_dims(t, -1)
         out = spec.apply_k(0.0, spec.even(lambda s: G(t * t * s)), self.lam0_k)
         return self.alg.embed_k(kl[..., : self.alg.dim_k] + out)
 

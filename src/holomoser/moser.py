@@ -26,8 +26,9 @@ against the claimed pullback identity of the composite and of each stage
 (closedness via Stokes on exponential-chart simplices, exactness of the
 primitive, zero section behaviour, properness constants of the moment
 families).  The chart checks take a leading batch of base points (B, ...)
-with their simplex frames and evaluate every quadrature node of every
-simplex in one batched call, each node carrying its own base point.
+with one family time each and their simplex frames, and evaluate every
+quadrature node of every simplex in one batched call, each node carrying
+its own base point and time (FormFamily takes time as a batch axis).
 """
 
 from __future__ import annotations
@@ -81,10 +82,14 @@ class FormFamily:
 
     omega / domega_dt map (spec, kap, t) to (..., T, T) form matrices at the
     points whose fiber spectra (OrbitGeometry.fiber_eig) and Ad(k^{-1})
-    matrices are given; primitive maps (spec, kap, zp, t) to the (B, T) radial
-    homotopy primitive of domega_dt (see homotopy_primitive); moment maps
-    (spec, kap, t) to (B, N) coadjoint coordinates, and pairing_direction t
-    to the unit vector the properness fit pairs with.
+    matrices are given; primitive maps (spec, kap, zp, t) to the (..., T)
+    radial homotopy primitive of domega_dt (see homotopy_primitive); moment
+    maps (spec, kap, t) to (..., N) coadjoint coordinates, and
+    pairing_direction t to the (..., N) unit vectors the properness fit pairs
+    with.  t is a scalar or broadcasts against the lanes: one time per lane
+    (B,), or a time axis in front (S, 1) giving (S, B, ...); each value is
+    the scalar-t call's bit for bit (an evaluator that does not read t
+    returns the lane batch).
 
     moment_shift (N,) is the change Phi_1(rho(x)) - Phi_0(x) the time-one
     flow rho must make at every point: 0, (delta - 1) lambda_0 and
@@ -125,20 +130,20 @@ _PROPERNESS_GRID = tuple(np.linspace(0.0, 1.0, 11))
 
 def _z0_direction(geometry):
     z0 = geometry.z0
-    return lambda t: z0 / np.linalg.norm(z0)
+    return lambda t: np.broadcast_to(z0 / np.linalg.norm(z0), np.shape(t) + z0.shape)
 
 
 def _radial_row(geometry, row_p, block):
-    """Primitive (B, T): zero base part, fiber part row_p . even(F).
+    """Primitive (..., T): zero base part, fiber part row_p . even(F).
 
     F(nu) = int_0^1 r f(r nu) dr is even, so only its p-p block acts on the
-    p-part row_p (B, P) of the row.  block is that p-p block even(F), F in
-    closed form as a function of s = nu^2: G (FiberSpectrum.even_g) for
-    f = f_plus, hermitian_radial for f(nu) = nu f_plus'(t nu).
+    p-part row_p (B, P) of the row.  block is that p-p block even(F) (with a
+    time axis in front for a time grid), F in closed form as a function of
+    s = nu^2: G (FiberSpectrum.even_g) for f = f_plus, hermitian_radial for
+    f(nu) = nu f_plus'(t nu).
     """
-    out = np.zeros(row_p.shape[:-1] + (geometry.dim_t,))
-    out[..., geometry.dim_c :] = (row_p[..., None, :] @ block)[..., 0, :]
-    return out
+    fiber = (row_p[..., None, :] @ block)[..., 0, :]
+    return np.concatenate([np.zeros(fiber.shape[:-1] + (geometry.dim_c,)), fiber], axis=-1)
 
 
 def _radial_time_one(geometry, radial):
@@ -171,7 +176,7 @@ def hermitian_stage(geometry):
     def primitive(spec, kap, zp, t):
         # m_lambda_0 is antisymmetric, so the surviving term of
         # cross - cross^T contracts to +Z^T m_lambda_0
-        row = zp @ geometry.m_lam0_pp
+        row, t = zp @ geometry.m_lam0_pp, np.expand_dims(t, -1)
         return _radial_row(geometry, row, spec.even(lambda s: hermitian_radial(s, t)))
 
     return FormFamily(
@@ -230,7 +235,7 @@ def segment_stage(geometry, delta):
 
     def omega(spec, kap, t):
         pull = geometry.pullback_blocks(spec, kap)
-        dl = geometry.delta_blocks(spec, delta)
+        dl, t = geometry.delta_blocks(spec, delta), np.expand_dims(t, (-2, -1))
         return (1.0 - t) * dl + t * pull
 
     def domega(spec, kap, t):
@@ -242,8 +247,9 @@ def segment_stage(geometry, delta):
         return _radial_row(geometry, row, spec.even_g)
 
     def direction(t):
+        # row norms as matmul dots: bit for bit np.linalg.norm of one weight
         coords = segment_weight_coords(geometry, delta, 1.0 - t)
-        return coords / np.linalg.norm(coords)
+        return coords / np.sqrt(coords[..., None, :] @ coords[..., None])[..., 0]
 
     bounds = []
     for t in _PROPERNESS_GRID:
@@ -268,6 +274,7 @@ def segment_stage(geometry, delta):
 
 def segment_weight_coords(geometry, delta, u):
     """Full coordinates of the interpolated weight u delta lambda_0 + (1-u) lambda."""
+    u = np.expand_dims(u, -1)
     return u * delta * geometry.lam0 + (1.0 - u) * geometry.lam
 
 
@@ -294,7 +301,7 @@ def homotopy_primitive(family, spec, kap, zp, t):
     (f_plus(t nu) - 2 G(t nu))/t for the hermitian one.  Each family
     supplies that closed form as its primitive; the quadrature over the
     full sigma it replaces is the test oracle quadrature_primitive.
-    Returns covector components (B, T).
+    Returns covector components (..., T).
     """
     return family.primitive(spec, kap, zp, t)
 
@@ -504,19 +511,19 @@ def _chart_frames(geometry, k0, z0, pts, moves_base):
     return ks, zs, jacs
 
 
-def _chart_form_matrices(geometry, omega_at, k0, z0, pts, moves_base):
+def _chart_form_matrices(geometry, omega, k0, z0, t, pts, moves_base):
     ks, zs, jacs = _chart_frames(geometry, k0, z0, pts, moves_base)
     spec = geometry.fiber_eig(zs)
     kap = geometry.kappa(ks) if moves_base else None
-    mats = omega_at(spec, kap)
-    return np.swapaxes(jacs, -1, -2) @ mats @ jacs
+    return np.swapaxes(jacs, -1, -2) @ omega(spec, kap, t) @ jacs
 
 
-def _per_node(k0, z0, pts):
-    """Flatten chart nodes pts (B, ..., T), repeating base point b per node."""
+def _per_node(k0, z0, t, pts):
+    """Flatten chart nodes pts (B, ..., T), repeating base point b and its time
+    t[b] (a scalar t: one for all) per node; returns k0, z0, t, pts per node."""
     per = int(np.prod(pts.shape[1:-1]))
-    flat = pts.reshape(-1, pts.shape[-1])
-    return np.repeat(k0, per, axis=0), np.repeat(z0, per, axis=0), flat
+    base = (k0, z0, np.broadcast_to(t, len(z0)))
+    return *(np.repeat(x, per, axis=0) for x in base), pts.reshape(-1, pts.shape[-1])
 
 
 # oriented boundary faces (sign, vertex indices) of a tetrahedron
@@ -524,20 +531,21 @@ _TET_FACES = ((1.0, (1, 2, 3)), (-1.0, (0, 2, 3)), (1.0, (0, 1, 3)), (-1.0, (0, 
 
 
 def stokes_closedness_residual(
-    geometry, omega_at, k0, z0, frames, diameter, moves_base=True
+    geometry, omega, k0, z0, t, frames, diameter, moves_base=True
 ):
     """Relative boundary-integral defect of omega over small 3-simplices.
 
-    omega_at(spec, kap) -> (Q, T, T); with moves_base False it is handed
-    kap = None (FormFamily.moves_base).  k0 (B, a, a) and z0 (B, P) are base
-    points; frames (B, n, T, 3) hold orthonormal edge directions of n
-    tetrahedra at each, with vertices 0 and diameter times the columns in
-    the exponential chart at the base point.  The form is integrated over
-    every oriented boundary face by the degree-5 triangle rule, all
-    B n 4 7 nodes in one _chart_form_matrices call; for closed forms the
-    sum is quadrature-exact zero.  Returns the worst relative defect per
-    base point (B,).  On a two-dimensional total space every 2-form is
-    closed and the check is vacuous (zeros; frames is not read).
+    omega(spec, kap, t) -> (Q, T, T) takes one time per node (a FormFamily's
+    omega); with moves_base False it is handed kap = None
+    (FormFamily.moves_base).  k0 (B, a, a) and z0 (B, P) are base points with
+    times t (B,) or one scalar; frames (B, n, T, 3) hold orthonormal edge
+    directions of n tetrahedra at each, with vertices 0 and diameter times
+    the columns in the exponential chart at the base point.  The form is
+    integrated over every oriented boundary face by the degree-5 triangle
+    rule, all B n 4 7 nodes in one _chart_form_matrices call; for closed
+    forms the sum is quadrature-exact zero.  Returns the worst relative
+    defect per base point (B,).  On a two-dimensional total space every
+    2-form is closed and the check is vacuous (zeros; frames is not read).
     """
     if geometry.dim_t < 3:
         return np.zeros(len(z0))
@@ -547,7 +555,7 @@ def stokes_closedness_residual(
     tri = verts[:, :, [face for _, face in _TET_FACES]]  # (B, n, 4, 3, T)
     pts = _TRI_BARY @ tri
     mats = _chart_form_matrices(
-        geometry, omega_at, *_per_node(k0, z0, pts), moves_base
+        geometry, omega, *_per_node(k0, z0, t, pts), moves_base
     ).reshape(pts.shape + (t_dim,))
     vals = np.einsum(
         "...i,...qij,...j->...q", tri[..., 1, :] - tri[..., 0, :], mats,
@@ -562,15 +570,16 @@ def stokes_closedness_residual(
 def primitive_exactness_residual(family, k0, z0, t, frames):
     """Check d mu_t = d omega_t/dt on small 2-simplices in the chart.
 
-    k0 (B, a, a) and z0 (B, P) are base points; frames (B, T, 2) hold
-    orthonormal directions, and the simplex at base point b has corners 0,
-    h frames[b, :, 0] and h frames[b, :, 1] with h = 1e-2.  Compares the
-    circulation of mu_t around its boundary (8-node Gauss-Legendre rule per
-    edge, all B 3 8 edge nodes in one primitive evaluation) with the flux of
-    the claimed derivative through it (degree-5 triangle rule, all B 7 nodes
-    in one form evaluation); both are O(h^2), and the returned (B,) values
-    are their relative mismatch.  A family that does not move the base is
-    evaluated without Ad(k^{-1}) and without the group points of the nodes.
+    k0 (B, a, a) and z0 (B, P) are base points with times t (B,) or one
+    scalar; frames (B, T, 2) hold orthonormal directions, and the simplex at
+    base point b has corners 0, h frames[b, :, 0] and h frames[b, :, 1] with
+    h = 1e-2.  Compares the circulation of mu_t around its boundary (8-node
+    Gauss-Legendre rule per edge, all B 3 8 edge nodes in one primitive
+    evaluation) with the flux of the claimed derivative through it (degree-5
+    triangle rule, all B 7 nodes in one form evaluation); both are O(h^2),
+    and the returned (B,) values are their relative mismatch.  A family that
+    does not move the base is evaluated without Ad(k^{-1}) and without the
+    group points of the nodes.
     """
     geometry = family.geometry
     moves = family.moves_base
@@ -582,16 +591,16 @@ def primitive_exactness_residual(family, k0, z0, t, frames):
     nodes, weights = _edge_rule()
     pts = corners[:, :, None] + nodes[:, None] * edges[:, :, None]
 
-    ks, zs, jacs = _chart_frames(geometry, *_per_node(k0, z0, pts), moves)
+    k_nodes, z_nodes, t_nodes, flat = _per_node(k0, z0, t, pts)
+    ks, zs, jacs = _chart_frames(geometry, k_nodes, z_nodes, flat, moves)
     kap = geometry.kappa(ks) if moves else None
-    mu = homotopy_primitive(family, geometry.fiber_eig(zs), kap, zs, t)
+    mu = homotopy_primitive(family, geometry.fiber_eig(zs), kap, zs, t_nodes)
     mu = np.einsum("qji,qj->qi", jacs, mu).reshape(pts.shape)
     circulation = np.einsum("benj,bej,n->b", mu, edges, weights)
 
     quad_pts = _TRI_BARY @ corners
     sigma = _chart_form_matrices(
-        geometry, lambda spec, kap: family.domega_dt(spec, kap, t),
-        *_per_node(k0, z0, quad_pts), moves,
+        geometry, family.domega_dt, *_per_node(k0, z0, t, quad_pts), moves
     ).reshape(quad_pts.shape + (geometry.dim_t,))
     vals = np.einsum("bi,bqij,bj->bq", corners[:, 1], sigma, corners[:, 2])
     flux = 0.5 * (vals @ _TRI_W)
@@ -770,6 +779,15 @@ def _root_probe_fibers(geometry, radii=(0.2, 0.4)):
     return probes
 
 
+def random_points(geometry, rng, count, radii):
+    """count points (k, Z): all k normals, then all Z normals, then all |Z|
+    uniform in radii = (low, high).  Returns ks (count, a, a), zs (count, P)."""
+    alg = geometry.alg
+    ks = alg.group_exp(rng.standard_normal((count, alg.dim_k)))
+    zs = rng.standard_normal((count, geometry.dim_p))
+    return ks, zs * (rng.uniform(*radii, count) / np.linalg.norm(zs, axis=1))[:, None]
+
+
 def properness_fit(family, rng):
     """Fitted quadratic growth constant of the moment family.
 
@@ -777,32 +795,20 @@ def properness_fit(family, rng):
     n_t the family's unit pairing direction (z0-hat for the product-side
     families, H_{lambda_t}-hat for the segment).  60 random points with
     ||Z|| in [0.2, 2.5] are mixed with root-plane probes so the minimum
-    lands on the saturating rays; t runs over _PROPERNESS_GRID.
+    lands on the saturating rays.  The sampled fibers and the zero section
+    under the same k take one moment call at every t of _PROPERNESS_GRID.
     """
     geometry = family.geometry
-    alg = geometry.alg
-    samples = 60
-    ks = alg.group_exp(rng.standard_normal((samples, alg.dim_k)))
-    zs = rng.standard_normal((samples, geometry.dim_p))
-    zs *= (
-        rng.uniform(0.2, 2.5, size=samples)
-        / np.linalg.norm(zs, axis=1)
-    )[:, None]
+    a = geometry.alg.ambient
+    ks, zs = random_points(geometry, rng, 60, (0.2, 2.5))
     probes = _root_probe_fibers(geometry)
-    ks = np.concatenate([ks, np.broadcast_to(
-        np.eye(alg.ambient, dtype=complex), (len(probes), alg.ambient, alg.ambient)
-    )])
+    ks = np.concatenate([ks, np.broadcast_to(np.eye(a, dtype=complex), (len(probes), a, a))])
     zs = np.concatenate([zs, np.stack(probes)])
-    n = len(zs)
-    # the sampled fibers and the zero section under the same k, as one batch
-    kap = np.concatenate([geometry.kappa(ks)] * 2)
-    spec = geometry.fiber_eig(np.concatenate([zs, np.zeros_like(zs)]))
-    sq = np.linalg.norm(zs, axis=1) ** 2
-    best = []
-    for t in _PROPERNESS_GRID:
-        phi = family.moment(spec, kap, t)
-        best.append(((phi[:n] - phi[n:]) @ family.pairing_direction(t) / sq).min())
-    return float(np.min(best))
+    n, t = len(zs), np.array(_PROPERNESS_GRID)[:, None]
+    phi = family.moment(geometry.fiber_eig(np.concatenate([zs, np.zeros_like(zs)])),
+                        np.concatenate([geometry.kappa(ks)] * 2), t)
+    gap = (phi[:, :n] - phi[:, n:]) @ np.swapaxes(family.pairing_direction(t), -1, -2)
+    return float((gap[..., 0] / np.linalg.norm(zs, axis=1) ** 2).min())
 
 
 def properness_gamma(family):
@@ -810,17 +816,15 @@ def properness_gamma(family):
 
     Log-log regression of <Phi_t(e, rV) - Phi_t(e, 0), n_t> against r at
     t = 0.5 and six radii r in [0.05, 0.4]; the quadratic-growth hypothesis
-    predicts a slope of 2 for small radii.
+    predicts a slope of 2 for small radii.  The ray and its zero fibers take
+    one moment call.
     """
     t, radii = 0.5, np.geomspace(0.05, 0.4, 6)
     geometry = family.geometry
     direction = _root_probe_fibers(geometry, radii=(1.0,))[0]
-    zs = np.stack([r * direction for r in radii])
-    kap = np.eye(geometry.alg.dim)  # Ad(e^{-1})
-    gap = family.moment(geometry.fiber_eig(zs), kap, t) - family.moment(
-        geometry.fiber_eig(np.zeros_like(zs)), kap, t
-    )
-    vals = gap @ family.pairing_direction(t)
+    zs = np.concatenate([np.outer(radii, direction), np.zeros((6, len(direction)))])
+    phi = family.moment(geometry.fiber_eig(zs), np.eye(geometry.alg.dim), t)  # Ad(e^{-1})
+    vals = (phi[:6] - phi[6:]) @ family.pairing_direction(t)
     return float(np.polyfit(np.log(radii), np.log(vals), 1)[0])
 
 
@@ -872,47 +876,44 @@ def check_hypotheses(stages, rng):
     (zero-section fixing, equivariance, fiber ceilings) come from the flow
     itself in verify_pullback.
 
-    Per stage and t in (0, 0.5, 1) two base points with two tetrahedra of
-    diameter 1e-2 and one triangle each are drawn first
-    (_draw_chart_points); then all Stokes nodes, all exactness edge nodes,
-    all flux nodes and the zero-section blocks of those points are each one
-    batched evaluation.  Every reported value is the np.max of its per-(stage,
-    t) maxima, so a NaN anywhere is reported.  The stages share one geometry.
+    One pass per stage: six base points, two at each of t = 0, 0.5 and 1,
+    with two tetrahedra of diameter 1e-2 and one triangle each are drawn
+    first (_draw_chart_points); then all Stokes nodes, all exactness edge
+    nodes, all flux nodes and the zero-section blocks of those points, each
+    node at its point's time, are each one batched evaluation.  Every
+    reported value is the np.max of its per-stage maxima, so a NaN anywhere
+    is reported.  The stages share one geometry.
     """
     geometry = stages[0].family.geometry
     worst = {key: [] for key in _HYPOTHESIS_VALUES}
     properness = []
-    zero_fiber = np.zeros((2, geometry.dim_p))
+    ts = np.repeat([0.0, 0.5, 1.0], 2)
+    zero_fiber = np.zeros((len(ts), geometry.dim_p))
     spec_zero = geometry.fiber_eig(zero_fiber)
     c = geometry.dim_c
     for stage in stages:
         fam = stage.family
-        for t in (0.0, 0.5, 1.0):
-            def omega_at(spec, kap, _t=t, _f=fam):
-                return _f.omega(spec, kap, _t)
-
-            k0, z0, tet_frames, tri_frames = _draw_chart_points(geometry, rng, 2, 2)
-            worst["closedness_rel_residual"].append(stokes_closedness_residual(
-                geometry, omega_at, k0, z0, tet_frames, 1e-2, fam.moves_base
-            ).max())
-            worst["primitive_exactness_residual"].append(primitive_exactness_residual(
-                fam, k0, z0, t, tri_frames
-            ).max())
-            kap0 = geometry.kappa(k0)
-            block = omega_at(spec_zero, kap0)
-            mu0 = homotopy_primitive(fam, spec_zero, kap0, zero_fiber, t)
-            worst["zero_section_primitive_sup"].append(np.abs(mu0).max())
-            worst["zero_section_moment_sup"].append(
-                np.linalg.norm(fam.moment(spec_zero, kap0, t), axis=-1).max()
-            )
-            if c == 0:
-                continue
+        k0, z0, tet_frames, tri_frames = _draw_chart_points(geometry, rng, len(ts), 2)
+        worst["closedness_rel_residual"].append(stokes_closedness_residual(
+            geometry, fam.omega, k0, z0, ts, tet_frames, 1e-2, fam.moves_base
+        ).max())
+        worst["primitive_exactness_residual"].append(primitive_exactness_residual(
+            fam, k0, z0, ts, tri_frames
+        ).max())
+        kap0 = geometry.kappa(k0)
+        block = fam.omega(spec_zero, kap0, ts)
+        mu0 = homotopy_primitive(fam, spec_zero, kap0, zero_fiber, ts)
+        worst["zero_section_primitive_sup"].append(np.abs(mu0).max())
+        worst["zero_section_moment_sup"].append(
+            np.linalg.norm(fam.moment(spec_zero, kap0, ts), axis=-1).max()
+        )
+        if c > 0:
             worst["zero_section_cross_block"].append(np.abs(block[:, :c, c:]).max())
-            sigma0 = fam.domega_dt(spec_zero, kap0, t)
+            sigma0 = fam.domega_dt(spec_zero, kap0, ts)
             worst["zero_section_dt_restriction"].append(np.abs(sigma0[:, :c, :c]).max())
-            gap01 = fam.omega(spec_zero, kap0, 1.0) - fam.omega(spec_zero, kap0, 0.0)
+            end0, end1 = fam.omega(spec_zero, kap0, np.array([[0.0], [1.0]]))
             worst["zero_section_endpoint_restriction"].append(
-                np.abs(gap01[:, :c, :c]).max()
+                np.abs((end1 - end0)[:, :c, :c]).max()
             )
             # symplectic orthogonal of the zero section: null space of the
             # base rows of omega_t must have fiber dimension and no base
@@ -926,15 +927,8 @@ def check_hypotheses(stages, rng):
                 np.inf if (small.sum(axis=-1) != geometry.dim_p).any()
                 else np.abs(vt[small][:, :c]).max()
             )
-        d_fit = properness_fit(fam, rng)
-        properness.append(
-            {
-                "stage": fam.name,
-                "d_fit": d_fit,
-                "d_analytic": fam.properness_bound,
-                "ratio": d_fit / fam.properness_bound,
-                "gamma_fit": properness_gamma(fam),
-            }
-        )
+        d_fit, bound = properness_fit(fam, rng), fam.properness_bound
+        properness.append({"stage": fam.name, "d_fit": d_fit, "d_analytic": bound,
+                           "ratio": d_fit / bound, "gamma_fit": properness_gamma(fam)})
     out = {key: float(np.max(vals, initial=0.0)) for key, vals in worst.items()}
     return {**out, "properness": properness}

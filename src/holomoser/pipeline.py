@@ -46,6 +46,7 @@ from .moser import (
     MoserStage,
     check_hypotheses,
     hermitian_stage,
+    random_points,
     scaling_stage,
     segment_stage,
     verify_pullback,
@@ -385,19 +386,14 @@ def _segment_witness(family, rng):
     cover every t: pencil_distance is the least distance of those spectra
     from that ray.  min_margin is the least singular value at the two
     endpoints; affinity is checked once, at t = 1/2, against the chord of
-    the endpoint evaluations.
+    the endpoint evaluations.  The three times are one omega call.
     """
     points = 200
     geometry = family.geometry
-    ks = geometry.alg.group_exp(
-        rng.standard_normal((points, geometry.alg.dim_k))
+    ks, zs = random_points(geometry, rng, points, (0.1, 1.5))
+    end0, end1, mid = family.omega(
+        geometry.fiber_eig(zs), geometry.kappa(ks), np.array([[0.0], [1.0], [0.5]])
     )
-    zs = rng.standard_normal((points, geometry.dim_p))
-    zs *= (rng.uniform(0.1, 1.5, points) / np.linalg.norm(zs, axis=1))[:, None]
-    spec = geometry.fiber_eig(zs)
-    kap = geometry.kappa(ks)
-    end0 = family.omega(spec, kap, 0.0)
-    end1 = family.omega(spec, kap, 1.0)
     margin = min(np.linalg.svd(end, compute_uv=False)[..., -1].min()
                  for end in (end0, end1))
     eigs = np.linalg.eigvals(np.linalg.solve(end0, end1 - end0))
@@ -408,7 +404,7 @@ def _segment_witness(family, rng):
         "point_count": points,
         "min_margin": float(margin),
         "pencil_distance": float(np.min(gap)),
-        "affinity_residual": float(np.abs(family.omega(spec, kap, 0.5) - chord).max()),
+        "affinity_residual": float(np.abs(mid - chord).max()),
     }
 
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holomoser import build_algebra, moser
 from holomoser.forms import OrbitGeometry, difference_lanes
@@ -19,6 +20,7 @@ from holomoser.moser import (
     primitive_exactness_residual,
     properness_fit,
     properness_gamma,
+    random_points,
     scaling_stage,
     segment_stage,
     segment_weight_coords,
@@ -284,19 +286,16 @@ def test_stokes_certifies_closed_and_detects_broken(su21):
     frames = np.linalg.qr(rng.standard_normal((3, 2, geo.dim_t, 3)))[0]
     a_broken = geo.fiber_block(z0[1])
 
-    def closed(spec, kap):
-        return fam.omega(spec, kap, 0.5)
-
-    def broken(spec, kap):
+    def broken(spec, kap, t):
         # scaling a closed form by a non-constant function of Z breaks dW = 0;
         # sum(nu^2) over the spectrum of ad(Z) is 2 sum(s).  Only the nodes
         # around the middle base point (A = ad(Z)[k, p] within 0.1) see it.
         near = np.abs(spec.a - a_broken).max(axis=(-2, -1)) < 0.1
         factor = np.where(near, 1.0 + 0.1 * 2.0 * spec.s.sum(axis=-1), 1.0)
-        return closed(spec, kap) * factor[:, None, None]
+        return fam.omega(spec, kap, t) * factor[:, None, None]
 
-    good = stokes_closedness_residual(geo, closed, k0, z0, frames, 1e-2)
-    bad = stokes_closedness_residual(geo, broken, k0, z0, frames, 1e-2)
+    good = stokes_closedness_residual(geo, fam.omega, k0, z0, 0.5, frames, 1e-2)
+    bad = stokes_closedness_residual(geo, broken, k0, z0, 0.5, frames, 1e-2)
     assert good.max() < 1e-8
     assert bad[1] > 1e-4
     assert bad[[0, 2]].max() < 1e-8
@@ -570,21 +569,21 @@ def test_check_hypotheses_clean_report(su21):
 
 def test_worst_case_values_keep_a_nan_from_any_lane(su21, monkeypatch):
     # running Python max() accumulators would drop a NaN met after the first
-    # (stage, t) or equivariance lane
+    # stage or equivariance lane
     _, _, geo = su21
     families, _ = stage_families(geo)
     stages = [MoserStage(f, 10) for f in families]
     real_exact, real_flow = moser.primitive_exactness_residual, moser.flow_stages
     calls = []
 
-    def nan_on_third_call(*args):
+    def nan_on_second_call(*args):
         calls.append(None)
         out = real_exact(*args)
-        return out * np.nan if len(calls) == 3 else out
+        return out * np.nan if len(calls) == 2 else out
 
-    monkeypatch.setattr(moser, "primitive_exactness_residual", nan_on_third_call)
+    monkeypatch.setattr(moser, "primitive_exactness_residual", nan_on_second_call)
     out = check_hypotheses(stages, np.random.default_rng(15))
-    assert len(calls) == 9
+    assert len(calls) == 3
     assert np.isnan(out["primitive_exactness_residual"])
     assert out["closedness_rel_residual"] < 1e-8
 
@@ -656,20 +655,21 @@ def test_batched_chart_checks_match_point_loops(su21):
     tet_draws = rng.standard_normal((3, 2, geo.dim_t, 3))
     tri_draws = rng.standard_normal((3, geo.dim_t, 2))
 
-    def broken(spec, kap):
+    def broken(spec, kap, t):
         factor = 1.0 + 0.1 * 2.0 * spec.s.sum(axis=-1)
-        return fam.omega(spec, kap, 0.5) * factor[:, None, None]
+        return fam.omega(spec, kap, t) * factor[:, None, None]
 
     off = dataclasses.replace(
         fam, primitive=lambda spec, kap, zp, t: 1.1 * fam.primitive(spec, kap, zp, t)
     )
     stokes = stokes_closedness_residual(
-        geo, broken, k0, z0, np.linalg.qr(tet_draws)[0], 1e-2
+        geo, broken, k0, z0, 0.5, np.linalg.qr(tet_draws)[0], 1e-2
     )
     exact = primitive_exactness_residual(off, k0, z0, 0.5, np.linalg.qr(tri_draws)[0])
     for b in range(3):
         ref = stokes_closedness_loop(
-            geo, broken, k0[b], z0[b], 1e-2, ReplayRng(tet_draws[b])
+            geo, lambda spec, kap: broken(spec, kap, 0.5), k0[b], z0[b], 1e-2,
+            ReplayRng(tet_draws[b]),
         )
         assert ref > 1e-6
         assert abs(stokes[b] - ref) <= 1e-12
@@ -717,10 +717,10 @@ def _count_calls(monkeypatch, owner, attr, calls, key=lambda *args: True):
 
 
 def test_vertical_chart_checks_skip_group_points_and_kappa(su21, monkeypatch):
-    # per vertical stage: one group_exp per t for the chart draws and one for
-    # the properness points; kappa for the three zero-section blocks and the
-    # properness fit (the growth exponent is read at k = e).  The Stokes,
-    # circulation and flux nodes (three more of each per t) need neither.
+    # per vertical stage: one group_exp for the chart draws and one for the
+    # properness points; kappa for the zero-section blocks and the properness
+    # fit (the growth exponent is read at k = e).  The Stokes, circulation
+    # and flux nodes (three more of each) need neither.
     _, _, geo = su21
     assert geo.dim_t >= 3 and geo.dim_c > 0
     families, _ = stage_families(geo)
@@ -729,8 +729,8 @@ def test_vertical_chart_checks_skip_group_points_and_kappa(su21, monkeypatch):
     _count_calls(monkeypatch, MatrixLieAlgebra, "group_exp", calls)
     _count_calls(monkeypatch, OrbitGeometry, "kappa", calls)
     check_hypotheses(stages, np.random.default_rng(0))
-    assert calls.count("group_exp") == 2 * (3 + 1)
-    assert calls.count("kappa") == 2 * (3 + 1)
+    assert calls.count("group_exp") == 2 * (1 + 1)
+    assert calls.count("kappa") == 2 * (1 + 1)
 
 
 def test_segment_field_forms_even_g_once(su21, monkeypatch):
@@ -799,6 +799,130 @@ def test_properness_fit_matches_loop_oracle(family, params):
         got = properness_fit(fam, np.random.default_rng(25))
         want = properness_fit_loop(geo, fam, np.random.default_rng(25))
         assert got == want, fam.name
+
+
+# su(1,1) at lambda_0, su(2,1) generic, sp(4,R) at (2, 1), su(2,2) and su(3,1) generic
+TIME_MODELS = [("su", {"p": 1, "q": 1}, None), ("su", {"p": 2, "q": 1}, "generic"),
+               ("sp", {"n": 2}, (2.0, 1.0)), ("su", {"p": 2, "q": 2}, "generic"),
+               ("su", {"p": 3, "q": 1}, "generic")]
+TIME_IDS = ["su11", "su21", "sp4", "su22", "su31"]
+EVALUATORS = ("omega", "domega_dt", "primitive", "moment")
+
+
+def time_model(family, params, weight):
+    if weight == "generic":
+        return generic_geometry(family, params)
+    alg = build_algebra(family, **params)
+    datum = compute_root_datum(alg)
+    w = datum.lambda0 if weight is None else ChamberWeight(np.array(weight))
+    return OrbitGeometry(alg, datum, w)
+
+
+@pytest.fixture(scope="module")
+def time_lanes():
+    """Per model: the stage families and six lanes (spec, kap, zs), one of
+    them on the zero section."""
+    out = []
+    for family, params, weight in TIME_MODELS:
+        geo = time_model(family, params, weight)
+        ks, zs = rand_batch(geo, np.random.default_rng(31), 6)
+        zs[-1] = 0.0
+        out.append((*stage_families(geo), (geo.fiber_eig(zs), geo.kappa(ks), zs)))
+    return out
+
+
+def evaluate(fam, name, lanes, t):
+    spec, kap, zs = lanes
+    if name == "primitive":
+        return fam.primitive(spec, kap, zs, t)
+    return getattr(fam, name)(spec, kap, t)
+
+
+def assert_times_batch(families, lanes, times):
+    """Every evaluator at one time per lane, and on a (time, lane) grid,
+    equals the stack of its scalar-t calls bit for bit."""
+    grid = np.array([[0.0], [0.45], [1.0]])
+    for fam in families:
+        for name in EVALUATORS:
+            want = np.stack([evaluate(fam, name, lanes, float(t))[b]
+                             for b, t in enumerate(times)])
+            assert np.array_equal(evaluate(fam, name, lanes, times), want), (fam.name, name)
+            want = np.stack([evaluate(fam, name, lanes, float(t)) for t in grid[:, 0]])
+            got = evaluate(fam, name, lanes, grid)
+            assert np.array_equal(np.broadcast_to(got, want.shape), want), (fam.name, name)
+        want = np.stack([fam.pairing_direction(float(t)) for t in times])
+        assert np.array_equal(fam.pairing_direction(times), want), fam.name
+        want = np.stack([fam.pairing_direction(float(t)) for t in grid[:, 0]])
+        assert np.array_equal(fam.pairing_direction(grid), want[:, None]), fam.name
+
+
+@pytest.mark.parametrize("model", range(len(TIME_MODELS)), ids=TIME_IDS)
+def test_family_time_batches_match_scalar_calls(time_lanes, model):
+    families, delta, lanes = time_lanes[model]
+    assert_times_batch(families, lanes, np.array([0.0, 0.5, 1.0, 0.25, 0.7, 1.0]))
+    # the segment direction keeps the BLAS-dot norm of a single weight
+    for t in np.linspace(0.0, 1.0, 101):
+        coords = segment_weight_coords(families[2].geometry, delta, 1.0 - t)
+        assert np.array_equal(families[2].pairing_direction(t), coords / np.linalg.norm(coords))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(
+    model=st.integers(0, len(TIME_MODELS) - 1),
+    times=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+)
+def test_family_time_batches_match_scalar_calls_at_drawn_times(time_lanes, model, times):
+    families, _, lanes = time_lanes[model]
+    assert_times_batch(families, lanes, np.array(times))
+
+
+def counted_family(fam, calls):
+    """fam with every evaluator call listed as (name, shape of t)."""
+    def wrap(name):
+        real = getattr(fam, name)
+
+        def counted(*args):
+            calls.append((name, np.shape(args[-1])))
+            return real(*args)
+        return counted
+
+    return dataclasses.replace(fam, **{name: wrap(name) for name in EVALUATORS})
+
+
+def test_hypothesis_checks_make_one_pass_per_stage(su21, monkeypatch):
+    # per stage: one Stokes evaluation over 6 points x 2 tetrahedra x 4 faces
+    # x 7 nodes, one circulation over 6 x 3 edges x 8 nodes, one flux over
+    # 6 x 7 nodes, one zero-section evaluation of each evaluator over the six
+    # lanes, one endpoint pair, one properness fit over the 11-time grid and
+    # the growth exponent at t = 1/2
+    _, _, geo = su21
+    assert geo.dim_t >= 3 and geo.dim_c > 0
+    families, _ = stage_families(geo)
+    calls = []
+    stages = [MoserStage(counted_family(fam, calls), 5) for fam in families]
+    _count_calls(monkeypatch, OrbitGeometry, "fiber_eig", calls)
+    check_hypotheses(stages, np.random.default_rng(0))
+    per_stage = [
+        "fiber_eig", ("omega", (336,)), "fiber_eig", ("primitive", (144,)),
+        "fiber_eig", ("domega_dt", (42,)),
+        ("omega", (6,)), ("primitive", (6,)), ("moment", (6,)), ("domega_dt", (6,)),
+        ("omega", (2, 1)), "fiber_eig", ("moment", (11, 1)), "fiber_eig", ("moment", ()),
+    ]
+    want = ["fiber_eig"] + per_stage * len(families)
+    assert calls == want
+
+
+def test_random_points_draw_k_then_z_then_radii(su21):
+    # the layout properness_fit and the segment witness share
+    _, _, geo = su21
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    ks, zs = random_points(geo, rng, 5, (0.2, 2.5))
+    k = ref.standard_normal((5, geo.alg.dim_k))
+    z = ref.standard_normal((5, geo.dim_p))
+    r = ref.uniform(0.2, 2.5, 5)
+    assert np.array_equal(ks, geo.alg.group_exp(k))
+    assert np.array_equal(zs, z * (r / np.linalg.norm(z, axis=1))[:, None])
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def repeated_fiber_batch(geo, rng):

@@ -306,6 +306,20 @@ def test_stage_families_give_the_point_forms_of_the_moment_identities(
     assert np.abs(her.omega(spec, kap, 0.0) - product).max() <= 1e-14
 
 
+def test_segment_witness_reads_its_three_times_in_one_call():
+    geo = _witness_geometry("su", dict(p=2, q=1), generic=True)
+    fam = segment_stage(geo, 1.5 * chamber_constants(geo.weight, geo.datum)[1])
+    times = []
+
+    def omega(spec, kap, t):
+        times.append(np.asarray(t).tolist())
+        return fam.omega(spec, kap, t)
+
+    witness = _segment_witness(dataclasses.replace(fam, omega=omega), np.random.default_rng(7))
+    assert times == [[[0.0], [1.0], [0.5]]]
+    assert witness == _segment_witness(fam, np.random.default_rng(7))
+
+
 class AffineForms:
     """A family given by its endpoint forms (B, T, T), read at every point."""
 
@@ -313,6 +327,7 @@ class AffineForms:
         self.geometry, self.w0, self.w1 = geometry, w0, w1
 
     def omega(self, spec, kap, t):
+        t = np.expand_dims(t, (-2, -1))
         return (1 - t) * self.w0 + t * self.w1
 
 
@@ -950,7 +965,7 @@ def _edited_segment(monkeypatch, name, edit):
 
         def omega(spec, kap, t):
             out = fam.omega(spec, kap, t)
-            if abs(t - 0.7) < 0.01:
+            if np.any(np.abs(t - 0.7) < 0.01):
                 edit(out)
             return out
 
