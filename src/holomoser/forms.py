@@ -24,25 +24,25 @@ is a scalar or an array that broadcasts against that shape (one value per
 lane, or a time axis in front of the lanes); each evaluator appends the
 trailing axes it scales.  The spectrum is the half-size
 operators.FiberSpectrum: ad(Z) = [[0, A], [A^T, 0]], so every block is a
-function of s = nu^2 from one eigh of A^T A, clipped at 0.  The
-fiber columns of the even Psi_Z^+ are the p-p block even(f_plus) (zero k
-rows), those of the odd Psi_Z^- = -nu G the k-p block -A even(G) (zero p
-rows); both blocks are formed once per spectrum (psi_plus, even_g);
+function of M = A^T A.  The fiber columns of the even Psi_Z^+ are the p-p
+block even(f_plus) (zero k rows), those of the odd Psi_Z^- = -nu G the k-p
+block -A even(G) (zero p rows); both blocks come from one Taylor-and-doubling
+kernel call per spectrum (psi_plus, even_g), and the hermitian blocks and
+moments read the same kernel at c = t^2, without eigh;
 the moments apply k-k blocks to k* vectors, and the flat display
 A A^T lambda_0 needs only A.  The homotopy primitive in moser.py is a closed
 form in s; only its quadrature oracle in the tests evaluates the blocks at
 scaled points (k, sZ).  The moment_* functions evaluate the moments at
 points (ks, zs).  moment_identity_residual checks a (form, moment) pair on a
 batch of B points: its 2 T finite-difference lanes per point go through one
-moment call of B 2 T rows.  difference_lanes lays those lanes out, for it
-and for moser.verify_pullback.
+moment call of B 2 T rows.  difference_lanes lays those lanes out.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .operators import G, FiberSpectrum, f_plus, f_plus_prime
+from .operators import FiberSpectrum, f_plus, f_plus_prime
 from .roots import in_holomorphic_chamber, pairing_matrix, stabilizer_algebra
 
 
@@ -90,7 +90,7 @@ class OrbitGeometry:
         return (zp @ self._ad_kp).reshape(zp.shape[:-1] + (self.alg.dim_k, self.dim_p))
 
     def fiber_eig(self, zp):
-        """FiberSpectrum of ad(Z) for a batch of fiber vectors: one eigh of A^T A."""
+        """FiberSpectrum of ad(Z) for a batch of fiber vectors (no eigh until read)."""
         return FiberSpectrum(self.fiber_block(zp))
 
     def kappa(self, k):
@@ -128,8 +128,8 @@ class OrbitGeometry:
 
     def hermitian_blocks(self, spec, t):
         """The scaled family Omega_t: fiber block (Gamma_0^* Omega)|_{tZ}."""
-        t = np.expand_dims(t, -1)
-        psip = spec.even(lambda s: f_plus(t * t * s))
+        t = np.expand_dims(t, (-2, -1))
+        psip = spec.sinhc(t * t)[0]
         return self._assemble(_mT(psip) @ (self.m_lam0_pp @ psip))
 
     def hermitian_dt_blocks(self, spec, t):
@@ -184,8 +184,8 @@ class OrbitGeometry:
 
         On k that is A G(t^2 A^T A) A^T lambda_0, continuous through t = 0.
         """
-        t = np.expand_dims(t, -1)
-        out = spec.apply_k(0.0, spec.even(lambda s: G(t * t * s)), self.lam0_k)
+        t = np.expand_dims(t, (-2, -1))
+        out = spec.apply_k(0.0, spec.sinhc(t * t)[1], self.lam0_k)
         return self.alg.embed_k(kl[..., : self.alg.dim_k] + out)
 
     # -- tangent utilities ------------------------------------------------------

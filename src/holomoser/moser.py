@@ -20,9 +20,10 @@ time-one maps are radial maps fixed by equal areas (McDuff, J. Differential
 Geom. 28 (1988)), which flow_stages applies exactly (FormFamily.time_one).
 
 The verification drivers flow perturbed initial points through the stages
-once and compare central-difference differentials at every stage boundary
-against the claimed pullback identity of the composite and of each stage
-(FlowBlock), transport moment maps, and check the standing hypotheses
+once and compare differentials at every stage boundary (central differences
+along the fiber, the base rows from them by K-equivariance) against the
+claimed pullback identity of the composite and of each stage (FlowBlock),
+transport moment maps, and check the standing hypotheses
 (closedness via Stokes on exponential-chart simplices, exactness of the
 primitive, zero section behaviour, properness constants of the moment
 families).  The chart checks take a leading batch of base points (B, ...)
@@ -40,7 +41,7 @@ from functools import cache
 
 import numpy as np
 
-from .forms import OrbitGeometry, difference_lanes
+from .forms import OrbitGeometry
 from .operators import hermitian_radial
 from .roots import ChamberWeight, in_holomorphic_chamber
 
@@ -382,19 +383,47 @@ def _dexpinv(alg, u, y):
     return y + 0.5 * uy + _bracket_k(alg, u, uy) / 12.0
 
 
+def _accumulate_k(alg, ks, factors, max_res, reproj):
+    """k E_1 ... E_n after every step n, with the per-step drift check.
+
+    factors (steps, B, a, a) are the RKMK group steps.  The partial products
+    take one group_residual call on their stack; at the first step whose
+    drift off K passes 1e-12 the product is reprojected (group_project) and
+    the later steps are replayed from it, so max_res and reproj read as
+    after a check at every step.  Returns the final k, max_res and reproj.
+    """
+    start = 0
+    while start < len(factors):
+        prods = np.empty_like(factors[start:])
+        for m, factor in enumerate(factors[start:]):
+            ks = prods[m] = ks @ factor
+        res = alg.group_residual(prods).max(axis=-1)
+        drifted = np.flatnonzero(res > 1e-12)
+        stop = drifted[0] + 1 if drifted.size else len(res)
+        max_res = max(max_res, float(res[:stop].max()))
+        if not drifted.size:
+            break
+        ks = alg.group_project(prods[stop - 1])
+        reproj += 1
+        start += stop
+    return ks, max_res, reproj
+
+
 def integrate_flow(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
     """Flow the Moser field of the family from t = 0 to 1 (order four).
 
     Precondition: K-invariant forms and primitive (at (k, Ad(k) W) they are R^T
     (value at (e, W)) R, R = diag(I_c, Ad(k^{-1})|_p)), so W = Ad(k^{-1}) Z
     obeys W' = A(e, W) - [X(e, W), W], X and A the field's base and fiber
-    parts (symmetry reduction).  W takes plain RK4 steps; k' = k X(e, W) is
-    rebuilt in the chart k exp(u) with the truncated dexpinv (RKMK, one
-    group_exp per step), and Z = Ad(k) W.  k0: (B, a, a) group elements, z0:
-    (B, dim_p).  Drift off K beyond 1e-12, at entry or after a step, triggers
-    a polar reprojection.  A fiber norm ceiling (default ten times the
-    initial bound) aborts escaping flows.  margin_ref picks the lanes whose
-    form margins take an svd (_form_margin).
+    parts (symmetry reduction).  W takes plain RK4 steps, and the field never
+    reads k, so k' = k X(e, W) is rebuilt after the loop from the stored
+    stage velocities: the truncated dexpinv of the RKMK chart k exp(u) over
+    all steps at once, one group_exp call for every step's factor, and the
+    partial products k E_1 ... E_n (_accumulate_k); then Z = Ad(k) W.  k0:
+    (B, a, a) group elements, z0: (B, dim_p).  Drift off K beyond 1e-12, at
+    entry or after a step, triggers a polar reprojection.  A fiber norm
+    ceiling (default ten times the initial bound) aborts escaping flows.
+    margin_ref picks the lanes whose form margins take an svd (_form_margin).
     """
     geo = family.geometry
     alg = geo.alg
@@ -410,6 +439,7 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
     h = 1.0 / steps
     identity = np.eye(alg.dim)
     min_margin = np.inf
+    xs = np.empty((4, steps, len(ws), dk))  # base velocities, by RK stage and step
 
     def field(t_arg, w):
         # the base velocity X(e, W) in k and the body velocity of W
@@ -421,14 +451,10 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
 
     for n in range(steps):
         t = n * h
-        x1, a1 = field(t, ws)
-        x2, a2 = field(t + 0.5 * h, ws + 0.5 * h * a1)
-        x3, a3 = field(t + 0.5 * h, ws + 0.5 * h * a2)
-        x4, a4 = field(t + h, ws + h * a3)
-        x2 = _dexpinv(alg, 0.5 * h * x1, x2)
-        x3 = _dexpinv(alg, 0.5 * h * x2, x3)
-        x4 = _dexpinv(alg, h * x3, x4)
-        ks = ks @ alg.group_exp((h / 6.0) * (x1 + 2 * x2 + 2 * x3 + x4))
+        xs[0, n], a1 = field(t, ws)
+        xs[1, n], a2 = field(t + 0.5 * h, ws + 0.5 * h * a1)
+        xs[2, n], a3 = field(t + 0.5 * h, ws + 0.5 * h * a2)
+        xs[3, n], a4 = field(t + h, ws + h * a3)
         ws = ws + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
         norms = np.linalg.norm(ws, axis=-1)
         fiber_sup = np.maximum(fiber_sup, norms)
@@ -437,11 +463,12 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
                 f"{family.name} flow escaped the fiber ceiling "
                 f"{z_ceiling:.2f} at t = {t + h:.4f}"
             )
-        res = float(alg.group_residual(ks).max())
-        max_res = max(max_res, res)
-        if res > 1e-12:
-            ks = alg.group_project(ks)
-            reproj += 1
+    x1, x2, x3, x4 = xs
+    x2 = _dexpinv(alg, 0.5 * h * x1, x2)
+    x3 = _dexpinv(alg, 0.5 * h * x2, x3)
+    x4 = _dexpinv(alg, h * x3, x4)
+    factors = alg.group_exp((h / 6.0) * (x1 + 2 * x2 + 2 * x3 + x4))
+    ks, max_res, reproj = _accumulate_k(alg, ks, factors, max_res, reproj)
     zs = (alg.adjoint_group_matrix(ks)[:, dk:, dk:] @ ws[..., None])[..., 0]
     lanes = 4 * steps * len(ws)  # every field evaluation takes every lane
     trace = FlowTrace(steps, float(min_margin), max_res, reproj, fiber_sup, lanes)
@@ -662,17 +689,46 @@ class FlowBlock:
         }
 
 
+def _base_rows(geometry, start, end, fiber_rows):
+    """Tangent images (B, c, T) of the base directions, from the fiber ones.
+
+    The flow is K-equivariant: Phi(k, Z) = (k R(W), Ad(k R(W)) W_1(W)) with
+    W = Ad(k^{-1}) Z.  Moving k to k exp(eps C_i) moves W as the fiber shift
+    u_i = -[Ad(k_0) C_i, Z_0]_p does, and moves the image by exp(eps Ad(k_0)
+    C_i) on the left, so with R = k_0^{-1} k_1
+
+        jac[b, i] = (proj_c Ad(R^{-1}) C_i, [Ad(k_0) C_i, Z_1]_p)
+                    + sum_j u_ij jac[b, dim_c + j].
+
+    start and end are the samples' (FiberSpectrum, Ad(k^{-1})) before and
+    after the flow, and fiber_rows (B, P, T) the rows jac[b, dim_c:].  For X
+    in k, [X, Z]_p = -A^T X with A the k-p block of ad(Z).
+    """
+    dk = geometry.alg.dim_k
+    c_k = geometry.complement[:dk]
+    (spec0, kap0), (spec1, kap1) = start, end
+    moved = np.swapaxes(kap0[:, :dk, :dk], -1, -2) @ c_k  # Ad(k_0) C_i, (B, K, c)
+    shift = np.swapaxes(spec0.a, -1, -2) @ moved  # u_i as columns, (B, P, c)
+    cols = np.concatenate(
+        [c_k.T @ (kap1[:, :dk, :dk] @ moved), -(np.swapaxes(spec1.a, -1, -2) @ moved)],
+        axis=-2,
+    )
+    return np.swapaxes(cols, -1, -2) + np.swapaxes(shift, -1, -2) @ fiber_rows
+
+
 def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *, rng):
     """Certify rho^*(final form) = initial form at the base points.
 
-    Every sample contributes one center lane and its 2 dim_t
-    forms.difference_lanes; equivariance partners (their K elements drawn
-    from rng) and zero-section lanes are appended, and the whole batch is
-    flowed once through the stages.  Differentials come from central
-    differences (group logarithms for the K part) at every stage boundary.
-    Returns the composite's values (FlowBlock.values at every sample) and
-    sample separations, and the FlowBlocks of the composite ("block") and of
-    each stage ("stage_blocks").  The stages share one geometry.
+    Every sample contributes one center lane and 2 dim_p fiber lanes, shifted
+    by +-eps along each fiber direction; equivariance partners (their K
+    elements drawn from rng) and zero-section lanes are appended, and the
+    whole batch is flowed once through the stages.  At every stage boundary
+    the fiber rows of the differential are central differences (group
+    logarithms for the K part), and the base rows follow from them by
+    K-equivariance (_base_rows), which the partner lanes certify.  Returns
+    the composite's values (FlowBlock.values at every sample) and sample
+    separations, and the FlowBlocks of the composite ("block") and of each
+    stage ("stage_blocks").  The stages share one geometry.
     """
     geometry = stages[0].family.geometry
     alg = geometry.alg
@@ -681,8 +737,10 @@ def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *
 
     base_k = np.array([k for k, _ in base_points], dtype=complex).reshape(b0, a, a)
     base_z = np.array([z for _, z in base_points], dtype=float).reshape(b0, dim_p)
-    pert_k, pert_z = difference_lanes(geometry, base_k, base_z, eps)
-    lanes_k, lanes_z = [base_k, pert_k], [base_z, pert_z]
+    # (sample, fiber direction, sign + then -)
+    shifts = eps * np.array([1.0, -1.0])[:, None] * np.eye(dim_p)[:, None]
+    pert_z = (base_z[:, None, None] + shifts).reshape(-1, dim_p)
+    lanes_k, lanes_z = [base_k, np.repeat(base_k, 2 * dim_p, axis=0)], [base_z, pert_z]
 
     n_eq = min(n_equivariance, b0)
     eq_rot = []
@@ -693,7 +751,7 @@ def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *
         lanes_k.append((kp @ base_k[j])[None])
         lanes_z.append((adk @ alg.embed_p(base_z[j]))[None, alg.dim_k :])
 
-    eq_idx = b0 * (1 + 2 * t_dim)
+    eq_idx = b0 * (1 + 2 * dim_p)
     zero_idx = eq_idx + n_eq
     lanes_k.append(alg.group_exp(rng.standard_normal((n_zero, alg.dim_k))))
     lanes_z.append(np.zeros((n_zero, dim_p)))
@@ -701,24 +759,26 @@ def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *
     states = [(np.concatenate(lanes_k), np.concatenate(lanes_z))]
     # only centres, partners and zero-section lanes take an exact form margin
     margin_ref = np.arange(zero_idx + n_zero)
-    margin_ref[b0:eq_idx] = np.repeat(np.arange(b0), 2 * t_dim)
+    margin_ref[b0:eq_idx] = np.repeat(np.arange(b0), 2 * dim_p)
     results = flow_stages(stages, *states[0], margin_ref)
     states += [(res.k, res.z) for res in results]
     points = [(geometry.fiber_eig(zs[:b0]), geometry.kappa(ks[:b0])) for ks, zs in states]
 
-    def jacobian(ks, zs):
+    def jacobian(s):
         # jac[b, i] is the tangent image of direction i at sample b
-        k_pert = ks[b0:eq_idx].reshape(b0, t_dim, 2, a, a)
-        z_pert = zs[b0:eq_idx].reshape(b0, t_dim, 2, dim_p)
+        ks, zs = states[s]
+        k_pert = ks[b0:eq_idx].reshape(b0, dim_p, 2, a, a)
+        z_pert = zs[b0:eq_idx].reshape(b0, dim_p, 2, dim_p)
         rel = alg.group_inverse(ks[:b0])[:, None, None] @ k_pert
         x_log = _group_log(alg, rel)[..., : alg.dim_k]
-        return np.concatenate(
+        fiber = np.concatenate(
             [(x_log[:, :, 0] - x_log[:, :, 1]) @ geometry.complement[: alg.dim_k],
              z_pert[:, :, 0] - z_pert[:, :, 1]],
             axis=-1,
         ) / (2 * eps)
+        return np.concatenate([_base_rows(geometry, points[0], points[s], fiber), fiber], axis=1)
 
-    jacs = [np.eye(t_dim)] + [jacobian(ks, zs) for ks, zs in states[1:]]
+    jacs = [np.eye(t_dim)] + [jacobian(s) for s in range(1, len(states))]
 
     def pulled(s, family, t):
         return jacs[s] @ family.omega(*points[s], t) @ np.swapaxes(jacs[s], -1, -2)

@@ -7,9 +7,14 @@ so for Z in p the symmetric ad(Z) has the Cartan block structure
 
 An analytic function of ad(Z) splits into an even part g(ad(Z)^2) and an odd
 part ad(Z) h(ad(Z)^2), and A f(A^T A) = f(A A^T) A writes every block through
-A^T A.  FiberSpectrum holds one eigh A^T A = V diag(s) V^T, s = sigma^2 the
-squared singular values of A clipped at 0 against roundoff (the eigenvalues
-of ad(Z) are +-sigma and zeros):
+M = A^T A.  The blocks the Moser flow reads, even(f_plus) and even(G), are
+entire functions of the positive semidefinite M with non-negative Taylor
+coefficients, so FiberSpectrum.sinhc sums them without eigh: Taylor
+polynomials at X = c M / 4^j, then j doublings (Higham, Functions of
+Matrices, SIAM 2008, ch. 12).  Every other spectral function takes one eigh
+M = V diag(s) V^T, formed on first use, s = sigma^2 the squared singular
+values of A clipped at 0 against roundoff (the eigenvalues of ad(Z) are
++-sigma and zeros):
 
     even(g)      p-p block of g:        V g(s) V^T
     A even(h)    k-p block of nu h:     A V h(s) V^T
@@ -19,8 +24,8 @@ of ad(Z) are +-sigma and zeros):
 The scalar functions are functions of s = nu^2 >= 0: f_plus = sinh(nu)/nu
 (Psi_Z^+), its s-derivative f_plus_prime, and G = (cosh(nu) - 1)/nu^2, which
 gives Psi_Z^- = -nu G, the phi of cosh and int_0^1 r f_plus(r nu) dr.  The
-blocks even(f_plus) and even(G) are read several times per spectrum, so each
-is formed once (psi_plus, even_g).
+blocks even(f_plus) and even(G) are read several times per spectrum, so both
+are formed by one sinhc call (psi_plus, even_g).
 chi_spectrum_check certifies the spectrum lemma apart from FiberSpectrum: one
 svd of A builds the full-size chi_Z, and one eigvalsh of chi_Z is checked.
 """
@@ -37,10 +42,50 @@ import numpy as np
 _SERIES_CUT = 0.1
 _F_PLUS_PRIME_SERIES = [n / factorial(2 * n + 1) for n in range(1, 7)]
 _HERMITIAN_SERIES = [2 * n / factorial(2 * n + 2) for n in range(1, 7)]
+# degree-8 Taylor coefficients of S(x) = sinh(sqrt x)/sqrt x (row 0) and
+# C(x) = cosh(sqrt x) (row 1), split as q0(x) + x^4 q1(x): q0 takes the powers
+# 0..3, q1 the powers 0..4
+_TAYLOR = np.array([[1.0 / factorial(2 * n + r) for n in range(9)] for r in (1, 0)])
+_TAYLOR_LO, _TAYLOR_HI = _TAYLOR[:, :4], _TAYLOR[:, 4:]
+# _sinhc_lanes holds about a dozen arrays of its input's size at once
+_SINHC_CHUNK = 4096
 
 
 def _mT(a):
     return np.swapaxes(a, -1, -2)
+
+
+def _sinhc_lanes(x, j):
+    """(G(4^j X), f_plus(4^j X)) as one (2, B, P, P) stack, for X (B, P, P).
+
+    With S(x) = sinh(sqrt x)/sqrt x and C(x) = cosh(sqrt x), the degree-8
+    Taylor sums of both at X are one GEMM of the coefficients against the
+    powers of X (Paterson and Stockmeyer, SIAM J. Comput. 2 (1973)).
+    S(4x) = S(x) C(x) and C(4x) = 2 C(x)^2 - 1 double back up, lane b j[b]
+    times, and G(4^j X) = S(4^(j-1) X)^2 / 2 is read one doubling before the
+    end.  j (B, 1, 1) >= 1.
+    """
+    eye = np.eye(x.shape[-1])
+    powers = np.empty((5,) + x.shape)  # X^0 .. X^4
+    powers[0] = eye
+    powers[1] = x
+    np.matmul(x, x, out=powers[2])
+    np.matmul(powers[2], x, out=powers[3])
+    np.matmul(powers[2], powers[2], out=powers[4])
+    flat = powers.reshape(5, -1)
+    sc = powers[4] @ (_TAYLOR_HI @ flat).reshape((2,) + x.shape)
+    sc += (_TAYLOR_LO @ flat[:4]).reshape(sc.shape)  # (S(X), C(X))
+    # lanes with fewer doublings start later, so all reach 4^(j-1) X together
+    top = int(j.max(initial=1))
+    for i in range(1, top):
+        nxt = sc @ sc[1]  # (S C, C^2)
+        nxt[1] *= 2.0
+        nxt[1] -= eye
+        on = j > top - i
+        sc = nxt if on.all() else np.where(on, nxt, sc)
+    out = sc[0] @ sc  # (S^2, S C)
+    out[0] *= 0.5
+    return out
 
 
 def _with_series(s, closed, coef):
@@ -83,33 +128,80 @@ def hermitian_radial(s, t):
 
 
 class FiberSpectrum:
-    """Spectral data (s, V, A) of ad(Z) for a batch of Z in p; see the module doc.
+    """Spectral data of ad(Z) for a batch of Z in p; see the module doc.
 
-    a: (..., dim_k, dim_p) k-p blocks of ad(Z).  One eigh of A^T A gives s
-    (..., dim_p), clipped at 0, and V (..., dim_p, dim_p).
+    a: (..., dim_k, dim_p) k-p blocks of ad(Z).  psi_plus and even_g come from
+    sinhc; s (..., dim_p) and V (..., dim_p, dim_p), for even, from one eigh
+    of A^T A on first use.
     """
 
     def __init__(self, a):
         self.a = a
-        s, self.v = np.linalg.eigh(_mT(a) @ a)
-        self.s = np.maximum(s, 0.0)
+
+    @cached_property
+    def _eig(self):
+        s, v = np.linalg.eigh(_mT(self.a) @ self.a)
+        return np.maximum(s, 0.0), v
+
+    @property
+    def s(self):
+        return self._eig[0]
 
     def even(self, g):
         """The p-p block V g(s) V^T of g(ad(Z)^2), (..., P, P)."""
-        return (self.v * g(self.s)[..., None, :]) @ _mT(self.v)
+        s, v = self._eig
+        return (v * g(s)[..., None, :]) @ _mT(v)
 
     @cached_property
+    def _gram_scaled(self):
+        """M / 4^j and the per-lane doubling count j >= 1 with ||M / 4^j||_F <= 1."""
+        m = _mT(self.a) @ self.a
+        _, e = np.frexp(np.einsum("...ij,...ij->...", m, m))
+        j = np.maximum((e + 3) // 4, 1)  # 16^j >= 2^e > ||M||_F^2
+        return m * np.ldexp(1.0, -2 * j)[..., None, None], j[..., None, None]
+
+    def sinhc(self, c):
+        """(f_plus(c A^T A), G(c A^T A)), each (..., P, P), without eigh.
+
+        c in [0, 1] broadcasts against (..., P, P), e.g. t^2 with two trailing
+        axes.  X = c M / 4^j is c M scaled by a power of two, with j >= 1 per
+        lane from the unscaled M, and _sinhc_lanes treats every lane apart,
+        so a lane's value is the same for a scalar c, one c per lane or a c
+        grid, whatever the other lanes hold.  The lanes go through in chunks
+        of about _SINHC_CHUNK entries, which bounds the kernel's temporaries.
+        """
+        m4, j = self._gram_scaled
+        x = c * m4
+        shape, p = x.shape, x.shape[-1]
+        x = x.reshape(-1, p, p)
+        j = np.broadcast_to(j, shape[:-2] + (1, 1)).reshape(-1, 1, 1)
+        step = max(1, _SINHC_CHUNK // (p * p))
+        if len(x) <= step:
+            out = _sinhc_lanes(x, j)
+        else:
+            out = np.empty((2,) + x.shape)
+            for lo in range(0, len(x), step):
+                out[:, lo : lo + step] = _sinhc_lanes(x[lo : lo + step], j[lo : lo + step])
+        out = out.reshape((2,) + shape)
+        return out[1], out[0]
+
+    @cached_property
+    def _sinhc_one(self):
+        out = self.sinhc(1.0)
+        for block in out:
+            block.flags.writeable = False
+        return out
+
+    @property
     def psi_plus(self):
         """even(f_plus), the p rows of Psi_Z^+, computed once and read-only.
 
         pullback_blocks and delta_blocks both read it, so the segment
         family's two blocks at one spectrum share it.
         """
-        out = self.even(f_plus)
-        out.flags.writeable = False
-        return out
+        return self._sinhc_one[0]
 
-    @cached_property
+    @property
     def even_g(self):
         """even(G), computed once and read-only.
 
@@ -117,9 +209,7 @@ class FiberSpectrum:
         the radial primitives of the scaling and segment stages, and the
         cosh moments (apply_k with phi = G).
         """
-        out = self.even(G)
-        out.flags.writeable = False
-        return out
+        return self._sinhc_one[1]
 
     def apply_k(self, g0, phi_block, xi):
         """The k-k block of g(ad(Z)^2) on k-coordinates xi: g0 xi + A phi A^T xi.

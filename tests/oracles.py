@@ -30,6 +30,10 @@ None of this runs in the certification pipeline:
   properness constant of each stage by name (analytic_properness_bound);
 - the Moser flow with the full RKMK group update for every family and
   every lane, the Moser field evaluating Ad(k^{-1}) at every stage point;
+- the body-coordinate flow with its group update inside the step loop
+  (one group_exp and one drift check per step);
+- the flow's differential at the samples with every row, base directions
+  included, from central differences of flowed lanes;
 - the segment witness as a sweep of sampled times, one svd per time;
 - the radius a vertical family's time-one map gives a point on a ray, by
   equal areas: quadrature of its forms and root-finding.
@@ -50,13 +54,16 @@ from holomoser.moser import (
     FormFamily,
     _dexp_matrix,
     _dexpinv,
+    _group_log,
     _root_probe_fibers,
     _z0_direction,
+    flow_stages,
     homotopy_primitive,
+    moser_field,
     properness_gamma,
     segment_weight_coords,
 )
-from holomoser.forms import OrbitGeometry, moment_flat, moment_hermitian
+from holomoser.forms import OrbitGeometry, difference_lanes, moment_flat, moment_hermitian
 from holomoser.roots import ChamberWeight, chamber_constants, in_holomorphic_chamber
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -949,6 +956,94 @@ def integrate_flow_rkmk(family, k0, z0, steps, t0=0.0, t1=1.0, project_tol=1e-12
         steps, float(min_margin), max_res, reproj, fiber_sup, 4 * steps * len(zs)
     )
     return FlowResult(ks, zs, trace)
+
+
+def integrate_flow_per_step(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
+    """integrate_flow with the RKMK group update inside the step loop: three
+    dexpinv, one group_exp, one product and one drift check per step."""
+    geo = family.geometry
+    alg = geo.alg
+    dk = alg.dim_k
+    ks = np.asarray(k0, dtype=complex)
+    max_res = float(alg.group_residual(ks).max())
+    reproj = int(max_res > 1e-12)
+    ks = alg.group_project(ks) if reproj else ks
+    ws = (geo.kappa(ks)[:, dk:, dk:] @ z0[..., None])[..., 0]
+    fiber_sup = np.linalg.norm(ws, axis=-1)
+    if z_ceiling is None:
+        z_ceiling = 10.0 * max(1.0, float(fiber_sup.max()))
+    h = 1.0 / steps
+    identity = np.eye(alg.dim)
+    min_margin = np.inf
+
+    def field(t_arg, w):
+        nonlocal min_margin
+        xi, margin = moser_field(family, identity, w, t_arg, margin_ref)
+        min_margin = min(min_margin, margin)
+        x = xi[:, : geo.dim_c] @ geo.complement[:dk].T
+        return x, xi[:, geo.dim_c :] - alg.bracket(alg.embed_k(x), alg.embed_p(w))[:, dk:]
+
+    for n in range(steps):
+        t = n * h
+        x1, a1 = field(t, ws)
+        x2, a2 = field(t + 0.5 * h, ws + 0.5 * h * a1)
+        x3, a3 = field(t + 0.5 * h, ws + 0.5 * h * a2)
+        x4, a4 = field(t + h, ws + h * a3)
+        x2 = _dexpinv(alg, 0.5 * h * x1, x2)
+        x3 = _dexpinv(alg, 0.5 * h * x2, x3)
+        x4 = _dexpinv(alg, h * x3, x4)
+        ks = ks @ alg.group_exp((h / 6.0) * (x1 + 2 * x2 + 2 * x3 + x4))
+        ws = ws + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+        norms = np.linalg.norm(ws, axis=-1)
+        fiber_sup = np.maximum(fiber_sup, norms)
+        if norms.max() > z_ceiling:
+            raise RuntimeError(f"{family.name} flow escaped the fiber ceiling")
+        res = float(alg.group_residual(ks).max())
+        max_res = max(max_res, res)
+        if res > 1e-12:
+            ks = alg.group_project(ks)
+            reproj += 1
+    zs = (alg.adjoint_group_matrix(ks)[:, dk:, dk:] @ ws[..., None])[..., 0]
+    trace = FlowTrace(steps, float(min_margin), max_res, reproj, fiber_sup, 4 * steps * len(ws))
+    return FlowResult(ks, zs, trace)
+
+
+# -- the flow's differential by central differences in every direction -----------
+
+
+def finite_difference_jacobians(stages, ks, zs, eps):
+    """The differentials of the stage flows at the samples, every row by
+    central differences.
+
+    The samples ks (B, a, a), zs (B, P) and their 2 dim_t
+    forms.difference_lanes, base directions included, are flowed through the
+    stages (flow_stages).  At each stage boundary the image of direction i is
+    the difference of its two lanes, the K part read off group logarithms
+    relative to the centre and projected on the complement.  Returns the
+    samples' (FiberSpectrum, Ad(k^{-1})) at every boundary and the (B, T, T)
+    Jacobians, J_0 = I first.
+    """
+    geo = stages[0].family.geometry
+    alg = geo.alg
+    b0, a, t_dim = len(zs), alg.ambient, geo.dim_t
+    pert_k, pert_z = difference_lanes(geo, ks, zs, eps)
+    states = [(np.concatenate([ks, pert_k]), np.concatenate([zs, pert_z]))]
+    states += [(res.k, res.z) for res in flow_stages(stages, *states[0])]
+    points, jacs = [], [np.eye(t_dim)]
+    for s, (k_s, z_s) in enumerate(states):
+        points.append((geo.fiber_eig(z_s[:b0]), geo.kappa(k_s[:b0])))
+        if s == 0:
+            continue
+        k_pert = k_s[b0:].reshape(b0, t_dim, 2, a, a)
+        z_pert = z_s[b0:].reshape(b0, t_dim, 2, geo.dim_p)
+        rel = alg.group_inverse(k_s[:b0])[:, None, None] @ k_pert
+        x_log = _group_log(alg, rel)[..., : alg.dim_k]
+        jacs.append(np.concatenate(
+            [(x_log[:, :, 0] - x_log[:, :, 1]) @ geo.complement[: alg.dim_k],
+             z_pert[:, :, 0] - z_pert[:, :, 1]],
+            axis=-1,
+        ) / (2 * eps))
+    return points, jacs
 
 
 # -- the segment witness sampled at fixed times --------------------------------------

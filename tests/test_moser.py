@@ -8,6 +8,7 @@ from holomoser import build_algebra, moser
 from holomoser.forms import OrbitGeometry, difference_lanes
 from holomoser.moser import (
     MoserStage,
+    _base_rows,
     _dexp_matrix,
     _form_margin,
     _root_probe_fibers,
@@ -28,7 +29,7 @@ from holomoser.moser import (
     verify_pullback,
 )
 from holomoser.algebra import MatrixLieAlgebra
-from holomoser.operators import G, FiberSpectrum, f_plus
+from holomoser.operators import FiberSpectrum
 from holomoser.pipeline import _random_chamber_weights
 from holomoser.roots import ChamberWeight, chamber_constants, compute_root_datum
 
@@ -37,7 +38,9 @@ from oracles import (
     check_hypotheses_loop,
     constant_stage,
     equal_area_radius,
+    finite_difference_jacobians,
     gauge_fix,
+    integrate_flow_per_step,
     integrate_flow_rkmk,
     primitive_exactness_loop,
     properness_fit_loop,
@@ -476,8 +479,9 @@ def test_reduced_segment_flow_matches_rkmk_oracle_at_order_four(family, params, 
 
 
 def test_segment_flow_evaluates_the_field_at_the_identity(su21, monkeypatch):
-    # one kappa (W at entry), Ad(k) at exit and one group_exp per step: the
-    # field evaluations form no group points and take no Ad(k^{-1})
+    # one kappa (W at entry), Ad(k) at exit and one group_exp for the factors
+    # of every step: the field evaluations form no group points and take no
+    # Ad(k^{-1}), and k is updated once after the loop
     _, _, geo = su21
     assert geo.dim_c > 0
     ks, zs = rand_batch(geo, np.random.default_rng(41), 4)
@@ -490,7 +494,7 @@ def test_segment_flow_evaluates_the_field_at_the_identity(su21, monkeypatch):
     assert res.trace.field_lanes == 4 * steps * len(zs)
     assert calls.count("kappa") == 1
     assert calls.count("adjoint_group_matrix") == 2
-    assert calls.count("group_exp") == steps
+    assert calls.count("group_exp") == 1
 
 
 def test_stage_moment_shifts_match_analytic_constants(su11):
@@ -590,7 +594,7 @@ def test_worst_case_values_keep_a_nan_from_any_lane(su21, monkeypatch):
     rng = np.random.default_rng(4)
     pts = [(geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k)),
             0.5 * rng.standard_normal(geo.dim_p)) for _ in range(2)]
-    second_partner = len(pts) * (1 + 2 * geo.dim_t) + 1
+    second_partner = len(pts) * (1 + 2 * geo.dim_p) + 1
 
     def nan_second_partner(stages_arg, k0, z0, margin_ref):
         # the exact form margins are taken on the centres, the two partners
@@ -681,26 +685,24 @@ def test_batched_chart_checks_match_point_loops(su21):
 
 
 def test_segment_form_builds_psi_plus_once(su21, monkeypatch):
+    # one sinhc kernel call per spectrum serves pullback_blocks and
+    # delta_blocks, and no eigh is taken
     _, _, geo = su21
     rng = np.random.default_rng(22)
     ks, zs = rand_batch(geo, rng, 5)
     kap = geo.kappa(ks)
     t, d = 0.3, delta_for(geo)
     # blocks on separate spectra: pullback_blocks and delta_blocks each
-    # build even(f_plus) themselves
+    # build psi_plus themselves
     ref = (1.0 - t) * geo.delta_blocks(geo.fiber_eig(zs), d) + t * geo.pullback_blocks(
         geo.fiber_eig(zs), kap
     )
     calls = []
-    even = FiberSpectrum.even
-
-    def counting_even(self, g):
-        calls.append(g)
-        return even(self, g)
-
-    monkeypatch.setattr(FiberSpectrum, "even", counting_even)
+    _count_calls(monkeypatch, FiberSpectrum, "sinhc", calls)
+    _count_calls(monkeypatch, FiberSpectrum, "even", calls)
+    _count_calls(monkeypatch, np.linalg, "eigh", calls)
     omega = segment_stage(geo, d).omega(geo.fiber_eig(zs), kap, t)
-    assert sum(g is f_plus for g in calls) == 1
+    assert calls == ["sinhc"]
     assert np.array_equal(omega, ref)
 
 
@@ -734,15 +736,18 @@ def test_vertical_chart_checks_skip_group_points_and_kappa(su21, monkeypatch):
 
 
 def test_segment_field_forms_even_g_once(su21, monkeypatch):
-    # the pullback block's Psi_Z^- and the radial primitive share even(G)
+    # the pullback block's Psi_Z^- and the radial primitive share even(G),
+    # and the field evaluation takes no eigh
     _, _, geo = su21
     ks, zs = rand_batch(geo, np.random.default_rng(27), 4)
+    kap = geo.kappa(ks)
     calls = []
     _count_calls(monkeypatch, OrbitGeometry, "fiber_eig", calls)
-    _count_calls(monkeypatch, FiberSpectrum, "even", calls, lambda self, g: g is G)
-    moser_field(segment_stage(geo, delta_for(geo)), geo.kappa(ks), zs, 0.3)
-    assert calls.count("fiber_eig") == 1
-    assert calls.count("even") == 1
+    _count_calls(monkeypatch, FiberSpectrum, "sinhc", calls)
+    _count_calls(monkeypatch, FiberSpectrum, "even", calls)
+    _count_calls(monkeypatch, np.linalg, "eigh", calls)
+    moser_field(segment_stage(geo, delta_for(geo)), kap, zs, 0.3)
+    assert calls == ["fiber_eig", "sinhc"]
 
 
 def test_three_stage_composite_certifies(su11):
@@ -959,6 +964,98 @@ def test_vertical_flows_keep_k_and_match_rkmk_oracle(family, params):
         assert got.trace.field_lanes == 4 * steps * len(zs), fam.name
 
 
+def assert_same_flow(got, ref):
+    assert np.array_equal(got.k, ref.k)
+    assert np.array_equal(got.z, ref.z)
+    for key in ("steps", "min_form_margin", "max_group_residual", "reprojections",
+                "field_lanes"):
+        assert getattr(got.trace, key) == getattr(ref.trace, key), key
+    assert np.array_equal(got.trace.fiber_sup, ref.trace.fiber_sup)
+
+
+@ALGEBRAS
+def test_deferred_k_update_matches_per_step_loop(family, params):
+    # the stored stage velocities give the per-step loop's dexpinv, group_exp
+    # factors and products; measured equal to the last bit
+    geo = generic_geometry(family, params)
+    fam = stage_families(geo)[0][2]
+    ks, zs = rand_batch(geo, np.random.default_rng(5), 7)
+    for steps in (3, 10):
+        assert_same_flow(integrate_flow(fam, ks, zs, steps),
+                         integrate_flow_per_step(fam, ks, zs, steps))
+
+
+def test_drifted_group_step_is_reprojected_at_its_step(su21, monkeypatch):
+    # group_exp returns factors about 1e-9 off K at steps 1 and 4: the
+    # deferred update replays from each and counts both, as the per-step
+    # loop does after each of those steps
+    _, _, geo = su21
+    fam = segment_stage(geo, delta_for(geo))
+    ks, zs = rand_batch(geo, np.random.default_rng(33), 4, radius=0.5)
+    real = MatrixLieAlgebra.group_exp
+    drift_at, seen = (1, 4), []
+
+    def drifting(self, u):
+        out = real(self, u)
+        if u.ndim == 3:  # integrate_flow: every step's factor in one call
+            out[list(drift_at)] *= 1.0 + 1e-9
+        else:  # the per-step loop: one call a step
+            seen.append(None)
+            if len(seen) - 1 in drift_at:
+                out *= 1.0 + 1e-9
+        return out
+
+    monkeypatch.setattr(MatrixLieAlgebra, "group_exp", drifting)
+    got = integrate_flow(fam, ks, zs, 6)
+    ref = integrate_flow_per_step(fam, ks, zs, 6)
+    assert len(seen) == 6
+    assert got.trace.reprojections == 2
+    assert got.trace.max_group_residual > 1e-9
+    assert_same_flow(got, ref)
+
+
+# the su(2,1) fixture weight, sp(4,R) at (2, 1), and su(2,2) and su(3,1) at
+# their tier-1 generic weights
+JACOBIAN_MODELS = [
+    ("su", {"p": 2, "q": 1}, (0.8660254037844386, 2.0999999999999996)),
+    ("sp", {"n": 2}, (2.0, 1.0)),
+    ("su", {"p": 2, "q": 2}, (0.42654310306871945, 0.9179862439359936, 0.17449996586169148)),
+    ("su", {"p": 3, "q": 1}, (1.0318040094257124, 0.05103489304831221, 1.7164168831880247)),
+]
+
+
+@pytest.mark.parametrize("family,params,lam", JACOBIAN_MODELS,
+                         ids=["su21", "sp4", "su22", "su31"])
+def test_base_rows_match_finite_difference_oracle(family, params, lam):
+    # the equivariance rows against central differences along the base
+    # directions, flowed through all three stages: measured at most 1.1e-10
+    # relative.  verify_pullback's stage and composite defects differ from
+    # the all-differences ones by at most 1.3e-11 of the forms' scale (1.1e-10
+    # on entries of order 8)
+    alg = build_algebra(family, **params)
+    geo = OrbitGeometry(alg, compute_root_datum(alg), ChamberWeight(np.array(lam)))
+    assert geo.dim_c > 0
+    families, _ = stage_families(geo)
+    stages = [MoserStage(fam, 10) for fam in families]
+    ks, zs = rand_batch(geo, np.random.default_rng(5), 3, radius=0.4)
+    eps, c = 1e-4, geo.dim_c
+    points, jacs = finite_difference_jacobians(stages, ks, zs, eps)
+    for s in range(1, len(jacs)):
+        rows = _base_rows(geo, points[0], points[s], jacs[s][:, c:])
+        assert np.abs(rows - jacs[s][:, :c]).max() <= 1e-8 * np.abs(jacs[s]).max(), s
+
+    def pulled(s, fam, t):
+        return jacs[s] @ fam.omega(*points[s], t) @ np.swapaxes(jacs[s], -1, -2)
+
+    out = verify_pullback(stages, list(zip(ks, zs)), eps=eps, rng=np.random.default_rng(0))
+    scale = max(np.abs(pulled(s, families[0], 0.0)).max() for s in range(len(jacs)))
+    want = [pulled(s + 1, fam, 1.0) - pulled(s, fam, 0.0) for s, fam in enumerate(families)]
+    for block, ref in zip(out["stage_blocks"], want):
+        assert np.abs(block.defect - ref).max() <= 1e-10 * scale
+    ref = pulled(len(stages), families[-1], 1.0) - pulled(0, families[0], 0.0)
+    assert np.abs(out["block"].defect - ref).max() <= 1e-10 * scale
+
+
 def test_vertical_flow_reprojects_drifted_k_once(su21):
     _, _, geo = su21
     rng = np.random.default_rng(24)
@@ -978,7 +1075,7 @@ def test_vertical_flow_reprojects_drifted_k_once(su21):
 
 
 def test_vertical_stages_are_mapped_without_field_evaluations(su21):
-    # one sample: a centre lane, 2 dim_t perturbed lanes, one equivariance
+    # one sample: a centre lane, 2 dim_p fiber lanes, one equivariance
     # partner and four zero-section lanes.  The vertical stages are mapped
     # exactly, so they report no steps, field evaluations or lanes; the
     # segment stage flows every lane.
@@ -988,7 +1085,7 @@ def test_vertical_stages_are_mapped_without_field_evaluations(su21):
     rng = np.random.default_rng(26)
     ks, zs = rand_batch(geo, rng, 1, radius=0.5)
     pts = [(ks[0], zs[0])]
-    every = 1 + 2 * geo.dim_t + 1 + 4
+    every = 1 + 2 * geo.dim_p + 1 + 4
     for fam, evals in zip(families, (0, 0, 20)):
         out = verify_pullback([MoserStage(fam, 5)], pts, rng=np.random.default_rng(0))
         assert out["field_evaluations"] == evals, fam.name

@@ -767,8 +767,8 @@ def test_stage_and_composite_blocks_report_flow_counters(su11_report):
     comp = su11_report["composite"]
     b0 = comp["sample_count"]
 
-    # centre, 2 dim_t perturbed, min(4, b0) equivariance and 4 zero lanes
-    lanes = b0 * (1 + 2 * t_dim) + min(4, b0) + 4
+    # centre, 2 dim_p fiber, min(4, b0) equivariance and 4 zero lanes
+    lanes = b0 * (1 + 2 * (t_dim - c)) + min(4, b0) + 4
 
     # the mapped vertical stages report no steps, evaluations, lanes or
     # reprojections; the segment block counts the composite flow's lanes

@@ -9,10 +9,12 @@ from holomoser.moser import (
     _root_probe_fibers,
     hermitian_stage,
     homotopy_primitive,
+    integrate_flow,
     scaling_stage,
     segment_stage,
 )
-from holomoser.operators import G, hermitian_radial
+from holomoser.operators import G, FiberSpectrum, hermitian_radial
+from holomoser.operators import f_plus as f_plus_s  # a function of s = nu^2
 from holomoser.pipeline import _random_chamber_weights
 from holomoser.roots import ChamberWeight, chamber_constants, compute_root_datum
 
@@ -110,3 +112,96 @@ def test_radial_closed_forms_match_quadrature(t):
         scale = _gauss(lambda r: r * f_plus(r * nu))
         got = G(np.array([nu * nu]))[0]
         assert abs(got - scale) <= 1e-12 * abs(scale), (x, got, scale)
+
+
+KERNEL_ALGEBRAS = [
+    ("su", {"p": 1, "q": 1}),
+    ("su", {"p": 2, "q": 1}),
+    ("sp", {"n": 2}),
+    ("su", {"p": 2, "q": 2}),
+    ("su", {"p": 3, "q": 1}),
+    ("su", {"p": 3, "q": 2}),
+]
+KERNEL_IDS = ["su11", "su21", "sp4", "su22", "su31", "su32"]
+
+
+@pytest.mark.parametrize("family,params", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+def test_sinhc_kernel_matches_eigh_path(family, params):
+    # |Z| from 1e-3 out to 15, past the fiber ceiling of the default radius
+    # (10 x 1.2).  Measured at most 1.4e-14 relative for the blocks, and
+    # 3.3e-14 for the hermitian form blocks, which multiply two of them
+    alg = build_algebra(family, **params)
+    datum = compute_root_datum(alg)
+    geo = OrbitGeometry(alg, datum, datum.lambda0)
+    rng = np.random.default_rng(30)
+    zs = rng.standard_normal((60, geo.dim_p))
+    zs *= (np.geomspace(1e-3, 15.0, 60) / np.linalg.norm(zs, axis=1))[:, None]
+    zs = np.concatenate([zs, np.zeros((1, geo.dim_p))])
+    kl = geo.klam(geo.kappa(alg.group_exp(rng.standard_normal((len(zs), alg.dim_k)))))
+    spec = geo.fiber_eig(zs)
+    m0 = geo.m_lam0_pp
+    checks = {
+        "psi_plus": (spec.psi_plus, spec.even(f_plus_s)),
+        "even_g": (spec.even_g, spec.even(G)),
+    }
+    for t in (0.0, 0.37, 1.0):
+        psip, g = spec.sinhc(t * t)
+        want_psip = spec.even(lambda s: f_plus_s(t * t * s))
+        want_g = spec.even(lambda s: G(t * t * s))
+        checks[f"sinhc t={t}"] = (psip, want_psip)
+        checks[f"sinhc G t={t}"] = (g, want_g)
+        checks[f"hermitian_blocks t={t}"] = (
+            geo.hermitian_blocks(spec, t)[:, geo.dim_c :, geo.dim_c :],
+            np.swapaxes(want_psip, -1, -2) @ m0 @ want_psip,
+        )
+        checks[f"moment_hermitian t={t}"] = (
+            geo.moment_hermitian(spec, kl, t)[:, : alg.dim_k],
+            kl[:, : alg.dim_k] + spec.apply_k(0.0, want_g, geo.lam0_k),
+        )
+    for name, (got, want) in checks.items():
+        lane = tuple(range(1, got.ndim))  # relative to each lane's largest entry
+        err = np.abs(got - want).max(axis=lane) / np.abs(want).max(axis=lane)
+        assert err.max() <= 1e-13, (name, float(err.max()))
+
+
+def test_sinhc_lanes_do_not_depend_on_their_batch():
+    # su(2,2) takes 64 lanes per chunk, so 150 lanes with doubling counts
+    # from 1 to 3 span three chunks; each lane equals its call alone on the
+    # same block A
+    alg = build_algebra("su", p=2, q=2)
+    datum = compute_root_datum(alg)
+    geo = OrbitGeometry(alg, datum, datum.lambda0)
+    rng = np.random.default_rng(32)
+    zs = rng.standard_normal((150, geo.dim_p))
+    zs *= (np.geomspace(1e-3, 15.0, 150) / np.linalg.norm(zs, axis=1))[:, None]
+    c = rng.uniform(0.0, 1.0, (150, 1, 1))
+    spec = geo.fiber_eig(zs)
+    assert np.unique(spec._gram_scaled[1]).tolist() == [1, 2, 3]
+    got = spec.sinhc(c)
+    for b in range(0, 150, 7):
+        alone = FiberSpectrum(spec.a[b : b + 1]).sinhc(c[b : b + 1])
+        for block, want in zip(got, alone):
+            assert np.array_equal(block[b], want[0]), b
+
+
+def test_sinhc_keeps_a_nan_lane_to_itself():
+    # every lane takes its own doubling count, so a NaN fiber neither spreads
+    # nor raises a RuntimeWarning (pytest turns those into errors)
+    alg = build_algebra("su", p=2, q=1)
+    datum = compute_root_datum(alg)
+    (row,) = _random_chamber_weights(datum, np.random.default_rng(0), count=1)
+    geo = OrbitGeometry(alg, datum, ChamberWeight(row))
+    rng = np.random.default_rng(31)
+    zs = 3.0 * rng.standard_normal((4, geo.dim_p))
+    clean = geo.fiber_eig(zs)
+    zs[2, 1] = np.nan
+    spec = geo.fiber_eig(zs)
+    fam = segment_stage(geo, 2.0)
+    kap = geo.kappa(alg.group_exp(rng.standard_normal((4, alg.dim_k))))
+    for block, want in ((spec.psi_plus, clean.psi_plus), (spec.even_g, clean.even_g),
+                        (fam.omega(spec, kap, 0.4), fam.omega(clean, kap, 0.4))):
+        finite = np.isfinite(block).all(axis=(-2, -1))
+        assert finite.tolist() == [True, True, False, True]
+        assert np.array_equal(block[finite], want[finite])
+    with pytest.raises(RuntimeError, match=r"segment form at t = 0\.0000 has non-finite entries"):
+        integrate_flow(fam, alg.group_exp(rng.standard_normal((4, alg.dim_k))), zs, 10)
