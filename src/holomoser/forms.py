@@ -245,14 +245,14 @@ def bracket_positivity_slack(datum, w1, w2, zp):
 
     The minimum runs over the positive noncompact roots.  The weights' coords
     and zp may carry a common leading batch shape, (..., rank) and (..., P).
-    Returns (lhs, rhs, slack), arrays of that shape.
+    Returns (lhs, rhs, slack), arrays of that shape.  ad(Z) is symmetric for
+    Z in p, so lhs = [H_1, Z] . [H_2, Z]: two brackets and one row dot.
     """
     alg = datum.algebra
     zp = np.asarray(zp, dtype=float)
-    adz = alg.ad(alg.embed_p(zp))
-    x1 = w1.full(alg)[..., None, :]
-    x2 = w2.full(alg)[..., :, None]
-    lhs = (x1 @ (adz @ adz) @ x2)[..., 0, 0]
+    z = alg.embed_p(zp)
+    x1, x2 = alg.bracket(w1.full(alg), z), alg.bracket(w2.full(alg), z)
+    lhs = np.einsum("...i,...i->...", x1, x2)
     nonc = datum.noncompact_coords.T
     prods = (w1.coords @ nonc) * (w2.coords @ nonc)
     rhs = prods.min(axis=-1) * np.einsum("...i,...i->...", zp, zp)

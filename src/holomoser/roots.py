@@ -71,10 +71,11 @@ class RootDatum:
         self.compact_coords = np.array(
             [r.coords for r in self.positive_compact()]
         ).reshape(-1, rank)
-        # both stacked (rank, P + C) for chamber_hits, with the floor to exceed:
-        # in_holomorphic_chamber's 1e-12, and -1e-12's predecessor for compact
-        # roots, so that > means >= -1e-12
-        self.chamber_roots = np.vstack([self.noncompact_coords, self.compact_coords]).T
+        # both stacked root-major (P + C, rank) for chamber_hits, whose reduction
+        # over the few roots then runs along the long candidate axis, with the
+        # floor to exceed: in_holomorphic_chamber's 1e-12, and -1e-12's
+        # predecessor for compact roots, so that > means >= -1e-12
+        self.chamber_roots = np.vstack([self.noncompact_coords, self.compact_coords])
         self.chamber_floor = np.repeat([1e-12, np.nextafter(-1e-12, -np.inf)],
                                        [len(self.noncompact_coords), len(self.compact_coords)])
 
@@ -251,8 +252,9 @@ def _distinguished_central_element(alg, tol):
 
 
 def chamber_hits(datum, h):
-    """Indices of the rows of h (m, rank) in the chamber: one product, one comparison."""
-    return (h @ datum.chamber_roots > datum.chamber_floor).all(axis=1).nonzero()[0]
+    """Indices of the rows of h (m, rank) in the chamber, tested root-major."""
+    above = datum.chamber_roots @ h.T > datum.chamber_floor[:, None]
+    return np.logical_and.reduce(above, axis=0).nonzero()[0]
 
 
 def in_holomorphic_chamber(weight, datum):

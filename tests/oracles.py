@@ -602,14 +602,18 @@ def radial_fiber_rows(dim_p, rng, n, r_max):
 
 
 def bracket_slack_point(datum, w1, w2, zp):
-    """lhs - rhs of the bracket positivity inequality at one point, per root."""
+    """(lhs, rhs, lhs - rhs) of bracket positivity at one point, per root.
+
+    lhs is the full-size x_1^T ad(Z)^2 x_2.
+    """
     alg = datum.algebra
     z = np.zeros(alg.dim)
     z[alg.dim_k :] = zp
     adz = alg.ad(z)
     lhs = float(w1.full(alg) @ (adz @ adz) @ w2.full(alg))
     prods = [r.value(w1.coords) * r.value(w2.coords) for r in datum.positive_noncompact()]
-    return lhs - min(prods) * float(zp @ zp)
+    rhs = min(prods) * float(zp @ zp)
+    return lhs, rhs, lhs - rhs
 
 
 def lemma_point_loops(scenario, alg, datum):
@@ -639,7 +643,7 @@ def lemma_point_loops(scenario, alg, datum):
     bracket_slack = np.inf
     for i, zp in enumerate(radial_fiber_rows(alg.dim_p, rng_bracket, n, 2.5)):
         w1, w2 = weights[2 * i], weights[2 * i + 1]
-        bracket_slack = min(bracket_slack, bracket_slack_point(datum, w1, w2, zp))
+        bracket_slack = min(bracket_slack, bracket_slack_point(datum, w1, w2, zp)[2])
     return {
         "pullback_growth_min_slack": growth_slack,
         "flat_identity_residual": flat_res,

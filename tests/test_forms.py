@@ -17,7 +17,8 @@ from holomoser.forms import (
     moment_pullback,
     moment_segment,
 )
-from holomoser.roots import compute_root_datum, pairing_matrix
+from holomoser.pipeline import _radial_fibers, _random_chamber_weights
+from holomoser.roots import ChamberWeight, compute_root_datum, pairing_matrix
 
 import oracles
 from oracles import (
@@ -369,6 +370,46 @@ def test_bracket_positivity_inequality(su21):
     zp = _unit_fiber(geo, rng)
     lhs, rhs, _ = bracket_positivity_slack(datum, datum.lambda0, datum.lambda0, zp)
     assert abs(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("su", dict(p=2, q=1)), ("sp", dict(n=2)), ("su", dict(p=2, q=2)), ("su", dict(p=3, q=1))],
+    ids=["su21", "sp4", "su22", "su31"],
+)
+def test_batched_bracket_slack_matches_full_size_point_form(family, params, monkeypatch):
+    # lhs from two brackets against x_1^T ad(Z)^2 x_2 one point at a time, on
+    # 256 chamber-weight pairs and fibers and at the equality case lambda_0;
+    # the batched call builds no ad(Z)
+    alg = build_algebra(family, **params)
+    datum = compute_root_datum(alg)
+    rng = np.random.default_rng(41)
+    pairs = _random_chamber_weights(datum, rng, 512)
+    zs = _radial_fibers(alg.dim_p, rng, 256, 2.5)
+    unit = zs[0] / np.linalg.norm(zs[0])
+    want = np.array([
+        oracles.bracket_slack_point(
+            datum, ChamberWeight(pairs[2 * i]), ChamberWeight(pairs[2 * i + 1]), z
+        )
+        for i, z in enumerate(zs)
+    ]).T
+    want_eq = oracles.bracket_slack_point(datum, datum.lambda0, datum.lambda0, unit)
+
+    ad_calls = []
+    real_ad = alg.ad
+    monkeypatch.setattr(alg, "ad", lambda x: ad_calls.append(None) or real_ad(x))
+    got = bracket_positivity_slack(
+        datum, ChamberWeight(pairs[0::2]), ChamberWeight(pairs[1::2]), zs
+    )
+    got_eq = bracket_positivity_slack(datum, datum.lambda0, datum.lambda0, unit)
+    assert ad_calls == []
+
+    assert np.all(np.abs(got[0] - want[0]) <= 1e-13 * np.abs(want[0]))
+    assert np.all(np.abs(got[1] - want[1]) <= 1e-14 * want[1])
+    assert np.abs(got[2] - want[2]).max() <= 1e-13 * np.abs(want[0]).max()
+    assert got[2].min() >= 0.0
+    assert abs(got_eq[0] - want_eq[0]) <= 1e-13 * abs(want_eq[0])
+    assert abs(got_eq[0] - got_eq[1]) <= 1e-13 * abs(want_eq[0])
 
 
 def _unit_fiber(geo, rng):

@@ -586,9 +586,10 @@ def test_lemma_block_draws_without_a_per_sample_loop(monkeypatch):
 
 
 def test_lemma_block_chi_check_takes_one_svd_per_chunk(monkeypatch):
-    # the chi check reads its spectrum off one svd of the k-p blocks and
-    # certifies it with one eigvalsh of chi per 256-row chunk; the suite
-    # makes no eigh of an N x N matrix
+    # the chi check reads its spectrum off one svd with vectors of the k-p
+    # blocks of ad(Z) and certifies it with one values-only svd of the k-p
+    # blocks of chi per 256-row chunk; the suite makes no eigvalsh or eigh of
+    # an N x N matrix
     alg = build_algebra("su", p=2, q=2)
     datum = compute_root_datum(alg)
     shapes = {"svd": (alg.dim_k, alg.dim_p), "eigvalsh": (alg.dim,) * 2,
@@ -599,15 +600,15 @@ def test_lemma_block_chi_check_takes_one_svd_per_chunk(monkeypatch):
 
         def counted(a, *args, _name=name, _shape=shape, _real=real, **kwargs):
             if np.shape(a)[-2:] == _shape:
-                calls.append(_name)
+                values_only = kwargs.get("compute_uv", True) is False
+                calls.append(_name + (" values" if values_only else ""))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     sc = Scenario(family="su", p=2, q=2, lemma_samples=2000, seed=4)
     delta = 1.5 * chamber_constants(datum.lambda0, datum)[1]
     lemma_block_at_lambda0(sc, alg, datum, delta)
-    assert calls.count("svd") == calls.count("eigvalsh") == 8
-    assert calls.count("eigh") == 0
+    assert calls == ["svd", "svd values"] * 8
 
 
 @pytest.mark.parametrize(

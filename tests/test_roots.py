@@ -5,6 +5,7 @@ from holomoser import build_algebra
 from holomoser.roots import (
     ChamberWeight,
     chamber_constants,
+    chamber_hits,
     compute_root_datum,
     in_holomorphic_chamber,
     pairing_matrix,
@@ -161,3 +162,28 @@ def test_weight_from_matrix_rejects_non_torus(su21):
     x[alg.rank] = 1.0  # a k-basis element outside the torus
     with pytest.raises(ValueError):
         weight_from_matrix(alg, alg.matrix(x))
+
+
+def test_root_major_chamber_hits_match_row_major_form():
+    # 10^5 random rows, with rows on a wall spliced in: the su(2,2)
+    # compact-wall weight (a compact root vanishes; accepted) and a weight on
+    # which the last positive noncompact root vanishes (rejected)
+    alg = build_algebra("su", p=2, q=2)
+    datum = compute_root_datum(alg)
+    compact_wall = np.array([0.0, 2.6, 1.4])
+    root = datum.noncompact_coords[-1]
+    noncompact_wall = np.array([1.0, 2.0, -(root[0] + 2.0 * root[1]) / root[2]])
+    assert abs(root @ noncompact_wall) < 1e-15
+    assert min(datum.noncompact_coords[:-1] @ noncompact_wall) > 0.1
+    assert min(datum.compact_coords @ noncompact_wall) > 0.1
+    assert abs(min(datum.compact_coords @ compact_wall)) < 1e-15
+
+    rng = np.random.default_rng(43)
+    h = rng.uniform(-2.0, 2.0, (100_000, alg.rank))
+    h[[7, 70_000]] = compact_wall
+    h[[8, 70_001]] = noncompact_wall
+    got = chamber_hits(datum, h)
+    want = (h @ datum.chamber_roots.T > datum.chamber_floor).all(axis=1).nonzero()[0]
+    assert np.array_equal(got, want)
+    assert 0 < len(got) < len(h)
+    assert {7, 70_000} <= set(got) and not {8, 70_001} & set(got)
