@@ -27,22 +27,23 @@ operators.FiberSpectrum: ad(Z) = [[0, A], [A^T, 0]], so every block is a
 function of M = A^T A.  The fiber columns of the even Psi_Z^+ are the p-p
 block even(f_plus) (zero k rows), those of the odd Psi_Z^- = -nu G the k-p
 block -A even(G) (zero p rows); both blocks come from one Taylor-and-doubling
-kernel call per spectrum (psi_plus, even_g), and the hermitian blocks and
-moments read the same kernel at c = t^2, without eigh;
-the moments apply k-k blocks to k* vectors, and the flat display
-A A^T lambda_0 needs only A.  The homotopy primitive in moser.py is a closed
-form in s; only its quadrature oracle in the tests evaluates the blocks at
-scaled points (k, sZ).  The moment_* functions evaluate the moments at
-points (ks, zs).  moment_identity_residual checks a (form, moment) pair on a
-batch of B points: its 2 T finite-difference lanes per point go through one
-moment call of B 2 T rows.  difference_lanes lays those lanes out.
+kernel call per spectrum (psi_plus, even_g), and the hermitian blocks,
+their t-derivative and moments read the same kernel at c = t^2; no block
+takes an eigh.  The moments apply k-k blocks to k* vectors, and the flat
+display A A^T lambda_0 needs only A.  The homotopy primitive in moser.py
+contracts a row of Z with one kernel block; only its quadrature oracle in the
+tests evaluates the blocks at scaled points (k, sZ).  The moment_* functions
+evaluate the moments at points (ks, zs).  moment_identity_residual checks a
+(form, moment) pair on a batch of B points: its 2 T finite-difference lanes
+per point go through one moment call of B 2 T rows.  difference_lanes lays
+those lanes out.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .operators import FiberSpectrum, f_plus, f_plus_prime
+from .operators import FiberSpectrum
 from .roots import in_holomorphic_chamber, pairing_matrix, stabilizer_algebra
 
 
@@ -90,7 +91,7 @@ class OrbitGeometry:
         return (zp @ self._ad_kp).reshape(zp.shape[:-1] + (self.alg.dim_k, self.dim_p))
 
     def fiber_eig(self, zp):
-        """FiberSpectrum of ad(Z) for a batch of fiber vectors (no eigh until read)."""
+        """FiberSpectrum of ad(Z) for a batch of fiber vectors; it takes no eigh."""
         return FiberSpectrum(self.fiber_block(zp))
 
     def kappa(self, k):
@@ -134,9 +135,9 @@ class OrbitGeometry:
 
     def hermitian_dt_blocks(self, spec, t):
         """d/dt of hermitian_blocks: commuting path, so a scalar derivative."""
-        t = np.expand_dims(t, -1)
-        psip = spec.even(lambda s: f_plus(t * t * s))
-        dpsi = spec.even(lambda s: 2.0 * t * s * f_plus_prime(t * t * s))
+        t = np.expand_dims(t, (-2, -1))
+        psip = spec.sinhc(t * t)[0]
+        dpsi = 2.0 * t * spec.sinhc_dc(t * t)[0]  # d/dt f_plus(t^2 M)
         cross = _mT(dpsi) @ (self.m_lam0_pp @ psip)
         out = self._assemble(cross - _mT(cross))
         out[..., : self.dim_c, : self.dim_c] = 0.0

@@ -42,7 +42,6 @@ from functools import cache
 import numpy as np
 
 from .forms import OrbitGeometry
-from .operators import hermitian_radial
 from .roots import ChamberWeight, in_holomorphic_chamber
 
 # degree-5 symmetric triangle rule (barycentric nodes, weights sum to 1)
@@ -139,9 +138,9 @@ def _radial_row(geometry, row_p, block):
 
     F(nu) = int_0^1 r f(r nu) dr is even, so only its p-p block acts on the
     p-part row_p (B, P) of the row.  block is that p-p block even(F) (with a
-    time axis in front for a time grid), F in closed form as a function of
-    s = nu^2: G (FiberSpectrum.even_g) for f = f_plus, hermitian_radial for
-    f(nu) = nu f_plus'(t nu).
+    time axis in front for a time grid), a block of the sinhc kernel: G
+    (FiberSpectrum.even_g) for f = f_plus, and 2 t d/dc G(c M) at c = t^2
+    (FiberSpectrum.sinhc_dc) for f(nu) = nu f_plus'(t nu).
     """
     fiber = (row_p[..., None, :] @ block)[..., 0, :]
     return np.concatenate([np.zeros(fiber.shape[:-1] + (geometry.dim_c,)), fiber], axis=-1)
@@ -159,7 +158,8 @@ def _radial_time_one(geometry, radial):
     """
     alg = geometry.alg
     e = _root_probe_fibers(geometry, radii=(1.0,))[0]
-    c = geometry.fiber_eig(e[None]).s.max()
+    a = geometry.fiber_block(e[None])
+    c = np.linalg.eigh(np.swapaxes(a, -1, -2) @ a)[0].max()
     kappa = np.linalg.eigvalsh(alg.matrix(alg.embed_p(e))).max()
     scale = 0.5 * math.sqrt(c) / kappa
 
@@ -177,8 +177,8 @@ def hermitian_stage(geometry):
     def primitive(spec, kap, zp, t):
         # m_lambda_0 is antisymmetric, so the surviving term of
         # cross - cross^T contracts to +Z^T m_lambda_0
-        row, t = zp @ geometry.m_lam0_pp, np.expand_dims(t, -1)
-        return _radial_row(geometry, row, spec.even(lambda s: hermitian_radial(s, t)))
+        row, t = zp @ geometry.m_lam0_pp, np.expand_dims(t, (-2, -1))
+        return _radial_row(geometry, row, 2.0 * t * spec.sinhc_dc(t * t)[1])
 
     return FormFamily(
         "hermitian",
@@ -297,11 +297,12 @@ def homotopy_primitive(family, spec, kap, zp, t):
     maps Z to g(0) Z, so contracting sigma at (k, sZ) with (0, Z) leaves one
     spectral function of ad(Z) per stage: the base part vanishes and the
     fiber part is row . F(ad Z)[:, p] with F(nu) = int_0^1 s f(s nu) ds.
-    F is even and known in closed form as a function of nu^2 (see
-    _radial_row): 2 sinh(nu/2)^2/nu^2 for the scaling and segment stages,
-    (f_plus(t nu) - 2 G(t nu))/t for the hermitian one.  Each family
-    supplies that closed form as its primitive; the quadrature over the
-    full sigma it replaces is the test oracle quadrature_primitive.
+    F is even and a block of the sinhc kernel (see _radial_row):
+    G = 2 sinh(nu/2)^2/nu^2 for the scaling and segment stages, and
+    (f_plus(t nu) - 2 G(t nu))/t = 2 t d/dc G(c nu^2) at c = t^2 for the
+    hermitian one.  Each family supplies that block as its primitive; the
+    quadrature over the full sigma it replaces is the test oracle
+    quadrature_primitive.
     Returns covector components (..., T).
     """
     return family.primitive(spec, kap, zp, t)

@@ -7,25 +7,22 @@ so for Z in p the symmetric ad(Z) has the Cartan block structure
 
 An analytic function of ad(Z) splits into an even part g(ad(Z)^2) and an odd
 part ad(Z) h(ad(Z)^2), and A f(A^T A) = f(A A^T) A writes every block through
-M = A^T A.  The blocks the Moser flow reads, even(f_plus) and even(G), are
-entire functions of the positive semidefinite M with non-negative Taylor
-coefficients, so FiberSpectrum.sinhc sums them without eigh: Taylor
-polynomials at X = c M / 4^j, then j doublings (Higham, Functions of
-Matrices, SIAM 2008, ch. 12).  Every other spectral function takes one eigh
-M = V diag(s) V^T, formed on first use, s = sigma^2 the squared singular
-values of A clipped at 0 against roundoff (the eigenvalues of ad(Z) are
-+-sigma and zeros):
+M = A^T A, whose eigenvalues s = nu^2 are the squared eigenvalues of ad(Z):
 
-    even(g)      p-p block of g:        V g(s) V^T
-    A even(h)    k-p block of nu h:     A V h(s) V^T
+    even(g)      p-p block of g:        g(M)
+    A even(h)    k-p block of nu h:     A h(M)
     apply_k      k-k block of g on xi:  g(0) xi + A even(phi) A^T xi,
                                         phi(s) = (g(s) - g(0)) / s
 
-The scalar functions are functions of s = nu^2 >= 0: f_plus = sinh(nu)/nu
-(Psi_Z^+), its s-derivative f_plus_prime, and G = (cosh(nu) - 1)/nu^2, which
-gives Psi_Z^- = -nu G, the phi of cosh and int_0^1 r f_plus(r nu) dr.  The
-blocks even(f_plus) and even(G) are read several times per spectrum, so both
-are formed by one sinhc call (psi_plus, even_g).
+Every block the package reads is built from two functions of s, taken at
+c M for c in [0, 1]: f_plus = sinh(nu)/nu (Psi_Z^+) and G = (cosh(nu) - 1)/nu^2,
+which gives Psi_Z^- = -nu G, the phi of cosh and int_0^1 r f_plus(r nu) dr.
+Both are entire with non-negative Taylor coefficients, so FiberSpectrum.sinhc
+sums them without eigh: Taylor polynomials at X = c M / 4^j, then j doublings
+(Higham, Functions of Matrices, SIAM 2008, ch. 12).  Their c-derivatives,
+which the hermitian family reads, come from the same kernel by the complex
+step (sinhc_dc).  At c = 1 the two blocks are read several times per
+spectrum, so both are formed once (psi_plus, even_g).
 chi_spectrum_check certifies the spectrum lemma apart from FiberSpectrum: one
 svd of A builds chi_Z's k-p block B, and one values-only svd of B is checked.
 """
@@ -37,11 +34,6 @@ from math import factorial
 
 import numpy as np
 
-# below these arguments the closed forms cancel, and six Taylor terms are
-# exact to roundoff: sum_n n s^(n-1)/(2n+1)! and sum_n 2n y^(n-1)/(2n+2)!
-_SERIES_CUT = 0.1
-_F_PLUS_PRIME_SERIES = [n / factorial(2 * n + 1) for n in range(1, 7)]
-_HERMITIAN_SERIES = [2 * n / factorial(2 * n + 2) for n in range(1, 7)]
 # degree-8 Taylor coefficients of S(x) = sinh(sqrt x)/sqrt x (row 0) and
 # C(x) = cosh(sqrt x) (row 1), split as q0(x) + x^4 q1(x): q0 takes the powers
 # 0..3, q1 the powers 0..4
@@ -49,6 +41,8 @@ _TAYLOR = np.array([[1.0 / factorial(2 * n + r) for n in range(9)] for r in (1, 
 _TAYLOR_LO, _TAYLOR_HI = _TAYLOR[:, :4], _TAYLOR[:, 4:]
 # _sinhc_lanes holds about a dozen arrays of its input's size at once
 _SINHC_CHUNK = 4096
+# the complex step of sinhc_dc: its O(h^2) error is far below roundoff
+_DC_STEP = 1e-30
 
 
 def _mT(a):
@@ -66,7 +60,7 @@ def _sinhc_lanes(x, j):
     end.  j (B, 1, 1) >= 1.
     """
     eye = np.eye(x.shape[-1])
-    powers = np.empty((5,) + x.shape)  # X^0 .. X^4
+    powers = np.empty((5,) + x.shape, dtype=x.dtype)  # X^0 .. X^4
     powers[0] = eye
     powers[1] = x
     np.matmul(x, x, out=powers[2])
@@ -88,69 +82,15 @@ def _sinhc_lanes(x, j):
     return out
 
 
-def _with_series(s, closed, coef):
-    """closed(s) for s >= _SERIES_CUT, the Taylor polynomial coef below."""
-    s = np.asarray(s, dtype=float)
-    small = s < _SERIES_CUT
-    far = closed(np.where(small, 1.0, s))
-    return np.where(small, np.polynomial.polynomial.polyval(s, coef), far)
-
-
-def f_plus(s):
-    """sinh(nu)/nu at s = nu^2."""
-    s = np.asarray(s, dtype=float)
-    r = np.sqrt(np.where(s == 0.0, 1.0, s))
-    return np.where(s == 0.0, 1.0, np.sinh(r) / r)
-
-
-def G(s):
-    """(cosh(nu) - 1)/nu^2 = (1/2) (sinh(nu/2)/(nu/2))^2 at s = nu^2."""
-    return 0.5 * f_plus(0.25 * np.asarray(s, dtype=float)) ** 2
-
-
-def f_plus_prime(s):
-    """d f_plus / ds = (cosh(nu) - f_plus) / (2 s)."""
-    return _with_series(
-        s, lambda x: (np.cosh(np.sqrt(x)) - f_plus(x)) / (2.0 * x), _F_PLUS_PRIME_SERIES
-    )
-
-
-def hermitian_radial(s, t):
-    """int_0^1 r (r nu) f'(t r nu) dr = (f_plus(y) - 2 G(y)) / t at y = t^2 s.
-
-    f' is the nu-derivative of f(nu) = sinh(nu)/nu.  Written as t s H(y) with
-    H(y) = (f_plus(y) - 2 G(y)) / y; H cancels for small y, so it takes its
-    series there (H(0) = 1/12), and the result is exactly 0 at t = 0.
-    """
-    y = t * t * np.asarray(s, dtype=float)
-    h = _with_series(y, lambda x: (f_plus(x) - 2.0 * G(x)) / x, _HERMITIAN_SERIES)
-    return t * s * h
-
-
 class FiberSpectrum:
     """Spectral data of ad(Z) for a batch of Z in p; see the module doc.
 
-    a: (..., dim_k, dim_p) k-p blocks of ad(Z).  psi_plus and even_g come from
-    sinhc; s (..., dim_p) and V (..., dim_p, dim_p), for even, from one eigh
-    of A^T A on first use.
+    a: (..., dim_k, dim_p) k-p blocks of ad(Z).  Every block comes from the
+    sinhc kernel; none takes an eigh.
     """
 
     def __init__(self, a):
         self.a = a
-
-    @cached_property
-    def _eig(self):
-        s, v = np.linalg.eigh(_mT(self.a) @ self.a)
-        return np.maximum(s, 0.0), v
-
-    @property
-    def s(self):
-        return self._eig[0]
-
-    def even(self, g):
-        """The p-p block V g(s) V^T of g(ad(Z)^2), (..., P, P)."""
-        s, v = self._eig
-        return (v * g(s)[..., None, :]) @ _mT(v)
 
     @cached_property
     def _gram_scaled(self):
@@ -169,6 +109,7 @@ class FiberSpectrum:
         so a lane's value is the same for a scalar c, one c per lane or a c
         grid, whatever the other lanes hold.  The lanes go through in chunks
         of about _SINHC_CHUNK entries, which bounds the kernel's temporaries.
+        A complex c gives complex blocks (sinhc_dc).
         """
         m4, j = self._gram_scaled
         x = c * m4
@@ -179,11 +120,22 @@ class FiberSpectrum:
         if len(x) <= step:
             out = _sinhc_lanes(x, j)
         else:
-            out = np.empty((2,) + x.shape)
+            out = np.empty((2,) + x.shape, dtype=x.dtype)
             for lo in range(0, len(x), step):
                 out[:, lo : lo + step] = _sinhc_lanes(x[lo : lo + step], j[lo : lo + step])
         out = out.reshape((2,) + shape)
         return out[1], out[0]
+
+    def sinhc_dc(self, c):
+        """d/dc of sinhc(c): (M f_plus'(c M), M G'(c M)), each (..., P, P).
+
+        One sinhc call at c + i h: both functions are real on real arguments,
+        so Im sinhc(c + i h) / h is their c-derivative up to O(h^2), with no
+        subtraction to cancel (Squire and Trapp, SIAM Rev. 40 (1998); for
+        matrix functions Al-Mohy and Higham, Numer. Algorithms 53 (2010)).
+        The doubling counts j come from the real M, so no branch reads h.
+        """
+        return tuple(block.imag / _DC_STEP for block in self.sinhc(c + 1j * _DC_STEP))
 
     @cached_property
     def _sinhc_one(self):

@@ -7,6 +7,9 @@ None of this runs in the certification pipeline:
 - Ad(g) by a three-operand einsum, and the coadjoint action of K;
 - the operator bundle Psi_Z, Psi_Z^{+-}, chi_Z, cosh, e^{-ad Z} at one Z,
   and the chi spectrum check from one eigh of the full-size ad(Z);
+- the half-size eigh path: one eigh of M = A^T A and the functions of its
+  eigenvalues s = nu^2 (f_plus_s, f_plus_prime_s, G, hermitian_radial),
+  which the sinhc kernel and its complex-step derivative must match;
 - the full-size spectral path: one eigh of the N x N matrix ad(Z) and
   functions of its eigenvalues nu, for every form block, moment map and
   stage primitive;
@@ -42,6 +45,7 @@ None of this runs in the certification pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -110,6 +114,70 @@ def f_psi(nu):
     nu = np.asarray(nu, dtype=float)
     safe = np.where(nu == 0.0, 1.0, nu)
     return np.where(nu == 0.0, 1.0, -np.expm1(-safe) / safe)
+
+
+# -- the half-size eigh path: functions of s = nu^2 and blocks of M = A^T A --------
+
+
+def fiber_eigh(spec):
+    """s (..., P) and V (..., P, P) from one eigh of M = A^T A, s clipped at 0."""
+    s, v = np.linalg.eigh(np.swapaxes(spec.a, -1, -2) @ spec.a)
+    return np.maximum(s, 0.0), v
+
+
+def fiber_s(spec):
+    """The eigenvalues s = sigma^2 of A^T A, ascending, (..., P)."""
+    return fiber_eigh(spec)[0]
+
+
+def even(spec, g):
+    """The p-p block V g(s) V^T of g(ad(Z)^2); g(s) may add leading axes."""
+    s, v = fiber_eigh(spec)
+    return (v * g(s)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+def _series_below(y, closed, coef, cut=0.1):
+    """closed(y) for y >= cut, the Taylor polynomial coef below (cancellation)."""
+    small = y < cut
+    far = closed(np.where(small, 1.0, y))
+    return np.where(small, np.polynomial.polynomial.polyval(y, coef), far)
+
+
+def f_plus_s(s):
+    """sinh(nu)/nu at s = nu^2."""
+    return f_plus(np.sqrt(np.asarray(s, dtype=float)))
+
+
+def G(s):
+    """(cosh(nu) - 1)/nu^2 = (1/2) (sinh(nu/2)/(nu/2))^2 at s = nu^2."""
+    return 0.5 * f_plus_s(0.25 * np.asarray(s, dtype=float)) ** 2
+
+
+def f_plus_prime_s(s):
+    """d f_plus_s / ds = (cosh(nu) - f_plus) / (2 s), by its series below 0.1.
+
+    The series is sum_n n s^(n-1)/(2n+1)!; six terms are exact to roundoff.
+    """
+    return _series_below(
+        np.asarray(s, dtype=float),
+        lambda x: (np.cosh(np.sqrt(x)) - f_plus_s(x)) / (2.0 * x),
+        [n / factorial(2 * n + 1) for n in range(1, 7)],
+    )
+
+
+def hermitian_radial(s, t):
+    """int_0^1 r (r nu) f'(t r nu) dr = t s H(y), y = t^2 s, f(nu) = sinh(nu)/nu.
+
+    H(y) = (f_plus(y) - 2 G(y)) / y cancels for small y, so it takes its
+    series sum_n 2n y^(n-1)/(2n+2)! there (H(0) = 1/12), and the result is
+    exactly 0 at t = 0.
+    """
+    y = t * t * np.asarray(s, dtype=float)
+    h = _series_below(
+        y, lambda x: (f_plus_s(x) - 2.0 * G(x)) / x,
+        [2 * n / factorial(2 * n + 2) for n in range(1, 7)],
+    )
+    return t * s * h
 
 
 def spectral_apply(eigvals, eigvecs, fn):
@@ -559,10 +627,10 @@ def constant_stage(geometry):
     shape = prod.shape
 
     def product(spec, kap, t):
-        return np.broadcast_to(prod, spec.s.shape[:-1] + shape).copy()
+        return np.broadcast_to(prod, spec.a.shape[:-2] + shape).copy()
 
     def zero(spec, kap, t):
-        return np.zeros(spec.s.shape[:-1] + shape)
+        return np.zeros(spec.a.shape[:-2] + shape)
 
     def zero_primitive(spec, kap, zp, t):
         return np.zeros((zp.shape[0], geometry.dim_t))

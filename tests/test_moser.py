@@ -38,6 +38,7 @@ from oracles import (
     check_hypotheses_loop,
     constant_stage,
     equal_area_radius,
+    fiber_s,
     finite_difference_jacobians,
     gauge_fix,
     integrate_flow_per_step,
@@ -294,7 +295,7 @@ def test_stokes_certifies_closed_and_detects_broken(su21):
         # sum(nu^2) over the spectrum of ad(Z) is 2 sum(s).  Only the nodes
         # around the middle base point (A = ad(Z)[k, p] within 0.1) see it.
         near = np.abs(spec.a - a_broken).max(axis=(-2, -1)) < 0.1
-        factor = np.where(near, 1.0 + 0.1 * 2.0 * spec.s.sum(axis=-1), 1.0)
+        factor = np.where(near, 1.0 + 0.1 * 2.0 * fiber_s(spec).sum(axis=-1), 1.0)
         return fam.omega(spec, kap, t) * factor[:, None, None]
 
     good = stokes_closedness_residual(geo, fam.omega, k0, z0, 0.5, frames, 1e-2)
@@ -660,7 +661,7 @@ def test_batched_chart_checks_match_point_loops(su21):
     tri_draws = rng.standard_normal((3, geo.dim_t, 2))
 
     def broken(spec, kap, t):
-        factor = 1.0 + 0.1 * 2.0 * spec.s.sum(axis=-1)
+        factor = 1.0 + 0.1 * 2.0 * fiber_s(spec).sum(axis=-1)
         return fam.omega(spec, kap, t) * factor[:, None, None]
 
     off = dataclasses.replace(
@@ -699,11 +700,29 @@ def test_segment_form_builds_psi_plus_once(su21, monkeypatch):
     )
     calls = []
     _count_calls(monkeypatch, FiberSpectrum, "sinhc", calls)
-    _count_calls(monkeypatch, FiberSpectrum, "even", calls)
     _count_calls(monkeypatch, np.linalg, "eigh", calls)
     omega = segment_stage(geo, d).omega(geo.fiber_eig(zs), kap, t)
     assert calls == ["sinhc"]
     assert np.array_equal(omega, ref)
+
+
+def test_hermitian_family_takes_no_eigh(su21, monkeypatch):
+    # every hermitian evaluator reads the sinhc kernel at c = t^2: omega, the
+    # primitive and the moment once, domega_dt twice (the block and its
+    # complex-step derivative).  The family is built first: its time-one
+    # map, which no evaluator calls, takes eigh
+    _, _, geo = su21
+    fam = hermitian_stage(geo)
+    ks, zs = rand_batch(geo, np.random.default_rng(34), 4)
+    kap = geo.kappa(ks)
+    calls = []
+    _count_calls(monkeypatch, FiberSpectrum, "sinhc", calls)
+    _count_calls(monkeypatch, np.linalg, "eigh", calls)
+    for name, args, kernel_calls in (("omega", (kap, 0.3), 1), ("domega_dt", (kap, 0.3), 2),
+                                     ("primitive", (kap, zs, 0.3), 1), ("moment", (kap, 0.3), 1)):
+        calls.clear()
+        getattr(fam, name)(geo.fiber_eig(zs), *args)
+        assert calls == ["sinhc"] * kernel_calls, name
 
 
 def _count_calls(monkeypatch, owner, attr, calls, key=lambda *args: True):
@@ -744,7 +763,6 @@ def test_segment_field_forms_even_g_once(su21, monkeypatch):
     calls = []
     _count_calls(monkeypatch, OrbitGeometry, "fiber_eig", calls)
     _count_calls(monkeypatch, FiberSpectrum, "sinhc", calls)
-    _count_calls(monkeypatch, FiberSpectrum, "even", calls)
     _count_calls(monkeypatch, np.linalg, "eigh", calls)
     moser_field(segment_stage(geo, delta_for(geo)), kap, zs, 0.3)
     assert calls == ["fiber_eig", "sinhc"]
@@ -1170,7 +1188,7 @@ def test_scaling_map_is_finite_and_accurate_at_any_radius(su11):
     # log(sqrt(delta)) far out, from r = 1e-12 to 1e6)
     _, _, geo = su11
     e = _root_probe_fibers(geo, radii=(1.0,))[0]
-    half_root_c = 0.5 * np.sqrt(geo.fiber_eig(e[None]).s.max())
+    half_root_c = 0.5 * np.sqrt(fiber_s(geo.fiber_eig(e[None])).max())
     radii = np.array([1e-12, 1e-8, 1e-4, 1.0, 30.0, 1e3, 1e6])
     x = half_root_c * radii
     for delta in (0.3, 1.5, 40.0):
@@ -1215,11 +1233,11 @@ def test_degenerate_difference_lane_raises_through_the_weyl_guard(su21):
     eps = 1e-4
     # keyed on the spectrum of ad(Z)^2, which conjugation by K keeps, so the
     # family is K-invariant like every family integrate_flow accepts
-    target = geo.fiber_eig(zs[1] + eps * np.eye(geo.dim_p)[0]).s
+    target = fiber_s(geo.fiber_eig(zs[1] + eps * np.eye(geo.dim_p)[0]))
 
     def omega(spec, kap, t):
         out = base.omega(spec, kap, t)
-        out[np.abs(spec.s - target).max(axis=-1) < 1e-9] = 0.0
+        out[np.abs(fiber_s(spec) - target).max(axis=-1) < 1e-9] = 0.0
         return out
 
     singular = dataclasses.replace(base, name="singular-lane", omega=omega)

@@ -1,4 +1,4 @@
-"""The half-size spectral layer against the full-size eigh of ad(Z)."""
+"""The half-size spectral layer against the eigh of ad(Z) and of A^T A."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,21 @@ from holomoser.moser import (
     scaling_stage,
     segment_stage,
 )
-from holomoser.operators import G, FiberSpectrum, hermitian_radial
-from holomoser.operators import f_plus as f_plus_s  # a function of s = nu^2
+from holomoser.operators import _SINHC_CHUNK, FiberSpectrum
 from holomoser.pipeline import _random_chamber_weights
 from holomoser.roots import ChamberWeight, chamber_constants, compute_root_datum
 
-from oracles import FullSizeReference, f_plus, f_plus_prime
+from oracles import (
+    FullSizeReference,
+    G,
+    even,
+    f_plus,
+    f_plus_prime,
+    f_plus_prime_s,
+    f_plus_s,
+    fiber_s,
+    hermitian_radial,
+)
 
 ALGEBRAS = [
     ("su", {"p": 1, "q": 1}),
@@ -58,10 +67,11 @@ def test_half_size_layer_matches_full_size_reference(family, params):
     spec = geo.fiber_eig(zs)
     ref = FullSizeReference(geo, zs)
 
-    nonzero = np.sort(spec.s[-1][spec.s[-1] > 1e-12])
+    s = fiber_s(spec)
+    nonzero = np.sort(s[-1][s[-1] > 1e-12])
     if geo.dim_p > 2:
         assert np.min(np.diff(nonzero)) < 1e-12
-    assert np.abs(spec.s[-2]).max() == 0.0
+    assert np.abs(s[-2]).max() == 0.0
 
     checks = {
         "pullback_blocks": (geo.pullback_blocks(spec, kap), ref.pullback_blocks(kap)),
@@ -101,17 +111,21 @@ def _gauss(fn, nodes=40):
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
 def test_radial_closed_forms_match_quadrature(t):
-    # x = t nu; at t = 0 every x is taken as nu, where the primitive is 0
+    # x = t nu; at t = 0 every x is taken as nu, where the primitive is 0.
+    # Both the oracle closed forms and the kernel's blocks at the 1 x 1
+    # block A = [[nu]] (M = nu^2) must match the quadrature
     for x in (0.0, 3e-7, 3e-4, 1e-2, 0.5, 3.0):
         nu = x / t if t > 0 else x
+        spec = FiberSpectrum(np.array([[[nu]]]))
         herm = _gauss(lambda r: r * (r * nu) * f_plus_prime(t * r * nu))
-        got = hermitian_radial(np.array([nu * nu]), t)[0]
-        assert abs(got - herm) <= 1e-12 * abs(herm), (x, t, got, herm)
-        if t == 0.0:
-            assert got == 0.0
+        kernel = 2.0 * t * spec.sinhc_dc(t * t)[1][0, 0, 0]
+        for got in (hermitian_radial(np.array([nu * nu]), t)[0], kernel):
+            assert abs(got - herm) <= 1e-12 * abs(herm), (x, t, got, herm)
+            if t == 0.0:
+                assert got == 0.0
         scale = _gauss(lambda r: r * f_plus(r * nu))
-        got = G(np.array([nu * nu]))[0]
-        assert abs(got - scale) <= 1e-12 * abs(scale), (x, got, scale)
+        for got in (G(np.array([nu * nu]))[0], spec.even_g[0, 0, 0]):
+            assert abs(got - scale) <= 1e-12 * abs(scale), (x, got, scale)
 
 
 KERNEL_ALGEBRAS = [
@@ -141,13 +155,13 @@ def test_sinhc_kernel_matches_eigh_path(family, params):
     spec = geo.fiber_eig(zs)
     m0 = geo.m_lam0_pp
     checks = {
-        "psi_plus": (spec.psi_plus, spec.even(f_plus_s)),
-        "even_g": (spec.even_g, spec.even(G)),
+        "psi_plus": (spec.psi_plus, even(spec, f_plus_s)),
+        "even_g": (spec.even_g, even(spec, G)),
     }
     for t in (0.0, 0.37, 1.0):
         psip, g = spec.sinhc(t * t)
-        want_psip = spec.even(lambda s: f_plus_s(t * t * s))
-        want_g = spec.even(lambda s: G(t * t * s))
+        want_psip = even(spec, lambda s: f_plus_s(t * t * s))
+        want_g = even(spec, lambda s: G(t * t * s))
         checks[f"sinhc t={t}"] = (psip, want_psip)
         checks[f"sinhc G t={t}"] = (g, want_g)
         checks[f"hermitian_blocks t={t}"] = (
@@ -162,6 +176,46 @@ def test_sinhc_kernel_matches_eigh_path(family, params):
         lane = tuple(range(1, got.ndim))  # relative to each lane's largest entry
         err = np.abs(got - want).max(axis=lane) / np.abs(want).max(axis=lane)
         assert err.max() <= 1e-13, (name, float(err.max()))
+
+
+# 2 t sinhc_dc(t^2) against the eigh path, relative to each block's largest
+# entry: measured at most 4.0e-14 (su(1,1), the primitive on the grid)
+DC_BOUND = 1e-13
+
+
+@pytest.mark.parametrize("family,params", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+def test_sinhc_dc_matches_eigh_derivatives(family, params):
+    # the complex-step derivative gives d/dt f_plus(t^2 M) and the hermitian
+    # primitive's block 2 t d/dc G(c M) at c = t^2, at scalar t, one t per
+    # lane and a (time, lane) grid, |Z| from 1e-3 out to 15.  The grid spans
+    # more than one kernel chunk, whose buffer must keep the imaginary part
+    alg = build_algebra(family, **params)
+    datum = compute_root_datum(alg)
+    geo = OrbitGeometry(alg, datum, datum.lambda0)
+    rng = np.random.default_rng(33)
+    zs = rng.standard_normal((60, geo.dim_p))
+    zs *= (np.geomspace(1e-3, 15.0, 60) / np.linalg.norm(zs, axis=1))[:, None]
+    zs = np.concatenate([zs, np.zeros((1, geo.dim_p))])
+    spec = geo.fiber_eig(zs)
+    chunk = _SINHC_CHUNK // geo.dim_p**2
+    grid = np.linspace(0.0, 1.0, chunk // len(zs) + 2)[:, None]
+    assert grid.size * len(zs) > chunk
+    times = [0.0, 1e-4, 0.37, 1.0, rng.uniform(0.0, 1.0, len(zs)), grid]
+    for t in times:
+        tm, ts = np.expand_dims(t, (-2, -1)), np.expand_dims(t, -1)
+        d_f, d_g = spec.sinhc_dc(tm * tm)
+        checks = {
+            "d/dt f_plus": (2.0 * tm * d_f,
+                            even(spec, lambda s: 2.0 * ts * s * f_plus_prime_s(ts * ts * s))),
+            "hermitian primitive": (2.0 * tm * d_g,
+                                    even(spec, lambda s: hermitian_radial(s, ts))),
+        }
+        for name, (got, want) in checks.items():
+            assert got.shape == want.shape, name
+            scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+            err = np.abs(got - want)
+            ratio = (err / np.where(scale > 0.0, scale, 1.0)).max()
+            assert (err <= DC_BOUND * scale).all(), (name, np.shape(t), float(ratio))
 
 
 def test_sinhc_lanes_do_not_depend_on_their_batch():
