@@ -18,25 +18,20 @@ convention (the flat display, off by a factor 2, and the product display's
 fiber sign) are measured at run time by measure_convention_constants.
 
 OrbitGeometry's evaluators take the spectrum of ad(Z) (fiber_eig) and the
-Ad(k^{-1}) matrices of a batch of points and accept any leading batch shape;
-each block is a matmul chain W^T M W over that shape.  A t or delta argument
-is a scalar or an array that broadcasts against that shape (one value per
-lane, or a time axis in front of the lanes); each evaluator appends the
-trailing axes it scales.  The spectrum is the half-size
-operators.FiberSpectrum: ad(Z) = [[0, A], [A^T, 0]], so every block is a
-function of M = A^T A.  The fiber columns of the even Psi_Z^+ are the p-p
-block even(f_plus) (zero k rows), those of the odd Psi_Z^- = -nu G the k-p
-block -A even(G) (zero p rows); both blocks come from one Taylor-and-doubling
-kernel call per spectrum (psi_plus, even_g), and the hermitian blocks,
-their t-derivative and moments read the same kernel at c = t^2; no block
-takes an eigh.  The moments apply k-k blocks to k* vectors, and the flat
-display A A^T lambda_0 needs only A.  The homotopy primitive in moser.py
-contracts a row of Z with one kernel block; only its quadrature oracle in the
-tests evaluates the blocks at scaled points (k, sZ).  The moment_* functions
-evaluate the moments at points (ks, zs).  moment_identity_residual checks a
-(form, moment) pair on a batch of B points: its 2 T finite-difference lanes
-per point go through one moment call of B 2 T rows.  difference_lanes lays
-those lanes out.
+Ad(k^{-1}) matrices of a batch of points (None for k = e) and accept any
+leading batch shape; each block is a matmul chain W^T M W over that shape.
+A t or delta argument is a scalar or an array that broadcasts against that
+shape (one value per lane, or a time axis in front of the lanes); each
+evaluator appends the trailing axes it scales.  The spectrum is the
+half-size operators.FiberSpectrum: ad(Z) = [[0, A], [A^T, 0]], so every
+block is a function of M = A^T A.  The fiber columns of the even Psi_Z^+
+are the p-p block even(f_plus) (zero k rows), those of the odd Psi_Z^- =
+-nu G the k-p block -A even(G) (zero p rows); both come from one
+Taylor-and-doubling kernel call per spectrum (psi_plus, even_g), and the
+hermitian blocks, their t-derivative and moments read the same kernel at
+c = t^2; no block takes an eigh.  The moments apply k-k blocks to k*
+vectors, and the flat display A A^T lambda_0 needs only A.  The moment_*
+functions evaluate the moments at points (ks, zs).
 """
 
 from __future__ import annotations
@@ -102,8 +97,8 @@ class OrbitGeometry:
         return self.alg.adjoint_group_matrix(self.alg.group_inverse(k))
 
     def klam(self, kap):
-        """Coadjoint coordinates of k lambda from the kappa matrices."""
-        return np.einsum("...nm,n->...m", kap, self.lam)
+        """Coadjoint coordinates of k lambda from the kappa matrices (None: k = e)."""
+        return self.lam if kap is None else np.einsum("...nm,n->...m", kap, self.lam)
 
     def pairing_klam(self, kap):
         """p-p blocks (..., P, P) of the pairings <k lambda, [., .]>."""
@@ -111,7 +106,8 @@ class OrbitGeometry:
         return out.reshape(out.shape[:-1] + (self.dim_p, self.dim_p))
 
     def pullback_blocks(self, spec, kap):
-        """Form matrices (..., T, T) of Gamma^* Omega at the points (k, Z)."""
+        """Form matrices (..., T, T) of Gamma^* Omega at (k, Z); kap None: k = e."""
+        kap = np.eye(self.alg.dim) if kap is None else kap
         m_kl = self.pairing_klam(kap)
         psim = -(spec.a @ spec.even_g)  # the k rows of Psi_Z^-; its p rows vanish
         psip = spec.psi_plus  # the p rows of Psi_Z^+; its k rows vanish

@@ -4,9 +4,10 @@ A FormFamily is a t-family of closed 2-forms on the model K x p together
 with its time derivative and a compatible family of moment maps.  The Moser
 construction turns each family into a flow: the time derivative is made
 exact by the radial homotopy primitive (fiber scaling (k, Z) -> (k, sZ)),
-the Moser field solves iota(xi) omega_t = -mu_t, and a fourth-order
-integrator in body coordinates (integrate_flow) transports points so that
-the time-one map pulls the final form back to the initial one.
+the Moser field solves iota(xi) omega_t = -mu_t (one solve, which also
+bounds the form's margin), and a fourth-order integrator in body
+coordinates (integrate_flow) evaluates it at k = e and transports points so
+that the time-one map pulls the final form back to the initial one.
 
 Three concrete stages compose to the full isotopy:
 
@@ -23,13 +24,10 @@ The verification drivers flow perturbed initial points through the stages
 once and compare differentials at every stage boundary (central differences
 along the fiber, the base rows from them by K-equivariance) against the
 claimed pullback identity of the composite and of each stage (FlowBlock),
-transport moment maps, and check the standing hypotheses
-(closedness via Stokes on exponential-chart simplices, exactness of the
-primitive, zero section behaviour, properness constants of the moment
-families).  The chart checks take a leading batch of base points (B, ...)
-with one family time each and their simplex frames, and evaluate every
-quadrature node of every simplex in one batched call, each node carrying
-its own base point and time (FormFamily takes time as a batch axis).
+transport moment maps, and check the standing hypotheses (closedness via
+Stokes on exponential-chart simplices, exactness of the primitive, zero
+section behaviour, properness constants of the moment families) in one
+pass for all stages, every quadrature node in one batched call.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from .forms import OrbitGeometry
+from .forms import OrbitGeometry, _mT
 from .roots import ChamberWeight, in_holomorphic_chamber
 
 # degree-5 symmetric triangle rule (barycentric nodes, weights sum to 1)
@@ -82,8 +80,8 @@ class FormFamily:
 
     omega / domega_dt map (spec, kap, t) to (..., T, T) form matrices at the
     points whose fiber spectra (OrbitGeometry.fiber_eig) and Ad(k^{-1})
-    matrices are given; primitive maps (spec, kap, zp, t) to the (..., T)
-    radial homotopy primitive of domega_dt (see homotopy_primitive); moment
+    matrices kap are given, kap None meaning k = e; primitive maps (spec,
+    kap, zp, t) to the (..., T) radial primitive of domega_dt; moment
     maps (spec, kap, t) to (..., N) coadjoint coordinates, and
     pairing_direction t to the (..., N) unit vectors the properness fit pairs
     with.  t is a scalar or broadcasts against the lanes: one time per lane
@@ -106,6 +104,9 @@ class FormFamily:
     integrate_flow; None for the segment.  Such families do not move the base
     (moves_base): omega and primitive never read kap and the Moser field is
     exactly vertical, so the chart checks skip kappa and the group points.
+    No certificate reads their primitive or domega_dt, and their properness
+    fit certifies no step of the run (an exact map needs no complete flow):
+    it stays a check of the moment family against properness_bound.
     """
 
     name: str
@@ -232,17 +233,35 @@ def scaling_stage(geometry, delta):
 
 
 def segment_stage(geometry, delta):
-    """Delta form to the orbit pullback: the segment family from its delta end."""
+    """Delta form to the orbit pullback: the segment family from its delta end.
+
+    At kap = None (k = e) omega and primitive read constants hoisted here,
+    and omega blends the forms once: with Psi_- = -A even(G) and Psi_+ =
+    even(f_plus), fiber block Psi_+^T (t m_kl + (1 - t) delta m_lam0_pp) Psi_+
+    + t Psi_-^T m_kk Psi_- and c-p block t comp^T m_kk Psi_-.
+    """
+    k, c, m_kl = geometry.alg.dim_k, geometry.dim_c, geometry.pairing_klam(None)
+    m_kk, d_m0 = geometry.m_lam[:k, :k], delta * geometry.m_lam0_pp
+    row_e, comp_kk = m_kl - d_m0, geometry.complement[:k].T @ m_kk
 
     def omega(spec, kap, t):
-        pull = geometry.pullback_blocks(spec, kap)
-        dl, t = geometry.delta_blocks(spec, delta), np.expand_dims(t, (-2, -1))
-        return (1.0 - t) * dl + t * pull
+        t = np.asarray(t)[..., None, None]
+        if kap is not None:
+            pull = geometry.pullback_blocks(spec, kap)
+            return (1.0 - t) * geometry.delta_blocks(spec, delta) + t * pull
+        psim, psip = -(spec.a @ spec.even_g), spec.psi_plus
+        out = geometry._assemble(_mT(psip) @ ((t * m_kl + (1.0 - t) * d_m0) @ psip)
+                                 + t * (_mT(psim) @ (m_kk @ psim)))
+        out[..., :c, c:] = t * (comp_kk @ psim)
+        out[..., c:, :c] = -_mT(out[..., :c, c:])
+        return out
 
     def domega(spec, kap, t):
         return geometry.pullback_blocks(spec, kap) - geometry.delta_blocks(spec, delta)
 
     def primitive(spec, kap, zp, t):
+        if kap is None:
+            return _radial_row(geometry, zp @ row_e, spec.even_g)
         row = (zp[:, None, :] @ geometry.pairing_klam(kap))[:, 0]
         row -= delta * (zp @ geometry.m_lam0_pp)
         return _radial_row(geometry, row, spec.even_g)
@@ -289,68 +308,51 @@ class MoserStage:
 
 
 def homotopy_primitive(family, spec, kap, zp, t):
-    """Primitive mu_t of d omega_t/dt from the fiber-scaling homotopy.
+    """Primitive mu_t (..., T) of d omega_t/dt from the fiber-scaling homotopy.
 
-    mu|_(k,Z)(u) = int_0^1 sigma|_(k,sZ)((0, Z), (u_base, s u_fiber)) ds,
-    valid because each sigma is closed and has no base-base component along
-    the zero section.  Since ad(Z)Z = 0, every spectral function g(s ad Z)
-    maps Z to g(0) Z, so contracting sigma at (k, sZ) with (0, Z) leaves one
-    spectral function of ad(Z) per stage: the base part vanishes and the
-    fiber part is row . F(ad Z)[:, p] with F(nu) = int_0^1 s f(s nu) ds.
-    F is even and a block of the sinhc kernel (see _radial_row):
-    G = 2 sinh(nu/2)^2/nu^2 for the scaling and segment stages, and
-    (f_plus(t nu) - 2 G(t nu))/t = 2 t d/dc G(c nu^2) at c = t^2 for the
-    hermitian one.  Each family supplies that block as its primitive; the
-    quadrature over the full sigma it replaces is the test oracle
-    quadrature_primitive.
-    Returns covector components (..., T).
+    mu|_(k,Z)(u) = int_0^1 sigma|_(k,sZ)((0, Z), (u_base, s u_fiber)) ds;
+    since ad(Z)Z = 0 it is one row . F(ad Z)[:, p] per stage with
+    F(nu) = int_0^1 s f(s nu) ds, the family's closed form (_radial_row).
+    The quadrature it replaces is the test oracle quadrature_primitive.
     """
     return family.primitive(spec, kap, zp, t)
 
 
-def _form_margin(family, omega, t, margin_ref=None):
-    """Least singular value of the forms omega (B, T, T) on the margin lanes.
+def _form_margin(family, omega, t, mu=None):
+    """Solve omega [xi | Y] = [mu | I] once; xi (None without mu) and a margin.
 
-    margin_ref (B,) maps each lane to the margin lane bounding it (None: each
-    lane itself); only margin lanes take an svd.  Every lane is guarded by
-    Weyl's sigma_min(w) >= sigma_min(w_ref) - ||w - w_ref||_F (Horn and
-    Johnson, Matrix Analysis, 7.3): a bound below 1e-10 raises RuntimeError,
-    as do a form with non-finite entries (checked before LAPACK sees it) and
-    an svd that does not converge, each naming the family and t.
+    The margin is min over lanes of 1/||Y||_F, in [sigma_min / sqrt(T),
+    sigma_min / sqrt(2)] for a skew form (singular values come in pairs).
+    Below 1e-10 it raises RuntimeError, as do non-finite entries (checked
+    before LAPACK sees them) and an exactly singular form, naming family and t.
     """
-    where = f"{family.name} form at t = {t:.4f}"
     if not np.isfinite(omega).all():
-        raise RuntimeError(f"{where} has non-finite entries")
-    ref = np.arange(len(omega)) if margin_ref is None else margin_ref
-    rows = ref == np.arange(len(omega))
-    sigma = np.zeros(len(omega))
+        raise RuntimeError(f"{family.name} form at t = {t:.4f} has non-finite entries")
+    rhs = np.zeros(omega.shape[:-1] + (omega.shape[-1] + 1,))
+    rhs[..., 0], rhs[..., 1:] = 0.0 if mu is None else mu, np.eye(omega.shape[-1])
     try:
-        sigma[rows] = np.linalg.svd(omega[rows], compute_uv=False)[..., -1]
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"{exc} ({where})") from exc
-    gap = omega - omega[ref]
-    bound = float((sigma[ref] - np.sqrt(np.einsum("bij,bij->b", gap, gap))).min())
+        sol, note = np.linalg.solve(omega, rhs), ""
+        inv = sol[..., 1:]
+        bound = float(1.0 / np.sqrt((inv * inv).sum(axis=(-2, -1)).max()))
+    except np.linalg.LinAlgError as exc:  # gesv stops only on a singular form
+        sol, note, bound = None, f": {exc}", 0.0
     if not bound >= 1e-10:
         raise RuntimeError(
             f"{family.name} family degenerates along the flow "
-            f"(margin {bound:.3e} at t = {t:.4f})"
+            f"(margin {bound:.3e} at t = {t:.4f}){note}"
         )
-    return float(sigma[rows].min())
+    return (None if mu is None else sol[..., 0]), bound
 
 
-def moser_field(family, kap, zs, t, margin_ref=None):
+def moser_field(family, kap, zs, t):
     """Moser field xi_t with iota(xi) omega_t = -mu_t; (B, T) tangent coords.
 
-    kap: the points' Ad(k^{-1}) matrices, or one for all (integrate_flow
-    passes the identity).  Returns xi and _form_margin's margin.
+    kap: the points' Ad(k^{-1}) matrices, or None for k = e (integrate_flow's
+    body frame).  Returns xi and the margin of the same solve (_form_margin).
     """
-    geo = family.geometry
-    spec = geo.fiber_eig(zs)
+    spec = family.geometry.fiber_eig(zs)
     omega = family.omega(spec, kap, t)
-    margin = _form_margin(family, omega, t, margin_ref)
-    mu = homotopy_primitive(family, spec, kap, zs, t)
-    xi = np.linalg.solve(omega, mu[..., None])[..., 0]
-    return xi, margin
+    return _form_margin(family, omega, t, homotopy_primitive(family, spec, kap, zs, t))
 
 
 # -- flow integration --------------------------------------------------------------
@@ -410,7 +412,7 @@ def _accumulate_k(alg, ks, factors, max_res, reproj):
     return ks, max_res, reproj
 
 
-def integrate_flow(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
+def integrate_flow(family, k0, z0, steps, z_ceiling=None):
     """Flow the Moser field of the family from t = 0 to 1 (order four).
 
     Precondition: K-invariant forms and primitive (at (k, Ad(k) W) they are R^T
@@ -424,7 +426,6 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
     (B, a, a) group elements, z0: (B, dim_p).  Drift off K beyond 1e-12, at
     entry or after a step, triggers a polar reprojection.  A fiber norm
     ceiling (default ten times the initial bound) aborts escaping flows.
-    margin_ref picks the lanes whose form margins take an svd (_form_margin).
     """
     geo = family.geometry
     alg = geo.alg
@@ -438,17 +439,19 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
     if z_ceiling is None:
         z_ceiling = 10.0 * max(1.0, float(fiber_sup.max()))
     h = 1.0 / steps
-    identity = np.eye(alg.dim)
     min_margin = np.inf
     xs = np.empty((4, steps, len(ws), dk))  # base velocities, by RK stage and step
+    # [X, W]_p for X in k and W in p as one GEMM: the k x p -> p structure slice
+    bracket_kp = alg.structure[:dk, dk:, dk:].reshape(-1, geo.dim_p)
 
     def field(t_arg, w):
         # the base velocity X(e, W) in k and the body velocity of W
         nonlocal min_margin
-        xi, margin = moser_field(family, identity, w, t_arg, margin_ref)
+        xi, margin = moser_field(family, None, w, t_arg)
         min_margin = min(min_margin, margin)
         x = xi[:, : geo.dim_c] @ geo.complement[:dk].T
-        return x, xi[:, geo.dim_c :] - alg.bracket(alg.embed_k(x), alg.embed_p(w))[:, dk:]
+        bracket = (x[:, :, None] * w[:, None]).reshape(len(w), -1) @ bracket_kp
+        return x, xi[:, geo.dim_c :] - bracket
 
     for n in range(steps):
         t = n * h
@@ -476,27 +479,26 @@ def integrate_flow(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
     return FlowResult(ks, zs, trace)
 
 
-def _map_stage(family, ks, zs, margin_ref=None):
+def _map_stage(family, ks, zs):
     """FlowResult of the exact time_one map: no steps, k passed through, the
-    form margin read at both boundary states on the margin lanes."""
+    form margin bound (_form_margin) read at both boundary states."""
     geo = family.geometry
     out = family.time_one(zs)
-    rows = slice(None) if margin_ref is None else margin_ref == np.arange(len(zs))
-    margin = min(_form_margin(family, family.omega(geo.fiber_eig(z[rows]), None, t), t)
+    margin = min(_form_margin(family, family.omega(geo.fiber_eig(z), None, t), t)[1]
                  for z, t in ((zs, 0.0), (out, 1.0)))
     sup = np.maximum(np.linalg.norm(zs, axis=-1), np.linalg.norm(out, axis=-1))
     res = float(geo.alg.group_residual(ks).max())
     return FlowResult(ks, out, FlowTrace(0, margin, res, 0, sup, 0))
 
 
-def flow_stages(stages, k0, z0, margin_ref=None):
+def flow_stages(stages, k0, z0):
     """Chain the stages, mapping those with a time_one map and flowing the rest;
-    one FlowResult (the states after it) per stage, margin_ref as in _form_margin."""
+    one FlowResult (the states after it) per stage."""
     results = []
     for stage in stages:
         fam = stage.family
-        results.append(integrate_flow(fam, k0, z0, stage.steps, margin_ref=margin_ref)
-                       if fam.time_one is None else _map_stage(fam, k0, z0, margin_ref))
+        results.append(integrate_flow(fam, k0, z0, stage.steps)
+                       if fam.time_one is None else _map_stage(fam, k0, z0))
         k0, z0 = results[-1].k, results[-1].z
     return results
 
@@ -563,17 +565,17 @@ def stokes_closedness_residual(
 ):
     """Relative boundary-integral defect of omega over small 3-simplices.
 
-    omega(spec, kap, t) -> (Q, T, T) takes one time per node (a FormFamily's
-    omega); with moves_base False it is handed kap = None
-    (FormFamily.moves_base).  k0 (B, a, a) and z0 (B, P) are base points with
-    times t (B,) or one scalar; frames (B, n, T, 3) hold orthonormal edge
-    directions of n tetrahedra at each, with vertices 0 and diameter times
-    the columns in the exponential chart at the base point.  The form is
-    integrated over every oriented boundary face by the degree-5 triangle
-    rule, all B n 4 7 nodes in one _chart_form_matrices call; for closed
-    forms the sum is quadrature-exact zero.  Returns the worst relative
-    defect per base point (B,).  On a two-dimensional total space every
-    2-form is closed and the check is vacuous (zeros; frames is not read).
+    omega(spec, kap, t) -> (..., Q, T, T) takes one time per node (a
+    FormFamily's omega, or a stack of several: the result keeps the leading
+    axes); with moves_base False it is handed kap = None.  k0 (B, a, a) and
+    z0 (B, P) are base points with times t (B,) or one scalar; frames (B, n,
+    T, 3) hold orthonormal edge directions of n tetrahedra at each, vertices
+    0 and diameter times the columns in the exponential chart at the base
+    point.  The form is integrated over every oriented boundary face by the
+    degree-5 triangle rule, all B n 4 7 nodes in one _chart_form_matrices
+    call; for closed forms the sum is quadrature-exact zero.  Returns the
+    worst relative defect per base point (..., B); on a two-dimensional total
+    space every 2-form is closed and the check is vacuous (zeros).
     """
     if geometry.dim_t < 3:
         return np.zeros(len(z0))
@@ -582,14 +584,13 @@ def stokes_closedness_residual(
     verts[:, :, 1:] = diameter * np.swapaxes(frames, -1, -2)
     tri = verts[:, :, [face for _, face in _TET_FACES]]  # (B, n, 4, 3, T)
     pts = _TRI_BARY @ tri
-    mats = _chart_form_matrices(
-        geometry, omega, *_per_node(k0, z0, t, pts), moves_base
-    ).reshape(pts.shape + (t_dim,))
+    mats = _chart_form_matrices(geometry, omega, *_per_node(k0, z0, t, pts), moves_base)
+    mats = mats.reshape(mats.shape[:-3] + pts.shape + (t_dim,))
     vals = np.einsum(
         "...i,...qij,...j->...q", tri[..., 1, :] - tri[..., 0, :], mats,
         tri[..., 2, :] - tri[..., 0, :],
     )
-    integral = 0.5 * (vals @ _TRI_W)  # (B, n, 4)
+    integral = 0.5 * (vals @ _TRI_W)  # (..., B, n, 4)
     total = integral @ np.array([sign for sign, _ in _TET_FACES])
     scale = np.abs(integral).sum(axis=-1)
     return (np.abs(total) / np.maximum(scale, 1e-300)).max(axis=-1)
@@ -758,10 +759,7 @@ def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *
     lanes_z.append(np.zeros((n_zero, dim_p)))
 
     states = [(np.concatenate(lanes_k), np.concatenate(lanes_z))]
-    # only centres, partners and zero-section lanes take an exact form margin
-    margin_ref = np.arange(zero_idx + n_zero)
-    margin_ref[b0:eq_idx] = np.repeat(np.arange(b0), 2 * dim_p)
-    results = flow_stages(stages, *states[0], margin_ref)
+    results = flow_stages(stages, *states[0])
     states += [(res.k, res.z) for res in results]
     points = [(geometry.fiber_eig(zs[:b0]), geometry.kappa(ks[:b0])) for ks, zs in states]
 
@@ -849,44 +847,51 @@ def random_points(geometry, rng, count, radii):
     return ks, zs * (rng.uniform(*radii, count) / np.linalg.norm(zs, axis=1))[:, None]
 
 
-def properness_fit(family, rng):
-    """Fitted quadratic growth constant of the moment family.
+def properness_fit(families, rng):
+    """Fitted quadratic growth constants of the moment families, one each.
 
     min over samples and t of <Phi_t(k,Z) - Phi_t(k,0), n_t> / ||Z||^2 with
     n_t the family's unit pairing direction (z0-hat for the product-side
     families, H_{lambda_t}-hat for the segment).  60 random points with
     ||Z|| in [0.2, 2.5] are mixed with root-plane probes so the minimum
-    lands on the saturating rays.  The sampled fibers and the zero section
-    under the same k take one moment call at every t of _PROPERNESS_GRID.
+    lands on the saturating rays.  The families share the draw, and the
+    sampled and zero fibers one spectrum and kappa; each family takes one
+    moment call on _PROPERNESS_GRID.
     """
-    geometry = family.geometry
+    geometry = families[0].geometry
     a = geometry.alg.ambient
     ks, zs = random_points(geometry, rng, 60, (0.2, 2.5))
     probes = _root_probe_fibers(geometry)
     ks = np.concatenate([ks, np.broadcast_to(np.eye(a, dtype=complex), (len(probes), a, a))])
     zs = np.concatenate([zs, np.stack(probes)])
     n, t = len(zs), np.array(_PROPERNESS_GRID)[:, None]
-    phi = family.moment(geometry.fiber_eig(np.concatenate([zs, np.zeros_like(zs)])),
-                        np.concatenate([geometry.kappa(ks)] * 2), t)
-    gap = (phi[:, :n] - phi[:, n:]) @ np.swapaxes(family.pairing_direction(t), -1, -2)
-    return float((gap[..., 0] / np.linalg.norm(zs, axis=1) ** 2).min())
+    spec = geometry.fiber_eig(np.concatenate([zs, np.zeros_like(zs)]))
+    kap = np.concatenate([geometry.kappa(ks)] * 2)
+    fits = []
+    for family in families:
+        phi = family.moment(spec, kap, t)
+        gap = (phi[:, :n] - phi[:, n:]) @ np.swapaxes(family.pairing_direction(t), -1, -2)
+        fits.append(float((gap[..., 0] / np.linalg.norm(zs, axis=1) ** 2).min()))
+    return fits
 
 
 def properness_gamma(family):
     """Fitted growth exponent of the moment gap along a root-plane ray.
 
-    Log-log regression of <Phi_t(e, rV) - Phi_t(e, 0), n_t> against r at
-    t = 0.5 and six radii r in [0.05, 0.4]; the quadratic-growth hypothesis
-    predicts a slope of 2 for small radii.  The ray and its zero fibers take
-    one moment call.
+    Log-log least-squares slope of <Phi_t(e, rV) - Phi_t(e, 0), n_t> against
+    r at t = 0.5 and six radii r in [0.05, 0.4], in closed form on centred
+    logs; the quadratic-growth hypothesis predicts a slope of 2 for small
+    radii.  The ray and its zero fibers take one moment call.
     """
     t, radii = 0.5, np.geomspace(0.05, 0.4, 6)
     geometry = family.geometry
     direction = _root_probe_fibers(geometry, radii=(1.0,))[0]
     zs = np.concatenate([np.outer(radii, direction), np.zeros((6, len(direction)))])
-    phi = family.moment(geometry.fiber_eig(zs), np.eye(geometry.alg.dim), t)  # Ad(e^{-1})
+    phi = family.moment(geometry.fiber_eig(zs), None, t)  # k = e
     vals = (phi[:6] - phi[6:]) @ family.pairing_direction(t)
-    return float(np.polyfit(np.log(radii), np.log(vals), 1)[0])
+    x, y = np.log(radii), np.log(vals)
+    x, y = x - x.mean(), y - y.mean()
+    return float(x @ y / (x @ x))
 
 
 def _draw_chart_points(geometry, rng, count, n_tets):
@@ -924,72 +929,71 @@ _HYPOTHESIS_VALUES = (
 def check_hypotheses(stages, rng):
     """Static hypothesis checks for a stage list.
 
-    For every stage this certifies, at randomly sampled points and family
-    times: each omega_t is closed (Stokes on random tetrahedra) and the
-    radial primitive integrates its time derivative (circulation vs flux on
-    2-simplices); on the zero section the forms have no base-fiber coupling,
-    the time derivative and the endpoint difference omega_1 - omega_0 both
-    restrict to zero, the primitive vanishes, the moment norms stay bounded
-    (sup reported), and the symplectic orthogonal of the section - computed
-    as an explicit null space of the base rows - is exactly the fiber.  Each
-    moment family's fitted quadratic growth constant and growth exponent are
-    reported against its FormFamily.properness_bound.  Dynamic checks
-    (zero-section fixing, equivariance, fiber ceilings) come from the flow
-    itself in verify_pullback.
+    This certifies, at randomly sampled points and family times: each
+    omega_t is closed (Stokes on random tetrahedra) and the radial primitive
+    integrates its time derivative (circulation vs flux on 2-simplices); on
+    the zero section the forms have no base-fiber coupling, the time
+    derivative and the endpoint difference omega_1 - omega_0 both restrict
+    to zero, the primitive vanishes, the moment norms stay bounded (sup
+    reported), and the symplectic orthogonal of the section (a null space of
+    the base rows) is exactly the fiber.  Each moment family's fitted growth
+    constant and exponent are reported against its properness_bound.  A
+    mapped stage (FormFamily.time_one) skips the three primitive values
+    (exactness, zero-section primitive sup, dt restriction).
 
-    One pass per stage: six base points, two at each of t = 0, 0.5 and 1,
-    with two tetrahedra of diameter 1e-2 and one triangle each are drawn
-    first (_draw_chart_points); then all Stokes nodes, all exactness edge
-    nodes, all flux nodes and the zero-section blocks of those points, each
-    node at its point's time, are each one batched evaluation.  Every
-    reported value is the np.max of its per-stage maxima, so a NaN anywhere
-    is reported.  The stages share one geometry.
+    One pass for all stages: six base points, two at each of t = 0, 0.5 and
+    1, with two tetrahedra of diameter 1e-2 and one triangle each, are drawn
+    first (_draw_chart_points), then the properness points.  The Stokes
+    nodes take one chart, spectrum and kappa for every family's omega; the
+    exactness nodes of each flowed family and the zero-section blocks are
+    each one batched evaluation.  Every value is the np.max of its parts, so
+    a NaN anywhere is reported.  The stages share one geometry.
     """
-    geometry = stages[0].family.geometry
+    families = [stage.family for stage in stages]
+    geometry = families[0].geometry
     worst = {key: [] for key in _HYPOTHESIS_VALUES}
-    properness = []
     ts = np.repeat([0.0, 0.5, 1.0], 2)
+    k0, z0, tet_frames, tri_frames = _draw_chart_points(geometry, rng, len(ts), 2)
+    fits = properness_fit(families, rng)
+    worst["closedness_rel_residual"].append(stokes_closedness_residual(
+        geometry, lambda spec, kap, t: np.stack([fam.omega(spec, kap, t) for fam in families]),
+        k0, z0, ts, tet_frames, 1e-2, any(fam.moves_base for fam in families),
+    ).max())
     zero_fiber = np.zeros((len(ts), geometry.dim_p))
-    spec_zero = geometry.fiber_eig(zero_fiber)
+    spec_zero, kap0 = geometry.fiber_eig(zero_fiber), geometry.kappa(k0)
     c = geometry.dim_c
-    for stage in stages:
-        fam = stage.family
-        k0, z0, tet_frames, tri_frames = _draw_chart_points(geometry, rng, len(ts), 2)
-        worst["closedness_rel_residual"].append(stokes_closedness_residual(
-            geometry, fam.omega, k0, z0, ts, tet_frames, 1e-2, fam.moves_base
-        ).max())
-        worst["primitive_exactness_residual"].append(primitive_exactness_residual(
-            fam, k0, z0, ts, tri_frames
-        ).max())
-        kap0 = geometry.kappa(k0)
-        block = fam.omega(spec_zero, kap0, ts)
-        mu0 = homotopy_primitive(fam, spec_zero, kap0, zero_fiber, ts)
-        worst["zero_section_primitive_sup"].append(np.abs(mu0).max())
-        worst["zero_section_moment_sup"].append(
-            np.linalg.norm(fam.moment(spec_zero, kap0, ts), axis=-1).max()
-        )
-        if c > 0:
-            worst["zero_section_cross_block"].append(np.abs(block[:, :c, c:]).max())
+    for fam in families:
+        flowed = fam.time_one is None
+        block, moment = fam.omega(spec_zero, kap0, ts), fam.moment(spec_zero, kap0, ts)
+        worst["zero_section_moment_sup"].append(np.linalg.norm(moment, axis=-1).max())
+        if flowed:
+            exact = primitive_exactness_residual(fam, k0, z0, ts, tri_frames)
+            mu0 = homotopy_primitive(fam, spec_zero, kap0, zero_fiber, ts)
+            worst["primitive_exactness_residual"].append(exact.max())
+            worst["zero_section_primitive_sup"].append(np.abs(mu0).max())
+        if c == 0:
+            continue
+        worst["zero_section_cross_block"].append(np.abs(block[:, :c, c:]).max())
+        if flowed:
             sigma0 = fam.domega_dt(spec_zero, kap0, ts)
             worst["zero_section_dt_restriction"].append(np.abs(sigma0[:, :c, :c]).max())
-            end0, end1 = fam.omega(spec_zero, kap0, np.array([[0.0], [1.0]]))
-            worst["zero_section_endpoint_restriction"].append(
-                np.abs((end1 - end0)[:, :c, :c]).max()
-            )
-            # symplectic orthogonal of the zero section: null space of the
-            # base rows of omega_t must have fiber dimension and no base
-            # component
-            _, svals, vt = np.linalg.svd(block[:, :c, :])
-            pad = np.zeros((len(svals), geometry.dim_t - c))
-            small = np.concatenate([svals, pad], axis=-1) < (
-                1e-10 * np.maximum(svals.max(axis=-1), 1.0)
-            )[:, None]
-            worst["orthogonality_nullspace_residual"].append(
-                np.inf if (small.sum(axis=-1) != geometry.dim_p).any()
-                else np.abs(vt[small][:, :c]).max()
-            )
-        d_fit, bound = properness_fit(fam, rng), fam.properness_bound
-        properness.append({"stage": fam.name, "d_fit": d_fit, "d_analytic": bound,
-                           "ratio": d_fit / bound, "gamma_fit": properness_gamma(fam)})
+        end0, end1 = fam.omega(spec_zero, kap0, np.array([[0.0], [1.0]]))
+        worst["zero_section_endpoint_restriction"].append(
+            np.abs((end1 - end0)[:, :c, :c]).max()
+        )
+        # symplectic orthogonal of the zero section: null space of the base
+        # rows of omega_t must have fiber dimension and no base component
+        _, svals, vt = np.linalg.svd(block[:, :c, :])
+        pad = np.zeros((len(svals), geometry.dim_t - c))
+        small = np.concatenate([svals, pad], axis=-1) < (
+            1e-10 * np.maximum(svals.max(axis=-1), 1.0)
+        )[:, None]
+        worst["orthogonality_nullspace_residual"].append(
+            np.inf if (small.sum(axis=-1) != geometry.dim_p).any()
+            else np.abs(vt[small][:, :c]).max()
+        )
+    properness = [{"stage": fam.name, "d_fit": fit, "d_analytic": fam.properness_bound,
+                   "ratio": fit / fam.properness_bound, "gamma_fit": properness_gamma(fam)}
+                  for fam, fit in zip(families, fits)]
     out = {key: float(np.max(vals, initial=0.0)) for key, vals in worst.items()}
     return {**out, "properness": properness}

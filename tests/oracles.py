@@ -44,6 +44,7 @@ None of this runs in the certification pipeline:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import factorial
 
@@ -96,14 +97,13 @@ def f_cosh(nu):
 
 
 def f_plus_prime(nu):
-    """Derivative of sinh(nu)/nu; series branch tames the 1/nu cancellation."""
+    """Derivative of sinh(nu)/nu, as 2 nu f_plus_prime_s(nu^2).
+
+    The s-form takes its series below s = 0.1 (|nu| < 0.316), past the range
+    where cosh(nu)/nu - sinh(nu)/nu^2 cancels.
+    """
     nu = np.asarray(nu, dtype=float)
-    small = np.abs(nu) < 1e-2
-    safe = np.where(small, 1.0, nu)
-    out = np.asarray(np.cosh(safe) / safe - np.sinh(safe) / safe**2)
-    s = nu[small]
-    out[small] = s / 3.0 + s**3 / 30.0 + s**5 / 840.0
-    return out
+    return 2.0 * nu * f_plus_prime_s(nu * nu)
 
 
 def f_chi(nu):
@@ -847,9 +847,28 @@ def analytic_properness_bound(geometry, stage_name, delta):
     raise ValueError(f"unknown stage {stage_name!r}")
 
 
+class ReplayRng:
+    """Hands out pre-drawn arrays in order in place of standard_normal."""
+
+    def __init__(self, arrays):
+        self._arrays = iter(arrays)
+
+    def standard_normal(self, shape):
+        out = next(self._arrays)
+        assert out.shape == shape
+        return out
+
+
 def check_hypotheses_loop(geometry, stages, delta, rng, closedness_points=2,
                           n_tets=2, diameter=1e-2, properness_samples=60):
-    """check_hypotheses one base point at a time, drawing as it evaluates."""
+    """check_hypotheses one base point and one stage at a time.
+
+    The draws are check_hypotheses' shared ones: per base point k0, z0, the
+    tetrahedron frames and the triangle frame, then the properness points;
+    every stage replays them.  Primitive exactness, the zero-section
+    primitive and the dt restriction are read on the stages without a
+    time_one map only.
+    """
     alg = geometry.alg
     worst_closed = 0.0
     worst_exact = 0.0
@@ -859,59 +878,66 @@ def check_hypotheses_loop(geometry, stages, delta, rng, closedness_points=2,
     primitive_zero = 0.0
     moment_sup = 0.0
     nullspace_res = 0.0
-    properness = []
     spec_zero = geometry.fiber_eig(np.zeros((1, geometry.dim_p)))
     c = geometry.dim_c
+    points = []
+    for t in (0.0, 0.5, 1.0):
+        for _ in range(closedness_points):
+            k0 = alg.group_exp(rng.standard_normal(alg.dim_k))
+            z0 = rng.standard_normal(geometry.dim_p)
+            tets = [rng.standard_normal((geometry.dim_t, 3))
+                    for _ in range(n_tets if geometry.dim_t >= 3 else 0)]
+            tri = rng.standard_normal((geometry.dim_t, 2))
+            points.append((t, k0, z0, tets, tri))
+    properness_rng = copy.deepcopy(rng)
+    properness = []
     for stage in stages:
         fam = stage.family
-        for t in (0.0, 0.5, 1.0):
+        flowed = fam.time_one is None
+        for t, k0, z0, tets, tri in points:
             def omega_at(spec, kap, _t=t, _f=fam):
                 return _f.omega(spec, kap, _t)
 
-            for _ in range(closedness_points):
-                k0 = alg.group_exp(rng.standard_normal(alg.dim_k))
-                z0 = rng.standard_normal(geometry.dim_p)
-                worst_closed = max(
-                    worst_closed,
-                    stokes_closedness_loop(
-                        geometry, omega_at, k0, z0, diameter, rng, n_tets
-                    ),
-                )
-                worst_exact = max(
-                    worst_exact,
-                    primitive_exactness_loop(fam, geometry, k0, z0, t, rng),
-                )
-                kap0 = geometry.kappa(k0)
-                block = omega_at(spec_zero, kap0)[0]
+            worst_closed = max(worst_closed, stokes_closedness_loop(
+                geometry, omega_at, k0, z0, diameter, ReplayRng(tets), n_tets
+            ))
+            kap0 = geometry.kappa(k0)
+            block = omega_at(spec_zero, kap0)[0]
+            moment_sup = max(
+                moment_sup,
+                float(np.linalg.norm(fam.moment(spec_zero, kap0, t), axis=-1).max()),
+            )
+            if flowed:
+                worst_exact = max(worst_exact, primitive_exactness_loop(
+                    fam, geometry, k0, z0, t, ReplayRng([tri])
+                ))
                 mu0 = homotopy_primitive(
                     fam, spec_zero, kap0, np.zeros((1, geometry.dim_p)), t
                 )
                 primitive_zero = max(primitive_zero, float(np.abs(mu0).max()))
-                moment_sup = max(
-                    moment_sup,
-                    float(np.linalg.norm(fam.moment(spec_zero, kap0, t), axis=-1).max()),
-                )
-                if c == 0:
-                    continue
-                cross = max(cross, float(np.abs(block[:c, c:]).max()))
+            if c == 0:
+                continue
+            cross = max(cross, float(np.abs(block[:c, c:]).max()))
+            if flowed:
                 sigma0 = fam.domega_dt(spec_zero, kap0, t)[0]
                 i_star_dt = max(i_star_dt, float(np.abs(sigma0[:c, :c]).max()))
-                gap01 = (
-                    fam.omega(spec_zero, kap0, 1.0) - fam.omega(spec_zero, kap0, 0.0)
-                )[0]
-                i_star_endpoints = max(
-                    i_star_endpoints, float(np.abs(gap01[:c, :c]).max())
+            gap01 = (
+                fam.omega(spec_zero, kap0, 1.0) - fam.omega(spec_zero, kap0, 0.0)
+            )[0]
+            i_star_endpoints = max(
+                i_star_endpoints, float(np.abs(gap01[:c, :c]).max())
+            )
+            _, svals, vt = np.linalg.svd(block[:c, :])
+            kernel = vt[np.concatenate([svals, np.zeros(geometry.dim_t - c)])
+                        < 1e-10 * max(svals.max(), 1.0)]
+            if kernel.shape[0] != geometry.dim_p:
+                nullspace_res = np.inf
+            else:
+                nullspace_res = max(
+                    nullspace_res, float(np.abs(kernel[:, :c]).max())
                 )
-                _, svals, vt = np.linalg.svd(block[:c, :])
-                kernel = vt[np.concatenate([svals, np.zeros(geometry.dim_t - c)])
-                            < 1e-10 * max(svals.max(), 1.0)]
-                if kernel.shape[0] != geometry.dim_p:
-                    nullspace_res = np.inf
-                else:
-                    nullspace_res = max(
-                        nullspace_res, float(np.abs(kernel[:, :c]).max())
-                    )
-        d_fit = properness_fit_loop(geometry, fam, rng, samples=properness_samples)
+        d_fit = properness_fit_loop(geometry, fam, copy.deepcopy(properness_rng),
+                                    samples=properness_samples)
         d_bound = analytic_properness_bound(geometry, fam.name, delta)
         properness.append(
             {
@@ -977,7 +1003,9 @@ def _moser_field_with_kappa(family, ks, zs, t):
     spec = geo.fiber_eig(zs)
     kap = geo.kappa(ks)
     omega = family.omega(spec, kap, t)
-    margin = float(np.linalg.svd(omega, compute_uv=False)[..., -1].min())
+    # moser_field's bound 1/||omega^{-1}||_F, here from the singular values
+    sv = np.linalg.svd(omega, compute_uv=False)
+    margin = float((1.0 / np.sqrt((sv**-2.0).sum(axis=-1))).min())
     if margin < 1e-10:
         raise RuntimeError(f"{family.name} family degenerates along the flow")
     mu = homotopy_primitive(family, spec, kap, zs, t)
@@ -1030,9 +1058,11 @@ def integrate_flow_rkmk(family, k0, z0, steps, t0=0.0, t1=1.0, project_tol=1e-12
     return FlowResult(ks, zs, trace)
 
 
-def integrate_flow_per_step(family, k0, z0, steps, z_ceiling=None, margin_ref=None):
+def integrate_flow_per_step(family, k0, z0, steps, z_ceiling=None):
     """integrate_flow with the RKMK group update inside the step loop: three
-    dexpinv, one group_exp, one product and one drift check per step."""
+    dexpinv, one group_exp, one product and one drift check per step.  The W
+    equation is integrate_flow's: the same moser_field call at k = e and the
+    same k x p -> p bracket product, so the two agree bit for bit."""
     geo = family.geometry
     alg = geo.alg
     dk = alg.dim_k
@@ -1045,15 +1075,16 @@ def integrate_flow_per_step(family, k0, z0, steps, z_ceiling=None, margin_ref=No
     if z_ceiling is None:
         z_ceiling = 10.0 * max(1.0, float(fiber_sup.max()))
     h = 1.0 / steps
-    identity = np.eye(alg.dim)
     min_margin = np.inf
+    bracket_kp = alg.structure[:dk, dk:, dk:].reshape(-1, geo.dim_p)
 
     def field(t_arg, w):
         nonlocal min_margin
-        xi, margin = moser_field(family, identity, w, t_arg, margin_ref)
+        xi, margin = moser_field(family, None, w, t_arg)
         min_margin = min(min_margin, margin)
         x = xi[:, : geo.dim_c] @ geo.complement[:dk].T
-        return x, xi[:, geo.dim_c :] - alg.bracket(alg.embed_k(x), alg.embed_p(w))[:, dk:]
+        bracket = (x[:, :, None] * w[:, None]).reshape(len(w), -1) @ bracket_kp
+        return x, xi[:, geo.dim_c :] - bracket
 
     for n in range(steps):
         t = n * h

@@ -46,6 +46,7 @@ from oracles import (
     primitive_exactness_loop,
     properness_fit_loop,
     quadrature_primitive,
+    ReplayRng,
     stokes_closedness_loop,
     weight_from_matrix,
 )
@@ -527,9 +528,8 @@ def test_stage_moment_shifts_match_analytic_constants(su11):
 def test_properness_fit_matches_analytic_bound(which, su11, su21, request):
     _, _, geo = request.getfixturevalue(which)
     families, d = stage_families(geo)
-    rng = np.random.default_rng(14)
-    for fam in families:
-        fit = properness_fit(fam, rng)
+    fits = properness_fit(families, np.random.default_rng(14))
+    for fam, fit in zip(families, fits):
         bound = analytic_properness_bound(geo, fam.name, d)
         assert 0.99 < fit / bound < 1.05, fam.name
         gamma = properness_gamma(fam)
@@ -578,30 +578,32 @@ def test_worst_case_values_keep_a_nan_from_any_lane(su21, monkeypatch):
     _, _, geo = su21
     families, _ = stage_families(geo)
     stages = [MoserStage(f, 10) for f in families]
-    real_exact, real_flow = moser.primitive_exactness_residual, moser.flow_stages
+    real_stokes, real_flow = moser.stokes_closedness_residual, moser.flow_stages
     calls = []
 
-    def nan_on_second_call(*args):
+    def nan_in_second_family(*args):
+        # one Stokes call for all three families: (family, base point)
         calls.append(None)
-        out = real_exact(*args)
-        return out * np.nan if len(calls) == 2 else out
+        out = real_stokes(*args)
+        assert out.shape == (3, 6)
+        out[1, 4] = np.nan
+        return out
 
-    monkeypatch.setattr(moser, "primitive_exactness_residual", nan_on_second_call)
+    monkeypatch.setattr(moser, "stokes_closedness_residual", nan_in_second_family)
     out = check_hypotheses(stages, np.random.default_rng(15))
-    assert len(calls) == 3
-    assert np.isnan(out["primitive_exactness_residual"])
-    assert out["closedness_rel_residual"] < 1e-8
+    assert len(calls) == 1
+    assert np.isnan(out["closedness_rel_residual"])
+    assert out["primitive_exactness_residual"] < 1e-6
 
     rng = np.random.default_rng(4)
     pts = [(geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k)),
             0.5 * rng.standard_normal(geo.dim_p)) for _ in range(2)]
     second_partner = len(pts) * (1 + 2 * geo.dim_p) + 1
 
-    def nan_second_partner(stages_arg, k0, z0, margin_ref):
-        # the exact form margins are taken on the centres, the two partners
-        # and the four zero-section lanes
-        assert (margin_ref == np.arange(len(z0))).sum() == len(pts) + 2 + 4
-        results = real_flow(stages_arg, k0, z0, margin_ref)
+    def nan_second_partner(stages_arg, k0, z0):
+        # centres, difference lanes, the two partners and four zero-section lanes
+        assert len(z0) == len(pts) * (1 + 2 * geo.dim_p) + 2 + 4
+        results = real_flow(stages_arg, k0, z0)
         results[-1].z[second_partner] = np.nan
         return results
 
@@ -628,25 +630,13 @@ def test_check_hypotheses_matches_loop_oracle(family, params):
     stages = [MoserStage(f, 10) for f in families]
     out = check_hypotheses(stages, np.random.default_rng(15))
     ref = check_hypotheses_loop(geo, stages, d, np.random.default_rng(15))
-    # the draws keep their order, so everything evaluated once per point or
-    # after the draws (properness) is bit-identical
+    # the stages share the draws, which keep their order, so everything
+    # evaluated once per point or after the draws (properness) is bit-identical
     assert out["properness"] == ref["properness"]
     for key in ZERO_SECTION_KEYS:
         assert out[key] == ref[key], key
     for key in ("closedness_rel_residual", "primitive_exactness_residual"):
         assert abs(out[key] - ref[key]) <= 1e-12, key
-
-
-class ReplayRng:
-    """Hands out pre-drawn arrays in order in place of standard_normal."""
-
-    def __init__(self, arrays):
-        self._arrays = iter(arrays)
-
-    def standard_normal(self, shape):
-        out = next(self._arrays)
-        assert out.shape == shape
-        return out
 
 
 def test_batched_chart_checks_match_point_loops(su21):
@@ -725,7 +715,7 @@ def test_hermitian_family_takes_no_eigh(su21, monkeypatch):
         assert calls == ["sinhc"] * kernel_calls, name
 
 
-def _count_calls(monkeypatch, owner, attr, calls, key=lambda *args: True):
+def _count_calls(monkeypatch, owner, attr, calls, key=lambda *args, **kwargs: True):
     """Wrap owner.attr so each call whose arguments satisfy key is listed."""
     real = getattr(owner, attr)
 
@@ -738,10 +728,11 @@ def _count_calls(monkeypatch, owner, attr, calls, key=lambda *args: True):
 
 
 def test_vertical_chart_checks_skip_group_points_and_kappa(su21, monkeypatch):
-    # per vertical stage: one group_exp for the chart draws and one for the
-    # properness points; kappa for the zero-section blocks and the properness
-    # fit (the growth exponent is read at k = e).  The Stokes, circulation
-    # and flux nodes (three more of each) need neither.
+    # the two vertical stages share one group_exp for the chart draws and one
+    # for the properness points, and one kappa each for the zero-section
+    # blocks and the properness points (the growth exponent is read at
+    # k = e).  Their Stokes nodes need neither, and mapped stages have no
+    # circulation or flux nodes.
     _, _, geo = su21
     assert geo.dim_t >= 3 and geo.dim_c > 0
     families, _ = stage_families(geo)
@@ -749,9 +740,11 @@ def test_vertical_chart_checks_skip_group_points_and_kappa(su21, monkeypatch):
     calls = []
     _count_calls(monkeypatch, MatrixLieAlgebra, "group_exp", calls)
     _count_calls(monkeypatch, OrbitGeometry, "kappa", calls)
+    _count_calls(monkeypatch, moser, "_chart_frames", calls)
     check_hypotheses(stages, np.random.default_rng(0))
-    assert calls.count("group_exp") == 2 * (1 + 1)
-    assert calls.count("kappa") == 2 * (1 + 1)
+    assert calls.count("group_exp") == 2
+    assert calls.count("kappa") == 2
+    assert calls.count("_chart_frames") == 1
 
 
 def test_segment_field_forms_even_g_once(su21, monkeypatch):
@@ -815,11 +808,12 @@ def test_flow_stages_chains_traces(su11):
 
 @ALGEBRAS
 def test_properness_fit_matches_loop_oracle(family, params):
-    # one moment call on the sampled and zero fibers together, split after
+    # one moment call on the sampled and zero fibers together, split after;
+    # the families share one draw, which each loop call makes afresh
     geo = generic_geometry(family, params)
     families, _ = stage_families(geo)
-    for fam in families:
-        got = properness_fit(fam, np.random.default_rng(25))
+    fits = properness_fit(families, np.random.default_rng(25))
+    for fam, got in zip(families, fits):
         want = properness_fit_loop(geo, fam, np.random.default_rng(25))
         assert got == want, fam.name
 
@@ -912,27 +906,52 @@ def counted_family(fam, calls):
     return dataclasses.replace(fam, **{name: wrap(name) for name in EVALUATORS})
 
 
-def test_hypothesis_checks_make_one_pass_per_stage(su21, monkeypatch):
-    # per stage: one Stokes evaluation over 6 points x 2 tetrahedra x 4 faces
-    # x 7 nodes, one circulation over 6 x 3 edges x 8 nodes, one flux over
-    # 6 x 7 nodes, one zero-section evaluation of each evaluator over the six
-    # lanes, one endpoint pair, one properness fit over the 11-time grid and
-    # the growth exponent at t = 1/2
+def test_hypothesis_checks_make_one_pass_for_all_stages(su21, monkeypatch):
+    # one draw for all stages.  The properness points take one spectrum and
+    # one kappa, on which every family's moment is read on the 11-time grid;
+    # the Stokes nodes (6 points x 2 tetrahedra x 4 faces x 7 nodes) one
+    # chart, spectrum and kappa for the three omegas; the zero-section blocks
+    # of the six points one spectrum and one kappa.  Only the flowed segment
+    # takes the circulation over 6 x 3 edges x 8 nodes, the flux over 6 x 7
+    # nodes and the zero-section primitive and dt blocks.  The growth
+    # exponent is read per family at t = 1/2.
     _, _, geo = su21
     assert geo.dim_t >= 3 and geo.dim_c > 0
     families, _ = stage_families(geo)
     calls = []
     stages = [MoserStage(counted_family(fam, calls), 5) for fam in families]
-    _count_calls(monkeypatch, OrbitGeometry, "fiber_eig", calls)
+    for owner, attr in ((OrbitGeometry, "fiber_eig"), (OrbitGeometry, "kappa"),
+                        (moser, "_chart_frames")):
+        _count_calls(monkeypatch, owner, attr, calls)
     check_hypotheses(stages, np.random.default_rng(0))
-    per_stage = [
-        "fiber_eig", ("omega", (336,)), "fiber_eig", ("primitive", (144,)),
-        "fiber_eig", ("domega_dt", (42,)),
-        ("omega", (6,)), ("primitive", (6,)), ("moment", (6,)), ("domega_dt", (6,)),
-        ("omega", (2, 1)), "fiber_eig", ("moment", (11, 1)), "fiber_eig", ("moment", ()),
-    ]
-    want = ["fiber_eig"] + per_stage * len(families)
+    mapped_zero = [("omega", (6,)), ("moment", (6,)), ("omega", (2, 1))]
+    want = (
+        ["fiber_eig", "kappa"] + [("moment", (11, 1))] * 3
+        + ["_chart_frames", "fiber_eig", "kappa"] + [("omega", (336,))] * 3
+        + ["fiber_eig", "kappa"] + mapped_zero * 2
+        + [("omega", (6,)), ("moment", (6,)),
+           "_chart_frames", "kappa", "fiber_eig", ("primitive", (144,)),
+           "_chart_frames", "fiber_eig", "kappa", ("domega_dt", (42,)),
+           ("primitive", (6,)), ("domega_dt", (6,)), ("omega", (2, 1))]
+        + ["fiber_eig", ("moment", ())] * 3
+    )
     assert calls == want
+
+
+def test_hypothesis_pass_draws_once_and_builds_one_stokes_chart(su21, monkeypatch):
+    # one _draw_chart_points call and one Stokes _chart_frames call for all
+    # stages; the flowed segment adds its circulation and flux charts
+    _, _, geo = su21
+    families, _ = stage_families(geo)
+    for fams, charts in ((families, 3), (families[:2], 1)):
+        calls = []
+        _count_calls(monkeypatch, moser, "_draw_chart_points", calls)
+        _count_calls(monkeypatch, moser, "_chart_frames", calls)
+        check_hypotheses([MoserStage(f, 5) for f in fams],
+                         np.random.default_rng(0))
+        assert calls.count("_draw_chart_points") == 1
+        assert calls.count("_chart_frames") == charts
+        monkeypatch.undo()
 
 
 def test_random_points_draw_k_then_z_then_radii(su21):
@@ -1222,10 +1241,10 @@ def test_map_stage_residuals_are_second_order_in_eps(su21):
         assert res[1] / res[2] > 3.0, fam.name
 
 
-def test_degenerate_difference_lane_raises_through_the_weyl_guard(su21):
-    # the difference lanes take no svd of their own; a lane whose form is
-    # singular while its centre's is not still stops the flow, through
-    # sigma_min(w) >= sigma_min(w_centre) - ||w - w_centre||_F
+def test_degenerate_difference_lane_raises_through_the_solve_margin(su21):
+    # every lane takes its margin bound from the one solve of the field, so a
+    # difference lane whose form is singular while its centre's is not stops
+    # the flow
     _, _, geo = su21
     base = constant_stage(geo)
     rng = np.random.default_rng(28)
@@ -1244,11 +1263,82 @@ def test_degenerate_difference_lane_raises_through_the_weyl_guard(su21):
     pts = list(zip(ks, zs))
     with pytest.raises(RuntimeError, match="singular-lane family degenerates along the flow"):
         verify_pullback([MoserStage(singular, 4)], pts, eps=eps, rng=np.random.default_rng(0))
-    # the centres' forms pass the svd; the one singular lane is a difference lane
+    # the centres' forms are regular; the one singular lane is a difference lane
     _, diff_z = difference_lanes(geo, ks, zs, eps)
     forms = omega(geo.fiber_eig(np.concatenate([zs, diff_z])), None, 0.0)
     assert (np.abs(forms).max(axis=(-2, -1)) == 0.0).sum() == 1
-    assert _form_margin(singular, forms[:2], 0.0) > 0.1
-    ref = np.concatenate([np.arange(2), np.repeat(np.arange(2), 2 * geo.dim_t)])
-    with pytest.raises(RuntimeError, match=r"margin -"):
-        _form_margin(singular, forms, 0.0, ref)
+    assert _form_margin(singular, forms[:2], 0.0)[1] > 0.1
+    msg = r"margin 0\.000e\+00 at t = 0\.0000\): Singular matrix"
+    with pytest.raises(RuntimeError, match=msg):
+        _form_margin(singular, forms, 0.0)
+
+
+@oracle_geometries()
+def test_segment_evaluators_at_the_identity_match_identity_kappa(family, params):
+    # kap = None is k = e: the blended fiber and c-p blocks, the hoisted row
+    # matrix, and the derivative and moment through pullback_blocks and klam,
+    # against the general path at Ad(e) = I (measured within 4.7e-16 of the
+    # forms' scale)
+    geo = generic_geometry(family, params)
+    fam = segment_stage(geo, delta_for(geo))
+    ks, zs = rand_batch(geo, np.random.default_rng(35), 7)
+    zs[-1] = 0.0
+    spec, eye = geo.fiber_eig(zs), np.eye(geo.alg.dim)
+    for t in (0.3, np.linspace(0.0, 1.0, 7), np.array([[0.0], [0.45], [1.0]])):
+        for name in EVALUATORS:
+            got, want = (evaluate(fam, name, (spec, kap, zs), t) for kap in (None, eye))
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (name, np.shape(t))
+
+
+def test_margin_bound_brackets_the_least_singular_value(su11):
+    # 1/||omega^{-1}||_F lies in [sigma_min / sqrt(T), sigma_min / sqrt(2)]
+    # for a skew form, whose singular values come in pairs
+    fam = dataclasses.replace(constant_stage(su11[2]), name="skew")
+    rng = np.random.default_rng(36)
+    for t_dim in (2, 4, 6, 8):
+        a = rng.standard_normal((40, t_dim, t_dim))
+        forms = a - np.swapaxes(a, -1, -2)
+        sigma = np.linalg.svd(forms, compute_uv=False)[:, -1]
+        for form, s_min in zip(forms, sigma):
+            _, bound = _form_margin(fam, form[None], 0.3)
+            assert s_min / np.sqrt(t_dim) * (1 - 1e-12) <= bound, t_dim
+            assert bound <= s_min / np.sqrt(2.0) * (1 + 1e-12), t_dim
+    # a form with one pair of singular values 1e-12 fails the 1e-10 guard
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    j = np.zeros((6, 6))
+    for i, s in enumerate((1e-12, 1.0, 2.0)):
+        j[2 * i, 2 * i + 1], j[2 * i + 1, 2 * i] = s, -s
+    form = q @ j @ q.T
+    assert abs(np.linalg.svd(form, compute_uv=False)[-1] - 1e-12) < 1e-14
+    with pytest.raises(RuntimeError, match=r"skew family degenerates along the flow "
+                                           r"\(margin [0-9.]+e-1[0-9] at t = 0\.3000\)"):
+        _form_margin(fam, form[None], 0.3)
+
+
+def test_moser_field_takes_one_solve_and_no_svd(su21, monkeypatch):
+    _, _, geo = su21
+    ks, zs = rand_batch(geo, np.random.default_rng(37), 5)
+    for kap in (geo.kappa(ks), None):
+        calls = []
+        for attr in ("solve", "svd", "inv", "eigh"):
+            _count_calls(monkeypatch, np.linalg, attr, calls)
+        moser_field(segment_stage(geo, delta_for(geo)), kap, zs, 0.4)
+        assert calls == ["solve"]
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("family,params", [("su", {"p": 1, "q": 1}), ("su", {"p": 2, "q": 1}),
+                                           ("sp", {"n": 2})], ids=["su11", "su21", "sp4"])
+def test_properness_gamma_matches_polyfit(family, params):
+    # the closed-form least-squares slope against np.polyfit of the same gaps,
+    # formed here at kap = I
+    geo = generic_geometry(family, params)
+    t, radii = 0.5, np.geomspace(0.05, 0.4, 6)
+    e = _root_probe_fibers(geo, radii=(1.0,))[0]
+    zs = np.concatenate([np.outer(radii, e), np.zeros((6, len(e)))])
+    for fam in stage_families(geo)[0]:
+        phi = fam.moment(geo.fiber_eig(zs), np.eye(geo.alg.dim), t)
+        vals = (phi[:6] - phi[6:]) @ fam.pairing_direction(t)
+        want = np.polyfit(np.log(radii), np.log(vals), 1)[0]
+        assert abs(properness_gamma(fam) - want) <= 1e-12, fam.name
