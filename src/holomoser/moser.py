@@ -101,12 +101,12 @@ class FormFamily:
     precondition).  time_one, the exact time-one map on fibers
     (_radial_time_one) of the families of the form base block + fiber(Z)
     whose primitive has no base part (hermitian, scaling), replaces
-    integrate_flow; None for the segment.  Such families do not move the base
-    (moves_base): omega and primitive never read kap and the Moser field is
-    exactly vertical, so the chart checks skip kappa and the group points.
-    No certificate reads their primitive or domega_dt, and their properness
-    fit certifies no step of the run (an exact map needs no complete flow):
-    it stays a check of the moment family against properness_bound.
+    integrate_flow; None for the segment, the one family that moves the
+    base.  The mapped families' omega and primitive never read kap and their
+    Moser field is exactly vertical.  No certificate reads their primitive
+    or domega_dt, and their properness fit certifies no step of the run (an
+    exact map needs no complete flow): it stays a check of the moment family
+    against properness_bound.
     """
 
     name: str
@@ -119,10 +119,6 @@ class FormFamily:
     moment_shift: np.ndarray
     properness_bound: float
     time_one: Callable | None = None
-
-    @property
-    def moves_base(self):
-        return self.time_one is None
 
 
 # family times of the properness fit and of the segment stage's analytic bound
@@ -522,18 +518,17 @@ def _dexp_matrix(alg, u_k):
     return out
 
 
-def _chart_frames(geometry, k0, z0, pts, moves_base):
+def _chart_frames(geometry, k0, z0, pts):
     """Points and frame correction for the chart (x, w) -> (k0 exp(Cx), z0 + w).
 
     pts: (Q, T) chart coordinates, each node with its own base point k0
-    (Q, a, a), z0 (Q, P).  With moves_base False (a family that never reads
-    Ad(k^{-1})) the group points are not formed and ks is None.
+    (Q, a, a), z0 (Q, P).
     """
     alg = geometry.alg
     c = geometry.dim_c
     c_k = geometry.complement[: alg.dim_k]
     u_k = pts[:, :c] @ c_k.T
-    ks = k0 @ alg.group_exp(u_k) if moves_base else None
+    ks = k0 @ alg.group_exp(u_k)
     zs = z0 + pts[:, c:]
     jacs = np.zeros((len(pts), geometry.dim_t, geometry.dim_t))
     jacs[:, :c, :c] = c_k.T @ _dexp_matrix(alg, u_k) @ c_k
@@ -541,11 +536,10 @@ def _chart_frames(geometry, k0, z0, pts, moves_base):
     return ks, zs, jacs
 
 
-def _chart_form_matrices(geometry, omega, k0, z0, t, pts, moves_base):
-    ks, zs, jacs = _chart_frames(geometry, k0, z0, pts, moves_base)
+def _chart_form_matrices(geometry, omega, k0, z0, t, pts):
+    ks, zs, jacs = _chart_frames(geometry, k0, z0, pts)
     spec = geometry.fiber_eig(zs)
-    kap = geometry.kappa(ks) if moves_base else None
-    return np.swapaxes(jacs, -1, -2) @ omega(spec, kap, t) @ jacs
+    return np.swapaxes(jacs, -1, -2) @ omega(spec, geometry.kappa(ks), t) @ jacs
 
 
 def _per_node(k0, z0, t, pts):
@@ -560,31 +554,27 @@ def _per_node(k0, z0, t, pts):
 _TET_FACES = ((1.0, (1, 2, 3)), (-1.0, (0, 2, 3)), (1.0, (0, 1, 3)), (-1.0, (0, 1, 2)))
 
 
-def stokes_closedness_residual(
-    geometry, omega, k0, z0, t, frames, diameter, moves_base=True
-):
+def stokes_closedness_residual(geometry, omega, k0, z0, t, frames, diameter):
     """Relative boundary-integral defect of omega over small 3-simplices.
 
     omega(spec, kap, t) -> (..., Q, T, T) takes one time per node (a
     FormFamily's omega, or a stack of several: the result keeps the leading
-    axes); with moves_base False it is handed kap = None.  k0 (B, a, a) and
-    z0 (B, P) are base points with times t (B,) or one scalar; frames (B, n,
-    T, 3) hold orthonormal edge directions of n tetrahedra at each, vertices
-    0 and diameter times the columns in the exponential chart at the base
-    point.  The form is integrated over every oriented boundary face by the
-    degree-5 triangle rule, all B n 4 7 nodes in one _chart_form_matrices
-    call; for closed forms the sum is quadrature-exact zero.  Returns the
-    worst relative defect per base point (..., B); on a two-dimensional total
-    space every 2-form is closed and the check is vacuous (zeros).
+    axes).  k0 (B, a, a) and z0 (B, P) are base points with times t (B,) or
+    one scalar; frames (B, n, T, 3) hold orthonormal edge directions of n
+    tetrahedra at each, vertices 0 and diameter times the columns in the
+    exponential chart at the base point.  The form is integrated over every
+    oriented boundary face by the degree-5 triangle rule, all B n 4 7 nodes
+    in one _chart_form_matrices call; for closed forms the sum is
+    quadrature-exact zero.  Returns the worst relative defect per base point
+    (..., B), zero where n = 0 (on a two-dimensional total space every
+    2-form is closed).
     """
-    if geometry.dim_t < 3:
-        return np.zeros(len(z0))
     t_dim = geometry.dim_t
     verts = np.zeros(frames.shape[:2] + (4, t_dim))
     verts[:, :, 1:] = diameter * np.swapaxes(frames, -1, -2)
     tri = verts[:, :, [face for _, face in _TET_FACES]]  # (B, n, 4, 3, T)
     pts = _TRI_BARY @ tri
-    mats = _chart_form_matrices(geometry, omega, *_per_node(k0, z0, t, pts), moves_base)
+    mats = _chart_form_matrices(geometry, omega, *_per_node(k0, z0, t, pts))
     mats = mats.reshape(mats.shape[:-3] + pts.shape + (t_dim,))
     vals = np.einsum(
         "...i,...qij,...j->...q", tri[..., 1, :] - tri[..., 0, :], mats,
@@ -593,7 +583,7 @@ def stokes_closedness_residual(
     integral = 0.5 * (vals @ _TRI_W)  # (..., B, n, 4)
     total = integral @ np.array([sign for sign, _ in _TET_FACES])
     scale = np.abs(integral).sum(axis=-1)
-    return (np.abs(total) / np.maximum(scale, 1e-300)).max(axis=-1)
+    return (np.abs(total) / np.maximum(scale, 1e-300)).max(axis=-1, initial=0.0)
 
 
 def primitive_exactness_residual(family, k0, z0, t, frames):
@@ -606,12 +596,9 @@ def primitive_exactness_residual(family, k0, z0, t, frames):
     Gauss-Legendre rule per edge, all B 3 8 edge nodes in one primitive
     evaluation) with the flux of the claimed derivative through it (degree-5
     triangle rule, all B 7 nodes in one form evaluation); both are O(h^2),
-    and the returned (B,) values are their relative mismatch.  A family that
-    does not move the base is evaluated without Ad(k^{-1}) and without the
-    group points of the nodes.
+    and the returned (B,) values are their relative mismatch.
     """
     geometry = family.geometry
-    moves = family.moves_base
     h = 1e-2
     corners = np.zeros((len(z0), 3, geometry.dim_t))
     corners[:, 1:] = h * np.swapaxes(frames, -1, -2)
@@ -621,15 +608,15 @@ def primitive_exactness_residual(family, k0, z0, t, frames):
     pts = corners[:, :, None] + nodes[:, None] * edges[:, :, None]
 
     k_nodes, z_nodes, t_nodes, flat = _per_node(k0, z0, t, pts)
-    ks, zs, jacs = _chart_frames(geometry, k_nodes, z_nodes, flat, moves)
-    kap = geometry.kappa(ks) if moves else None
+    ks, zs, jacs = _chart_frames(geometry, k_nodes, z_nodes, flat)
+    kap = geometry.kappa(ks)
     mu = homotopy_primitive(family, geometry.fiber_eig(zs), kap, zs, t_nodes)
     mu = np.einsum("qji,qj->qi", jacs, mu).reshape(pts.shape)
     circulation = np.einsum("benj,bej,n->b", mu, edges, weights)
 
     quad_pts = _TRI_BARY @ corners
     sigma = _chart_form_matrices(
-        geometry, family.domega_dt, *_per_node(k0, z0, t, quad_pts), moves
+        geometry, family.domega_dt, *_per_node(k0, z0, t, quad_pts)
     ).reshape(quad_pts.shape + (geometry.dim_t,))
     vals = np.einsum("bi,bqij,bj->bq", corners[:, 1], sigma, corners[:, 2])
     flux = 0.5 * (vals @ _TRI_W)
@@ -637,6 +624,10 @@ def primitive_exactness_residual(family, k0, z0, t, frames):
 
 
 # -- verification drivers ----------------------------------------------------------
+
+# K-rotated partner lanes and zero-section lanes verify_pullback appends
+_EQUIVARIANCE_PARTNERS = 4
+_ZERO_LANES = 4
 
 
 def _group_log(alg, g):
@@ -718,45 +709,43 @@ def _base_rows(geometry, start, end, fiber_rows):
     return np.swapaxes(cols, -1, -2) + np.swapaxes(shift, -1, -2) @ fiber_rows
 
 
-def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *, rng):
-    """Certify rho^*(final form) = initial form at the base points.
+def verify_pullback(stages, base_k, base_z, eps=1e-4, *, rng):
+    """Certify rho^*(final form) = initial form at samples base_k, base_z.
 
     Every sample contributes one center lane and 2 dim_p fiber lanes, shifted
-    by +-eps along each fiber direction; equivariance partners (their K
-    elements drawn from rng) and zero-section lanes are appended, and the
-    whole batch is flowed once through the stages.  At every stage boundary
-    the fiber rows of the differential are central differences (group
-    logarithms for the K part), and the base rows follow from them by
-    K-equivariance (_base_rows), which the partner lanes certify.  Returns
-    the composite's values (FlowBlock.values at every sample) and sample
-    separations, and the FlowBlocks of the composite ("block") and of each
-    stage ("stage_blocks").  The stages share one geometry.
+    by +-eps along each fiber direction; _EQUIVARIANCE_PARTNERS partners (the
+    first samples moved by K elements drawn from rng) and _ZERO_LANES
+    zero-section lanes are appended, and the batch is flowed once through
+    the stages.  At every stage boundary the fiber rows of the differential
+    are central differences (group logarithms for the K part), and the base
+    rows follow from them by K-equivariance (_base_rows), which the partner
+    lanes certify.  Returns the composite's values (FlowBlock.values at every
+    sample) and sample separations, and the FlowBlocks of the composite
+    ("block") and of each stage ("stage_blocks").  One geometry for all stages.
     """
     geometry = stages[0].family.geometry
     alg = geometry.alg
-    a, dim_p, t_dim = alg.ambient, geometry.dim_p, geometry.dim_t
-    b0 = len(base_points)
+    a, dk, dim_p, t_dim = alg.ambient, alg.dim_k, geometry.dim_p, geometry.dim_t
+    b0 = len(base_z)
 
-    base_k = np.array([k for k, _ in base_points], dtype=complex).reshape(b0, a, a)
-    base_z = np.array([z for _, z in base_points], dtype=float).reshape(b0, dim_p)
     # (sample, fiber direction, sign + then -)
     shifts = eps * np.array([1.0, -1.0])[:, None] * np.eye(dim_p)[:, None]
     pert_z = (base_z[:, None, None] + shifts).reshape(-1, dim_p)
-    lanes_k, lanes_z = [base_k, np.repeat(base_k, 2 * dim_p, axis=0)], [base_z, pert_z]
 
-    n_eq = min(n_equivariance, b0)
-    eq_rot = []
-    for j in range(n_eq):
-        kp = alg.group_exp(rng.standard_normal(alg.dim_k))
-        adk = alg.adjoint_group_matrix(kp)
-        eq_rot.append((kp, adk))
-        lanes_k.append((kp @ base_k[j])[None])
-        lanes_z.append((adk @ alg.embed_p(base_z[j]))[None, alg.dim_k :])
+    n_eq = min(_EQUIVARIANCE_PARTNERS, b0)
+    eq_k = alg.group_exp(rng.standard_normal((n_eq, dk)))
+    eq_ad = alg.adjoint_group_matrix(eq_k)
+
+    def moved(ks, zs):
+        # the first n_eq lanes of (ks, zs) moved by the partners' K elements
+        return eq_k @ ks[:n_eq], (eq_ad @ alg.embed_p(zs[:n_eq])[..., None])[:, dk:, 0]
 
     eq_idx = b0 * (1 + 2 * dim_p)
     zero_idx = eq_idx + n_eq
-    lanes_k.append(alg.group_exp(rng.standard_normal((n_zero, alg.dim_k))))
-    lanes_z.append(np.zeros((n_zero, dim_p)))
+    zero_k = alg.group_exp(rng.standard_normal((_ZERO_LANES, dk)))
+    partner_k, partner_z = moved(base_k, base_z)
+    lanes_k = [base_k, np.repeat(base_k, 2 * dim_p, axis=0), partner_k, zero_k]
+    lanes_z = [base_z, pert_z, partner_z, np.zeros((_ZERO_LANES, dim_p))]
 
     states = [(np.concatenate(lanes_k), np.concatenate(lanes_z))]
     results = flow_stages(stages, *states[0])
@@ -769,9 +758,9 @@ def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *
         k_pert = ks[b0:eq_idx].reshape(b0, dim_p, 2, a, a)
         z_pert = zs[b0:eq_idx].reshape(b0, dim_p, 2, dim_p)
         rel = alg.group_inverse(ks[:b0])[:, None, None] @ k_pert
-        x_log = _group_log(alg, rel)[..., : alg.dim_k]
+        x_log = _group_log(alg, rel)[..., :dk]
         fiber = np.concatenate(
-            [(x_log[:, :, 0] - x_log[:, :, 1]) @ geometry.complement[: alg.dim_k],
+            [(x_log[:, :, 0] - x_log[:, :, 1]) @ geometry.complement[:dk],
              z_pert[:, :, 0] - z_pert[:, :, 1]],
             axis=-1,
         ) / (2 * eps)
@@ -785,15 +774,15 @@ def verify_pullback(stages, base_points, eps=1e-4, n_equivariance=4, n_zero=4, *
     def block(i, j):
         first, last = stages[i].family, stages[j - 1].family
         ks, zs = states[j]
-        eq = [np.max([np.abs(ks[eq_idx + p] - kp @ ks[p]).max(),
-                      np.abs(zs[eq_idx + p] - (adk @ alg.embed_p(zs[p]))[alg.dim_k :]).max()])
-              for p, (kp, adk) in enumerate(eq_rot)]
+        want_k, want_z = moved(ks, zs)
+        eq = np.maximum(np.abs(ks[eq_idx:zero_idx] - want_k).max(axis=(-2, -1)),
+                        np.abs(zs[eq_idx:zero_idx] - want_z).max(axis=-1))
         zero = np.max([np.linalg.norm(zs[zero_idx:], axis=-1).max(initial=0.0),
                        np.abs(ks[zero_idx:] - states[i][0][zero_idx:]).max(initial=0.0)])
         return FlowBlock(
             pulled(j, last, 1.0) - pulled(i, first, 0.0),
             last.moment(*points[j], 1.0) - first.moment(*points[i], 0.0),
-            np.array(eq),
+            eq,
             float(zero),
             [res.trace for res in results[i:j]],
         )
@@ -914,7 +903,8 @@ def _draw_chart_points(geometry, rng, count, n_tets):
         for _ in range(count)
     ]
     k, z0, tets, tris = (np.array(x) for x in zip(*draws))
-    return alg.group_exp(k), z0, np.linalg.qr(tets)[0], np.linalg.qr(tris)[0]
+    frames = np.linalg.qr(tets)[0].reshape(tets.shape)  # QR gives n = 0 as (B, 0, T, T)
+    return alg.group_exp(k), z0, frames, np.linalg.qr(tris)[0]
 
 
 # the worst-case values check_hypotheses reports, each over every stage and t
@@ -957,8 +947,7 @@ def check_hypotheses(stages, rng):
     fits = properness_fit(families, rng)
     worst["closedness_rel_residual"].append(stokes_closedness_residual(
         geometry, lambda spec, kap, t: np.stack([fam.omega(spec, kap, t) for fam in families]),
-        k0, z0, ts, tet_frames, 1e-2, any(fam.moves_base for fam in families),
-    ).max())
+        k0, z0, ts, tet_frames, 1e-2).max())
     zero_fiber = np.zeros((len(ts), geometry.dim_p))
     spec_zero, kap0 = geometry.fiber_eig(zero_fiber), geometry.kappa(k0)
     c = geometry.dim_c

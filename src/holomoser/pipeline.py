@@ -97,16 +97,6 @@ def _build_model(scenario):
     return OrbitGeometry(alg, datum, weight), margin
 
 
-def _sample_points(geometry, rng, count, radius):
-    pts = []
-    for _ in range(count):
-        k = geometry.alg.group_exp(rng.standard_normal(geometry.alg.dim_k))
-        z = rng.standard_normal(geometry.dim_p)
-        z *= rng.uniform(0.1, radius) / np.linalg.norm(z)
-        pts.append((k, z))
-    return pts
-
-
 def _verdict(checks):
     return "pass" if all(checks.values()) else "fail"
 
@@ -513,17 +503,17 @@ def run_theorem_pipeline(scenario):
     hypotheses = check_hypotheses(stages, rng_hyp)
     hyp_checks = _hypothesis_checks(hypotheses, tol)
 
-    comp_pts = _sample_points(geometry, rng_pts, scenario.samples, scenario.radius)
-    comp = verify_pullback(stages, comp_pts, eps=scenario.eps, rng=rng_comp)
+    base_k, base_z = random_points(geometry, rng_pts, scenario.samples, (0.1, scenario.radius))
+    comp = verify_pullback(stages, base_k, base_z, eps=scenario.eps, rng=rng_comp)
     count = min(scenario.stage_samples, scenario.samples)
     stage_reports = [_stage_report(stage, block, count, tol)
                      for stage, block in zip(stages, comp["stage_blocks"])]
     composite = {
         "steps": [stage.steps for stage in stages],
-        "sample_count": len(comp_pts),
+        "sample_count": scenario.samples,
         "min_image_separation": comp["min_image_separation"],
         "min_source_separation": comp["min_source_separation"],
-        **_flow_block(comp["block"].values(len(comp_pts)), tol, "composite_pullback", 0.0),
+        **_flow_block(comp["block"].values(scenario.samples), tol, "composite_pullback", 0.0),
     }
     composite_checks = composite["checks"]
     # the composite's shift gate (expected shift 0) is named moment_preserved

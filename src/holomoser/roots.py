@@ -95,22 +95,18 @@ class RootDatum:
         r = alg.rank
         torus_ads = np.swapaxes(alg.structure[:r], 1, 2)  # ad(H_j)
         out = {}
-        out["torus_abelian"] = float(
-            max(abs(alg.bracket(_unit(alg.dim, i), _unit(alg.dim, j))).max()
-                for i in range(r) for j in range(r))
-        )
+        out["torus_abelian"] = float(np.abs(alg.structure[:r, :r]).max())
         stacked = torus_ads[:, :, : alg.dim_k].reshape(-1, alg.dim_k)
         sv = np.linalg.svd(stacked, compute_uv=False)
         centralizer_dim = int((sv < 1e-9 * max(1.0, sv.max())).sum())
         out["torus_centralizer_dim_matches_rank"] = float(centralizer_dim != r)
 
-        eig_res = 0.0
-        for root in self.roots:
-            v = root.vector
-            for j in range(r):
-                lhs = torus_ads[j] @ v
-                eig_res = max(eig_res, float(np.abs(lhs - 1j * root.coords[j] * v).max()))
-        out["root_eigen_residual"] = eig_res
+        # every root vector v against every ad(H_j): (roots, r, N)
+        vecs = np.array([root.vector for root in self.roots])
+        coords = np.array([root.coords for root in self.roots])
+        lhs = (torus_ads[None] @ vecs[:, None, :, None])[..., 0]
+        eig = np.abs(lhs - 1j * coords[..., None] * vecs[:, None]).max(initial=0.0)
+        out["root_eigen_residual"] = float(eig)
 
         adz0 = alg.ad(self.z0)
         blk = (adz0 @ adz0)[alg.dim_k :, alg.dim_k :]
@@ -123,27 +119,14 @@ class RootDatum:
         out["noncompact_z0_eigenvalue"] = float(nc.max(initial=0.0))
         out["compact_z0_eigenvalue"] = float(cc.max(initial=0.0))
 
-        norm_res = 0.0
-        for root in self.positive_noncompact():
-            e = root.vector
-            re2 = 4.0 * float(np.dot(e.real, e.real))
-            im2 = 4.0 * float(np.dot(e.imag, e.imag))
-            norm_res = max(norm_res, abs(re2 - 2.0), abs(im2 - 2.0))
-        out["noncompact_vector_normalization"] = norm_res
+        e = np.array([root.vector for root in self.positive_noncompact()])
+        sq = 4.0 * (np.stack([e.real, e.imag]) ** 2).sum(axis=-1)
+        out["noncompact_vector_normalization"] = float(np.abs(sq - 2.0).max(initial=0.0))
 
-        pair_res = 0.0
-        coords = np.array([root.coords for root in self.roots])
-        for c in coords:
-            dist = np.abs(coords + c).max(axis=1).min()
-            pair_res = max(pair_res, float(dist))
-        out["roots_in_opposite_pairs"] = pair_res
+        # each root's distance to the nearest negative of a root
+        dist = np.abs(coords[:, None] + coords[None]).max(axis=-1).min(axis=-1)
+        out["roots_in_opposite_pairs"] = float(dist.max(initial=0.0))
         return out
-
-
-def _unit(n, j):
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
 
 
 def compute_root_datum(alg):

@@ -24,8 +24,11 @@ None of this runs in the certification pipeline:
   time derivative of the forms at the scaled points (k, sZ);
 - gauge fixing of a family of 1-forms by its radial potential;
 - the constant family, whose Moser flow is the identity;
+- the root datum's structural residuals one root and one torus generator
+  at a time;
 - chamber rejection sampling one candidate at a time, and the lemma suite's
-  growth, flat and bracket loops evaluated one point at a time;
+  growth, flat and bracket loops and the convention constants evaluated one
+  point and one difference lane at a time;
 - the hypothesis checks (Stokes closedness, primitive exactness, zero
   section) and both sides of the moment identities one base point and one
   finite-difference lane at a time, and the properness fit with its
@@ -717,6 +720,103 @@ def lemma_point_loops(scenario, alg, datum):
         "flat_identity_residual": flat_res,
         "bracket_min_slack": bracket_slack,
     }
+
+
+def convention_constants_loop(geometry, rng):
+    """measure_convention_constants one sample and one fiber direction at a time.
+
+    Per sample Z then X are drawn; the directions whose contraction is below
+    1e-3 are skipped, each other one takes its own pair of one-lane
+    fiber_block and moment_flat calls and two display evaluations.
+    """
+    alg = geometry.alg
+    eps = 1e-6
+    ratios_flat, ratios_sign = [], []
+    adz0_p = geometry.ad_z0[alg.dim_k :, alg.dim_k :]
+    for _ in range(6):
+        zp = rng.standard_normal(geometry.dim_p)
+        x_full = alg.embed_k(rng.standard_normal(alg.dim_k))
+        field = alg.bracket(x_full, alg.embed_p(zp))[alg.dim_k :]
+        for j in range(geometry.dim_p):
+            dz = np.zeros(geometry.dim_p)
+            dz[j] = eps
+            rhs = float(field @ adz0_p[:, j])
+            if abs(rhs) < 1e-3:
+                continue
+            a_hi = geometry.fiber_block((zp + dz)[None])
+            a_lo = geometry.fiber_block((zp - dz)[None])
+            flat_fd = (
+                geometry.moment_flat(a_hi)[0] - geometry.moment_flat(a_lo)[0]
+            ) @ x_full / (2 * eps)
+            ratios_flat.append(flat_fd / rhs)
+
+            def display_fiber(v):
+                moved = alg.bracket(x_full, alg.embed_p(v))[alg.dim_k :]
+                return 0.5 * float(v @ adz0_p @ moved)
+
+            disp_fd = (display_fiber(zp + dz) - display_fiber(zp - dz)) / (2 * eps)
+            ratios_sign.append(disp_fd / rhs)
+    return {
+        "flat_display_factor": float(np.median(ratios_flat)),
+        "product_display_fiber_sign": float(np.median(ratios_sign)),
+    }
+
+
+def root_datum_validate_loop(datum):
+    """RootDatum.validate with one bracket per torus pair and one product per
+    root and torus generator."""
+    alg = datum.algebra
+    r = alg.rank
+
+    def unit(j):
+        e = np.zeros(alg.dim)
+        e[j] = 1.0
+        return e
+
+    torus_ads = np.swapaxes(alg.structure[:r], 1, 2)  # ad(H_j)
+    out = {}
+    out["torus_abelian"] = float(
+        max(abs(alg.bracket(unit(i), unit(j))).max() for i in range(r) for j in range(r))
+    )
+    stacked = torus_ads[:, :, : alg.dim_k].reshape(-1, alg.dim_k)
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    centralizer_dim = int((sv < 1e-9 * max(1.0, sv.max())).sum())
+    out["torus_centralizer_dim_matches_rank"] = float(centralizer_dim != r)
+
+    eig_res = 0.0
+    for root in datum.roots:
+        v = root.vector
+        for j in range(r):
+            lhs = torus_ads[j] @ v
+            eig_res = max(eig_res, float(np.abs(lhs - 1j * root.coords[j] * v).max()))
+    out["root_eigen_residual"] = eig_res
+
+    adz0 = alg.ad(datum.z0)
+    blk = (adz0 @ adz0)[alg.dim_k :, alg.dim_k :]
+    out["z0_squares_to_minus_id_on_p"] = float(np.abs(blk + np.eye(alg.dim_p)).max())
+    out["z0_in_torus"] = float(np.abs(np.delete(datum.z0, range(r))).max())
+
+    z0_t = datum.z0[:r]
+    nc = np.abs(datum.noncompact_coords @ z0_t - 1.0)
+    cc = np.abs(datum.compact_coords @ z0_t)
+    out["noncompact_z0_eigenvalue"] = float(nc.max(initial=0.0))
+    out["compact_z0_eigenvalue"] = float(cc.max(initial=0.0))
+
+    norm_res = 0.0
+    for root in datum.positive_noncompact():
+        e = root.vector
+        re2 = 4.0 * float(np.dot(e.real, e.real))
+        im2 = 4.0 * float(np.dot(e.imag, e.imag))
+        norm_res = max(norm_res, abs(re2 - 2.0), abs(im2 - 2.0))
+    out["noncompact_vector_normalization"] = norm_res
+
+    pair_res = 0.0
+    coords = np.array([root.coords for root in datum.roots])
+    for c in coords:
+        dist = np.abs(coords + c).max(axis=1).min()
+        pair_res = max(pair_res, float(dist))
+    out["roots_in_opposite_pairs"] = pair_res
+    return out
 
 
 # -- hypothesis checks and moment identities one point at a time ------------------

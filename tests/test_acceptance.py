@@ -196,18 +196,18 @@ def test_criterion_08_hermitian_certification_su11():
         k = alg.group_exp(rng.standard_normal(alg.dim_k))
         z = rng.standard_normal(geo.dim_p)
         pts.append((k, z / np.linalg.norm(z) * rng.uniform(0.3, 1.0)))
+    ks = np.array([k for k, _ in pts])
+    zs = np.array([z for _, z in pts])
 
     fam = hermitian_stage(geo)
     out = verify_pullback(
-        [MoserStage(fam, 0)], pts, eps=1e-4, rng=np.random.default_rng(1),
+        [MoserStage(fam, 0)], ks, zs, eps=1e-4, rng=np.random.default_rng(1),
     )
     assert out["pullback_residual"] < 1e-4
     assert out["zero_section_displacement"] < 1e-8
 
     # The stage applies its exact time-one map, so the integrator's order is
     # measured as the true error of integrate_flow against that map.
-    ks = np.array([k for k, _ in pts])
-    zs = np.array([z for _, z in pts])
     exact = fam.time_one(zs)
     error = {steps: np.abs(integrate_flow(fam, ks, zs, steps).z - exact).max()
              for steps in (10, 20)}

@@ -310,6 +310,25 @@ def test_measured_convention_constants(su21):
     assert abs(consts["product_display_fiber_sign"] + 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("family,params", [
+    ("su", {"p": 1, "q": 1}), ("su", {"p": 2, "q": 1}), ("sp", {"n": 2}),
+    ("su", {"p": 2, "q": 2}), ("su", {"p": 3, "q": 1}), ("su", {"p": 3, "q": 2}),
+], ids=["su11", "su21", "sp4", "su22", "su31", "su32"])
+def test_convention_constants_match_the_point_loop(family, params):
+    # same draws in the same order; the difference quotients over 2e-6 carry
+    # the batch's other summation order, measured at most 7.8e-11
+    alg = build_algebra(family, **params)
+    datum = compute_root_datum(alg)
+    geo = OrbitGeometry(alg, datum, datum.lambda0)
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = measure_convention_constants(geo, rng)
+        want = oracles.convention_constants_loop(geo, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-9, (seed, key)
+
+
 def test_pullback_growth_inequality(su21_flat):
     # <Phi_{Gamma_0 Omega}(Z) - lambda_0, z0> >= ||Z||^2/2 with slack >= -1e-10
     geo = su21_flat

@@ -90,6 +90,12 @@ def rand_batch(geo, rng, n, radius=1.0):
     return ks, zs
 
 
+def unzip_points(pts):
+    """The (ks, zs) arrays verify_pullback takes, from a list of (k, z) points."""
+    ks, zs = zip(*pts)
+    return np.array(ks), np.array(zs)
+
+
 def test_constant_family_flow_is_identity(su11):
     _, _, geo = su11
     rng = np.random.default_rng(0)
@@ -281,6 +287,22 @@ def test_segment_weight_interpolates(su21):
     assert np.abs(end - d * geo.lam0).max() < 1e-14
 
 
+def test_stokes_on_a_two_dimensional_space_keeps_the_stack_axes(su11):
+    # su(1,1) at lambda_0 has dim_t = 2, where every 2-form is closed: no
+    # tetrahedra are drawn, and a stacked omega still gives (families, B)
+    _, _, geo = su11
+    assert geo.dim_t == 2
+    families, _ = stage_families(geo)
+    ts = np.repeat([0.0, 0.5, 1.0], 2)
+    k0, z0, tets, _ = moser._draw_chart_points(geo, np.random.default_rng(0), len(ts), 2)
+    assert tets.shape == (len(ts), 0, geo.dim_t, 3)
+    out = stokes_closedness_residual(
+        geo, lambda spec, kap, t: np.stack([fam.omega(spec, kap, t) for fam in families]),
+        k0, z0, ts, tets, 1e-2,
+    )
+    assert np.array_equal(out, np.zeros((3, len(ts))))
+
+
 def test_stokes_certifies_closed_and_detects_broken(su21):
     _, _, geo = su21
     rng = np.random.default_rng(8)
@@ -340,7 +362,7 @@ def test_hermitian_stage_certifies_pullback(su11):
         z = rng.standard_normal(geo.dim_p)
         pts.append((k, z / np.linalg.norm(z) * rng.uniform(0.3, 1.0)))
     stages = [MoserStage(hermitian_stage(geo), 200)]
-    out = verify_pullback(stages, pts, eps=1e-4, rng=np.random.default_rng(0))
+    out = verify_pullback(stages, *unzip_points(pts), eps=1e-4, rng=np.random.default_rng(0))
     assert out["pullback_residual"] < 1e-6
     assert out["zero_section_displacement"] < 1e-10
     assert out["equivariance_residual"] < 1e-10
@@ -368,7 +390,7 @@ def test_flow_converges_at_order_four(su11):
 def segment_order_residuals(geo):
     """Pullback residual of the segment stage at 10 and 20 steps (eps = 1e-5)."""
     family = segment_stage(geo, delta_for(geo))
-    assert family.moves_base
+    assert family.time_one is None
     rng = np.random.default_rng(12)
     pts = []
     for _ in range(3):
@@ -378,7 +400,7 @@ def segment_order_residuals(geo):
     residuals = {}
     for steps in (10, 20):
         out = verify_pullback(
-            [MoserStage(family, steps)], pts, eps=1e-5, n_equivariance=0, n_zero=0,
+            [MoserStage(family, steps)], *unzip_points(pts), eps=1e-5,
             rng=np.random.default_rng(0),
         )
         residuals[steps] = out["pullback_residual"]
@@ -516,8 +538,8 @@ def test_stage_moment_shifts_match_analytic_constants(su11):
     for fam in (hermitian_stage(geo), scaling_stage(geo, d), segment_stage(geo, d)):
         assert np.array_equal(fam.moment_shift, expected[fam.name]), fam.name
         out = verify_pullback(
-            [MoserStage(fam, 60)], pts, eps=1e-4,
-            n_equivariance=0, n_zero=0, rng=np.random.default_rng(0),
+            [MoserStage(fam, 60)], *unzip_points(pts), eps=1e-4,
+            rng=np.random.default_rng(0),
         )
         gap = out["moment_shift_mean"] - expected[fam.name]
         assert np.abs(gap).max() < 1e-6, fam.name
@@ -609,8 +631,39 @@ def test_worst_case_values_keep_a_nan_from_any_lane(su21, monkeypatch):
 
     # two mapped stages, then the segment flow whose partner lane turns NaN
     monkeypatch.setattr(moser, "flow_stages", nan_second_partner)
-    out = verify_pullback(stages, pts, rng=np.random.default_rng(0))
+    out = verify_pullback(stages, *unzip_points(pts), rng=np.random.default_rng(0))
     assert np.isnan(out["equivariance_residual"])
+
+
+@pytest.mark.parametrize("samples", [1, 3, 6])
+def test_verify_pullback_forms_its_partners_as_one_batch(su21, monkeypatch, samples):
+    # before the flow: one group_exp and one adjoint_group_matrix for all
+    # min(4, samples) partners, then one group_exp for the zero-section
+    # lanes.  The partners' generators are the stream a draw per partner gives
+    _, _, geo = su21
+    ks, zs = rand_batch(geo, np.random.default_rng(29), samples, radius=0.5)
+    calls, lanes = [], []
+    real_flow = moser.flow_stages
+
+    def flow(stages, k0, z0):
+        calls.append("flow_stages")
+        lanes.append(k0)
+        return real_flow(stages, k0, z0)
+
+    _count_calls(monkeypatch, MatrixLieAlgebra, "group_exp", calls)
+    _count_calls(monkeypatch, MatrixLieAlgebra, "adjoint_group_matrix", calls)
+    monkeypatch.setattr(moser, "flow_stages", flow)
+    out = verify_pullback([MoserStage(hermitian_stage(geo), 0)], ks, zs,
+                          rng=np.random.default_rng(0))
+    assert calls[: calls.index("flow_stages")] == [
+        "group_exp", "adjoint_group_matrix", "group_exp"]
+    assert out["equivariance_residual"] < 1e-10
+    monkeypatch.undo()
+    n_eq, rng = min(4, samples), np.random.default_rng(0)
+    partners = lanes[0][samples * (1 + 2 * geo.dim_p):][:n_eq]
+    for j in range(n_eq):
+        want = geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k)) @ ks[j]
+        assert np.abs(partners[j] - want).max() <= 1e-14, j
 
 
 ZERO_SECTION_KEYS = (
@@ -727,12 +780,13 @@ def _count_calls(monkeypatch, owner, attr, calls, key=lambda *args, **kwargs: Tr
     monkeypatch.setattr(owner, attr, counted)
 
 
-def test_vertical_chart_checks_skip_group_points_and_kappa(su21, monkeypatch):
+def test_vertical_chart_checks_take_one_chart(su21, monkeypatch):
     # the two vertical stages share one group_exp for the chart draws and one
     # for the properness points, and one kappa each for the zero-section
     # blocks and the properness points (the growth exponent is read at
-    # k = e).  Their Stokes nodes need neither, and mapped stages have no
-    # circulation or flux nodes.
+    # k = e).  Their Stokes nodes add one chart, with one group_exp for its
+    # points and one kappa, and mapped stages have no circulation or flux
+    # nodes.
     _, _, geo = su21
     assert geo.dim_t >= 3 and geo.dim_c > 0
     families, _ = stage_families(geo)
@@ -742,8 +796,8 @@ def test_vertical_chart_checks_skip_group_points_and_kappa(su21, monkeypatch):
     _count_calls(monkeypatch, OrbitGeometry, "kappa", calls)
     _count_calls(monkeypatch, moser, "_chart_frames", calls)
     check_hypotheses(stages, np.random.default_rng(0))
-    assert calls.count("group_exp") == 2
-    assert calls.count("kappa") == 2
+    assert calls.count("group_exp") == 3
+    assert calls.count("kappa") == 3
     assert calls.count("_chart_frames") == 1
 
 
@@ -775,7 +829,7 @@ def test_three_stage_composite_certifies(su11):
         k = geo.alg.group_exp(rng.standard_normal(geo.alg.dim_k))
         z = rng.standard_normal(geo.dim_p)
         pts.append((k, z / np.linalg.norm(z) * rng.uniform(0.2, 1.1)))
-    out = verify_pullback(stages, pts, eps=1e-4, rng=np.random.default_rng(0))
+    out = verify_pullback(stages, *unzip_points(pts), eps=1e-4, rng=np.random.default_rng(0))
     assert out["pullback_residual"] < 1e-5
     # hermitian, scaling and segment shifts cancel exactly in the composite
     assert np.abs(out["moment_shift_mean"]).max() < 1e-8
@@ -984,11 +1038,11 @@ def test_vertical_flows_keep_k_and_match_rkmk_oracle(family, params):
     # to roundoff (measured at most 2.4e-15)
     geo = generic_geometry(family, params)
     families, _ = stage_families(geo)
-    assert families[2].moves_base
+    assert families[2].time_one is None
     ks, zs = repeated_fiber_batch(geo, np.random.default_rng(23))
     steps = 6
     for fam in families[:2]:
-        assert not fam.moves_base
+        assert fam.time_one is not None
         got = integrate_flow(fam, ks, zs, steps)
         ref = integrate_flow_rkmk(fam, ks, zs, steps)
         assert np.array_equal(got.k, ks), fam.name
@@ -1084,7 +1138,7 @@ def test_base_rows_match_finite_difference_oracle(family, params, lam):
     def pulled(s, fam, t):
         return jacs[s] @ fam.omega(*points[s], t) @ np.swapaxes(jacs[s], -1, -2)
 
-    out = verify_pullback(stages, list(zip(ks, zs)), eps=eps, rng=np.random.default_rng(0))
+    out = verify_pullback(stages, ks, zs, eps=eps, rng=np.random.default_rng(0))
     scale = max(np.abs(pulled(s, families[0], 0.0)).max() for s in range(len(jacs)))
     want = [pulled(s + 1, fam, 1.0) - pulled(s, fam, 0.0) for s, fam in enumerate(families)]
     for block, ref in zip(out["stage_blocks"], want):
@@ -1121,14 +1175,13 @@ def test_vertical_stages_are_mapped_without_field_evaluations(su21):
     families, _ = stage_families(geo)
     rng = np.random.default_rng(26)
     ks, zs = rand_batch(geo, rng, 1, radius=0.5)
-    pts = [(ks[0], zs[0])]
     every = 1 + 2 * geo.dim_p + 1 + 4
     for fam, evals in zip(families, (0, 0, 20)):
-        out = verify_pullback([MoserStage(fam, 5)], pts, rng=np.random.default_rng(0))
+        out = verify_pullback([MoserStage(fam, 5)], ks, zs, rng=np.random.default_rng(0))
         assert out["field_evaluations"] == evals, fam.name
         assert out["field_lanes"] == evals * every, fam.name
         assert out["reprojections"] == 0, fam.name
-        if not fam.moves_base:
+        if fam.time_one is not None:
             # k leaves as it came and the map fixes the zero section exactly
             assert out["zero_section_displacement"] == 0.0, fam.name
             assert out["pullback_residual"] < 1e-8, fam.name
@@ -1232,10 +1285,10 @@ def test_map_stage_residuals_are_second_order_in_eps(su21):
     families, _ = stage_families(geo)
     rng = np.random.default_rng(12)
     ks, zs = rand_batch(geo, rng, 3)
-    pts = list(zip(ks, zs / np.linalg.norm(zs, axis=1)[:, None]))
+    zs /= np.linalg.norm(zs, axis=1)[:, None]
     for fam in families[:2]:
-        res = [verify_pullback([MoserStage(fam, 0)], pts, eps=eps, n_equivariance=0,
-                               n_zero=0, rng=np.random.default_rng(0))["pullback_residual"]
+        res = [verify_pullback([MoserStage(fam, 0)], ks, zs, eps=eps,
+                               rng=np.random.default_rng(0))["pullback_residual"]
                for eps in (2e-4, 1e-4, 5e-5)]
         assert res[0] / res[1] > 3.0, fam.name
         assert res[1] / res[2] > 3.0, fam.name
@@ -1260,9 +1313,8 @@ def test_degenerate_difference_lane_raises_through_the_solve_margin(su21):
         return out
 
     singular = dataclasses.replace(base, name="singular-lane", omega=omega)
-    pts = list(zip(ks, zs))
     with pytest.raises(RuntimeError, match="singular-lane family degenerates along the flow"):
-        verify_pullback([MoserStage(singular, 4)], pts, eps=eps, rng=np.random.default_rng(0))
+        verify_pullback([MoserStage(singular, 4)], ks, zs, eps=eps, rng=np.random.default_rng(0))
     # the centres' forms are regular; the one singular lane is a difference lane
     _, diff_z = difference_lanes(geo, ks, zs, eps)
     forms = omega(geo.fiber_eig(np.concatenate([zs, diff_z])), None, 0.0)

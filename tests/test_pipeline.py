@@ -796,10 +796,10 @@ def test_stage_blocks_are_read_off_the_composite_flow(monkeypatch):
     seen = {}
     real = pipeline.verify_pullback
 
-    def capture(stages, points, **kwargs):
-        seen.update(stages=stages, points=points, eps=kwargs["eps"],
+    def capture(stages, base_k, base_z, **kwargs):
+        seen.update(stages=stages, ks=base_k, zs=base_z, eps=kwargs["eps"],
                     rng=copy.deepcopy(kwargs["rng"]))
-        seen["out"] = real(stages, points, **kwargs)
+        seen["out"] = real(stages, base_k, base_z, **kwargs)
         return seen["out"]
 
     monkeypatch.setattr(pipeline, "verify_pullback", capture)
@@ -807,13 +807,13 @@ def test_stage_blocks_are_read_off_the_composite_flow(monkeypatch):
         Scenario(family="su", p=2, q=1, lam=(0.8660254037844386, 2.0999999999999996),
                  steps=10, samples=5, stage_samples=4, lemma_samples=4, seed=0)
     )
-    stages, points, out = seen["stages"], seen["points"], seen["out"]
+    stages, ks, zs, out = seen["stages"], seen["ks"], seen["zs"], seen["out"]
     first = rep["stages"][0]
     assert first["sample_count"] == 4
 
     # the first block (J_0 = I) is a standalone flow of the first stage;
     # measured equal to the last bit, the bound allows roundoff
-    alone = real(stages[:1], points[:4], eps=seen["eps"], rng=seen["rng"])
+    alone = real(stages[:1], ks[:4], zs[:4], eps=seen["eps"], rng=seen["rng"])
     assert np.abs(out["stage_blocks"][0].defect[:4] - alone["block"].defect).max() <= 1e-13
     shift_error = np.abs(alone["moment_shift_mean"] - stages[0].family.moment_shift).max()
     for key, want in (
@@ -834,8 +834,6 @@ def test_stage_blocks_are_read_off_the_composite_flow(monkeypatch):
 
     # each stage starts at the form the previous one ends at
     geo = stages[0].family.geometry
-    ks = np.array([k for k, _ in points])
-    zs = np.array([z for _, z in points])
     results = moser.flow_stages(stages, ks, zs)
     for s in range(len(stages) - 1):
         at = geo.fiber_eig(results[s].z), geo.kappa(results[s].k)
@@ -1007,7 +1005,7 @@ def test_cli_linear_algebra_failure_exit_code_one(tmp_path, capsys, monkeypatch)
     )
 
 
-def test_svd_failure_names_stage_and_time(tmp_path, capsys, monkeypatch):
+def test_cli_non_finite_form_names_stage_and_time(tmp_path, capsys, monkeypatch):
     _non_finite_segment(monkeypatch)
     assert cli.main(["theorem", "--config", _write_config(tmp_path)]) == 1
     err = capsys.readouterr().err

@@ -12,7 +12,7 @@ from holomoser.roots import (
     stabilizer_algebra,
 )
 
-from oracles import weight_from_matrix
+from oracles import root_datum_validate_loop, weight_from_matrix
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,16 @@ def test_datum_certificates(fix, request):
     assert res["noncompact_vector_normalization"] < 1e-9
     assert res["roots_in_opposite_pairs"] < 1e-9
     assert res["torus_centralizer_dim_matches_rank"] == 0.0
+
+
+@pytest.mark.parametrize("family,params", [
+    ("su", {"p": 1, "q": 1}), ("su", {"p": 2, "q": 1}), ("su", {"p": 2, "q": 2}),
+    ("su", {"p": 3, "q": 1}), ("su", {"p": 3, "q": 2}), ("sp", {"n": 1}),
+    ("sp", {"n": 2}), ("sp", {"n": 3}),
+])
+def test_validate_matches_the_root_loop(family, params):
+    datum = compute_root_datum(build_algebra(family, **params))
+    assert datum.validate() == root_datum_validate_loop(datum)
 
 
 def test_su11_z0_closed_form(su11):
