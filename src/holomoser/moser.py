@@ -814,17 +814,11 @@ def _root_probe_fibers(geometry, radii=(0.2, 0.4)):
     corrections) exactly on these directions, so including them makes the
     fitted constant converge to the analytic one.
     """
-    alg = geometry.alg
-    probes = []
-    for root in geometry.datum.positive_noncompact():
-        for part in (root.vector.real, root.vector.imag):
-            vec = part[alg.dim_k :]
-            norm = np.linalg.norm(vec)
-            if norm < 1e-12:
-                continue
-            for r in radii:
-                probes.append(r * vec / norm)
-    return probes
+    k = geometry.alg.dim_k
+    vecs = [part[k:] for root in geometry.datum.positive_noncompact()
+            for part in (root.vector.real, root.vector.imag)]
+    norms = [np.linalg.norm(vec) for vec in vecs]
+    return [r * vec / norm for vec, norm in zip(vecs, norms) if norm >= 1e-12 for r in radii]
 
 
 def random_points(geometry, rng, count, radii):
@@ -837,50 +831,41 @@ def random_points(geometry, rng, count, radii):
 
 
 def properness_fit(families, rng):
-    """Fitted quadratic growth constants of the moment families, one each.
+    """Quadratic growth of each moment family: a (constant, exponent) pair.
 
-    min over samples and t of <Phi_t(k,Z) - Phi_t(k,0), n_t> / ||Z||^2 with
-    n_t the family's unit pairing direction (z0-hat for the product-side
-    families, H_{lambda_t}-hat for the segment).  60 random points with
-    ||Z|| in [0.2, 2.5] are mixed with root-plane probes so the minimum
-    lands on the saturating rays.  The families share the draw, and the
-    sampled and zero fibers one spectrum and kappa; each family takes one
-    moment call on _PROPERNESS_GRID.
+    The gap is <Phi_t(k,Z) - Phi_t(k,0), n_t>, n_t the family's unit pairing
+    direction.  The constant is its min over t and samples of gap / ||Z||^2,
+    on 60 random points (||Z|| in [0.2, 2.5]) and the root-plane probes, where
+    it saturates.  The exponent is the closed-form log-log slope of the gap at
+    t = 0.5 on the ray r V, r in geomspace(0.05, 0.4, 6) along the first root
+    plane at k = e (exact identity kappa rows); quadratic growth predicts 2.
+    All lanes and their zero fibers take one spectrum and kappa, and each
+    family one moment call on _PROPERNESS_GRID.
     """
     geometry = families[0].geometry
-    a = geometry.alg.ambient
+    alg, radii = geometry.alg, np.geomspace(0.05, 0.4, 6)
     ks, zs = random_points(geometry, rng, 60, (0.2, 2.5))
-    probes = _root_probe_fibers(geometry)
-    ks = np.concatenate([ks, np.broadcast_to(np.eye(a, dtype=complex), (len(probes), a, a))])
-    zs = np.concatenate([zs, np.stack(probes)])
-    n, t = len(zs), np.array(_PROPERNESS_GRID)[:, None]
-    spec = geometry.fiber_eig(np.concatenate([zs, np.zeros_like(zs)]))
-    kap = np.concatenate([geometry.kappa(ks)] * 2)
+    probes = np.stack(_root_probe_fibers(geometry))
+    zs = np.concatenate([zs, probes])
+    n, m = len(zs), len(zs) + len(radii)  # the sampled lanes, then the ray's
+    lanes = np.concatenate([zs, np.outer(radii, _root_probe_fibers(geometry, (1.0,))[0])])
+    spec = geometry.fiber_eig(np.concatenate([lanes, np.zeros_like(lanes)]))
+    kap = geometry.kappa(np.concatenate([ks, np.broadcast_to(
+        np.eye(alg.ambient, dtype=complex), (len(probes),) + ks.shape[1:])]))
+    # the ray's exact identity rows, in kappa's memory layout: einsum's
+    # summation order follows it
+    ray_kap = np.broadcast_to(np.eye(alg.dim), (len(radii),) + kap.shape[1:])
+    kap = np.concatenate([kap, ray_kap] * 2,
+                         out=np.empty_like(kap, shape=(2 * m,) + kap.shape[1:]))
+    t, x = np.array(_PROPERNESS_GRID)[:, None], np.log(radii) - np.log(radii).mean()
     fits = []
     for family in families:
         phi = family.moment(spec, kap, t)
-        gap = (phi[:, :n] - phi[:, n:]) @ np.swapaxes(family.pairing_direction(t), -1, -2)
-        fits.append(float((gap[..., 0] / np.linalg.norm(zs, axis=1) ** 2).min()))
+        gap = (phi[:, :m] - phi[:, m:]) @ np.swapaxes(family.pairing_direction(t), -1, -2)
+        y = np.log(gap[_PROPERNESS_GRID.index(0.5), n:, 0])
+        fits.append((float((gap[:, :n, 0] / np.linalg.norm(zs, axis=1) ** 2).min()),
+                     float(x @ (y - y.mean()) / (x @ x))))
     return fits
-
-
-def properness_gamma(family):
-    """Fitted growth exponent of the moment gap along a root-plane ray.
-
-    Log-log least-squares slope of <Phi_t(e, rV) - Phi_t(e, 0), n_t> against
-    r at t = 0.5 and six radii r in [0.05, 0.4], in closed form on centred
-    logs; the quadratic-growth hypothesis predicts a slope of 2 for small
-    radii.  The ray and its zero fibers take one moment call.
-    """
-    t, radii = 0.5, np.geomspace(0.05, 0.4, 6)
-    geometry = family.geometry
-    direction = _root_probe_fibers(geometry, radii=(1.0,))[0]
-    zs = np.concatenate([np.outer(radii, direction), np.zeros((6, len(direction)))])
-    phi = family.moment(geometry.fiber_eig(zs), None, t)  # k = e
-    vals = (phi[:6] - phi[6:]) @ family.pairing_direction(t)
-    x, y = np.log(radii), np.log(vals)
-    x, y = x - x.mean(), y - y.mean()
-    return float(x @ y / (x @ x))
 
 
 def _draw_chart_points(geometry, rng, count, n_tets):
@@ -934,15 +919,17 @@ def check_hypotheses(stages, rng):
     One pass for all stages: six base points, two at each of t = 0, 0.5 and
     1, with two tetrahedra of diameter 1e-2 and one triangle each, are drawn
     first (_draw_chart_points), then the properness points.  The Stokes
-    nodes take one chart, spectrum and kappa for every family's omega; the
-    exactness nodes of each flowed family and the zero-section blocks are
-    each one batched evaluation.  Every value is the np.max of its parts, so
-    a NaN anywhere is reported.  The stages share one geometry.
+    nodes take one chart, spectrum and kappa for every family's omega, the
+    exactness nodes of a flowed family one evaluation, and (dim_c > 0) a
+    family's zero-section blocks and endpoint forms one omega call on the
+    time axis (0, 0.5, 1).  Every value is the np.max of its parts, so a
+    NaN anywhere is reported.  The stages share one geometry.
     """
     families = [stage.family for stage in stages]
     geometry = families[0].geometry
     worst = {key: [] for key in _HYPOTHESIS_VALUES}
-    ts = np.repeat([0.0, 0.5, 1.0], 2)
+    times, rows = np.array([[0.0], [0.5], [1.0]]), np.repeat(np.arange(3), 2)
+    ts = times[rows, 0]
     k0, z0, tet_frames, tri_frames = _draw_chart_points(geometry, rng, len(ts), 2)
     fits = properness_fit(families, rng)
     worst["closedness_rel_residual"].append(stokes_closedness_residual(
@@ -953,7 +940,7 @@ def check_hypotheses(stages, rng):
     c = geometry.dim_c
     for fam in families:
         flowed = fam.time_one is None
-        block, moment = fam.omega(spec_zero, kap0, ts), fam.moment(spec_zero, kap0, ts)
+        moment = fam.moment(spec_zero, kap0, ts)
         worst["zero_section_moment_sup"].append(np.linalg.norm(moment, axis=-1).max())
         if flowed:
             exact = primitive_exactness_residual(fam, k0, z0, ts, tri_frames)
@@ -962,14 +949,15 @@ def check_hypotheses(stages, rng):
             worst["zero_section_primitive_sup"].append(np.abs(mu0).max())
         if c == 0:
             continue
+        # lane i reads the row of ts[i]; rows 0 and 2 are the endpoint forms
+        forms = fam.omega(spec_zero, kap0, times)
+        block = forms[rows, np.arange(len(ts))]
         worst["zero_section_cross_block"].append(np.abs(block[:, :c, c:]).max())
         if flowed:
             sigma0 = fam.domega_dt(spec_zero, kap0, ts)
             worst["zero_section_dt_restriction"].append(np.abs(sigma0[:, :c, :c]).max())
-        end0, end1 = fam.omega(spec_zero, kap0, np.array([[0.0], [1.0]]))
         worst["zero_section_endpoint_restriction"].append(
-            np.abs((end1 - end0)[:, :c, :c]).max()
-        )
+            np.abs((forms[2] - forms[0])[:, :c, :c]).max())
         # symplectic orthogonal of the zero section: null space of the base
         # rows of omega_t must have fiber dimension and no base component
         _, svals, vt = np.linalg.svd(block[:, :c, :])
@@ -982,7 +970,7 @@ def check_hypotheses(stages, rng):
             else np.abs(vt[small][:, :c]).max()
         )
     properness = [{"stage": fam.name, "d_fit": fit, "d_analytic": fam.properness_bound,
-                   "ratio": fit / fam.properness_bound, "gamma_fit": properness_gamma(fam)}
-                  for fam, fit in zip(families, fits)]
+                   "ratio": fit / fam.properness_bound, "gamma_fit": gamma}
+                  for fam, (fit, gamma) in zip(families, fits)]
     out = {key: float(np.max(vals, initial=0.0)) for key, vals in worst.items()}
     return {**out, "properness": properness}

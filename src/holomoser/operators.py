@@ -23,8 +23,9 @@ sums them without eigh: Taylor polynomials at X = c M / 4^j, then j doublings
 which the hermitian family reads, come from the same kernel by the complex
 step (sinhc_dc).  At c = 1 the two blocks are read several times per
 spectrum, so both are formed once (psi_plus, even_g).
-chi_spectrum_check certifies the spectrum lemma apart from FiberSpectrum: one
-svd of A builds chi_Z's k-p block B, and one values-only svd of B is checked.
+chi_spectrum_check certifies the spectrum lemma against this kernel: the k-p
+block of chi_Z = Psi_Z^- (Psi_Z^+)^-1 formed from f_plus and G must match the
+tanh(nu/2) of one svd of A.
 """
 
 from __future__ import annotations
@@ -173,26 +174,28 @@ class FiberSpectrum:
 
 
 def chi_spectrum_check(alg, z):
-    """Compare spec(chi_Z) with {(e^nu - 1)/(e^nu + 1)} as multisets.
+    """Bound the distance of spec(chi_Z) from {(e^nu - 1)/(e^nu + 1)}.
 
-    z holds the p-coordinates of Z, with any leading batch shape (..., P).
-    Returns (multiset deviation, max |eigenvalue of chi|), arrays of the
-    batch shape, or two floats for a single Z.  ad(Z) is the Jordan-Wielandt
-    matrix of A = U diag(sigma) V^T, so its eigenvalues nu are +-sigma and
-    |dim_k - dim_p| zeros (Golub and Van Loan, Matrix Computations, 4th ed.,
-    8.6), and the odd chi_Z = -tanh(ad(Z)/2) is [[0, B], [B^T, 0]] with
-    B = U diag(-tanh(sigma/2)) V^T.  Its diagonal blocks are exactly zero, so
-    spec(chi_Z) is +-sv(B) and those zeros: one values-only svd of B, sorted
-    descending like tau = (e^sigma - 1)/(e^sigma + 1), certifies it.
+    z: p-coordinates (..., P).  Returns (multiset deviation bound, spectral
+    radius bound) of the batch shape, two floats for one Z.  With one full
+    svd A = U diag(sigma) V^T, ad(Z) has eigenvalues +-sigma and
+    |dim_k - dim_p| zeros (Golub and Van Loan, 4th ed., 8.6), and the odd
+    chi_Z = Psi_Z^- (Psi_Z^+)^-1 has k-p block B = -A G f_plus^-1 from the
+    kernel.  The lemma says U^T (-B) V = S, the k x p matrix with diagonal
+    tau = tanh(sigma/2) and zeros elsewhere.  E = U^T (A G) V - S V^T f_plus V
+    gives U^T (-B) V = S + E V^T f_plus^-1 V, and f_plus >= I, so by
+    Mirsky's theorem ||E||_F bounds the deviation of sv(B) from tau, and
+    max tau + ||E||_F the spectral radius.
     """
     z = np.asarray(z, dtype=float)
-    k = alg.dim_k
-    u, sigma, vt = np.linalg.svd(alg.ad(alg.embed_p(z))[..., :k, k:], full_matrices=False)
-    b = (u * -np.tanh(0.5 * sigma)[..., None, :]) @ vt
-    chi_sv = np.linalg.svd(b, compute_uv=False)
+    k, r = alg.dim_k, min(alg.dim_k, alg.dim_p)
+    a = alg.ad(alg.embed_p(z))[..., :k, k:]
+    u, sigma, vt = np.linalg.svd(a)
+    f_plus, g = FiberSpectrum(a).sinhc(1.0)
     tau = np.expm1(sigma) / (np.exp(sigma) + 1.0)
-    dev = np.abs(chi_sv - tau).max(axis=-1)
-    peak = chi_sv.max(axis=-1)
-    if z.ndim == 1:
-        return float(dev), float(peak)
-    return dev, peak
+    v = _mT(vt)
+    e = _mT(u) @ (a @ g) @ v
+    e[..., :r, :] -= tau[..., None] * (vt[..., :r, :] @ f_plus @ v)  # S V^T f_plus V
+    dev = np.linalg.norm(e, axis=(-2, -1))
+    peak = tau.max(axis=-1) + dev
+    return (float(dev), float(peak)) if z.ndim == 1 else (dev, peak)

@@ -59,6 +59,7 @@ from .roots import (
     chamber_hits,
     compute_root_datum,
     in_holomorphic_chamber,
+    pairing_matrix,
 )
 
 # chamber candidates tested per product in _random_chamber_weights
@@ -185,24 +186,26 @@ def _random_chamber_weights(datum, rng, count, max_draws=10000):
     Returns their torus coordinates as rows, (count, rank).  Each weight has
     its own budget of max_draws candidates, counted from the previous
     acceptance.  A block of _CHAMBER_BLOCK candidates per weight still
-    wanted, at most the budget left, is tested with one chamber_hits call and
-    every hit is used in order; after the last weight PCG64's advance (every
-    stream comes from default_rng) moves the generator back over the unused
-    rows.  A uniform double takes one 64-bit output, so the weights, the final
-    state and a RuntimeError on exhaustion are those of one-at-a-time tests.
+    wanted, at most the budget left, is tested with one chamber_hits call;
+    each block's hits are kept in order as one array, and the blocks are
+    concatenated once.  After the last weight PCG64's advance (every stream
+    comes from default_rng) moves the generator back over the unused rows.
+    A uniform double takes one 64-bit output, so the weights, the final state
+    and a RuntimeError on exhaustion are those of one-at-a-time tests.
     """
     rank = datum.algebra.rank
-    weights, left = [], max_draws
+    blocks, got, left = [], 0, max_draws
     while True:
-        m = min(_CHAMBER_BLOCK * (count - len(weights)), left)
+        m = min(_CHAMBER_BLOCK * (count - got), left)
         rows = rng.uniform(-2.0, 2.0, (m, rank))
-        hits = chamber_hits(datum, rows)[: count - len(weights)]
-        weights.extend(rows[hits])
+        hits = chamber_hits(datum, rows)[: count - got]
+        blocks.append(rows[hits])
+        got += len(hits)
         used, left = (hits[-1] + 1, max_draws) if len(hits) else (0, left)
-        if len(weights) == count:
+        if got == count:
             # a Python int: advance rejects a negative np.int64
             rng.bit_generator.advance(-int((m - used) * rank))
-            return np.array(weights)
+            return np.concatenate(blocks)
         left -= m - used
         if left == 0:
             raise RuntimeError("chamber rejection sampling failed")
@@ -219,6 +222,16 @@ def _radial_fibers(dim_p, rng, n, r_max):
     r = rng.uniform(0.05, r_max, n)
     v = rng.standard_normal((n, dim_p))
     return v * (r / np.linalg.norm(v, axis=1))[:, None]
+
+
+def _scaling_linearity_residual(datum, h):
+    """max |c(2h) - 2 c(h)| over chamber_constants c = (m, b) of the rows of h,
+    with h and 2h as one (2, W, rank) stack: one product for m, one norm for b."""
+    alg = datum.algebra
+    h = np.stack([h, 2.0 * h])
+    m = (h @ datum.noncompact_coords.T).min(axis=-1)
+    b = np.linalg.norm(pairing_matrix(alg, ChamberWeight(h).full(alg)), ord=2, axis=(-2, -1))
+    return float(np.max(np.abs([m[1] - 2.0 * m[0], b[1] - 2.0 * b[0]])))
 
 
 def _lemma_block(scenario, delta, segment, hermitian):
@@ -301,12 +314,8 @@ def _lemma_block(scenario, delta, segment, hermitian):
     }
     constants = measure_convention_constants(geometry, rng_ident)
 
-    scale_res = []
-    for h in [weight.coords, *_random_chamber_weights(datum, rng_scale, 3)]:
-        m1, b1 = chamber_constants(ChamberWeight(h), datum)
-        m2, b2 = chamber_constants(ChamberWeight(2.0 * h), datum)
-        scale_res += [abs(m2 - 2.0 * m1), abs(b2 - 2.0 * b1)]
-    scale_res = float(np.max(scale_res))
+    scale_res = _scaling_linearity_residual(
+        datum, np.vstack([weight.coords, _random_chamber_weights(datum, rng_scale, 3)]))
 
     checks = {
         "chi_multiset": chi_dev < tol("chi_multiset"),

@@ -27,13 +27,16 @@ None of this runs in the certification pipeline:
 - the root datum's structural residuals one root and one torus generator
   at a time;
 - chamber rejection sampling one candidate at a time, and the lemma suite's
-  growth, flat and bracket loops and the convention constants evaluated one
-  point and one difference lane at a time;
+  growth, flat and bracket loops, the scaling-linearity residual and the
+  convention constants evaluated one point, one weight and one difference
+  lane at a time;
 - the hypothesis checks (Stokes closedness, primitive exactness, zero
   section) and both sides of the moment identities one base point and one
   finite-difference lane at a time, and the properness fit with its
-  sampled and zero-fiber moments as separate calls, and the analytic
-  properness constant of each stage by name (analytic_properness_bound);
+  sampled and zero-fiber moments as separate calls, its growth exponent
+  from a moment call of its own at k = e (properness_gamma), and the
+  analytic properness constant of each stage by name
+  (analytic_properness_bound);
 - the Moser flow with the full RKMK group update for every family and
   every lane, the Moser field evaluating Ad(k^{-1}) at every stage point;
 - the body-coordinate flow with its group update inside the step loop
@@ -68,7 +71,6 @@ from holomoser.moser import (
     flow_stages,
     homotopy_primitive,
     moser_field,
-    properness_gamma,
     segment_weight_coords,
 )
 from holomoser.forms import OrbitGeometry, difference_lanes, moment_flat, moment_hermitian
@@ -722,6 +724,18 @@ def lemma_point_loops(scenario, alg, datum):
     }
 
 
+def scaling_linearity_loop(datum, weights):
+    """The scaling-linearity residual one weight at a time: two
+    chamber_constants calls (a pairing matrix and a spectral norm apiece) for
+    each row h of weights and its double 2h."""
+    res = []
+    for h in weights:
+        m1, b1 = chamber_constants(ChamberWeight(h), datum)
+        m2, b2 = chamber_constants(ChamberWeight(2.0 * h), datum)
+        res += [abs(m2 - 2.0 * m1), abs(b2 - 2.0 * b1)]
+    return float(np.max(res))
+
+
 def convention_constants_loop(geometry, rng):
     """measure_convention_constants one sample and one fiber direction at a time.
 
@@ -921,6 +935,25 @@ def properness_fit_loop(geometry, family, rng, samples=60, t_grid=_PROPERNESS_GR
         vals = gap @ family.pairing_direction(t) / sq
         best = min(best, float(vals.min()))
     return best
+
+
+def properness_gamma(family):
+    """The growth exponent properness_fit returns, from its own moment call.
+
+    Log-log least-squares slope of <Phi_t(e, rV) - Phi_t(e, 0), n_t> against
+    r at t = 0.5 and six radii r in [0.05, 0.4], in closed form on centred
+    logs, with k = e as kap = None; the ray and its zero fibers take one
+    moment call at the scalar t.
+    """
+    t, radii = 0.5, np.geomspace(0.05, 0.4, 6)
+    geometry = family.geometry
+    direction = _root_probe_fibers(geometry, radii=(1.0,))[0]
+    zs = np.concatenate([np.outer(radii, direction), np.zeros((6, len(direction)))])
+    phi = family.moment(geometry.fiber_eig(zs), None, t)
+    vals = (phi[:6] - phi[6:]) @ family.pairing_direction(t)
+    x, y = np.log(radii), np.log(vals)
+    x, y = x - x.mean(), y - y.mean()
+    return float(x @ y / (x @ x))
 
 
 def analytic_properness_bound(geometry, stage_name, delta):

@@ -20,7 +20,6 @@ from holomoser.moser import (
     moser_field,
     primitive_exactness_residual,
     properness_fit,
-    properness_gamma,
     random_points,
     scaling_stage,
     segment_stage,
@@ -45,6 +44,7 @@ from oracles import (
     integrate_flow_rkmk,
     primitive_exactness_loop,
     properness_fit_loop,
+    properness_gamma,
     quadrature_primitive,
     ReplayRng,
     stokes_closedness_loop,
@@ -551,10 +551,9 @@ def test_properness_fit_matches_analytic_bound(which, su11, su21, request):
     _, _, geo = request.getfixturevalue(which)
     families, d = stage_families(geo)
     fits = properness_fit(families, np.random.default_rng(14))
-    for fam, fit in zip(families, fits):
+    for fam, (fit, gamma) in zip(families, fits):
         bound = analytic_properness_bound(geo, fam.name, d)
         assert 0.99 < fit / bound < 1.05, fam.name
-        gamma = properness_gamma(fam)
         assert abs(gamma - 2.0) < 0.05, fam.name
 
 
@@ -867,9 +866,26 @@ def test_properness_fit_matches_loop_oracle(family, params):
     geo = generic_geometry(family, params)
     families, _ = stage_families(geo)
     fits = properness_fit(families, np.random.default_rng(25))
-    for fam, got in zip(families, fits):
+    for fam, (got, _) in zip(families, fits):
         want = properness_fit_loop(geo, fam, np.random.default_rng(25))
         assert got == want, fam.name
+
+
+@ALGEBRAS
+@pytest.mark.parametrize("weight", ["lambda0", "generic"])
+def test_properness_fit_exponents_match_the_ray_oracle(family, params, weight):
+    # the ray lanes ride in properness_fit's own batch with the exact identity
+    # as kappa; their t = 0.5 row must equal the ray's own call at k = e
+    if weight == "generic":
+        geo = generic_geometry(family, params)
+    else:
+        alg = build_algebra(family, **params)
+        datum = compute_root_datum(alg)
+        geo = OrbitGeometry(alg, datum, datum.lambda0)
+    families, _ = stage_families(geo)
+    fits = properness_fit(families, np.random.default_rng(25))
+    for fam, (_, gamma) in zip(families, fits):
+        assert gamma == properness_gamma(fam), fam.name
 
 
 # su(1,1) at lambda_0, su(2,1) generic, sp(4,R) at (2, 1), su(2,2) and su(3,1) generic
@@ -967,8 +983,9 @@ def test_hypothesis_checks_make_one_pass_for_all_stages(su21, monkeypatch):
     # chart, spectrum and kappa for the three omegas; the zero-section blocks
     # of the six points one spectrum and one kappa.  Only the flowed segment
     # takes the circulation over 6 x 3 edges x 8 nodes, the flux over 6 x 7
-    # nodes and the zero-section primitive and dt blocks.  The growth
-    # exponent is read per family at t = 1/2.
+    # nodes and the zero-section primitive and dt blocks.  Each family's
+    # zero-section blocks and endpoint forms are one omega call on the time
+    # axis (0, 1/2, 1); the growth exponent rides in the properness call.
     _, _, geo = su21
     assert geo.dim_t >= 3 and geo.dim_c > 0
     families, _ = stage_families(geo)
@@ -978,16 +995,15 @@ def test_hypothesis_checks_make_one_pass_for_all_stages(su21, monkeypatch):
                         (moser, "_chart_frames")):
         _count_calls(monkeypatch, owner, attr, calls)
     check_hypotheses(stages, np.random.default_rng(0))
-    mapped_zero = [("omega", (6,)), ("moment", (6,)), ("omega", (2, 1))]
+    mapped_zero = [("moment", (6,)), ("omega", (3, 1))]
     want = (
         ["fiber_eig", "kappa"] + [("moment", (11, 1))] * 3
         + ["_chart_frames", "fiber_eig", "kappa"] + [("omega", (336,))] * 3
         + ["fiber_eig", "kappa"] + mapped_zero * 2
-        + [("omega", (6,)), ("moment", (6,)),
+        + [("moment", (6,)),
            "_chart_frames", "kappa", "fiber_eig", ("primitive", (144,)),
            "_chart_frames", "fiber_eig", "kappa", ("domega_dt", (42,)),
-           ("primitive", (6,)), ("domega_dt", (6,)), ("omega", (2, 1))]
-        + ["fiber_eig", ("moment", ())] * 3
+           ("primitive", (6,)), ("omega", (3, 1)), ("domega_dt", (6,))]
     )
     assert calls == want
 

@@ -23,12 +23,14 @@ from holomoser import (
 from holomoser import build_algebra, cli, moser, pipeline
 from holomoser.forms import OrbitGeometry
 from holomoser.moser import hermitian_stage, segment_stage
+from holomoser.operators import FiberSpectrum
 from holomoser.pipeline import (
     _CHAMBER_BLOCK,
     _hypothesis_checks,
     _lemma_block,
     _radial_fibers,
     _random_chamber_weights,
+    _scaling_linearity_residual,
     _segment_witness,
     _unit_fiber,
     _witness_passes,
@@ -424,6 +426,22 @@ def test_block_chamber_sampler_matches_one_at_a_time_loop(sampler_data):
             assert block_rng.random() == loop_rng.random()
 
 
+@pytest.mark.parametrize("family,params", [
+    ("su", {"p": 1, "q": 1}), ("su", {"p": 2, "q": 1}), ("su", {"p": 2, "q": 2}),
+    ("su", {"p": 3, "q": 1}), ("su", {"p": 3, "q": 2}), ("sp", {"n": 1}),
+    ("sp", {"n": 2}), ("sp", {"n": 3}),
+])
+def test_scaling_linearity_matches_the_weight_loop(family, params):
+    # the lemma suite's four weights (lambda_0, then three chamber draws) and
+    # twelve draws, against two chamber_constants calls per weight
+    datum = compute_root_datum(build_algebra(family, **params))
+    draws = _random_chamber_weights(datum, np.random.default_rng(7), 12)
+    for weights in (np.vstack([datum.lambda0.coords, draws[:3]]), draws):
+        got = _scaling_linearity_residual(datum, weights)
+        assert got == oracles.scaling_linearity_loop(datum, weights)
+        assert got < 1e-12
+
+
 def _one_chamber_weight(datum, rng, max_draws):
     (row,) = _random_chamber_weights(datum, rng, count=1, max_draws=max_draws)
     return ChamberWeight(row)
@@ -586,10 +604,10 @@ def test_lemma_block_draws_without_a_per_sample_loop(monkeypatch):
 
 
 def test_lemma_block_chi_check_takes_one_svd_per_chunk(monkeypatch):
-    # the chi check reads its spectrum off one svd with vectors of the k-p
-    # blocks of ad(Z) and certifies it with one values-only svd of the k-p
-    # blocks of chi per 256-row chunk; the suite makes no eigvalsh or eigh of
-    # an N x N matrix
+    # the chi check reads its spectrum off one full svd (square V) of the k-p
+    # blocks of ad(Z) per 256-row chunk and compares it with the k-p block of
+    # chi from the sinhc kernel, with no second svd; the suite makes no
+    # eigvalsh or eigh of an N x N matrix
     alg = build_algebra("su", p=2, q=2)
     datum = compute_root_datum(alg)
     shapes = {"svd": (alg.dim_k, alg.dim_p), "eigvalsh": (alg.dim,) * 2,
@@ -601,14 +619,33 @@ def test_lemma_block_chi_check_takes_one_svd_per_chunk(monkeypatch):
         def counted(a, *args, _name=name, _shape=shape, _real=real, **kwargs):
             if np.shape(a)[-2:] == _shape:
                 values_only = kwargs.get("compute_uv", True) is False
-                calls.append(_name + (" values" if values_only else ""))
+                reduced = kwargs.get("full_matrices", True) is False
+                calls.append(_name + (" values" if values_only else "")
+                             + (" reduced" if reduced else ""))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     sc = Scenario(family="su", p=2, q=2, lemma_samples=2000, seed=4)
     delta = 1.5 * chamber_constants(datum.lambda0, datum)[1]
     lemma_block_at_lambda0(sc, alg, datum, delta)
-    assert calls == ["svd", "svd values"] * 8
+    assert calls == ["svd"] * 8
+
+
+@pytest.mark.parametrize("block", [0, 1], ids=["f_plus", "G"])
+def test_chi_multiset_fails_on_a_planted_kernel_error(monkeypatch, block):
+    # the chi gate reads Psi_Z^+- through the sinhc kernel, so a 1 % error in
+    # either of its blocks must fail it
+    real = FiberSpectrum.sinhc
+
+    def planted(self, c):
+        out = list(real(self, c))
+        out[block] = 1.01 * out[block]
+        return tuple(out)
+
+    monkeypatch.setattr(FiberSpectrum, "sinhc", planted)
+    lemmas = _su22_lemma_block()
+    assert lemmas["chi_multiset_deviation"] > 1e-4
+    assert lemmas["checks"]["chi_multiset"] is False
 
 
 @pytest.mark.parametrize(
